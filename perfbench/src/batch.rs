@@ -2,7 +2,7 @@
 //! printed optimized text out, as `fmsa_opt` does it.
 
 use crate::check::driver_diff;
-use crate::compile::{median_module_sum_s, size_reduction_pct, traced_pass, untraced_pass, Pass};
+use crate::compile::{measure, size_reduction_pct};
 use crate::stats::{geomean, median};
 use crate::{mix, trace, Args, Report};
 use fmsa::core::SearchStrategy;
@@ -12,9 +12,6 @@ use fmsa::workloads::{
 };
 use fmsa::Config;
 use std::time::Instant;
-
-/// Untraced passes measured at least, however long they take.
-const MIN_PASSES: usize = 3;
 
 /// Functions in the `swarm` module.
 const SWARM_FUNCTIONS: usize = 5000;
@@ -64,6 +61,34 @@ fn suite_inputs(seed: u64) -> Vec<Module> {
         .collect()
 }
 
+/// Generates the inputs once; returns the seconds it took and them.
+fn set_up(suite: bool, seed: u64) -> (f64, Vec<Module>) {
+    let _s = trace::span("bench.setup");
+    trace::timed("alloc.trim", crate::release_free_memory);
+    let t0 = Instant::now();
+    let inputs = trace::timed("workloads.generate", || {
+        if suite {
+            suite_inputs(seed)
+        } else {
+            swarm_inputs(seed)
+        }
+    });
+    (t0.elapsed().as_secs_f64(), inputs)
+}
+
+/// One round of set-up repetitions; returns the last inputs. Earlier
+/// inputs are freed before the clock starts.
+pub fn setup_round(suite: bool, seed: u64, times: &mut Vec<f64>) -> Result<Vec<Module>, String> {
+    let mut inputs = Vec::new();
+    crate::setup_round(times, |_| {
+        trace::timed("ir.drop", || drop(std::mem::take(&mut inputs)));
+        let (s, m) = set_up(suite, seed);
+        inputs = m;
+        Ok(s)
+    })?;
+    Ok(inputs)
+}
+
 /// Runs `swarm` (or `suite` when `suite` is set) into `r`.
 pub fn run(args: &Args, suite: bool, r: &mut Report) -> Result<(), String> {
     let threads = crate::nproc();
@@ -77,77 +102,35 @@ pub fn run(args: &Args, suite: bool, r: &mut Report) -> Result<(), String> {
             .exclude(["__driver"])
     };
 
-    // Set-up, several times; the median is reported.
+    // Set-up, in rounds spread over the run; the median is reported.
     // Set-up is input generation alone, so both metrics read the same.
     let mut setup_s = Vec::new();
-    let mut inputs = Vec::new();
-    while crate::more_setup(&setup_s) {
-        let _s = trace::span("bench.setup");
-        let t0 = Instant::now();
-        inputs = trace::timed("workloads.generate", || {
-            if suite {
-                suite_inputs(args.seed)
-            } else {
-                swarm_inputs(args.seed)
-            }
-        });
-        setup_s.push(t0.elapsed().as_secs_f64());
-    }
-    r.set("setup_s", median(&setup_s));
-    r.set("workloads.generate_s", median(&setup_s));
+    let inputs = setup_round(suite, args.seed, &mut setup_s)?;
     r.note(format!(
         "{} module(s), {} functions, threads={threads}",
         inputs.len(),
         inputs.iter().map(|m| m.func_ids().len()).sum::<usize>()
     ));
 
-    // Measure. A traced run alternates untraced and traced passes so
-    // their difference is the tracing overhead.
-    let start = Instant::now();
-    let mut walls = Vec::new();
-    let mut cpus = Vec::new();
-    let mut module_ms = Vec::new();
-    let mut traced_walls = Vec::new();
-    let mut last: Option<Pass> = None;
-    let mut last_traced: Option<Pass> = None;
-    loop {
-        let traced_turn = args.trace && walls.len() > traced_walls.len();
-        if traced_turn {
-            let p = traced_pass(&inputs, &cfg)?;
-            traced_walls.push(p.wall_s);
-            last_traced = Some(p);
-        } else {
-            let p = untraced_pass(&inputs, &cfg)?;
-            r.tally.record(true);
-            walls.push(p.wall_s);
-            cpus.push(p.cpu_s);
-            module_ms.push(p.module_ms.clone());
-            if let Some(prev) = &last {
-                r.check(prev.texts == p.texts, || {
-                    "two untraced passes printed different output".into()
-                });
-            }
-            last = Some(p);
-        }
-        let done = start.elapsed().as_secs_f64() >= args.seconds;
-        let enough = if args.trace { !traced_walls.is_empty() } else { walls.len() >= MIN_PASSES };
-        if done && enough {
-            break;
-        }
-    }
-    let out = last.expect("at least one untraced pass");
-    r.set("compile_s", median_module_sum_s(&module_ms));
-    r.set("compile_cpu_s", median(&cpus));
-    let latencies: Vec<f64> = module_ms.concat();
-    crate::set_latency(r, &latencies, 0);
-    r.set("throughput_rps", latencies.len() as f64 / walls.iter().sum::<f64>());
-    r.set("size_reduction_pct", size_reduction_pct(&inputs, &out.modules, &cfg));
+    let passes = measure(&inputs, &cfg, args.seconds, args.trace, r, || {
+        crate::setup_round_in_child(&args.workload, args.seed, &mut setup_s)
+    })?;
+    r.set("setup_s", median(&setup_s));
+    r.set("workloads.generate_s", median(&setup_s));
+    r.note(format!("{} set-ups, median {:.4} s", setup_s.len(), median(&setup_s)));
+    let (out, walls) = (&passes.out, &passes.walls);
+    // A module's latency is its median compile time over the passes,
+    // as `compile_s` sums them.
+    let latencies = &passes.module_ms;
+    crate::set_latency(r, latencies, 0);
+    r.set("throughput_rps", latencies.len() as f64 * 1e3 / latencies.iter().sum::<f64>());
+    let size = trace::timed("target.size", || size_reduction_pct(&inputs, &out.modules, &cfg));
+    r.set("size_reduction_pct", size);
     let (attempts, merges) = out.attempts_and_merges();
     r.note(format!(
-        "{} untraced pass(es): median {:.3} s wall, {:.3} s CPU; {merges} merges from {attempts} attempts",
+        "{} untraced pass(es): median {:.3} s wall; {merges} merges from {attempts} attempts",
         walls.len(),
-        median(&walls),
-        median(&cpus)
+        median(walls),
     ));
     r.note(format!("pass walls (s): {walls:.3?}"));
 
@@ -158,7 +141,7 @@ pub fn run(args: &Args, suite: bool, r: &mut Report) -> Result<(), String> {
     let (mut steps, mut pairs) = (0u64, 0u64);
     let mut heavy = Vec::new();
     for (pre, post) in inputs.iter().zip(&out.modules) {
-        let errs = verify_module(post);
+        let errs = trace::timed("ir.verify", || verify_module(post));
         r.check(errs.is_empty(), || format!("{} does not verify: {}", post.name, errs[0]));
         let Some(d) = trace::timed("interp.check", || driver_diff(pre, post)) else {
             heavy.push(pre.name.as_str());
@@ -184,10 +167,5 @@ pub fn run(args: &Args, suite: bool, r: &mut Report) -> Result<(), String> {
     r.set("interp.steps_per_s", steps as f64 / check_s);
     r.set("interp.diff_pairs", pairs as f64);
 
-    if let Some(t) = last_traced {
-        r.check(t.texts == out.texts, || "traced output bytes differ from untraced".into());
-        let n = traced_walls.len() as f64;
-        crate::set_pass_layers(r, &t, n, median(&walls), median(&traced_walls));
-    }
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! The `serve` workload: an in-process `fmsa_serve` daemon over a fresh
-//! store directory, driven as a closed loop by [`CLIENTS`] client
-//! connection(s) that upload 96-function wasm corpora in a seeded order.
+//! store directory, driven as a closed loop by one client connection
+//! that uploads 96-function wasm corpora in a seeded order.
 //!
 //! Before the clock starts the pool is uploaded once, which fills the
 //! store and the session's 32-entry response cache. The measured
@@ -16,9 +16,14 @@
 //! About 88 % of requests are then hits and 12 % merges: the median
 //! lies among the hits and p95 near the middle of the merges, each well
 //! away from the boundary between the two.
+//!
+//! One client, not `nproc`: each merge already runs on `nproc` threads,
+//! so a second client's hits wait for a core behind the merge workers,
+//! and on a 2-core machine that made the median flip between about
+//! 2.3 ms and 4.5 ms from run to run.
 
 use crate::check::targets_diff;
-use crate::compile::{median_module_sum_s, size_reduction_pct, traced_pass, untraced_pass};
+use crate::compile::{measure, size_reduction_pct};
 use crate::stats::{geomean, median};
 use crate::{mix, out_dir, trace, Args, Report};
 use fmsa::core::FunctionStore;
@@ -32,8 +37,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Functions per uploaded corpus.
@@ -52,11 +55,6 @@ const BLOCK: usize = 100;
 const NEW_PER_BLOCK: usize = 3;
 /// Cold corpora per block; the rest of a block goes to hot corpora.
 const COLD_PER_BLOCK: usize = 7;
-/// Client connections in the closed loop. One, not `nproc`: each merge
-/// already runs on `nproc` threads, so a second client's hits wait for
-/// a core behind the merge workers, and on a 2-core machine that made
-/// the median flip between about 2.3 ms and 4.5 ms from run to run.
-const CLIENTS: usize = 1;
 /// Share of `--seconds` spent under load; the rest times the in-process
 /// reference compile of the pool.
 const LOAD_SHARE: f64 = 0.6;
@@ -151,6 +149,76 @@ fn boot(dir: &PathBuf, merge: &Config) -> Result<RunningServer, String> {
     Server::bind(cfg).and_then(Server::spawn).map_err(|e| format!("booting the daemon: {e}"))
 }
 
+/// A daemon over a fresh store directory.
+struct Daemon {
+    server: RunningServer,
+    store_dir: PathBuf,
+}
+
+impl Daemon {
+    /// Stops the daemon and removes its store.
+    fn stop(mut self) {
+        trace::timed("serve.stop", || self.server.stop());
+        let _ = std::fs::remove_dir_all(&self.store_dir);
+    }
+}
+
+/// One set-up: the pool, and a daemon over a fresh store.
+struct SetUp {
+    /// Seconds the whole set-up took.
+    seconds: f64,
+    /// Of `seconds`, the pool generation.
+    generate_s: f64,
+    pool: Vec<Vec<u8>>,
+    daemon: Daemon,
+}
+
+/// Sets up once: generates the pool, then binds and spawns a daemon and
+/// opens its fresh store.
+fn set_up(seed: u64, merge: &Config, rep: usize) -> Result<SetUp, String> {
+    let _s = trace::span("bench.setup");
+    trace::timed("alloc.trim", crate::release_free_memory);
+    let t0 = Instant::now();
+    let pool =
+        trace::timed("workloads.generate", || (0..POOL).map(|id| corpus(seed, id)).collect());
+    let generate_s = t0.elapsed().as_secs_f64();
+    let store_dir = out_dir().join(format!("serve-store-{}-{rep}", std::process::id()));
+    let server = trace::timed("serve.boot", || boot(&store_dir, merge))?;
+    let seconds = t0.elapsed().as_secs_f64();
+    Ok(SetUp { seconds, generate_s, pool, daemon: Daemon { server, store_dir } })
+}
+
+/// One round of set-up repetitions; returns the last pool and daemon.
+fn setup_round(
+    seed: u64,
+    merge: &Config,
+    times: &mut Vec<f64>,
+    generate_s: &mut Vec<f64>,
+) -> Result<(Vec<Vec<u8>>, Daemon), String> {
+    let mut pool = Vec::new();
+    let mut daemon: Option<Daemon> = None;
+    crate::setup_round(times, |rep| {
+        if let Some(old) = daemon.take() {
+            old.stop();
+        }
+        drop(std::mem::take(&mut pool));
+        let once = set_up(seed, merge, rep)?;
+        generate_s.push(once.generate_s);
+        pool = once.pool;
+        daemon = Some(once.daemon);
+        Ok(once.seconds)
+    })?;
+    Ok((pool, daemon.expect("at least one set-up")))
+}
+
+/// The child side of a set-up round: one round, its daemon stopped.
+pub fn setup_round_child(seed: u64, times: &mut Vec<f64>) -> Result<(), String> {
+    let merge = Config::new().parallel(crate::nproc());
+    let (_, daemon) = setup_round(seed, &merge, times, &mut Vec::new())?;
+    daemon.stop();
+    Ok(())
+}
+
 fn header_u64(resp: &client::Response, name: &str) -> u64 {
     resp.header(name).and_then(|v| v.parse().ok()).unwrap_or(0)
 }
@@ -158,13 +226,13 @@ fn header_u64(resp: &client::Response, name: &str) -> u64 {
 /// Bodies of the first response per corpus, and what went wrong.
 #[derive(Default)]
 struct Seen {
-    bodies: Mutex<BTreeMap<usize, Vec<u8>>>,
-    errors: Mutex<Vec<String>>,
+    bodies: BTreeMap<usize, Vec<u8>>,
+    errors: Vec<String>,
 }
 
 /// Uploads corpus `id` and records the response. Every later response
 /// for a corpus must equal its first, byte for byte.
-fn upload(addr: std::net::SocketAddr, id: usize, bytes: &[u8], seen: &Seen) -> Sample {
+fn upload(addr: std::net::SocketAddr, id: usize, bytes: &[u8], seen: &mut Seen) -> Sample {
     let t = Instant::now();
     let resp = trace::timed("http.request", || client::post(addr, "/v1/modules", bytes));
     let ms = t.elapsed().as_secs_f64() * 1e3;
@@ -185,22 +253,18 @@ fn upload(addr: std::net::SocketAddr, id: usize, bytes: &[u8], seen: &Seen) -> S
             s.store_misses = header_u64(&resp, "x-fmsa-store-misses");
             s.session_us = header_u64(&resp, "x-fmsa-wall-micros");
             if resp.status == 200 {
-                let mut bodies = seen.bodies.lock().expect("body lock");
-                match bodies.get(&id) {
+                match seen.bodies.get(&id) {
                     None => {
-                        bodies.insert(id, resp.body);
+                        seen.bodies.insert(id, resp.body);
                     }
                     Some(b) if *b != resp.body => {
-                        seen.errors
-                            .lock()
-                            .expect("error lock")
-                            .push(format!("corpus {id}: two responses differ"));
+                        seen.errors.push(format!("corpus {id}: two responses differ"));
                     }
                     Some(_) => {}
                 }
             }
         }
-        Err(e) => seen.errors.lock().expect("error lock").push(format!("corpus {id}: {e}")),
+        Err(e) => seen.errors.push(format!("corpus {id}: {e}")),
     }
     s
 }
@@ -220,93 +284,57 @@ fn account(r: &mut Report, s: &Sample) {
 pub fn run(args: &Args, r: &mut Report) -> Result<(), String> {
     let threads = crate::nproc();
     let merge = Config::new().parallel(threads);
-    let pid = std::process::id();
 
-    // Set-up, several times: generate the pool, bind and spawn the
-    // daemon, open its fresh store. The last daemon serves the load.
-    let mut setup_s = Vec::new();
-    let mut generate_s = Vec::new();
-    let mut pool = Vec::new();
-    let mut server = None;
-    let mut store_dir = PathBuf::new();
-    while crate::more_setup(&setup_s) {
-        let rep = setup_s.len();
-        if let Some(mut old) = server.take() {
-            RunningServer::stop(&mut old);
-            let _ = std::fs::remove_dir_all(&store_dir);
-        }
-        let _s = trace::span("bench.setup");
-        let t0 = Instant::now();
-        pool = trace::timed("workloads.generate", || {
-            (0..POOL).map(|id| corpus(args.seed, id)).collect::<Vec<_>>()
-        });
-        generate_s.push(t0.elapsed().as_secs_f64());
-        store_dir = out_dir().join(format!("serve-store-{pid}-{rep}"));
-        server = Some(trace::timed("serve.boot", || boot(&store_dir, &merge))?);
-        setup_s.push(t0.elapsed().as_secs_f64());
-    }
-    let mut server = server.expect("at least one set-up");
-    r.set("setup_s", median(&setup_s));
-    r.set("workloads.generate_s", median(&generate_s));
-    let inputs: Vec<Module> = pool
-        .iter()
-        .map(|b| fmsa::load_module_bytes(b, "upload"))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("loading a corpus: {e}"))?;
+    // Set-up, in rounds spread over the run; the median is reported.
+    // The last daemon of the first round serves the load.
+    let (mut setup_s, mut generate_s) = (Vec::new(), Vec::new());
+    let (pool, daemon) = setup_round(args.seed, &merge, &mut setup_s, &mut generate_s)?;
+    let inputs: Vec<Module> = trace::timed("wasm.load", || {
+        pool.iter().map(|b| fmsa::load_module_bytes(b, "upload")).collect::<Result<_, _>>()
+    })
+    .map_err(|e| format!("loading a corpus: {e}"))?;
 
     // Prime: upload the pool once, cold corpora first, so the store
     // holds it and the response cache holds the hot corpora.
-    let addr = server.addr();
-    let seen = Seen::default();
+    let addr = daemon.server.addr();
+    let mut seen = Seen::default();
     let t_prime = Instant::now();
     {
         let _p = trace::span("bench.prime");
         for id in cold_order(args.seed).into_iter().chain(0..HOT) {
-            account(r, &upload(addr, id, &pool[id], &seen));
+            account(r, &upload(addr, id, &pool[id], &mut seen));
         }
     }
     let prime_s = t_prime.elapsed().as_secs_f64();
 
-    // Closed-loop load from `CLIENTS` client connections.
+    // Closed loop: each upload is sent when the previous one returned.
     let load_s = args.seconds * LOAD_SHARE;
     let order = schedule(args.seed, 2000);
-    let next = AtomicUsize::new(0);
-    let samples = Mutex::new(Vec::<Sample>::new());
-    let fresh = Mutex::new(BTreeMap::<usize, Vec<u8>>::new());
+    let mut samples = Vec::new();
+    let mut fresh = BTreeMap::<usize, Vec<u8>>::new();
     let t_load = Instant::now();
     {
         let _load = trace::span("bench.load");
-        std::thread::scope(|s| {
-            for _ in 0..CLIENTS {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let timed_out = t_load.elapsed().as_secs_f64() >= load_s;
-                    if i >= order.len() || (timed_out && i >= MIN_REQUESTS) {
-                        break;
-                    }
-                    let id = order[i];
-                    let sample = if id < POOL {
-                        upload(addr, id, &pool[id], &seen)
-                    } else {
-                        let bytes = corpus(args.seed, id);
-                        let sample = upload(addr, id, &bytes, &seen);
-                        fresh.lock().expect("fresh lock").insert(id, bytes);
-                        sample
-                    };
-                    samples.lock().expect("sample lock").push(sample);
-                });
+        for (i, &id) in order.iter().enumerate() {
+            if i >= MIN_REQUESTS && t_load.elapsed().as_secs_f64() >= load_s {
+                break;
             }
-        });
+            let bytes = if id < POOL {
+                &pool[id]
+            } else {
+                let bytes = trace::timed("workloads.generate", || corpus(args.seed, id));
+                fresh.entry(id).or_insert(bytes)
+            };
+            samples.push(upload(addr, id, bytes, &mut seen));
+        }
     }
     let load_wall = t_load.elapsed().as_secs_f64();
-    r.set("store.log_bytes", dir_bytes(&store_dir) as f64);
-    server.stop();
-    let _ = std::fs::remove_dir_all(&store_dir);
-    for e in seen.errors.into_inner().expect("error lock") {
+    r.set("store.log_bytes", dir_bytes(&daemon.store_dir) as f64);
+    daemon.stop();
+    for e in std::mem::take(&mut seen.errors) {
         r.fail(e);
     }
 
-    let samples = samples.into_inner().expect("sample lock");
     for s in &samples {
         account(r, s);
     }
@@ -340,7 +368,7 @@ pub fn run(args: &Args, r: &mut Report) -> Result<(), String> {
         r.note(format!("merge latency deciles (ms): {deciles:.1?}"));
     }
     r.note(format!(
-        "{} requests in {load_wall:.2} s from {CLIENTS} client(s): {hits} cache hits ({:.1} %), \
+        "{} requests in {load_wall:.2} s from one client: {hits} cache hits ({:.1} %), \
          {new} new corpora ({:.1} %), {} evicted repeats ({:.1} %), {refused} refused",
         samples.len(),
         100.0 * share(hits),
@@ -352,53 +380,29 @@ pub fn run(args: &Args, r: &mut Report) -> Result<(), String> {
     // In-process reference compile of the pool: `compile_s` for serve,
     // and the bytes every response must equal.
     let ref_s = (args.seconds - load_wall).max(0.0);
-    let t_ref = Instant::now();
-    let mut walls = Vec::new();
-    let mut cpus = Vec::new();
-    let mut module_ms = Vec::new();
-    let mut traced_walls = Vec::new();
-    let mut reference: Option<crate::compile::Pass> = None;
-    let mut last_traced = None;
-    loop {
-        if args.trace && walls.len() > traced_walls.len() {
-            let p = traced_pass(&inputs, &merge)?;
-            traced_walls.push(p.wall_s);
-            last_traced = Some(p);
-        } else {
-            let p = untraced_pass(&inputs, &merge)?;
-            walls.push(p.wall_s);
-            cpus.push(p.cpu_s);
-            module_ms.push(p.module_ms.clone());
-            if let Some(prev) = &reference {
-                r.check(prev.texts == p.texts, || {
-                    "two reference passes printed different output".into()
-                });
-            }
-            reference = Some(p);
-        }
-        let done = t_ref.elapsed().as_secs_f64() >= ref_s;
-        if done && (!args.trace || !traced_walls.is_empty()) {
-            break;
-        }
-    }
-    let reference = reference.expect("one reference pass");
-    r.set("compile_s", median_module_sum_s(&module_ms));
-    r.set("compile_cpu_s", median(&cpus));
-    r.set("size_reduction_pct", size_reduction_pct(&inputs, &reference.modules, &merge));
+    let reference = measure(&inputs, &merge, ref_s, args.trace, r, || {
+        crate::setup_round_in_child(&args.workload, args.seed, &mut setup_s)
+    })?
+    .out;
+    r.set("setup_s", median(&setup_s));
+    r.set("workloads.generate_s", median(&generate_s));
+    r.note(format!("{} set-ups, median {:.4} s", setup_s.len(), median(&setup_s)));
+    let size =
+        trace::timed("target.size", || size_reduction_pct(&inputs, &reference.modules, &merge));
+    r.set("size_reduction_pct", size);
 
     // Output checks on every corpus served: byte-identical to the
     // in-process compile, verifies, and behaves like its input.
     let t_check = Instant::now();
-    let fresh = fresh.into_inner().expect("fresh lock");
     let mut ratios = Vec::new();
     let (mut steps, mut steps_s, mut pairs) = (0u64, 0.0, 0u64);
-    for (id, body) in seen.bodies.into_inner().expect("body lock") {
-        let _c = trace::span("interp.check");
+    for (id, body) in seen.bodies {
         let (pre, expected) = if id < POOL {
             (inputs[id].clone(), reference.texts[id].clone())
         } else {
-            let pre = fmsa::load_module_bytes(&fresh[&id], "upload")
+            let pre = trace::timed("wasm.load", || fmsa::load_module_bytes(&fresh[&id], "upload"))
                 .map_err(|e| format!("loading corpus {id}: {e}"))?;
+            let _o = trace::span("optimize.module");
             let mut m = pre.clone();
             fmsa::optimize(&mut m, &merge).map_err(|e| format!("optimize corpus {id}: {e}"))?;
             (pre, print_module(&m))
@@ -406,15 +410,17 @@ pub fn run(args: &Args, r: &mut Report) -> Result<(), String> {
         r.check(body == expected.as_bytes(), || {
             format!("corpus {id}: response differs from in-process optimize + print")
         });
-        let mut post = match parse_module(&String::from_utf8_lossy(&body)) {
+        let parsed = trace::timed("ir.parse", || parse_module(&String::from_utf8_lossy(&body)));
+        let mut post = match parsed {
             Ok(m) => m,
             Err(e) => {
                 r.fail(format!("corpus {id}: response does not parse: {e}"));
                 continue;
             }
         };
-        let errs = verify_module(&post);
+        let errs = trace::timed("ir.verify", || verify_module(&post));
         r.check(errs.is_empty(), || format!("corpus {id}: response does not verify: {}", errs[0]));
+        let _c = trace::span("interp.check");
         let mut pre = pre;
         let targets = wire_targets(&mut pre, &mut post, true);
         let bcfg = BatchConfig {
@@ -444,10 +450,7 @@ pub fn run(args: &Args, r: &mut Report) -> Result<(), String> {
     r.set("interp.steps_per_s", steps as f64 / steps_s);
     r.set("interp.diff_pairs", pairs as f64);
 
-    if let Some(t) = last_traced {
-        r.check(t.texts == reference.texts, || "traced output bytes differ from untraced".into());
-        let n = traced_walls.len() as f64;
-        crate::set_pass_layers(r, &t, n, median(&walls), median(&traced_walls));
+    if args.trace {
         layer_pass(r, &pool, &merge, &reference.texts)?;
     }
     Ok(())
@@ -464,7 +467,8 @@ fn layer_pass(
 ) -> Result<(), String> {
     let dir = out_dir().join(format!("serve-ingest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = FunctionStore::open(&dir).map_err(|e| format!("opening a store: {e}"))?;
+    let mut store = trace::timed("store.open", || FunctionStore::open(&dir))
+        .map_err(|e| format!("opening a store: {e}"))?;
     let mut session = MergeSession::new(merge.clone());
     for (k, bytes) in pool.iter().enumerate() {
         let w = trace::timed("wasm.decode", || fmsa::wasm::parse_wasm(bytes))

@@ -1,6 +1,6 @@
 //! The benchmark's own statistics: percentiles with the tail rule,
 //! quartiles and spread, failure accounting, and the `/proc` readers
-//! behind `compile_cpu_s` and `peak_rss_mib`.
+//! behind `compile_cpu_s`, `peak_rss_mib` and the host steal-time note.
 
 /// A reported tail percentile must have at least this many samples
 /// beyond it.
@@ -138,6 +138,15 @@ pub fn cpu_seconds_from_stat(stat: &str) -> Option<f64> {
     Some((utime + stime) as f64 / USER_HZ)
 }
 
+/// Seconds the hypervisor ran other guests on this machine's CPUs
+/// (`steal`, the eighth value of the `cpu` line), summed over CPUs, from
+/// the text of `/proc/stat`.
+pub fn steal_seconds_from_stat(stat: &str) -> Option<f64> {
+    let line = stat.lines().find(|l| l.starts_with("cpu "))?;
+    let steal: u64 = line.split_whitespace().nth(8)?.parse().ok()?;
+    Some(steal as f64 / USER_HZ)
+}
+
 /// Peak resident set (`VmHWM`) in MiB from the text of
 /// `/proc/<pid>/status`.
 pub fn peak_rss_mib_from_status(status: &str) -> Option<f64> {
@@ -152,6 +161,14 @@ pub fn process_cpu_s() -> f64 {
         .ok()
         .and_then(|s| cpu_seconds_from_stat(&s))
         .expect("/proc/self/stat has utime and stime")
+}
+
+/// Steal seconds of all CPUs so far; 0 where `/proc/stat` has none.
+pub fn steal_s() -> f64 {
+    std::fs::read_to_string("/proc/stat")
+        .ok()
+        .and_then(|s| steal_seconds_from_stat(&s))
+        .unwrap_or(0.0)
 }
 
 /// This process's peak resident set so far, in MiB.
@@ -245,6 +262,15 @@ mod tests {
         assert_eq!(cpu_seconds_from_stat(stat), Some(2.8));
         assert_eq!(cpu_seconds_from_stat("garbage"), None);
         assert!(process_cpu_s() >= 0.0);
+    }
+
+    #[test]
+    fn reads_steal_time_from_proc_stat() {
+        let stat =
+            "cpu  1386039 0 25462 2241603 4017 0 7512 61834 0 0\ncpu0 1 2 3 4 5 6 7 8 9 10\n";
+        assert_eq!(steal_seconds_from_stat(stat), Some(618.34));
+        assert_eq!(steal_seconds_from_stat("cpu0 1 2 3\n"), None);
+        assert!(steal_s() >= 0.0);
     }
 
     #[test]

@@ -1,14 +1,21 @@
-//! Steadiness evidence: runs each workload many times, each run with
-//! its own seed, and prints every end-to-end metric's median,
-//! quartiles and spread next to the bound `BENCHMARK.json` gives it.
-//! With two base seeds (the default and a held-out one) it also prints
-//! how far the second set's median moved from the first's.
+//! Steadiness evidence: runs each workload of `BENCHMARK.json` [`RUNS`]
+//! times per seed set, each run with its own seed and `run_seconds`
+//! long, and prints every end-to-end metric's median, quartiles and
+//! spread next to the bound `BENCHMARK.json` gives it. It also prints
+//! how far the held-out set's medians moved from the default set's.
 
 use crate::json::{self, Value};
 use crate::stats::{median, quartiles, spread};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
+
+/// Runs per seed set.
+const RUNS: u64 = 10;
+
+/// First seeds of the default and the held-out seed set; run k of a set
+/// uses seed base + k.
+const SEED_SETS: [u64; 2] = [21, 2001];
 
 struct Bound {
     name: String,
@@ -47,14 +54,9 @@ fn child(workload: &str, seed: u64, seconds: f64) -> Result<BTreeMap<String, f64
     Ok(metrics)
 }
 
-fn list(s: &str) -> Vec<String> {
-    s.split(',').filter(|x| !x.is_empty()).map(str::to_owned).collect()
-}
-
-/// `perfbench --steady [--workloads a,b] [--seeds 1,1001] [--runs 10]
-/// [--seconds S]`; returns the exit code.
-pub fn main(argv: &[String]) -> i32 {
-    match steady(argv) {
+/// `perfbench --steady`; returns the exit code.
+pub fn main() -> i32 {
+    match steady() {
         Ok(ok) => i32::from(!ok),
         Err(e) => {
             eprintln!("perfbench --steady: {e}");
@@ -63,31 +65,13 @@ pub fn main(argv: &[String]) -> i32 {
     }
 }
 
-fn steady(argv: &[String]) -> Result<bool, String> {
+fn steady() -> Result<bool, String> {
     let bench = benchmark_json()?;
-    let mut workloads: Vec<String> = bench
+    let workloads: Vec<String> = bench
         .get("workloads")
         .map(|w| w.arr().iter().filter_map(|x| x.get("name")?.str().map(str::to_owned)).collect())
         .unwrap_or_default();
-    let mut seeds = vec![1u64, 1001];
-    let mut runs = 10u64;
-    let mut seconds = bench.get("run_seconds").and_then(Value::num).unwrap_or(10.0);
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--workloads" => workloads = list(v),
-            "--seeds" => {
-                seeds = list(v)
-                    .iter()
-                    .map(|s| s.parse().map_err(|e| format!("--seeds: {e}")))
-                    .collect::<Result<_, _>>()?
-            }
-            "--runs" => runs = v.parse().map_err(|e| format!("--runs: {e}"))?,
-            "--seconds" => seconds = v.parse().map_err(|e| format!("--seconds: {e}"))?,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
+    let seconds = bench.get("run_seconds").and_then(Value::num).ok_or("no run_seconds")?;
     let bounds: Vec<Bound> = bench
         .get("end_to_end")
         .map(Value::arr)
@@ -106,16 +90,16 @@ fn steady(argv: &[String]) -> Result<bool, String> {
     for w in &workloads {
         // medians[set][metric]
         let mut medians: Vec<BTreeMap<String, f64>> = Vec::new();
-        for &base in &seeds {
+        for base in SEED_SETS {
             let mut values: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-            for k in 0..runs {
+            for k in 0..RUNS {
                 let seed = base + k;
                 eprintln!("perfbench --steady: {w} seed {seed}");
                 for (name, v) in child(w, seed, seconds)? {
                     values.entry(name).or_default().push(v);
                 }
             }
-            println!("\n{w}, seeds {base}..{}, {runs} runs of {seconds} s:", base + runs - 1);
+            println!("\n{w}, seeds {base}..{}, {RUNS} runs of {seconds} s:", base + RUNS - 1);
             println!(
                 "  {:<20} {:>12} {:>12} {:>12} {:>8} {:>7}  verdict",
                 "metric", "q1", "median", "q3", "spread", "bound"
@@ -125,9 +109,7 @@ fn steady(argv: &[String]) -> Result<bool, String> {
                 let Some(v) = values.get(&b.name) else { continue };
                 let (q1, _, q3) = quartiles(v);
                 let (m, s) = (median(v), spread(v));
-                let verdict = if b.name == "setup_s" {
-                    "spread not gated"
-                } else if s <= b.bound / 3.0 {
+                let verdict = if s <= b.bound / 3.0 {
                     "steady"
                 } else if s <= b.bound {
                     "within bound"
@@ -143,7 +125,7 @@ fn steady(argv: &[String]) -> Result<bool, String> {
             }
             medians.push(set);
         }
-        if let [first, second, ..] = medians.as_slice() {
+        if let [first, second] = medians.as_slice() {
             println!("  median drift between the two seed sets (worse direction positive):");
             for b in &bounds {
                 let (Some(&a), Some(&c)) = (first.get(&b.name), second.get(&b.name)) else {

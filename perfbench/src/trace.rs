@@ -126,6 +126,16 @@ pub fn layer_self_s(spans: &[Span]) -> BTreeMap<&'static str, f64> {
     out
 }
 
+/// Self time in seconds of `layer`'s spans on `lane`.
+pub fn lane_layer_self_s(spans: &[Span], lane: u32, layer: &str) -> f64 {
+    spans
+        .iter()
+        .zip(self_times(spans))
+        .filter(|(s, _)| s.lane == lane && s.layer() == layer)
+        .map(|(_, self_us)| self_us / 1e6)
+        .sum()
+}
+
 /// Total duration in seconds of the spans named `name`.
 pub fn total_s(spans: &[Span], name: &str) -> f64 {
     spans.iter().filter(|s| s.name == name).map(|s| s.dur_us).sum::<f64>() / 1e6
@@ -193,6 +203,9 @@ mod tests {
         assert!(close(layers["ir"], 30.0 / 1e6));
         assert!(close(layers["core"], 50.0 / 1e6));
         assert!(close(total_s(&spans, "ir.verify"), 20.0 / 1e6));
+        // Of lane 0's 100 µs, only the root's own 20 µs is bench code.
+        assert!(close(lane_layer_self_s(&spans, 0, "bench"), 20.0 / 1e6));
+        assert_eq!(lane_layer_self_s(&spans, 1, "bench"), 0.0);
     }
 
     #[test]
