@@ -29,8 +29,9 @@
 //! configuration (the `BENCH_ci.json` artifact), and `--check` turns
 //! parity-budget violations (LSH vs exact, pipeline vs sequential,
 //! daemon vs batch) into a non-zero exit for the CI gate.
-//! `merge-parallel` additionally honours `--spec-depth N` (speculative
-//! codegen depth per subject; default: every promising pair) and
+//! `merge-parallel` and `scale` additionally honour `--spec-depth N`
+//! (speculative codegen depth per subject; default: every pair the Δ
+//! bound cannot rule out) and
 //! `--spec-batch N` (subjects scheduled per generation; default: auto) —
 //! the corresponding knobs of `fmsa::Config`. `scale` honours
 //! `--functions N` (corpus size; default 1 000 000, or 20 000 with
@@ -48,7 +49,8 @@
 //! telemetry-disabled vs tracing-enabled overhead (gated ≤ 3% under
 //! `--check`), revalidates output bit-identity with tracing on, checks
 //! span nesting, reconciles the merge decision log against
-//! `PipelineStats`, and scrapes a booted daemon's `/metrics`. `scale`,
+//! `PipelineStats`, fails on any decision record whose `delta` exceeds
+//! its `delta_bound`, and scrapes a booted daemon's `/metrics`. `scale`,
 //! `chaos`, and `obs` are deliberately not part of `all`.
 
 use fmsa::Config;
@@ -148,7 +150,7 @@ fn main() {
         "fuzz" => fuzz_farm(fast, budget_secs, &mut report),
         "faults" => fault_matrix(fast, &mut report),
         "serve-bench" => serve_bench(fast, &mut report),
-        "scale" => scale(fast, scale_functions, scale_chunk, &mut report),
+        "scale" => scale(fast, scale_functions, scale_chunk, &overrides, &mut report),
         "chaos" => chaos(fast, &mut report),
         "obs" => obs(fast, &mut report),
         "all" => {
@@ -694,7 +696,13 @@ fn peak_rss_mib() -> Option<f64> {
 /// driver at every measured thread count, and — when the runner has ≥ 2
 /// (resp. ≥ 4) cores — threads=2 (resp. threads=4) must beat threads=1
 /// wall-clock.
-fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mut Report) {
+fn scale(
+    fast: bool,
+    functions: Option<usize>,
+    chunk: Option<usize>,
+    overrides: &Config,
+    report: &mut Report,
+) {
     use fmsa_core::pipeline::PipelineStats;
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
@@ -704,7 +712,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     let seed = 0x5ca1_e001u64;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let auto = Config::new().pipeline_options().resolved_threads();
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let cfg = overrides.clone().threshold(5).search(SearchStrategy::lsh());
     println!(
         "\n== Million-function scale: streamed corpus of {total} functions in \
          chunks of {chunk} (t=5, lsh search, {cores} cores) =="
@@ -1799,7 +1807,8 @@ fn chaos(fast: bool, report: &mut Report) {
 /// telemetry-disabled run, (b) bit-identical output at 1/2/4/8 threads
 /// with tracing on and off, (c) well-nested Chrome-trace spans with the
 /// expected span names, (d) exact reconciliation of the per-attempt
-/// decision log against `FmsaStats`/`PipelineStats`, and (e) a booted
+/// decision log against `FmsaStats`/`PipelineStats`, with no record's
+/// real Δ above its pre-codegen `delta_bound`, and (e) a booted
 /// daemon serving valid Prometheus exposition with the required metric
 /// families plus a populated `/v1/merges/recent`.
 fn obs(fast: bool, report: &mut Report) {
@@ -1984,6 +1993,26 @@ fn obs(fast: bool, report: &mut Report) {
         par_stats.attempted,
         if seq_ok && par_ok { "reconciled" } else { "MISMATCH" }
     );
+    // The gate's bound must hold for every attempt whose body was built:
+    // a real Δ above its `delta_bound` is a soundness bug.
+    let (mut bounded, mut compared, mut violations) = (0usize, 0usize, 0usize);
+    for r in par_stats.decisions.records() {
+        let Some(bound) = r.delta_bound else { continue };
+        bounded += 1;
+        let Some(delta) = r.delta else { continue };
+        compared += 1;
+        if delta > bound {
+            violations += 1;
+            report.fail(format!(
+                "obs: {}/{}: delta {delta} exceeds its delta_bound {bound}",
+                r.subject, r.candidate
+            ));
+        }
+    }
+    println!(
+        "  Δ bound: {bounded} bounded records, {compared} with a real Δ, {violations} above \
+         their bound"
+    );
     report.record(&[
         ("experiment", Json::S("obs".into())),
         ("check", Json::S("decisions".into())),
@@ -1993,6 +2022,8 @@ fn obs(fast: bool, report: &mut Report) {
         ("merged", Json::I(par_stats.decisions.count(O::Merged) as i64)),
         ("conflict_fallback", Json::I(par_stats.decisions.count(O::ConflictFallback) as i64)),
         ("unprofitable", Json::I(par_stats.decisions.count(O::Unprofitable) as i64)),
+        ("gate_skipped", Json::I(par_stats.decisions.count(O::GateSkipped) as i64)),
+        ("bound_violations", Json::I(violations as i64)),
         ("reconciled", Json::B(seq_ok && par_ok)),
     ]);
 

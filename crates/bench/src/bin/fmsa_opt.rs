@@ -20,8 +20,9 @@
 //! (`0` = available parallelism); without it the paper's sequential
 //! driver runs. Both produce bit-identical output (see
 //! `fmsa_core::pipeline`). `--spec-depth N` bounds how many of each
-//! subject's promising candidates get speculative merge codegen per
-//! generation (`0` disables speculation, default: all) and
+//! subject's candidates that the pre-codegen Δ bound cannot rule out get
+//! speculative merge codegen per generation (`0` disables speculation,
+//! default: all) and
 //! `--spec-batch N` fixes the subjects scheduled per generation
 //! (default: auto); both only apply together with `--threads`.
 //!

@@ -78,8 +78,10 @@ pub struct Config {
     /// Pipeline: subjects scheduled per generation (`0` = whole
     /// frontier). Ignored by the sequential driver.
     pub batch: usize,
-    /// Pipeline: speculative codegen depth per subject (`0` disables
-    /// speculation). Ignored by the sequential driver.
+    /// Pipeline: speculative codegen depth per subject — how many of its
+    /// candidates the Δ bound cannot rule out get a body built in the
+    /// prepare stage (`0` disables speculation). Ignored by the
+    /// sequential driver.
     pub spec_depth: usize,
     /// Deterministic fault injection (tests, `experiments faults`).
     pub faults: FaultPlan,

@@ -626,20 +626,15 @@ fn cast_chain(
     have: TyId,
     want: TyId,
 ) -> Result<Value, MergeError> {
-    if have == want {
-        return Ok(v);
-    }
-    let ts_bitcastable = module.types.can_lossless_bitcast(have, want);
-    if ts_bitcastable {
-        let c = module.func_mut(mf).insert_before(user, Inst::new(Opcode::BitCast, want, vec![v]));
-        return Ok(Value::Inst(c));
-    }
-    let (Some(sh), Some(sw)) = (module.types.bit_size(have), module.types.bit_size(want)) else {
-        return Err(MergeError::InvalidCodegen("unsized return cast".into()));
+    let (sh, sw) = match classify_cast_widen(&module.types, have, want)? {
+        CastShape::Identity => return Ok(v),
+        CastShape::Bitcast => {
+            let c =
+                module.func_mut(mf).insert_before(user, Inst::new(Opcode::BitCast, want, vec![v]));
+            return Ok(Value::Inst(c));
+        }
+        CastShape::Chain { from, to } => (from, to),
     };
-    if sh > sw {
-        return Err(MergeError::InvalidCodegen("return cast must widen, not narrow".into()));
-    }
     let int_h = module.types.int(sh as u32);
     let int_w = module.types.int(sw as u32);
     let mut cur = v;
@@ -660,22 +655,52 @@ fn cast_chain(
     Ok(cur)
 }
 
-/// How a `base -> want` call-site/thunk result conversion is built. One
-/// classification shared by planning ([`prepare_cast_tys`]) and
-/// execution ([`cast_back_in`]), so the set of container types the plan
-/// interns can never drift from what the cast later looks up.
+/// Classifies the `have -> want` return-value conversion [`cast_chain`]
+/// builds. A `Chain` interns `int(from)` and then `int(to)` — the
+/// pre-codegen Δ bound replays exactly that for the merges it skips.
+///
+/// # Errors
+///
+/// The unsized/narrowing rejections the cast itself raises.
+pub(crate) fn classify_cast_widen(
+    types: &fmsa_ir::TypeStore,
+    have: TyId,
+    want: TyId,
+) -> Result<CastShape, MergeError> {
+    if have == want {
+        return Ok(CastShape::Identity);
+    }
+    if types.can_lossless_bitcast(have, want) {
+        return Ok(CastShape::Bitcast);
+    }
+    let (Some(sh), Some(sw)) = (types.bit_size(have), types.bit_size(want)) else {
+        return Err(MergeError::InvalidCodegen("unsized return cast".into()));
+    };
+    if sh > sw {
+        return Err(MergeError::InvalidCodegen("return cast must widen, not narrow".into()));
+    }
+    Ok(CastShape::Chain { from: sh, to: sw })
+}
+
+/// How a result conversion is built: the return casts of [`cast_chain`]
+/// and the `base -> want` call-site/thunk casts. One classification is
+/// shared by planning ([`prepare_cast_tys`], the Δ bound's type replay)
+/// and execution ([`cast_chain`], [`cast_back_in`]), so the set of
+/// container types a plan interns can never drift from what the cast
+/// later builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CastShape {
     /// `base == want`: no instruction at all.
     Identity,
     /// Lossless bitcast: a single `bitcast`, no container types.
     Bitcast,
-    /// Truncation through the integer containers `int(sb)` → `int(sw)`.
+    /// A zext or trunc through the integer containers `int(from)` →
+    /// `int(to)`.
     Chain {
-        /// Bit width of `base`.
-        sb: u64,
-        /// Bit width of `want`.
-        sw: u64,
+        /// Bit width of the converted value's type.
+        from: u64,
+        /// Bit width of the target type.
+        to: u64,
     },
 }
 
@@ -701,7 +726,7 @@ pub(crate) fn classify_cast_back(
     if sb < sw {
         return Err(MergeError::InvalidCodegen("call-site cast must narrow, not widen".into()));
     }
-    Ok(CastShape::Chain { sb, sw })
+    Ok(CastShape::Chain { from: sb, to: sw })
 }
 
 /// Interns the integer container types [`cast_back_in`] needs for a
@@ -719,9 +744,9 @@ pub(crate) fn prepare_cast_tys(
     base: TyId,
     want: TyId,
 ) -> Result<(), MergeError> {
-    if let CastShape::Chain { sb, sw } = classify_cast_back(types, base, want)? {
-        types.int(sb as u32);
-        types.int(sw as u32);
+    if let CastShape::Chain { from, to } = classify_cast_back(types, base, want)? {
+        types.int(from as u32);
+        types.int(to as u32);
     }
     Ok(())
 }
@@ -746,7 +771,7 @@ pub(crate) fn cast_back_in(
             let c = f.insert_before(user, Inst::new(Opcode::BitCast, want, vec![v]));
             return Ok(Value::Inst(c));
         }
-        CastShape::Chain { sb, sw } => (sb, sw),
+        CastShape::Chain { from, to } => (from, to),
     };
     let not_prepared = || MergeError::InvalidCodegen("cast container type not pre-interned".into());
     let int_b = types.lookup(&Type::Int(sb as u32)).ok_or_else(not_prepared)?;

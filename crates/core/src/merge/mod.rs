@@ -230,6 +230,56 @@ pub fn align_with(
     }
 }
 
+/// The parameter, return and identical-function set-up of one merge:
+/// everything code generation takes besides the alignment and a name.
+/// Computed once, the same way, for every build path and for the
+/// pre-codegen Δ bound ([`crate::profitability::delta_bound`]), so the
+/// bound always sees the merged signature codegen will emit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeSetup {
+    /// Return-type merging.
+    pub ret: RetInfo,
+    /// Whether the merged function takes the leading `i1` identifier
+    /// (false when the alignment shows the two functions identical).
+    pub has_func_id: bool,
+    /// The merged parameter list.
+    pub params: ParamMerge,
+}
+
+/// Computes the [`MergeSetup`] of `(f1, f2)` under `alignment`, without
+/// touching the module.
+///
+/// # Errors
+///
+/// [`MergeError::IncompatibleReturns`] (see [`compute_ret_info`]).
+pub fn merge_setup(
+    module: &Module,
+    f1: FuncId,
+    f2: FuncId,
+    seq1: &[Entry],
+    seq2: &[Entry],
+    alignment: &Alignment,
+    config: &MergeConfig,
+) -> Result<MergeSetup, MergeError> {
+    let ret = compute_ret_info(
+        &module.types,
+        module.func(f1).ret_ty(&module.types),
+        module.func(f2).ret_ty(&module.types),
+    )?;
+    // "In the special case where we merge identical functions, the output
+    // is also identical ... we can remove the extra parameter" (§III-E).
+    let has_func_id = !functions_identical(module, f1, f2, seq1, seq2, alignment);
+    let params = params::merge_params(
+        module.func(f1),
+        module.func(f2),
+        has_func_id,
+        module.types.i1(),
+        Some((alignment, seq1, seq2)),
+        config.reuse_params,
+    );
+    Ok(MergeSetup { ret, has_func_id, params })
+}
+
 /// The code-generation half of [`merge_pair`], taking a precomputed
 /// alignment (used by the pass driver for fine-grained timing, and by the
 /// SOA baseline which builds its lock-step alignment directly).
@@ -246,23 +296,8 @@ pub fn merge_pair_aligned(
     alignment: Alignment,
     config: &MergeConfig,
 ) -> Result<MergeInfo, MergeError> {
-    let ret = compute_ret_info(
-        &module.types,
-        module.func(f1).ret_ty(&module.types),
-        module.func(f2).ret_ty(&module.types),
-    )?;
-    // "In the special case where we merge identical functions, the output
-    // is also identical ... we can remove the extra parameter" (§III-E).
-    let has_func_id = !functions_identical(module, f1, f2, &seq1, &seq2, &alignment);
-    let i1 = module.types.i1();
-    let pm = params::merge_params(
-        module.func(f1),
-        module.func(f2),
-        has_func_id,
-        i1,
-        Some((&alignment, &seq1, &seq2)),
-        config.reuse_params,
-    );
+    let MergeSetup { ret, has_func_id, params } =
+        merge_setup(module, f1, f2, &seq1, &seq2, &alignment, config)?;
     let matches = alignment.match_count();
     let alignment_len = alignment.len();
     let name = unique_name(module, config, f1, f2);
@@ -274,13 +309,13 @@ pub fn merge_pair_aligned(
             seq1,
             seq2,
             alignment,
-            params: pm.clone(),
+            params: params.clone(),
             ret,
             name,
             reorder_commutative: config.reorder_commutative,
         },
     )?;
-    Ok(MergeInfo { merged, f1, f2, has_func_id, params: pm, ret, matches, alignment_len })
+    Ok(MergeInfo { merged, f1, f2, has_func_id, params, ret, matches, alignment_len })
 }
 
 fn unique_name(module: &Module, config: &MergeConfig, f1: FuncId, f2: FuncId) -> String {

@@ -20,12 +20,11 @@
 //! property-tested in `tests/transplant.rs`.
 
 use super::{
-    codegen, compute_ret_info, functions_identical, unique_name, MergeConfig, MergeError,
-    MergeInfo, RetInfo,
+    codegen, merge_setup, unique_name, MergeConfig, MergeError, MergeInfo, MergeSetup, RetInfo,
 };
 use crate::callsites::{outgoing_calls, CallSiteIndex};
 use crate::linearize::Entry;
-use crate::merge::params::{merge_params, ParamMerge};
+use crate::merge::params::ParamMerge;
 use crate::profitability::{delta_cost_side, ProfitReport};
 use fmsa_align::Alignment;
 use fmsa_ir::{FuncId, Module, ScratchModule};
@@ -67,21 +66,8 @@ pub fn speculate_merge(
     alignment: Alignment,
     config: &MergeConfig,
 ) -> Result<SpeculativeMerge, MergeError> {
-    let ret = compute_ret_info(
-        &module.types,
-        module.func(f1).ret_ty(&module.types),
-        module.func(f2).ret_ty(&module.types),
-    )?;
-    let has_func_id = !functions_identical(module, f1, f2, seq1, seq2, &alignment);
-    let i1 = module.types.i1();
-    let pm = merge_params(
-        module.func(f1),
-        module.func(f2),
-        has_func_id,
-        i1,
-        Some((&alignment, seq1, seq2)),
-        config.reuse_params,
-    );
+    let MergeSetup { ret, has_func_id, params: pm } =
+        merge_setup(module, f1, f2, seq1, seq2, &alignment, config)?;
     let matches = alignment.match_count();
     let alignment_len = alignment.len();
     let mut scratch = ScratchModule::new(module);

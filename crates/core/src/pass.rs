@@ -228,6 +228,7 @@ pub fn run_fmsa(module: &mut Module, opts: &FmsaOptions) -> FmsaStats {
                 rank: (pos + 1) as u32,
                 align_score: None,
                 delta: None,
+                delta_bound: None,
                 outcome: DecisionOutcome::Failed,
             };
             let t0 = Instant::now();

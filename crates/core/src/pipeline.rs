@@ -16,18 +16,19 @@
 //! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
 //!    pair, a worker computes the alignment (under the
 //!    [`fmsa_align::AlignmentBudget`] of [`FmsaOptions::budget`]) and the
-//!    pre-codegen profitability gate
-//!    ([`crate::profitability::optimistic_delta`]). A second parallel
-//!    wave then runs **speculative merge codegen**
-//!    ([`crate::merge::speculate_merge`]) for each subject's first
-//!    promising candidate, building the merged body in a per-worker
-//!    scratch module. Workers only read the main module; all results are
-//!    speculative.
+//!    sound pre-codegen bound on Δ
+//!    ([`crate::profitability::delta_bound`]). A second parallel wave
+//!    then runs **speculative merge codegen**
+//!    ([`crate::merge::speculate_merge`]) for the pairs the bound cannot
+//!    rule out, building the merged body in a per-worker scratch module.
+//!    Workers only read the main module; all results are speculative.
 //! 3. **Commit** (sequential): subjects are visited in the exact order
 //!    the sequential driver would visit them. Each prepared attempt is
 //!    re-validated — if either function mutated since it was scheduled,
 //!    or an earlier commit dirtied the candidate index, the stale part is
-//!    recomputed inline. A fresh speculative body is **transplanted**
+//!    recomputed inline. The Δ bound gates every attempt: a pair it
+//!    rules out skips codegen and only replays the type interning the
+//!    build would have left. A fresh speculative body is **transplanted**
 //!    into the main module ([`crate::merge::commit_speculative`]); a
 //!    conflict (either input mutated since scheduling) discards the
 //!    scratch body and falls back to direct sequential codegen. Exact
@@ -79,7 +80,7 @@ use crate::merge::{
     MergeInfo, SpeculativeMerge,
 };
 use crate::pass::{run_fmsa, seed_pass, FmsaOptions, FmsaStats, SeededPass};
-use crate::profitability::{evaluate_indexed, optimistic_delta, ProfitReport};
+use crate::profitability::{delta_bound, evaluate_indexed, DeltaBound, GateAudit, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
 use crate::ranking::Candidate;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
@@ -112,14 +113,15 @@ pub struct PipelineOptions {
     /// commits invalidate scheduled attempts, at the cost of more
     /// prepare/commit barriers.
     pub batch: usize,
-    /// How many of each subject's promising candidates get speculative
-    /// merge codegen in the prepare stage (scratch-module build,
-    /// transplanted at commit). `0` disables speculation entirely (PR 2
-    /// behaviour: commit regenerates every merged body inline);
-    /// `usize::MAX` covers every prepared pair. Defaults to `usize::MAX`:
-    /// the greedy commit stage code-generates every candidate until the
-    /// first profitable one, so on merge-sparse workloads most prepared
-    /// pairs really do reach codegen. No effect with one thread.
+    /// How many of each subject's candidates the Δ bound cannot rule out
+    /// get speculative merge codegen in the prepare stage (scratch-module
+    /// build, transplanted at commit). `0` disables speculation entirely
+    /// (commit builds every merged body inline); `usize::MAX` covers
+    /// every such pair. Defaults to `usize::MAX`, which is kept for
+    /// behaviour, not measured worth: since the bound gates prepare, only
+    /// the pairs it cannot rule out are built, and the speculation
+    /// measurements in `docs/pipeline.md` are the input for deciding
+    /// whether speculation stays at all. No effect with one thread.
     pub spec_depth: usize,
     /// Deterministic fault injection (testing and the `experiments
     /// faults` harness). Disabled by default; when active, the plan
@@ -171,7 +173,8 @@ pub struct PipelineStats {
     /// Attempts whose prepared state was stale (function mutated since
     /// scheduling) and was recomputed inline.
     pub recomputed: usize,
-    /// Attempts skipped by the sound pre-codegen profitability gate.
+    /// Attempts the sound pre-codegen Δ bound ruled out: no merged body
+    /// was built for them.
     pub gate_skipped: usize,
     /// Attempts abandoned by the alignment budget's length cap.
     pub budget_skipped: usize,
@@ -405,11 +408,12 @@ pub enum StatValue {
 struct Prepared {
     /// `None` when the alignment budget skipped the pair.
     alignment: Option<Alignment>,
-    /// Whether the optimistic-Δ gate left the pair in play.
-    promising: bool,
+    /// The pre-codegen Δ bound; `None` when the pair was not aligned or
+    /// its merge set-up fails (the build then fails the same way).
+    bound: Option<DeltaBound>,
     /// Speculatively generated merged body (scratch module), present for
-    /// the subject's top [`PipelineOptions::spec_depth`] promising
-    /// candidates.
+    /// the subject's top [`PipelineOptions::spec_depth`] candidates the
+    /// bound cannot rule out.
     spec: Option<SpeculativeMerge>,
     /// Mutation generations of `(f1, f2)` at schedule time.
     gens: (u64, u64),
@@ -439,6 +443,25 @@ fn align_budgeted(
         plan,
         opts.merge.algorithm == AlignAlgo::Hirschberg,
     )
+}
+
+/// Aligns one pair under the budget and bounds its Δ: everything the
+/// gate needs, computed the same way by a prepare worker and by the
+/// commit stage's inline path.
+fn align_and_bound(
+    module: &Module,
+    cm: &CostModel,
+    f1: FuncId,
+    f2: FuncId,
+    seq1: &[Entry],
+    seq2: &[Entry],
+    opts: &FmsaOptions,
+) -> (Option<Alignment>, Option<DeltaBound>) {
+    let alignment = align_budgeted(module, f1, f2, seq1, seq2, opts);
+    let bound = alignment
+        .as_ref()
+        .and_then(|al| delta_bound(module, cm, f1, f2, seq1, seq2, al, &opts.merge).ok());
+    (alignment, bound)
 }
 
 /// Executes the pending batch of deferred merges (no-op when empty):
@@ -513,6 +536,32 @@ pub fn run_fmsa_pipeline(
     opts: &FmsaOptions,
     pipe: &PipelineOptions,
 ) -> FmsaStats {
+    run_pipeline(module, opts, pipe, None)
+}
+
+/// [`run_fmsa_pipeline`] that also checks the Δ gate against real builds:
+/// every attempt's bound is compared with the real Δ of its build, and
+/// every gate-skipped attempt is additionally built (and discarded) in
+/// place, so its real Δ and the type store it leaves can be compared
+/// with the bound and the skip's type replay. The module ends exactly as
+/// [`run_fmsa_pipeline`] leaves it; the audit costs the builds the gate
+/// saves. For tests and soundness experiments.
+pub fn run_fmsa_pipeline_audited(
+    module: &mut Module,
+    opts: &FmsaOptions,
+    pipe: &PipelineOptions,
+) -> (FmsaStats, GateAudit) {
+    let mut audit = GateAudit::default();
+    let stats = run_pipeline(module, opts, pipe, Some(&mut audit));
+    (stats, audit)
+}
+
+fn run_pipeline(
+    module: &mut Module,
+    opts: &FmsaOptions,
+    pipe: &PipelineOptions,
+    mut audit: Option<&mut GateAudit>,
+) -> FmsaStats {
     if opts.oracle {
         return run_fmsa(module, opts);
     }
@@ -539,8 +588,9 @@ pub fn run_fmsa_pipeline(
     let mut epoch: u64 = 0;
     let gen_of = |gens: &HashMap<FuncId, u64>, f: FuncId| gens.get(&f).copied().unwrap_or(0);
 
-    // Speculative codegen holds one scratch module per prepared promising
-    // pair until the commit stage consumes (or discards) it; an unbounded
+    // Speculative codegen holds one scratch module per prepared pair the
+    // Δ bound cannot rule out until the commit stage consumes (or
+    // discards) it; an unbounded
     // generation over a multi-thousand-subject frontier would pin tens of
     // thousands of them at once. When the user leaves `batch` at 0, bound
     // the generation while speculating — batching is decision-neutral
@@ -649,11 +699,7 @@ pub fn run_fmsa_pipeline(
                     if faults.fires(FaultSite::Align, n1, n2) {
                         panic!("injected fault: align {n1} {n2}");
                     }
-                    let alignment = align_budgeted(frozen, f1, f2, &seq1, &seq2, opts);
-                    let promising = alignment.as_ref().is_some_and(|al| {
-                        optimistic_delta(frozen, &cm, f1, f2, &seq1, &seq2, al) > 0
-                    });
-                    (alignment, promising)
+                    align_and_bound(frozen, &cm, f1, f2, &seq1, &seq2, opts)
                 }))
                 .ok();
                 align_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -663,7 +709,7 @@ pub fn run_fmsa_pipeline(
             pstats.prepare += t0.elapsed();
             pstats.prepare_cpu += Duration::from_nanos(align_cpu.into_inner());
             for ((f1, f2), result) in jobs.into_iter().zip(results) {
-                let Some((alignment, promising)) = result else {
+                let Some((alignment, bound)) = result else {
                     pstats.panics_caught += 1;
                     continue;
                 };
@@ -671,16 +717,17 @@ pub fn run_fmsa_pipeline(
                 let gens_pair = (gen_of(&gens, f1), gen_of(&gens, f2));
                 prepared.insert(
                     (f1, f2),
-                    Prepared { alignment, promising, spec: None, gens: gens_pair, epoch },
+                    Prepared { alignment, bound, spec: None, gens: gens_pair, epoch },
                 );
             }
 
             // Second wave: speculative merge codegen into per-worker
             // scratch modules, for each subject's top `spec_depth`
-            // promising candidates in rank order. The greedy commit stage
-            // code-generates candidates until the first profitable one, so
-            // every body built here for a pair the commit actually reaches
-            // replaces one sequential codegen with a cheap transplant.
+            // candidates in rank order that the Δ bound cannot rule out.
+            // The greedy commit stage code-generates those until the first
+            // profitable one, so every body built here for a pair the
+            // commit actually reaches replaces one sequential codegen with
+            // a cheap transplant.
             if pipe.spec_depth > 0 {
                 let _spec_span = trace::span("fmsa", "spec_codegen");
                 let mut spec_jobs: Vec<(FuncId, FuncId)> = Vec::new();
@@ -693,7 +740,13 @@ pub fn run_fmsa_pipeline(
                         }
                         let key = (*f1, c.func);
                         let Some(p) = prepared.get(&key) else { continue };
-                        if p.promising && p.alignment.is_some() && seen.insert(key) {
+                        // A pair whose bound is ≤ 0 is never built here,
+                        // even when the store still lacks a pointer type
+                        // its skip needs: by commit an earlier build has
+                        // usually interned it, and if not, commit builds
+                        // the pair inline.
+                        let ruled_out = p.bound.as_ref().is_some_and(|b| b.bound <= 0);
+                        if !ruled_out && p.alignment.is_some() && seen.insert(key) {
                             spec_jobs.push(key);
                             picked += 1;
                         }
@@ -824,6 +877,7 @@ pub fn run_fmsa_pipeline(
                     rank: (pos + 1) as u32,
                     align_score,
                     delta,
+                    delta_bound: None,
                     outcome,
                 };
                 // Did this attempt discard a speculative body (conflict /
@@ -831,11 +885,11 @@ pub fn run_fmsa_pipeline(
                 // as `conflict-fallback` instead of plain `merged`.
                 let mut att_fallback = false;
                 let mut spec_body: Option<SpeculativeMerge> = None;
-                let (alignment, promising) = match prepared.get_mut(&(f1, cand.func)) {
+                let (alignment, bound) = match prepared.get_mut(&(f1, cand.func)) {
                     Some(p) if p.gens == gens_now && p.epoch == epoch => {
                         pstats.reused += 1;
                         spec_body = p.spec.take();
-                        (p.alignment.clone(), p.promising)
+                        (p.alignment.clone(), p.bound.take())
                     }
                     stale => {
                         if threads > 1 {
@@ -863,11 +917,7 @@ pub fn run_fmsa_pipeline(
                             if faults.fires(FaultSite::Align, &n1, &n2) {
                                 panic!("injected fault: align {n1} {n2}");
                             }
-                            let al = align_budgeted(module, f1, cand.func, &seq1, &seq2, opts);
-                            let promising = al.as_ref().is_some_and(|al| {
-                                optimistic_delta(module, &cm, f1, cand.func, &seq1, &seq2, al) > 0
-                            });
-                            (al, promising)
+                            align_and_bound(module, &cm, f1, cand.func, &seq1, &seq2, opts)
                         }));
                         stats.timers.alignment += t0.elapsed();
                         match recomputed {
@@ -895,10 +945,33 @@ pub fn run_fmsa_pipeline(
                     stats.decisions.push(rec(None, None, DecisionOutcome::BudgetSkipped));
                     continue;
                 };
-                if !promising {
-                    // Sound gate: the optimistic Δ bound proves the real Δ
-                    // would be ≤ 0, so the sequential driver would have
-                    // generated and discarded this merge. Skip codegen.
+                // From here on every record carries the gate's bound.
+                let rec_ungated = rec;
+                let rec = |align_score: Option<i64>, delta: Option<i64>, outcome| DecisionRecord {
+                    delta_bound: bound.as_ref().map(|b| b.bound),
+                    ..rec_ungated(align_score, delta, outcome)
+                };
+                if let Some(b) = bound.as_ref().filter(|b| b.rules_out(&module.types)) {
+                    // Sound gate: the bound proves the real Δ would be
+                    // ≤ 0, so the sequential driver would have generated
+                    // and discarded this merge. Skip codegen (prepare
+                    // never speculates on such a pair), replaying the
+                    // types the discarded build would have left behind.
+                    if let Some(a) = audit.as_deref_mut() {
+                        a.check_skip(
+                            module,
+                            &cm,
+                            &call_sites,
+                            f1,
+                            cand.func,
+                            &seq1,
+                            &seq2,
+                            &alignment,
+                            b,
+                            &opts.merge,
+                        );
+                    }
+                    b.replay_skip(&mut module.types);
                     pstats.gate_skipped += 1;
                     stats.decisions.push(rec(align_score, None, DecisionOutcome::GateSkipped));
                     continue;
@@ -939,6 +1012,9 @@ pub fn run_fmsa_pipeline(
                         // Profitability is decided on the scratch body;
                         // only profitable merges pay for a transplant.
                         let report = evaluate_speculative(module, &cm, &spec, &call_sites);
+                        if let (Some(a), Some(b)) = (audit.as_deref_mut(), bound.as_ref()) {
+                            a.check_built(module, f1, cand.func, b, report.delta);
+                        }
                         if !report.is_profitable() {
                             // The sequential driver would have generated
                             // this body and discarded it; replay its type
@@ -1052,6 +1128,9 @@ pub fn run_fmsa_pipeline(
                         break 'attempt None;
                     }
                     let report = evaluate_indexed(module, &cm, &info, &call_sites);
+                    if let (Some(a), Some(b)) = (audit.as_deref_mut(), bound.as_ref()) {
+                        a.check_built(module, f1, cand.func, b, report.delta);
+                    }
                     Some((info, report))
                 };
                 stats.timers.codegen += t0.elapsed();

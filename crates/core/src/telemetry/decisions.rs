@@ -25,10 +25,11 @@ pub enum DecisionOutcome {
     ConflictFallback,
     /// Merged body built and evaluated, Δ ≤ 0 — discarded.
     Unprofitable,
-    /// Alignment's profitability gate said "not promising"; codegen
+    /// The pre-codegen Δ bound proved the merge unprofitable; codegen
     /// was skipped.
     GateSkipped,
-    /// The alignment budget expired before this pair was aligned.
+    /// The alignment budget refused the pair (over its length cap), so
+    /// it was never aligned.
     BudgetSkipped,
     /// The attempt faulted (align/codegen/verify) and was quarantined.
     Quarantined,
@@ -82,6 +83,11 @@ pub struct DecisionRecord {
     /// Estimated size delta Δ from the profitability model, when the
     /// merged body was built and evaluated (positive = profitable).
     pub delta: Option<i64>,
+    /// The pipeline's pre-codegen upper bound on Δ, for every attempt
+    /// that reached the gate (`None` for the ungated sequential driver,
+    /// budget-skipped pairs, and pairs whose merge set-up fails). A
+    /// `delta` above it would be a soundness bug of the gate.
+    pub delta_bound: Option<i64>,
     /// How the attempt resolved.
     pub outcome: DecisionOutcome,
 }
@@ -100,9 +106,11 @@ impl DecisionRecord {
             Some(s) => out.push_str(&format!(",\"align_score\":{}", s)),
             None => out.push_str(",\"align_score\":null"),
         }
-        match self.delta {
-            Some(d) => out.push_str(&format!(",\"delta\":{}", d)),
-            None => out.push_str(",\"delta\":null"),
+        for (key, value) in [("delta", self.delta), ("delta_bound", self.delta_bound)] {
+            match value {
+                Some(d) => out.push_str(&format!(",\"{key}\":{d}")),
+                None => out.push_str(&format!(",\"{key}\":null")),
+            }
         }
         out.push_str(&format!(",\"outcome\":\"{}\"}}", self.outcome.as_str()));
         out

@@ -214,6 +214,7 @@ fn decision_log_retention_bound_keeps_exact_counts() {
             rank: 1,
             align_score: Some(i as i64),
             delta: None,
+            delta_bound: None,
             outcome: if i % 2 == 0 {
                 DecisionOutcome::Merged
             } else {

@@ -26,6 +26,10 @@ impl TyId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+    /// Builds an id from a raw store index (the `index()`-th interned type).
+    pub fn from_index(i: usize) -> Self {
+        TyId(i as u32)
+    }
 }
 
 /// A structural description of an IR type.

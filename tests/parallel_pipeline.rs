@@ -344,7 +344,7 @@ fn banded_fallback_still_merges_clone_families() {
     assert!((rf - rb).abs() <= 0.10 * rf.abs().max(1e-9), "banded {rb:.3}% vs full {rf:.3}%");
 }
 
-/// On the seed suite modules, the profitability estimate computed from a
+/// On the seed suite modules, the pre-codegen Δ bound computed from a
 /// banded(64) alignment stays within the CI parity budget of the one
 /// computed from the full-matrix alignment, for exactly the pairs the
 /// pass would explore (each subject's top-ranked candidate).
@@ -352,13 +352,14 @@ fn banded_fallback_still_merges_clone_families() {
 fn banded_estimate_within_error_bound_on_suite_modules() {
     use fmsa::core::fingerprint::Fingerprint;
     use fmsa::core::linearize::linearize;
-    use fmsa::core::profitability::optimistic_delta;
+    use fmsa::core::profitability::delta_bound;
     use fmsa::core::ranking::rank_candidates;
-    use fmsa::core::EquivCtx;
+    use fmsa::core::{EquivCtx, MergeConfig};
     use fmsa::target::CostModel;
     use fmsa_align::{banded_needleman_wunsch, needleman_wunsch, ScoringScheme};
     let cm = CostModel::new(fmsa::target::TargetArch::X86_64);
     let scheme = ScoringScheme::default();
+    let merge = MergeConfig::default();
     let mut pairs_checked = 0;
     for d in spec_suite().into_iter().filter(|d| d.paper_fns <= 300) {
         let m = d.build();
@@ -381,8 +382,11 @@ fn banded_estimate_within_error_bound_on_suite_modules() {
             let eq = |a: &fmsa::core::Entry, b: &fmsa::core::Entry| ctx.entries_equivalent(a, b);
             let full = needleman_wunsch(&seq1, &seq2, eq, &scheme);
             let banded = banded_needleman_wunsch(&seq1, &seq2, eq, &scheme, 64);
-            let est_full = optimistic_delta(&m, &cm, f1, f2, &seq1, &seq2, &full);
-            let est_banded = optimistic_delta(&m, &cm, f1, f2, &seq1, &seq2, &banded);
+            let bound = |al| delta_bound(&m, &cm, f1, f2, &seq1, &seq2, al, &merge);
+            let (Ok(est_full), Ok(est_banded)) = (bound(&full), bound(&banded)) else {
+                continue;
+            };
+            let (est_full, est_banded) = (est_full.bound, est_banded.bound);
             let slack = (0.10 * est_full.abs() as f64).max(8.0);
             assert!(
                 (est_full - est_banded).abs() as f64 <= slack,
