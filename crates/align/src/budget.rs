@@ -1,7 +1,8 @@
 //! Alignment budgets: keeping one pathological pair from stalling the
 //! merge pipeline.
 //!
-//! The full Needleman-Wunsch program is quadratic in time *and* space, so
+//! The full Needleman-Wunsch program is quadratic in time *and* space
+//! (one direction byte per cell, plus scores linear in the lengths), so
 //! one pair of multi-thousand-entry functions can dominate a whole pass
 //! (and, in the parallel pipeline, pin a worker while its whole
 //! generation waits on the commit barrier). An [`AlignmentBudget`] bounds
@@ -35,7 +36,10 @@ pub enum BudgetFallback {
 /// Per-pair cost bounds for one alignment, decided from lengths alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlignmentBudget {
-    /// Maximum `(n+1)·(m+1)` DP cells for a full-matrix alignment.
+    /// Maximum `(n+1)·(m+1)` DP cells for a full-matrix alignment. Each
+    /// cell costs one direction byte ([`crate::needleman_wunsch`] keeps
+    /// scores in three diagonal buffers), so the cap is also the pair's
+    /// quadratic memory in bytes.
     pub full_matrix_cells: usize,
     /// Strategy for pairs over the cell budget.
     pub fallback: BudgetFallback,
@@ -48,7 +52,11 @@ impl Default for AlignmentBudget {
     /// The default budget never triggers on paper-scale functions (the
     /// suite tops out well below 5 000 linearized entries), so pipeline
     /// output stays bit-identical to the unbudgeted sequential pass;
-    /// adversarial inputs beyond that fall back to a 64-wide band.
+    /// adversarial inputs beyond that fall back to a 64-wide band. The
+    /// 25 M-cell cap was sized when a cell cost 9 bytes (an `i64` score
+    /// and a direction); it now bounds 25 MB of directions per pair, and
+    /// stays where it is because moving it would move fallbacks, and
+    /// with them the output.
     fn default() -> Self {
         AlignmentBudget {
             full_matrix_cells: 25_000_000,
@@ -102,7 +110,7 @@ impl AlignmentBudget {
 /// Aligns `a` and `b` according to `plan`. `Full` uses plain NW when
 /// `prefer_hirschberg` is false and Hirschberg otherwise (the caller's
 /// base algorithm choice). Returns `None` for [`AlignPlan::Skip`].
-pub fn align_with_plan<T>(
+pub fn align_with_plan<T: Clone>(
     a: &[T],
     b: &[T],
     eq: impl Fn(&T, &T) -> bool + Copy,

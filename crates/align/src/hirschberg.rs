@@ -12,7 +12,7 @@ use crate::{needleman_wunsch, Alignment, ScoringScheme, Step};
 /// divide-and-conquer algorithm. The resulting score always equals the
 /// Needleman-Wunsch score (the alignment itself may differ among co-optimal
 /// alignments).
-pub fn hirschberg<T>(
+pub fn hirschberg<T: Clone>(
     a: &[T],
     b: &[T],
     eq: impl Fn(&T, &T) -> bool + Copy,
@@ -47,7 +47,7 @@ fn nw_last_row<T>(
     prev
 }
 
-fn rec<T>(
+fn rec<T: Clone>(
     a: &[T],
     b: &[T],
     a_off: usize,
@@ -134,8 +134,9 @@ mod tests {
 
     #[test]
     fn handles_long_sequences_without_quadratic_memory() {
-        // 2000 x 2000 full NW matrix would be ~32 MB of i64 scores; this
-        // test mostly guards against stack overflow / index bugs at size.
+        // A 2000 x 2000 full NW program would hold 4 MB of direction
+        // bytes; this test mostly guards against stack overflow / index
+        // bugs at size.
         let a: Vec<u32> = (0..2000).map(|i| i % 17).collect();
         let b: Vec<u32> = (0..2000).map(|i| (i + 3) % 17).collect();
         let scheme = ScoringScheme::default();

@@ -1,8 +1,12 @@
 //! Criterion microbenchmarks for the sequence-alignment kernels — the
 //! component that dominates FMSA's compile time (paper Fig. 13).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fmsa_align::{hirschberg, needleman_wunsch, smith_waterman, ScoringScheme};
+use fmsa_core::fingerprint::Fingerprint;
+use fmsa_core::ranking::rank_candidates;
+use fmsa_core::{linearize, KeyInterner};
+use fmsa_workloads::{clone_swarm_module, SwarmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,5 +47,40 @@ fn bench_alignment_similar_inputs(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_alignment, bench_alignment_similar_inputs);
+/// Key sequences of a clone swarm, paired the way the pass pairs them:
+/// each function with its top-ranked candidate.
+fn swarm_key_pairs(functions: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let m = clone_swarm_module(&SwarmConfig::with_functions(functions));
+    let interner = KeyInterner::new();
+    let ids = m.func_ids();
+    let fps: Vec<_> = ids.iter().map(|&f| (f, Fingerprint::of(&m, f))).collect();
+    let keys = |f| interner.keys(&m, f, &linearize(m.func(f)));
+    fps.iter()
+        .filter_map(|(f1, fp1)| {
+            let others = fps.iter().filter(|(f, _)| f != f1).map(|(f, fp)| (*f, fp));
+            let best = rank_candidates(*f1, fp1, others, 1, 0.0).into_iter().next()?;
+            Some((keys(*f1), keys(best.func)))
+        })
+        .collect()
+}
+
+fn bench_swarm_keys(c: &mut Criterion) {
+    // What the merge pass aligns: interned §III-D keys of real functions.
+    let scheme = ScoringScheme::default();
+    let pairs = swarm_key_pairs(300);
+    let cells: usize = pairs.iter().map(|(a, b)| (a.len() + 1) * (b.len() + 1)).sum();
+    let mut group = c.benchmark_group("alignment-swarm-keys");
+    group.throughput(Throughput::Elements(cells as u64));
+    group.bench_function(format!("needleman-wunsch/{}-pairs", pairs.len()), |bch| {
+        bch.iter(|| {
+            pairs
+                .iter()
+                .map(|(a, b)| needleman_wunsch(a, b, |x, y| x == y, &scheme).score)
+                .sum::<i64>()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_alignment, bench_alignment_similar_inputs, bench_swarm_keys);
 criterion_main!(benches);

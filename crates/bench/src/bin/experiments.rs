@@ -600,7 +600,8 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             let p = par.pipeline.unwrap_or_default();
             println!(
                 "       stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-                 prepare {:.2?} (cpu {:.2?}, spec codegen {:.2?}), \
+                 prepare {:.2?} (cpu {:.2?}, spec codegen {:.2?}); align cpu {:.2?}, \
+                 bound cpu {:.2?}; \
                  commit {:.2?} (codegen {:.2?}, transplant {:.2?}, rewrite {:.2?}); \
                  spec bodies built {} / used {} (committed {}) / fallback {}; \
                  commit barriers {} (batched {} merges, {} fallback)",
@@ -611,6 +612,8 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
                 p.prepare,
                 p.prepare_cpu,
                 p.spec_codegen,
+                p.align_cpu,
+                p.bound_cpu,
                 p.commit,
                 p.commit_codegen,
                 p.transplant,
@@ -756,7 +759,7 @@ fn scale(
     );
     println!(
         "  stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-         prepare {:.2?} (cpu {:.2?}), commit {:.2?}; \
+         prepare {:.2?} (cpu {:.2?}), align cpu {:.2?}, bound cpu {:.2?}, commit {:.2?}; \
          commit barriers {} (batched {} merges, {} fallback)",
         agg.schedule,
         agg.schedule_query,
@@ -764,6 +767,8 @@ fn scale(
         agg.schedule_cpu,
         agg.prepare,
         agg.prepare_cpu,
+        agg.align_cpu,
+        agg.bound_cpu,
         agg.commit,
         agg.commit_barriers,
         agg.batched_merges,

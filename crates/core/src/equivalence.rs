@@ -10,15 +10,46 @@
 //! Deviations from the paper, both conservative (they only *reject* merges
 //! the paper might accept):
 //!
-//! * matched calls/invokes must target the *same* callee — selecting
-//!   between two callees at runtime would need indirect calls, which the
-//!   interpreter substrate does not model;
+//! * matched calls/invokes must target the *same* callee operand —
+//!   selecting between two callees at runtime would need indirect calls,
+//!   which the interpreter substrate does not model;
 //! * `getelementptr` pairs must agree on the source element type and on
 //!   every struct-field index (field offsets are compile-time constants
 //!   and cannot be selected at runtime).
+//!
+//! # Exact keys
+//!
+//! The relation is defined through a canonical **key** per entry:
+//! `entries_equivalent(e1, e2)` holds exactly when both entries have a key
+//! and the keys are equal. This works because every ingredient is itself
+//! an equivalence: lossless bitcasting (`TypeStore::can_lossless_bitcast`)
+//! partitions types into all pointers, non-aggregate first-class
+//! non-pointers by bit size, and every other type on its own, and all
+//! other conditions are equalities of per-entry data. A key is a word
+//! sequence holding, in order, the opcode, the bitcast class of the
+//! result type and of each operand (label operands marked as such), and
+//! the opcode's payload: the landing pad's type and clauses for landing
+//! labels and pads, alloca byte size and alignment, the GEP source type
+//! with the struct indices of its walk, extract/insert indices with the
+//! exact result type, switch case constants, the raw call/invoke callee
+//! operand and the key of an invoke's unwind label. Entries the relation
+//! never matches, not even with themselves — φ-nodes (assumed demoted
+//! before merging, §III), GEPs whose walk fails, invokes whose unwind
+//! operand is not a block — have no key.
+//!
+//! Alignment then compares keys, not entries: [`KeyInterner`] maps each
+//! key to a dense `u32` once per function (cached next to the
+//! linearization, see [`crate::linearize::LinearizationCache`]), gives
+//! every keyless entry a fresh id no other entry shares, and the kernel
+//! compares `u32`s.
 
 use crate::linearize::Entry;
-use fmsa_ir::{ExtraData, Function, Inst, Module, Opcode, Type, Value};
+use fmsa_ir::{
+    BlockId, ExtraData, FuncId, Function, Inst, LandingPadClause, Module, Opcode, TyId, Type,
+    TypeStore, Value,
+};
+use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Equivalence context: the module plus the two functions being aligned.
 #[derive(Debug, Clone, Copy)]
@@ -37,192 +68,332 @@ impl<'a> EquivCtx<'a> {
         EquivCtx { module, f1, f2 }
     }
 
-    /// The §III-D equivalence over linearized entries.
+    /// The §III-D equivalence over linearized entries: `e1` (of `f1`) and
+    /// `e2` (of `f2`) both have a key, and the keys are equal.
     pub fn entries_equivalent(&self, e1: &Entry, e2: &Entry) -> bool {
-        match (e1, e2) {
-            (Entry::Label(b1), Entry::Label(b2)) => self.labels_equivalent(*b1, *b2),
-            (Entry::Inst(i1), Entry::Inst(i2)) => {
-                self.insts_equivalent(self.f1.inst(*i1), self.f2.inst(*i2))
-            }
-            _ => false,
-        }
+        let (mut k1, mut k2) = (Vec::new(), Vec::new());
+        entry_key(self.module, self.f1, *e1, &mut k1)
+            && entry_key(self.module, self.f2, *e2, &mut k2)
+            && k1 == k2
     }
+}
 
-    /// "Labels of normal basic blocks are ignored during code equivalence
-    /// evaluation, but we cannot do the same for landing blocks."
-    pub fn labels_equivalent(&self, b1: fmsa_ir::BlockId, b2: fmsa_ir::BlockId) -> bool {
-        let l1 = self.f1.is_landing_block(b1);
-        let l2 = self.f2.is_landing_block(b2);
-        match (l1, l2) {
-            (false, false) => true,
-            (true, true) => {
-                let p1 = self.f1.inst(self.f1.block(b1).insts[0]);
-                let p2 = self.f2.inst(self.f2.block(b2).insts[0]);
-                self.landingpads_identical(p1, p2)
-            }
-            _ => false,
+// Leading words of a key: what kind of entry it describes.
+const NORMAL_LABEL: u64 = 0;
+const LANDING_LABEL: u64 = 1;
+const INST: u64 = 2;
+
+// Bitcast-class words, one per result and operand type.
+const LABEL_OPERAND: u64 = 0;
+const CLASS_PTR: u64 = 1 << 62;
+const CLASS_BITS: u64 = 2 << 62;
+const CLASS_TYPE: u64 = 3 << 62;
+
+/// The class of `ty` under `TypeStore::can_lossless_bitcast`: all
+/// pointers; non-aggregate first-class non-pointers by bit size; any other
+/// type (aggregates, `void`, `label`, function types) by its own id.
+fn bitcast_class(types: &TypeStore, ty: TyId) -> u64 {
+    match types.get(ty) {
+        Type::Ptr { .. } => CLASS_PTR,
+        Type::Int(_) | Type::Half | Type::Float | Type::Double => {
+            CLASS_BITS | types.bit_size(ty).expect("scalar types have a bit size")
         }
+        _ => CLASS_TYPE | ty.index() as u64,
     }
+}
 
-    /// "Landing-pad instructions are equivalent if they have exactly the
-    /// same type and also encode identical lists of exception and cleanup
-    /// handlers."
-    fn landingpads_identical(&self, p1: &Inst, p2: &Inst) -> bool {
-        p1.opcode == Opcode::LandingPad
-            && p2.opcode == Opcode::LandingPad
-            && p1.ty == p2.ty
-            && p1.extra == p2.extra
+/// Appends the key of `entry`, an entry of `f`, to `out` and returns
+/// `true`; returns `false`, leaving `out` unchanged, when the entry has no
+/// key (the relation never holds for it). See the module docs for what a
+/// key holds.
+pub(crate) fn entry_key(module: &Module, f: &Function, entry: Entry, out: &mut Vec<u64>) -> bool {
+    let mark = out.len();
+    let keyed = match entry {
+        Entry::Label(b) => label_key(f, b, out),
+        Entry::Inst(i) => inst_key(module, f, f.inst(i), out),
+    };
+    if !keyed {
+        out.truncate(mark);
     }
+    keyed
+}
 
-    /// Instruction equivalence (§III-D).
-    pub fn insts_equivalent(&self, i1: &Inst, i2: &Inst) -> bool {
-        let ts = &self.module.types;
-        // (1) Opcode equivalence. We use exact opcode equality; the IR has
-        // no instruction flags, so there are no distinct-but-equivalent
-        // opcodes to unify.
-        if i1.opcode != i2.opcode {
-            return false;
+/// "Labels of normal basic blocks are ignored during code equivalence
+/// evaluation, but we cannot do the same for landing blocks."
+fn label_key(f: &Function, b: BlockId, out: &mut Vec<u64>) -> bool {
+    if !f.is_landing_block(b) {
+        out.push(NORMAL_LABEL);
+        return true;
+    }
+    out.push(LANDING_LABEL);
+    push_landing_pad(out, f.inst(f.block(b).insts[0]));
+    true
+}
+
+/// "Landing-pad instructions are equivalent if they have exactly the same
+/// type and also encode identical lists of exception and cleanup
+/// handlers": the exact type and the whole payload.
+fn push_landing_pad(out: &mut Vec<u64>, pad: &Inst) {
+    out.push(pad.ty.index() as u64);
+    push_payload(out, &pad.extra);
+}
+
+/// Instruction equivalence (§III-D) as a key.
+fn inst_key(module: &Module, f: &Function, inst: &Inst, out: &mut Vec<u64>) -> bool {
+    let ts = &module.types;
+    // φ-nodes are assumed demoted before merging (§III); never merge any
+    // that remain.
+    if inst.opcode == Opcode::Phi {
+        return false;
+    }
+    // (1) Opcode equivalence is exact opcode equality: the IR has no
+    // instruction flags, so there are no distinct-but-equivalent opcodes.
+    // (2) Result type class. (3) Operand type classes; label operands are
+    // resolved by codegen, so only their kind counts.
+    out.extend([INST, inst.opcode as u64, bitcast_class(ts, inst.ty)]);
+    out.push(inst.operands.len() as u64);
+    for &o in &inst.operands {
+        out.push(match o {
+            Value::Block(_) => LABEL_OPERAND,
+            Value::Func(g) => bitcast_class(ts, module.func(g).fn_ty()),
+            _ => bitcast_class(ts, f.value_ty(o, ts)),
+        });
+    }
+    // Opcode-specific payloads.
+    match &inst.extra {
+        ExtraData::None => out.push(0),
+        ExtraData::ICmp(p) => out.extend([1, *p as u64]),
+        ExtraData::FCmp(p) => out.extend([2, *p as u64]),
+        ExtraData::Alloca { allocated } => {
+            // Merged allocas must reserve the same amount of memory and
+            // alignment; identical size suffices since loads/stores go
+            // through bitcast-equivalent pointers.
+            out.push(3);
+            push_opt(out, ts.byte_size(*allocated));
+            push_opt(out, ts.align_of(*allocated));
         }
-        // φ-nodes are assumed demoted before merging (§III); never merge
-        // any that remain.
-        if i1.opcode == Opcode::Phi {
-            return false;
-        }
-        // (2) Equivalent result types.
-        if !ts.can_lossless_bitcast(i1.ty, i2.ty) {
-            return false;
-        }
-        // (3) Pairwise operands with equivalent types.
-        if i1.operands.len() != i2.operands.len() {
-            return false;
-        }
-        for (&o1, &o2) in i1.operands.iter().zip(&i2.operands) {
-            let label1 = matches!(o1, Value::Block(_));
-            let label2 = matches!(o2, Value::Block(_));
-            if label1 != label2 {
+        ExtraData::Gep { source_elem } => {
+            out.extend([4, source_elem.index() as u64]);
+            if !push_gep_struct_indices(ts, inst, *source_elem, out) {
                 return false;
             }
-            if label1 {
-                continue; // label operands are resolved by codegen
+        }
+        ExtraData::LandingPad { .. } => {
+            if inst.opcode != Opcode::LandingPad {
+                return false;
             }
-            let (t1, t2) = (self.op_ty1(o1), self.op_ty2(o2));
-            match (t1, t2) {
-                (Some(a), Some(b)) if ts.can_lossless_bitcast(a, b) => {}
-                _ => return false,
+            out.push(5);
+            push_landing_pad(out, inst);
+        }
+        ExtraData::AggIndices(indices) => {
+            out.extend([6, inst.ty.index() as u64, indices.len() as u64]);
+            out.extend(indices.iter().map(|&k| k as u64));
+        }
+        ExtraData::Phi { .. } => return false,
+    }
+    // Switch case values are immediate constants in the encoding; they
+    // cannot be selected at runtime, so matched switches must agree on
+    // every case constant (targets may differ — codegen selects labels
+    // through divergent control flow).
+    if inst.opcode == Opcode::Switch {
+        for (k, &o) in inst.operands.iter().enumerate() {
+            if k >= 2 && k % 2 == 0 {
+                push_value(out, o);
             }
         }
-        // Opcode-specific payloads.
-        match (&i1.extra, &i2.extra) {
-            (ExtraData::None, ExtraData::None) => {}
-            (ExtraData::ICmp(a), ExtraData::ICmp(b)) if a == b => {}
-            (ExtraData::FCmp(a), ExtraData::FCmp(b)) if a == b => {}
-            (ExtraData::Alloca { allocated: a }, ExtraData::Alloca { allocated: b }) => {
-                // Merged allocas must reserve the same amount of memory and
-                // alignment; identical size suffices since loads/stores go
-                // through bitcast-equivalent pointers.
-                if ts.byte_size(*a) != ts.byte_size(*b) || ts.align_of(*a) != ts.align_of(*b) {
-                    return false;
-                }
+    }
+    // Calls: "type equivalence means that both instructions have identical
+    // function types" — and (see module docs) the same callee operand.
+    if matches!(inst.opcode, Opcode::Call | Opcode::Invoke) {
+        let Some(&callee) = inst.operands.first() else { return false };
+        push_value(out, callee);
+        // Invoke: unwind landing blocks must carry identical pads.
+        if inst.opcode == Opcode::Invoke {
+            let Some(unwind) = inst.operands.last().and_then(|v| v.as_block()) else {
+                return false;
+            };
+            return label_key(f, unwind, out);
+        }
+    }
+    true
+}
+
+/// Struct-field GEP indices must be identical constants (they select
+/// compile-time offsets); array/pointer indices may differ (codegen
+/// selects them at runtime). Appends the struct indices of the walk;
+/// `false` when the walk fails, for any partner.
+fn push_gep_struct_indices(ts: &TypeStore, inst: &Inst, source: TyId, out: &mut Vec<u64>) -> bool {
+    let count_at = out.len();
+    out.push(0);
+    let mut cur = source;
+    // operands[1] indexes the source element itself (array semantics);
+    // subsequent operands walk into the type.
+    for &o in inst.operands.iter().skip(2) {
+        match ts.get(cur) {
+            Type::Struct { fields, .. } => {
+                let Value::ConstInt { bits, .. } = o else { return false };
+                let Some(&field) = fields.get(bits as usize) else { return false };
+                push_value(out, o);
+                out[count_at] += 1;
+                cur = field;
             }
-            (ExtraData::Gep { source_elem: a }, ExtraData::Gep { source_elem: b }) => {
-                if a != b || !self.gep_struct_indices_identical(i1, i2, *a) {
-                    return false;
-                }
-            }
-            (ExtraData::LandingPad { .. }, ExtraData::LandingPad { .. }) => {
-                if !self.landingpads_identical(i1, i2) {
-                    return false;
-                }
-            }
-            (ExtraData::AggIndices(a), ExtraData::AggIndices(b)) => {
-                if a != b || i1.ty != i2.ty {
-                    return false;
-                }
-            }
+            Type::Array { elem, .. } => cur = *elem,
             _ => return false,
         }
-        // Switch case values are immediate constants in the encoding; they
-        // cannot be selected at runtime, so matched switches must agree on
-        // every case constant (targets may differ — codegen selects labels
-        // through divergent control flow).
-        if i1.opcode == Opcode::Switch {
-            for (k, (&o1, &o2)) in i1.operands.iter().zip(&i2.operands).enumerate() {
-                let is_case_const = k >= 2 && k % 2 == 0;
-                if is_case_const && o1 != o2 {
-                    return false;
+    }
+    true
+}
+
+fn push_opt(out: &mut Vec<u64>, v: Option<u64>) {
+    match v {
+        Some(v) => out.extend([1, v]),
+        None => out.push(0),
+    }
+}
+
+/// An operand compared raw (`Value` equality).
+fn push_value(out: &mut Vec<u64>, v: Value) {
+    match v {
+        Value::Inst(i) => out.extend([0, i.index() as u64]),
+        Value::Param(p) => out.extend([1, p as u64]),
+        Value::Block(b) => out.extend([2, b.index() as u64]),
+        Value::Func(g) => out.extend([3, g.index() as u64]),
+        Value::ConstInt { ty, bits } => out.extend([4, ty.index() as u64, bits]),
+        Value::ConstFloat { ty, bits } => out.extend([5, ty.index() as u64, bits]),
+        Value::ConstNull(ty) => out.extend([6, ty.index() as u64]),
+        Value::Undef(ty) => out.extend([7, ty.index() as u64]),
+    }
+}
+
+/// A payload compared raw (`ExtraData` equality).
+fn push_payload(out: &mut Vec<u64>, extra: &ExtraData) {
+    match extra {
+        ExtraData::None => out.push(0),
+        ExtraData::ICmp(p) => out.extend([1, *p as u64]),
+        ExtraData::FCmp(p) => out.extend([2, *p as u64]),
+        ExtraData::Alloca { allocated } => out.extend([3, allocated.index() as u64]),
+        ExtraData::Gep { source_elem } => out.extend([4, source_elem.index() as u64]),
+        ExtraData::Phi { incoming } => {
+            out.extend([5, incoming.len() as u64]);
+            out.extend(incoming.iter().map(|b| b.index() as u64));
+        }
+        ExtraData::LandingPad { clauses, cleanup } => {
+            out.extend([6, *cleanup as u64, clauses.len() as u64]);
+            for clause in clauses {
+                match clause {
+                    LandingPadClause::Catch(name) => {
+                        out.push(0);
+                        push_str(out, name);
+                    }
+                    LandingPadClause::Filter(names) => {
+                        out.extend([1, names.len() as u64]);
+                        for name in names {
+                            push_str(out, name);
+                        }
+                    }
                 }
             }
         }
-        // Calls: "type equivalence means that both instructions have
-        // identical function types" — and (see module docs) we further
-        // require the same callee to stay within direct calls.
-        if matches!(i1.opcode, Opcode::Call | Opcode::Invoke) {
-            if i1.operands[0] != i2.operands[0] {
-                return false;
-            }
-            // Invoke: unwind landing blocks must carry identical pads.
-            if i1.opcode == Opcode::Invoke {
-                let u1 = i1.operands[i1.operands.len() - 1].as_block();
-                let u2 = i2.operands[i2.operands.len() - 1].as_block();
-                match (u1, u2) {
-                    (Some(u1), Some(u2)) => {
-                        if !self.labels_equivalent(u1, u2) {
-                            return false;
-                        }
-                    }
-                    _ => return false,
-                }
-            }
+        ExtraData::AggIndices(indices) => {
+            out.extend([7, indices.len() as u64]);
+            out.extend(indices.iter().map(|&k| k as u64));
         }
-        true
+    }
+}
+
+fn push_str(out: &mut Vec<u64>, s: &str) {
+    out.push(s.len() as u64);
+    out.extend(s.as_bytes().chunks(8).map(|c| {
+        let mut word = [0u8; 8];
+        word[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(word)
+    }));
+}
+
+/// The id bit that marks a fresh id: the id of an entry without a key,
+/// equal to no other id.
+const FRESH: u32 = 1 << 31;
+
+/// Interns entry keys to dense `u32` ids for one module.
+///
+/// Equal keys get equal ids and different keys different ids, so comparing
+/// ids is the §III-D relation; an entry without a key gets a fresh id
+/// (high bit set) that no other entry shares. Ids are only comparable
+/// between sequences from the same interner. Safe to share across the
+/// workers that pre-fill a [`crate::linearize::LinearizationCache`]: each
+/// function's keys are built without the lock and interned under it in
+/// one batch. Which id a key gets depends on interning order, which may
+/// vary between runs; alignments only compare ids for equality, so they
+/// do not.
+#[derive(Debug, Default)]
+pub struct KeyInterner {
+    /// Every update leaves the map and counter valid (an id is handed out
+    /// only after its key is stored), so a guard poisoned by a panicking
+    /// worker is recovered rather than propagated.
+    inner: Mutex<Interned>,
+}
+
+#[derive(Debug, Default)]
+struct Interned {
+    ids: HashMap<Box<[u64]>, u32>,
+    fresh: u32,
+}
+
+impl KeyInterner {
+    /// An empty interner.
+    pub fn new() -> KeyInterner {
+        KeyInterner::default()
     }
 
-    /// Struct-field GEP indices must be identical constants (they select
-    /// compile-time offsets); array/pointer indices may differ (codegen
-    /// selects them at runtime).
-    fn gep_struct_indices_identical(&self, i1: &Inst, i2: &Inst, source: fmsa_ir::TyId) -> bool {
-        let ts = &self.module.types;
-        let mut cur = source;
-        // operands[1] indexes the source element itself (array semantics);
-        // subsequent operands walk into the type.
-        for (k, (&o1, &o2)) in i1.operands[1..].iter().zip(&i2.operands[1..]).enumerate() {
-            if k > 0 {
-                match ts.get(cur) {
-                    Type::Struct { fields, .. } => {
-                        if o1 != o2 {
-                            return false;
-                        }
-                        let Value::ConstInt { bits, .. } = o1 else { return false };
-                        match fields.get(bits as usize) {
-                            Some(&f) => cur = f,
-                            None => return false,
-                        }
-                        continue;
-                    }
-                    Type::Array { elem, .. } => {
-                        cur = *elem;
-                    }
-                    _ => return false,
-                }
-            }
+    /// The key ids of `seq`, a linearization of `f`.
+    pub fn keys(&self, module: &Module, f: FuncId, seq: &[Entry]) -> Vec<u32> {
+        let func = module.func(f);
+        let mut words = Vec::with_capacity(seq.len() * 8);
+        let spans: Vec<Option<(usize, usize)>> = seq
+            .iter()
+            .map(|&e| {
+                let start = words.len();
+                let keyed = entry_key(module, func, e, &mut words);
+                keyed.then_some((start, words.len()))
+            })
+            .collect();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        spans
+            .into_iter()
+            .map(|span| match span {
+                Some((start, end)) => inner.intern(&words[start..end]),
+                None => inner.fresh(),
+            })
+            .collect()
+    }
+
+    /// The id of an already interned key, if any.
+    pub(crate) fn lookup(&self, key: &[u64]) -> Option<u32> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).ids.get(key).copied()
+    }
+
+    /// Whether `id` is a fresh id, handed to an entry without a key.
+    pub fn is_fresh(id: u32) -> bool {
+        id & FRESH != 0
+    }
+}
+
+impl Interned {
+    fn intern(&mut self, key: &[u64]) -> u32 {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
         }
-        true
+        let id = self.ids.len() as u32;
+        assert!(id < FRESH, "more than 2^31 distinct entry keys");
+        self.ids.insert(key.into(), id);
+        id
     }
 
-    fn op_ty1(&self, v: Value) -> Option<fmsa_ir::TyId> {
-        self.operand_ty(self.f1, v)
-    }
-
-    fn op_ty2(&self, v: Value) -> Option<fmsa_ir::TyId> {
-        self.operand_ty(self.f2, v)
-    }
-
-    fn operand_ty(&self, f: &Function, v: Value) -> Option<fmsa_ir::TyId> {
-        match v {
-            Value::Func(g) => Some(self.module.func(g).fn_ty()),
-            Value::Block(_) => None,
-            _ => Some(f.value_ty(v, &self.module.types)),
-        }
+    fn fresh(&mut self) -> u32 {
+        let id = self.fresh;
+        assert!(id < FRESH, "more than 2^31 fresh entry ids");
+        self.fresh += 1;
+        FRESH | id
     }
 }
 

@@ -85,10 +85,10 @@ pub mod thunks;
 
 pub use callsites::CallSiteIndex;
 pub use config::{optimize, Config};
-pub use equivalence::EquivCtx;
+pub use equivalence::{EquivCtx, KeyInterner};
 pub use error::Error;
 pub use faults::{silence_injected_panics, FaultPlan, FaultSite};
-pub use linearize::{linearize, Entry, LinearizationCache};
+pub use linearize::{linearize, Entry, KeyAudit, LinearizationCache, Linearized};
 pub use merge::{merge_pair, MergeConfig, MergeError, MergeInfo};
 #[allow(deprecated)]
 pub use pipeline::{run_fmsa_pipeline, PipelineOptions};

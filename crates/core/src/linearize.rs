@@ -5,6 +5,7 @@
 //! ... We empirically chose a reverse post-order traversal with a canonical
 //! ordering of successor basic blocks."
 
+use crate::equivalence::{entry_key, KeyInterner};
 use fmsa_ir::{cfg, BlockId, FuncId, Function, InstId, Module};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,21 +51,47 @@ pub fn linearize(f: &Function) -> Vec<Entry> {
     out
 }
 
-/// A cache of linearizations keyed by function id.
+/// One function's cached linearization and its key sequence:
+/// `keys[k]` is the interned §III-D key of `entries[k]` (see
+/// [`crate::equivalence`]), so two entries of different functions are
+/// equivalent exactly when their keys are equal.
+#[derive(Debug, Clone)]
+pub struct Linearized {
+    /// The linearization ([`linearize`]).
+    pub entries: Arc<[Entry]>,
+    /// The interned key of each entry.
+    pub keys: Arc<[u32]>,
+}
+
+impl Linearized {
+    fn compute(module: &Module, f: FuncId, interner: &KeyInterner) -> Linearized {
+        let entries = linearize(module.func(f));
+        let keys = interner.keys(module, f, &entries);
+        Linearized { entries: Arc::from(entries), keys: Arc::from(keys) }
+    }
+}
+
+/// A cache of linearizations and their key sequences, keyed by function
+/// id.
 ///
 /// The sequential pass linearizes both functions of every merge attempt,
 /// so a function that appears as a candidate of many subjects is
 /// re-linearized once per attempt. The pipeline keeps one
 /// [`LinearizationCache`] for the whole pass and invalidates entries only
 /// when a commit mutates the function (thunked originals, rewritten
-/// callers), so each function is linearized once per *generation* instead.
+/// callers), so each function is linearized, and its keys built, once per
+/// *generation* instead of once per attempt. All keys come from the one
+/// [`KeyInterner`] the cache owns, so key sequences of any two cached
+/// functions are comparable; invalidating a function drops its keys with
+/// its linearization.
 ///
-/// Entries are `Arc<[Entry]>` so the read-only parallel prepare stage can
-/// share them across workers without cloning; the cache itself is filled
+/// Entries are `Arc`s so the read-only parallel prepare stage can share
+/// them across workers without cloning; the cache itself is filled
 /// sequentially (it hands out shared references once populated).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct LinearizationCache {
-    map: HashMap<FuncId, Arc<[Entry]>>,
+    map: HashMap<FuncId, Linearized>,
+    interner: KeyInterner,
 }
 
 impl LinearizationCache {
@@ -74,27 +101,25 @@ impl LinearizationCache {
     }
 
     /// The linearization of `f`, computing and caching it on a miss.
-    pub fn get(&mut self, module: &Module, f: FuncId) -> Arc<[Entry]> {
-        Arc::clone(
-            self.map
-                .entry(f)
-                .or_insert_with(|| Arc::from(linearize(module.func(f)).into_boxed_slice())),
-        )
+    pub fn get(&mut self, module: &Module, f: FuncId) -> Linearized {
+        let interner = &self.interner;
+        self.map.entry(f).or_insert_with(|| Linearized::compute(module, f, interner)).clone()
     }
 
     /// The cached linearization of `f`, if present (lock-free read path
     /// for workers; the scheduler pre-fills entries before a generation).
-    pub fn cached(&self, f: FuncId) -> Option<Arc<[Entry]>> {
-        self.map.get(&f).map(Arc::clone)
+    pub fn cached(&self, f: FuncId) -> Option<&Linearized> {
+        self.map.get(&f)
     }
 
     /// Fills the cache for every function of `funcs` not already present,
-    /// computing the missing linearizations on `pool` (inline on a
-    /// single-thread pool). Returns the summed per-function compute time
+    /// computing the missing linearizations and keys on `pool` (inline on
+    /// a single-thread pool). Returns the summed per-function compute time
     /// — the stage's CPU time, reported against its wall-clock by the
-    /// pipeline. [`linearize`] is deterministic and the insertions are
-    /// keyed by function id, so a pre-filled cache is indistinguishable
-    /// from one filled by sequential [`LinearizationCache::get`] calls.
+    /// pipeline. [`linearize`] is deterministic, the insertions are keyed
+    /// by function id, and key ids only ever meet in equality tests, so a
+    /// pre-filled cache is indistinguishable from one filled by sequential
+    /// [`LinearizationCache::get`] calls.
     pub fn prefill(
         &mut self,
         module: &Module,
@@ -109,15 +134,14 @@ impl LinearizationCache {
             }
         }
         let cpu = std::sync::atomic::AtomicU64::new(0);
+        let interner = &self.interner;
         let computed = pool.par_map(&misses, |_, &f| {
             let t = std::time::Instant::now();
-            let seq: Arc<[Entry]> = Arc::from(linearize(module.func(f)).into_boxed_slice());
+            let lin = Linearized::compute(module, f, interner);
             cpu.fetch_add(t.elapsed().as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
-            (f, seq)
+            (f, lin)
         });
-        for (f, seq) in computed {
-            self.map.insert(f, seq);
-        }
+        self.map.extend(computed);
         std::time::Duration::from_nanos(cpu.into_inner())
     }
 
@@ -125,6 +149,31 @@ impl LinearizationCache {
     /// function was removed).
     pub fn invalidate(&mut self, f: FuncId) {
         self.map.remove(&f);
+    }
+
+    /// Checks the cached linearization and keys of `f`, if any, against
+    /// freshly computed ones (the same interner resolves the fresh keys;
+    /// keyless entries must hold fresh ids). Returns what differs.
+    pub(crate) fn audit(&self, module: &Module, f: FuncId) -> Option<String> {
+        let cached = self.map.get(&f)?;
+        let func = module.func(f);
+        let name = &func.name;
+        if cached.entries[..] != linearize(func)[..] {
+            return Some(format!("{name}: cached linearization is stale"));
+        }
+        let mut key = Vec::new();
+        for (k, (&e, &id)) in cached.entries.iter().zip(cached.keys.iter()).enumerate() {
+            key.clear();
+            let fresh = if entry_key(module, func, e, &mut key) {
+                self.interner.lookup(&key) == Some(id)
+            } else {
+                KeyInterner::is_fresh(id)
+            };
+            if !fresh {
+                return Some(format!("{name}: cached key {id:#x} of entry {k} ({e:?}) is stale"));
+            }
+        }
+        None
     }
 
     /// Number of cached functions.
@@ -135,6 +184,33 @@ impl LinearizationCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+/// The record of a key audit
+/// ([`crate::pipeline::run_fmsa_pipeline_key_audited`]): at every commit
+/// attempt, the cached linearization and keys of both functions are
+/// compared with fresh ones.
+#[derive(Debug, Clone, Default)]
+pub struct KeyAudit {
+    /// Cached functions checked (two per attempt).
+    pub checked: usize,
+    /// What differed, one line per stale function.
+    pub mismatches: Vec<String>,
+}
+
+impl KeyAudit {
+    /// Whether every checked function's cache entry was fresh.
+    pub fn is_clean(&self) -> bool {
+        self.mismatches.is_empty()
+    }
+
+    /// Audits the cache entry of `f`.
+    pub(crate) fn check(&mut self, cache: &LinearizationCache, module: &Module, f: FuncId) {
+        self.checked += 1;
+        if let Some(mismatch) = cache.audit(module, f) {
+            self.mismatches.push(mismatch);
+        }
     }
 }
 
@@ -219,10 +295,30 @@ mod tests {
         cache.prefill(&m, &[f, f], &pool);
         assert_eq!(cache.len(), 1, "duplicates collapse to one entry");
         let mut seq_cache = LinearizationCache::new();
-        assert_eq!(&cache.cached(f).expect("pre-filled")[..], &seq_cache.get(&m, f)[..]);
+        let pre = cache.cached(f).expect("pre-filled");
+        let seq = seq_cache.get(&m, f);
+        assert_eq!(pre.entries[..], seq.entries[..]);
+        assert_eq!(pre.keys.len(), seq.keys.len());
+        assert!(cache.audit(&m, f).is_none());
         // Pre-filling again is a no-op on hits.
         cache.prefill(&m, &[f], &pool);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn audit_flags_an_entry_a_mutation_left_stale() {
+        let (mut m, f) = diamond_module();
+        let mut cache = LinearizationCache::new();
+        cache.get(&m, f);
+        assert!(cache.audit(&m, f).is_none());
+        // Flip the icmp's predicate without invalidating: same entries,
+        // different key.
+        let icmp = m.func(f).inst_ids()[0];
+        m.func_mut(f).inst_mut(icmp).extra = fmsa_ir::ExtraData::ICmp(IntPredicate::Slt);
+        assert!(cache.audit(&m, f).expect("stale key").contains("stale"));
+        cache.invalidate(f);
+        cache.get(&m, f);
+        assert!(cache.audit(&m, f).is_none());
     }
 
     #[test]
@@ -231,10 +327,11 @@ mod tests {
         let mut cache = LinearizationCache::new();
         assert!(cache.cached(f).is_none());
         let a = cache.get(&m, f);
-        assert_eq!(&a[..], &linearize(m.func(f))[..]);
-        // Second fetch shares the same allocation.
+        assert_eq!(&a.entries[..], &linearize(m.func(f))[..]);
+        // Second fetch shares the same allocations.
         let b = cache.get(&m, f);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
+        assert!(Arc::ptr_eq(&a.keys, &b.keys));
         assert_eq!(cache.len(), 1);
         assert!(cache.cached(f).is_some());
         cache.invalidate(f);

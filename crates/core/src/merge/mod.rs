@@ -14,7 +14,7 @@ pub mod speculate;
 pub use params::{merge_params, ParamMerge};
 pub use speculate::{commit_speculative, evaluate_speculative, speculate_merge, SpeculativeMerge};
 
-use crate::equivalence::EquivCtx;
+use crate::equivalence::KeyInterner;
 use crate::linearize::{linearize, Entry};
 use fmsa_align::{hirschberg, needleman_wunsch, Alignment, ScoringScheme, Step};
 use fmsa_ir::{FuncId, Module, TyId, Type};
@@ -209,7 +209,8 @@ pub fn align(
     align_with(module, f1, f2, seq1, seq2, scoring, AlignAlgo::NeedlemanWunsch)
 }
 
-/// [`align`] with an explicit algorithm choice.
+/// [`align`] with an explicit algorithm choice. Builds both key
+/// sequences ([`crate::equivalence`]) and aligns those.
 pub fn align_with(
     module: &Module,
     f1: FuncId,
@@ -219,14 +220,12 @@ pub fn align_with(
     scoring: &ScoringScheme,
     algorithm: AlignAlgo,
 ) -> Alignment {
-    let ctx = EquivCtx::new(module, module.func(f1), module.func(f2));
+    let interner = KeyInterner::new();
+    let keys1 = interner.keys(module, f1, seq1);
+    let keys2 = interner.keys(module, f2, seq2);
     match algorithm {
-        AlignAlgo::NeedlemanWunsch => {
-            needleman_wunsch(seq1, seq2, |a, b| ctx.entries_equivalent(a, b), scoring)
-        }
-        AlignAlgo::Hirschberg => {
-            hirschberg(seq1, seq2, |a, b| ctx.entries_equivalent(a, b), scoring)
-        }
+        AlignAlgo::NeedlemanWunsch => needleman_wunsch(&keys1, &keys2, |a, b| a == b, scoring),
+        AlignAlgo::Hirschberg => hirschberg(&keys1, &keys2, |a, b| a == b, scoring),
     }
 }
 

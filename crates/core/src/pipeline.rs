@@ -12,11 +12,12 @@
 //!    candidates — concurrently over the generation's subjects, against
 //!    a shared read-only index — snapshot the per-function mutation
 //!    generation of every pair, and pre-fill the [`LinearizationCache`]
-//!    (misses linearized on the worker pool, inserted sequentially).
+//!    (misses linearized, and their §III-D keys built, on the worker
+//!    pool, inserted sequentially).
 //! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
-//!    pair, a worker computes the alignment (under the
-//!    [`fmsa_align::AlignmentBudget`] of [`FmsaOptions::budget`]) and the
-//!    sound pre-codegen bound on Δ
+//!    pair, a worker aligns the two cached key sequences (under the
+//!    [`fmsa_align::AlignmentBudget`] of [`FmsaOptions::budget`]) and
+//!    computes the sound pre-codegen bound on Δ
 //!    ([`crate::profitability::delta_bound`]). A second parallel wave
 //!    then runs **speculative merge codegen**
 //!    ([`crate::merge::speculate_merge`]) for the pairs the bound cannot
@@ -71,10 +72,9 @@
 #![allow(deprecated)]
 
 use crate::callsites::{outgoing_calls, CallSiteIndex};
-use crate::equivalence::EquivCtx;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
-use crate::linearize::{Entry, LinearizationCache};
+use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
 use crate::merge::{
     commit_speculative, evaluate_speculative, merge_pair_aligned, speculate_merge, AlignAlgo,
     MergeInfo, SpeculativeMerge,
@@ -201,7 +201,8 @@ pub struct PipelineStats {
     /// subjects against the shared read-only index.
     pub schedule_query: Duration,
     /// Of [`PipelineStats::schedule`], the linearization-cache pre-fill
-    /// (misses computed on the worker pool, inserted sequentially).
+    /// (missing linearizations and key sequences computed on the worker
+    /// pool, inserted sequentially).
     pub schedule_prefill: Duration,
     /// Summed per-task compute time inside the schedule stage's parallel
     /// phases. `schedule_cpu / schedule` is the stage's effective
@@ -213,6 +214,13 @@ pub struct PipelineStats {
     /// Summed per-task compute time inside the prepare stage's waves
     /// (the CPU time behind the [`PipelineStats::prepare`] wall).
     pub prepare_cpu: Duration,
+    /// CPU time spent aligning pairs: in prepare workers (part of
+    /// [`PipelineStats::prepare_cpu`]) and on the commit stage's inline
+    /// path (stale or unprepared pairs, and every pair at one thread).
+    pub align_cpu: Duration,
+    /// CPU time spent computing the Δ bound of aligned pairs, on the same
+    /// paths as [`PipelineStats::align_cpu`].
+    pub bound_cpu: Duration,
     /// Of [`PipelineStats::prepare`], the speculative-codegen wave.
     pub spec_codegen: Duration,
     /// Wall-clock of the sequential commit stage.
@@ -310,6 +318,8 @@ impl PipelineStats {
         self.schedule_cpu += other.schedule_cpu;
         self.prepare += other.prepare;
         self.prepare_cpu += other.prepare_cpu;
+        self.align_cpu += other.align_cpu;
+        self.bound_cpu += other.bound_cpu;
         self.spec_codegen += other.spec_codegen;
         self.commit += other.commit;
         self.commit_codegen += other.commit_codegen;
@@ -350,6 +360,8 @@ impl PipelineStats {
             ("schedule_cpu_s", Secs(self.schedule_cpu.as_secs_f64())),
             ("prepare_s", Secs(self.prepare.as_secs_f64())),
             ("prepare_cpu_s", Secs(self.prepare_cpu.as_secs_f64())),
+            ("align_cpu_s", Secs(self.align_cpu.as_secs_f64())),
+            ("bound_cpu_s", Secs(self.bound_cpu.as_secs_f64())),
             ("spec_codegen_s", Secs(self.spec_codegen.as_secs_f64())),
             ("commit_s", Secs(self.commit.as_secs_f64())),
             ("commit_codegen_s", Secs(self.commit_codegen.as_secs_f64())),
@@ -423,26 +435,25 @@ struct Prepared {
     epoch: u64,
 }
 
-/// Aligns one pair under the options' alignment budget. Returns `None`
-/// when the budget refuses the pair.
-fn align_budgeted(
-    module: &Module,
-    f1: FuncId,
-    f2: FuncId,
-    seq1: &[Entry],
-    seq2: &[Entry],
-    opts: &FmsaOptions,
-) -> Option<Alignment> {
-    let plan = opts.budget.plan(seq1.len(), seq2.len());
-    let ctx = EquivCtx::new(module, module.func(f1), module.func(f2));
+/// Aligns one pair's key sequences under the options' alignment budget.
+/// Returns `None` when the budget refuses the pair.
+fn align_budgeted(keys1: &[u32], keys2: &[u32], opts: &FmsaOptions) -> Option<Alignment> {
     align_with_plan(
-        seq1,
-        seq2,
-        |a, b| ctx.entries_equivalent(a, b),
+        keys1,
+        keys2,
+        |a, b| a == b,
         &opts.merge.scoring,
-        plan,
+        opts.budget.plan(keys1.len(), keys2.len()),
         opts.merge.algorithm == AlignAlgo::Hirschberg,
     )
+}
+
+/// One pair's alignment and Δ bound, with the time each took.
+struct Gated {
+    alignment: Option<Alignment>,
+    bound: Option<DeltaBound>,
+    align_time: Duration,
+    bound_time: Duration,
 }
 
 /// Aligns one pair under the budget and bounds its Δ: everything the
@@ -453,15 +464,17 @@ fn align_and_bound(
     cm: &CostModel,
     f1: FuncId,
     f2: FuncId,
-    seq1: &[Entry],
-    seq2: &[Entry],
+    lin1: &Linearized,
+    lin2: &Linearized,
     opts: &FmsaOptions,
-) -> (Option<Alignment>, Option<DeltaBound>) {
-    let alignment = align_budgeted(module, f1, f2, seq1, seq2, opts);
-    let bound = alignment
-        .as_ref()
-        .and_then(|al| delta_bound(module, cm, f1, f2, seq1, seq2, al, &opts.merge).ok());
-    (alignment, bound)
+) -> Gated {
+    let t0 = Instant::now();
+    let alignment = align_budgeted(&lin1.keys, &lin2.keys, opts);
+    let t1 = Instant::now();
+    let bound = alignment.as_ref().and_then(|al| {
+        delta_bound(module, cm, f1, f2, &lin1.entries, &lin2.entries, al, &opts.merge).ok()
+    });
+    Gated { alignment, bound, align_time: t1 - t0, bound_time: t1.elapsed() }
 }
 
 /// Executes the pending batch of deferred merges (no-op when empty):
@@ -536,7 +549,7 @@ pub fn run_fmsa_pipeline(
     opts: &FmsaOptions,
     pipe: &PipelineOptions,
 ) -> FmsaStats {
-    run_pipeline(module, opts, pipe, None)
+    run_pipeline(module, opts, pipe, None, None)
 }
 
 /// [`run_fmsa_pipeline`] that also checks the Δ gate against real builds:
@@ -552,7 +565,22 @@ pub fn run_fmsa_pipeline_audited(
     pipe: &PipelineOptions,
 ) -> (FmsaStats, GateAudit) {
     let mut audit = GateAudit::default();
-    let stats = run_pipeline(module, opts, pipe, Some(&mut audit));
+    let stats = run_pipeline(module, opts, pipe, Some(&mut audit), None);
+    (stats, audit)
+}
+
+/// [`run_fmsa_pipeline`] that also checks the linearization cache: at
+/// every commit attempt, the cached linearization and key sequence of
+/// both functions are compared with freshly computed ones, so a cache
+/// entry a mutation should have invalidated cannot go unnoticed. The
+/// module ends exactly as [`run_fmsa_pipeline`] leaves it. For tests.
+pub fn run_fmsa_pipeline_key_audited(
+    module: &mut Module,
+    opts: &FmsaOptions,
+    pipe: &PipelineOptions,
+) -> (FmsaStats, KeyAudit) {
+    let mut audit = KeyAudit::default();
+    let stats = run_pipeline(module, opts, pipe, None, Some(&mut audit));
     (stats, audit)
 }
 
@@ -561,6 +589,7 @@ fn run_pipeline(
     opts: &FmsaOptions,
     pipe: &PipelineOptions,
     mut audit: Option<&mut GateAudit>,
+    mut key_audit: Option<&mut KeyAudit>,
 ) -> FmsaStats {
     if opts.oracle {
         return run_fmsa(module, opts);
@@ -688,36 +717,44 @@ fn run_pipeline(
             // inline retry is the authoritative attempt, so the
             // quarantine decision is made there, identically at every
             // thread count.
-            let align_cpu = AtomicU64::new(0);
+            let job_cpu = AtomicU64::new(0);
             let results = pool.par_map(&jobs, |_, &(f1, f2)| {
                 let _s = trace::span("fmsa", "align");
                 let t = Instant::now();
                 let r = catch_unwind(AssertUnwindSafe(|| {
-                    let seq1 = cache.cached(f1).expect("pre-filled");
-                    let seq2 = cache.cached(f2).expect("pre-filled");
+                    let lin1 = cache.cached(f1).expect("pre-filled");
+                    let lin2 = cache.cached(f2).expect("pre-filled");
                     let (n1, n2) = (&frozen.func(f1).name, &frozen.func(f2).name);
                     if faults.fires(FaultSite::Align, n1, n2) {
                         panic!("injected fault: align {n1} {n2}");
                     }
-                    align_and_bound(frozen, &cm, f1, f2, &seq1, &seq2, opts)
+                    align_and_bound(frozen, &cm, f1, f2, lin1, lin2, opts)
                 }))
                 .ok();
-                align_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                job_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 r
             });
             stats.timers.alignment += t0.elapsed();
             pstats.prepare += t0.elapsed();
-            pstats.prepare_cpu += Duration::from_nanos(align_cpu.into_inner());
+            pstats.prepare_cpu += Duration::from_nanos(job_cpu.into_inner());
             for ((f1, f2), result) in jobs.into_iter().zip(results) {
-                let Some((alignment, bound)) = result else {
+                let Some(gated) = result else {
                     pstats.panics_caught += 1;
                     continue;
                 };
                 pstats.prepared += 1;
+                pstats.align_cpu += gated.align_time;
+                pstats.bound_cpu += gated.bound_time;
                 let gens_pair = (gen_of(&gens, f1), gen_of(&gens, f2));
                 prepared.insert(
                     (f1, f2),
-                    Prepared { alignment, bound, spec: None, gens: gens_pair, epoch },
+                    Prepared {
+                        alignment: gated.alignment,
+                        bound: gated.bound,
+                        spec: None,
+                        gens: gens_pair,
+                        epoch,
+                    },
                 );
             }
 
@@ -765,8 +802,8 @@ fn run_pipeline(
                     let _s = trace::span("fmsa", "speculate");
                     let t = Instant::now();
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        let seq1 = cache.cached(f1).expect("pre-filled");
-                        let seq2 = cache.cached(f2).expect("pre-filled");
+                        let seq1 = &cache.cached(f1).expect("pre-filled").entries;
+                        let seq2 = &cache.cached(f2).expect("pre-filled").entries;
                         let (n1, n2) = (&frozen.func(f1).name, &frozen.func(f2).name);
                         if faults.fires(FaultSite::Codegen, n1, n2) {
                             panic!("injected fault: codegen {n1} {n2}");
@@ -776,7 +813,7 @@ fn run_pipeline(
                             .clone()
                             .expect("speculation only targets aligned pairs");
                         let mut body =
-                            speculate_merge(frozen, f1, f2, &seq1, &seq2, alignment, &opts.merge)
+                            speculate_merge(frozen, f1, f2, seq1, seq2, alignment, &opts.merge)
                                 .ok();
                         if let Some(b) = body.as_mut() {
                             if faults.fires(FaultSite::ScratchPoison, n1, n2) {
@@ -855,9 +892,14 @@ fn run_pipeline(
             for (pos, cand) in cands.iter().enumerate() {
                 stats.attempted += 1;
                 let t0 = Instant::now();
-                let seq1 = lin_cache.get(module, f1);
-                let seq2 = lin_cache.get(module, cand.func);
+                let lin1 = lin_cache.get(module, f1);
+                let lin2 = lin_cache.get(module, cand.func);
                 stats.timers.linearization += t0.elapsed();
+                if let Some(a) = key_audit.as_deref_mut() {
+                    a.check(&lin_cache, module, f1);
+                    a.check(&lin_cache, module, cand.func);
+                }
+                let (seq1, seq2) = (&lin1.entries, &lin2.entries);
                 let gens_now = (gen_of(&gens, f1), gen_of(&gens, cand.func));
                 // Names key the fault plan and the quarantine log: they
                 // are stable across thread counts, unlike ids-at-commit.
@@ -917,11 +959,15 @@ fn run_pipeline(
                             if faults.fires(FaultSite::Align, &n1, &n2) {
                                 panic!("injected fault: align {n1} {n2}");
                             }
-                            align_and_bound(module, &cm, f1, cand.func, &seq1, &seq2, opts)
+                            align_and_bound(module, &cm, f1, cand.func, &lin1, &lin2, opts)
                         }));
                         stats.timers.alignment += t0.elapsed();
                         match recomputed {
-                            Ok(r) => r,
+                            Ok(gated) => {
+                                pstats.align_cpu += gated.align_time;
+                                pstats.bound_cpu += gated.bound_time;
+                                (gated.alignment, gated.bound)
+                            }
                             Err(payload) => {
                                 pstats.panics_caught += 1;
                                 if stats.quarantine.push(
@@ -964,8 +1010,8 @@ fn run_pipeline(
                             &call_sites,
                             f1,
                             cand.func,
-                            &seq1,
-                            &seq2,
+                            seq1,
+                            seq2,
                             &alignment,
                             b,
                             &opts.merge,

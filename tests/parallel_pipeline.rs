@@ -345,16 +345,17 @@ fn banded_fallback_still_merges_clone_families() {
 }
 
 /// On the seed suite modules, the pre-codegen Δ bound computed from a
-/// banded(64) alignment stays within the CI parity budget of the one
-/// computed from the full-matrix alignment, for exactly the pairs the
-/// pass would explore (each subject's top-ranked candidate).
+/// banded(64) alignment of the key sequences stays within the CI parity
+/// budget of the one computed from the full-matrix alignment, for exactly
+/// the pairs the pass would explore (each subject's top-ranked
+/// candidate).
 #[test]
 fn banded_estimate_within_error_bound_on_suite_modules() {
     use fmsa::core::fingerprint::Fingerprint;
     use fmsa::core::linearize::linearize;
     use fmsa::core::profitability::delta_bound;
     use fmsa::core::ranking::rank_candidates;
-    use fmsa::core::{EquivCtx, MergeConfig};
+    use fmsa::core::{KeyInterner, MergeConfig};
     use fmsa::target::CostModel;
     use fmsa_align::{banded_needleman_wunsch, needleman_wunsch, ScoringScheme};
     let cm = CostModel::new(fmsa::target::TargetArch::X86_64);
@@ -366,6 +367,7 @@ fn banded_estimate_within_error_bound_on_suite_modules() {
         let ids = m.func_ids();
         let fps: Vec<(fmsa::ir::FuncId, Fingerprint)> =
             ids.iter().map(|&f| (f, Fingerprint::of(&m, f))).collect();
+        let interner = KeyInterner::new();
         for (k, &(f1, ref fp1)) in fps.iter().enumerate().take(20) {
             let others =
                 fps.iter().enumerate().filter(|&(j, _)| j != k).map(|(_, (f, fp))| (*f, fp));
@@ -378,10 +380,11 @@ fn banded_estimate_within_error_bound_on_suite_modules() {
             if seq1.is_empty() || seq2.is_empty() {
                 continue;
             }
-            let ctx = EquivCtx::new(&m, m.func(f1), m.func(f2));
-            let eq = |a: &fmsa::core::Entry, b: &fmsa::core::Entry| ctx.entries_equivalent(a, b);
-            let full = needleman_wunsch(&seq1, &seq2, eq, &scheme);
-            let banded = banded_needleman_wunsch(&seq1, &seq2, eq, &scheme, 64);
+            let keys1 = interner.keys(&m, f1, &seq1);
+            let keys2 = interner.keys(&m, f2, &seq2);
+            let eq = |a: &u32, b: &u32| a == b;
+            let full = needleman_wunsch(&keys1, &keys2, eq, &scheme);
+            let banded = banded_needleman_wunsch(&keys1, &keys2, eq, &scheme, 64);
             let bound = |al| delta_bound(&m, &cm, f1, f2, &seq1, &seq2, al, &merge);
             let (Ok(est_full), Ok(est_banded)) = (bound(&full), bound(&banded)) else {
                 continue;
