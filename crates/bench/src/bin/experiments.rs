@@ -50,7 +50,8 @@
 //! `--check`), revalidates output bit-identity with tracing on, checks
 //! span nesting, reconciles the merge decision log against
 //! `PipelineStats`, fails on any decision record whose `delta` exceeds
-//! its `delta_bound`, and scrapes a booted daemon's `/metrics`. `scale`,
+//! its `delta_bound` or on Δ-gate recall below 0.95, and scrapes a
+//! booted daemon's `/metrics`. `scale`,
 //! `chaos`, and `obs` are deliberately not part of `all`.
 
 use fmsa::Config;
@@ -1807,13 +1808,18 @@ fn chaos(fast: bool, report: &mut Report) {
 
 // ---------------------------------------------------------------- obs
 
+/// The least share of unprofitable attempts the Δ gate must skip on the
+/// `obs` swarm (`--check`).
+const MIN_GATE_RECALL: f64 = 0.95;
+
 /// Flight-recorder smoke test: the CI `obs-smoke` job runs this with
 /// `--fast --check`. Gates (a) tracing overhead ≤ 3% over the
 /// telemetry-disabled run, (b) bit-identical output at 1/2/4/8 threads
 /// with tracing on and off, (c) well-nested Chrome-trace spans with the
 /// expected span names, (d) exact reconciliation of the per-attempt
 /// decision log against `FmsaStats`/`PipelineStats`, with no record's
-/// real Δ above its pre-codegen `delta_bound`, and (e) a booted
+/// real Δ above its pre-codegen `delta_bound` and gate recall of at
+/// least [`MIN_GATE_RECALL`], and (e) a booted
 /// daemon serving valid Prometheus exposition with the required metric
 /// families plus a populated `/v1/merges/recent`.
 fn obs(fast: bool, report: &mut Report) {
@@ -1977,6 +1983,7 @@ fn obs(fast: bool, report: &mut Report) {
         );
         if let Some(p) = st.pipeline.as_ref() {
             check("GateSkipped", d.count(O::GateSkipped), p.gate_skipped as u64);
+            check("Unprofitable", d.count(O::Unprofitable), p.gate_missed as u64);
             check("BudgetSkipped", d.count(O::BudgetSkipped), p.budget_skipped as u64);
             check("Quarantined", d.count(O::Quarantined), p.quarantined() as u64);
         }
@@ -2018,6 +2025,22 @@ fn obs(fast: bool, report: &mut Report) {
         "  Δ bound: {bounded} bounded records, {compared} with a real Δ, {violations} above \
          their bound"
     );
+    // Gate recall: of the attempts that turn out unprofitable, the share
+    // the gate skipped instead of building and discarding a body.
+    let skipped = par_stats.decisions.count(O::GateSkipped);
+    let missed = par_stats.decisions.count(O::Unprofitable);
+    let recall = skipped as f64 / (skipped + missed).max(1) as f64;
+    println!(
+        "  gate recall: {skipped} skipped of {} unprofitable attempts ({:.1}%)",
+        skipped + missed,
+        recall * 100.0
+    );
+    if recall < MIN_GATE_RECALL {
+        report.fail(format!(
+            "obs: gate recall {recall:.3} ({skipped} of {}) is below {MIN_GATE_RECALL}",
+            skipped + missed
+        ));
+    }
     report.record(&[
         ("experiment", Json::S("obs".into())),
         ("check", Json::S("decisions".into())),
@@ -2027,7 +2050,8 @@ fn obs(fast: bool, report: &mut Report) {
         ("merged", Json::I(par_stats.decisions.count(O::Merged) as i64)),
         ("conflict_fallback", Json::I(par_stats.decisions.count(O::ConflictFallback) as i64)),
         ("unprofitable", Json::I(par_stats.decisions.count(O::Unprofitable) as i64)),
-        ("gate_skipped", Json::I(par_stats.decisions.count(O::GateSkipped) as i64)),
+        ("gate_skipped", Json::I(skipped as i64)),
+        ("gate_recall", Json::F(recall)),
         ("bound_violations", Json::I(violations as i64)),
         ("reconciled", Json::B(seq_ok && par_ok)),
     ]);

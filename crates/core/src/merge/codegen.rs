@@ -10,6 +10,8 @@
 //! entries become *divergent regions*: each side's entries are cloned into
 //! a guarded chain of blocks and a `condbr` on the function identifier
 //! selects the chain, producing the diamond shapes the paper describes.
+//! Pass 1's block layout is one operation sequence (`layout`), which the
+//! pre-codegen Δ bound dry-runs without building anything.
 //! Operand mismatches in matched instructions become `select func_id`
 //! instructions (or selector blocks for label operands, with landing-pad
 //! hoisting when the targets are landing blocks).
@@ -51,41 +53,249 @@ pub struct CodegenInput {
     pub reorder_commutative: bool,
 }
 
-/// A maximal run of aligned columns.
-#[derive(Debug)]
-enum Seg {
-    Match(Vec<(Entry, Entry)>),
-    Diverge { left: Vec<Entry>, right: Vec<Entry> },
+/// What pass 1 creates a block for; the kind is also the block's name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BlockKind {
+    /// The merged function's entry block.
+    Entry,
+    /// A matched label pair (`m`).
+    Shared,
+    /// A matched instruction that needs a fresh block (`j`).
+    Join,
+    /// One side's chain in a divergent region (`d`).
+    Chain,
+    /// The forwarding block of a diamond's empty side (`skip`).
+    Skip,
 }
 
-fn build_segments(alignment: &Alignment, seq1: &[Entry], seq2: &[Entry]) -> Vec<Seg> {
-    let mut segs: Vec<Seg> = Vec::new();
-    for step in &alignment.steps {
-        match *step {
-            Step::Both { i, j, matched: true } => {
-                if let Some(Seg::Match(pairs)) = segs.last_mut() {
-                    pairs.push((seq1[i], seq2[j]));
-                } else {
-                    segs.push(Seg::Match(vec![(seq1[i], seq2[j])]));
-                }
-            }
-            Step::Both { i, j, matched: false } => {
-                push_diverge(&mut segs, Some(seq1[i]), Some(seq2[j]));
-            }
-            Step::Left(i) => push_diverge(&mut segs, Some(seq1[i]), None),
-            Step::Right(j) => push_diverge(&mut segs, None, Some(seq2[j])),
+impl BlockKind {
+    fn name(self) -> &'static str {
+        match self {
+            BlockKind::Entry => "entry",
+            BlockKind::Shared => "m",
+            BlockKind::Join => "j",
+            BlockKind::Chain => "d",
+            BlockKind::Skip => "skip",
         }
     }
-    segs
 }
 
-fn push_diverge(segs: &mut Vec<Seg>, l: Option<Entry>, r: Option<Entry>) {
-    if let Some(Seg::Diverge { left, right }) = segs.last_mut() {
-        left.extend(l);
-        right.extend(r);
-        return;
+/// One step of pass 1, in the order [`generate`] performs it. Blocks are
+/// numbered in creation order (0 is the entry block), and so are clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LayoutOp {
+    /// Creates the next block.
+    Block(BlockKind),
+    /// Names `block` for a label of the first function, the second, or
+    /// both (a matched label pair).
+    Label { block: u32, l1: Option<BlockId>, l2: Option<BlockId> },
+    /// Appends the next clone to `block`: both sources of a matched
+    /// column, or one side's instruction of a divergent region.
+    Clone { block: u32, i1: Option<InstId>, i2: Option<InstId> },
+    /// Appends `br to` to `block`.
+    Br { block: u32, to: u32 },
+    /// Appends `condbr func_id, then, els` to `block`.
+    CondBr { block: u32, then: u32, els: u32 },
+    /// Appends `unreachable` to `block`.
+    Unreachable { block: u32 },
+}
+
+/// Pass 1 of codegen as an operation sequence: the shared blocks of
+/// matched columns, each divergent region's two chains behind an
+/// identifier `condbr`, the bridge `br`s that join them, and the
+/// `unreachable`s closing any block left open. [`generate`] builds the
+/// merged body by executing it; the pre-codegen Δ bound
+/// ([`crate::profitability::delta_bound`]) analyses the same sequence.
+///
+/// # Errors
+///
+/// [`MergeError::InvalidCodegen`] for a label aligned with an
+/// instruction, or a divergent region entered from an open block when
+/// the merged function takes no identifier.
+pub(crate) fn layout(
+    f1: &Function,
+    f2: &Function,
+    seq1: &[Entry],
+    seq2: &[Entry],
+    alignment: &Alignment,
+    has_func_id: bool,
+) -> Result<Vec<LayoutOp>, MergeError> {
+    let steps = &alignment.steps;
+    let mut lay = Layout { f1, f2, ops: Vec::with_capacity(steps.len() * 2), open: Vec::new() };
+    let entry = lay.block(BlockKind::Entry);
+    let mut cur: Option<u32> = Some(entry);
+    let mut pending: Vec<u32> = Vec::new();
+    let mut k = 0;
+    while k < steps.len() {
+        if let Step::Both { i, j, matched: true } = steps[k] {
+            k += 1;
+            match (seq1[i], seq2[j]) {
+                (Entry::Label(b1), Entry::Label(b2)) => {
+                    let nb = lay.block(BlockKind::Shared);
+                    lay.bridge(cur, &mut pending, nb);
+                    lay.ops.push(LayoutOp::Label { block: nb, l1: Some(b1), l2: Some(b2) });
+                    cur = Some(nb);
+                }
+                (Entry::Inst(i1), Entry::Inst(i2)) => {
+                    let block = match cur {
+                        Some(c) if lay.open[c as usize] => c,
+                        _ => {
+                            let nb = lay.block(BlockKind::Join);
+                            lay.bridge(cur, &mut pending, nb);
+                            cur = Some(nb);
+                            nb
+                        }
+                    };
+                    lay.clone_into(block, Some(i1), Some(i2));
+                }
+                _ => {
+                    return Err(MergeError::InvalidCodegen("label aligned with instruction".into()))
+                }
+            }
+            continue;
+        }
+        // A divergent region: the maximal run of unmatched columns. Each
+        // side's entries become one chain, the first side's laid out first.
+        let end = steps[k..]
+            .iter()
+            .position(|s| matches!(s, Step::Both { matched: true, .. }))
+            .map_or(steps.len(), |n| k + n);
+        let region = &steps[k..end];
+        k = end;
+        let left = region.iter().filter_map(|s| match *s {
+            Step::Both { i, .. } | Step::Left(i) => Some(seq1[i]),
+            Step::Right(_) => None,
+        });
+        let right = region.iter().filter_map(|s| match *s {
+            Step::Both { j, .. } | Step::Right(j) => Some(seq2[j]),
+            Step::Left(_) => None,
+        });
+        let bridge_needed = cur.is_some_and(|c| lay.open[c as usize]);
+        let (lentry, lpend) = lay.chain(left, true, bridge_needed);
+        let (rentry, rpend) = lay.chain(right, false, bridge_needed);
+        if let Some(c) = cur.filter(|_| bridge_needed) {
+            if !has_func_id {
+                return Err(MergeError::InvalidCodegen(
+                    "divergent region without function identifier".into(),
+                ));
+            }
+            let (then, els) = (
+                lentry.expect("materialized left entry"),
+                rentry.expect("materialized right entry"),
+            );
+            lay.ops.push(LayoutOp::CondBr { block: c, then, els });
+            lay.open[c as usize] = false;
+        }
+        pending.extend(lpend);
+        pending.extend(rpend);
+        cur = None;
     }
-    segs.push(Seg::Diverge { left: l.into_iter().collect(), right: r.into_iter().collect() });
+    // Defensive: a well-formed input leaves no dangling control flow.
+    for b in cur.filter(|&c| lay.open[c as usize]).into_iter().chain(pending) {
+        lay.ops.push(LayoutOp::Unreachable { block: b });
+    }
+    Ok(lay.ops)
+}
+
+/// The instruction a [`LayoutOp::Clone`] copies: the first side's for a
+/// matched column. The flag tells whether it is the first side's.
+pub(crate) fn clone_source<'a>(
+    f1: &'a Function,
+    f2: &'a Function,
+    i1: Option<InstId>,
+    i2: Option<InstId>,
+) -> (bool, &'a Inst) {
+    match (i1, i2) {
+        (Some(i), _) => (true, f1.inst(i)),
+        (None, Some(i)) => (false, f2.inst(i)),
+        (None, None) => unreachable!("clone without source"),
+    }
+}
+
+/// The state of [`layout`]: the operations so far and which blocks are
+/// still open (their last instruction is not a terminator).
+struct Layout<'a> {
+    f1: &'a Function,
+    f2: &'a Function,
+    ops: Vec<LayoutOp>,
+    open: Vec<bool>,
+}
+
+impl Layout<'_> {
+    fn block(&mut self, kind: BlockKind) -> u32 {
+        self.ops.push(LayoutOp::Block(kind));
+        self.open.push(true);
+        (self.open.len() - 1) as u32
+    }
+
+    fn br(&mut self, block: u32, to: u32) {
+        self.ops.push(LayoutOp::Br { block, to });
+        self.open[block as usize] = false;
+    }
+
+    fn clone_into(&mut self, block: u32, i1: Option<InstId>, i2: Option<InstId>) {
+        let (_, src) = clone_source(self.f1, self.f2, i1, i2);
+        self.open[block as usize] = !src.is_terminator();
+        self.ops.push(LayoutOp::Clone { block, i1, i2 });
+    }
+
+    /// Ends the open current block and every pending chain end with a
+    /// `br` to `to`.
+    fn bridge(&mut self, cur: Option<u32>, pending: &mut Vec<u32>, to: u32) {
+        if let Some(c) = cur.filter(|&c| self.open[c as usize]) {
+            self.br(c, to);
+        }
+        for b in pending.drain(..) {
+            self.br(b, to);
+        }
+    }
+
+    /// Lays out one side's chain of a divergent region. Returns its entry
+    /// block (if materialized) and the block it leaves open, if any.
+    fn chain(
+        &mut self,
+        entries: impl Iterator<Item = Entry>,
+        first_side: bool,
+        bridge_needed: bool,
+    ) -> (Option<u32>, Option<u32>) {
+        let mut entry: Option<u32> = None;
+        let mut cb: Option<u32> = None;
+        for e in entries {
+            match e {
+                Entry::Label(b) => {
+                    let nb = self.block(BlockKind::Chain);
+                    if let Some(p) = cb.filter(|&p| self.open[p as usize]) {
+                        self.br(p, nb);
+                    }
+                    let (l1, l2) = if first_side { (Some(b), None) } else { (None, Some(b)) };
+                    self.ops.push(LayoutOp::Label { block: nb, l1, l2 });
+                    entry.get_or_insert(nb);
+                    cb = Some(nb);
+                }
+                Entry::Inst(i) => {
+                    let block = match cb {
+                        Some(c) => c,
+                        None => {
+                            let nb = self.block(BlockKind::Chain);
+                            entry = Some(nb);
+                            cb = Some(nb);
+                            nb
+                        }
+                    };
+                    let (i1, i2) = if first_side { (Some(i), None) } else { (None, Some(i)) };
+                    self.clone_into(block, i1, i2);
+                }
+            }
+        }
+        if entry.is_none() && bridge_needed {
+            // Empty side of a diamond: a forwarding block to be wired to
+            // the continuation (threaded away afterwards).
+            let nb = self.block(BlockKind::Skip);
+            entry = Some(nb);
+            cb = Some(nb);
+        }
+        (entry, cb.filter(|&c| self.open[c as usize]))
+    }
 }
 
 /// Record of one cloned instruction for the operand pass.
@@ -141,18 +351,23 @@ pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, Merg
         selector_blocks: HashMap::new(),
         select_cache: HashMap::new(),
     };
-    let segs = build_segments(&input.alignment, &input.seq1, &input.seq2);
-    let result = cg.pass1(module, &segs).and_then(|()| cg.pass2(module)).and_then(|()| {
-        fix_dominance(module, mf);
-        passes::thread_trivial_blocks(module.func_mut(mf));
-        passes::remove_unreachable_blocks(module.func_mut(mf));
-        let errs = fmsa_ir::verify_function(module, mf);
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(MergeError::InvalidCodegen(format!("{}", errs[0])))
-        }
-    });
+    let result =
+        layout(&cg.f1c, &cg.f2c, &input.seq1, &input.seq2, &input.alignment, func_id.is_some())
+            .and_then(|ops| {
+                cg.pass1(module, &ops);
+                cg.pass2(module)
+            })
+            .and_then(|()| {
+                fix_dominance(module, mf);
+                passes::thread_trivial_blocks(module.func_mut(mf));
+                passes::remove_unreachable_blocks(module.func_mut(mf));
+                let errs = fmsa_ir::verify_function(module, mf);
+                if errs.is_empty() {
+                    Ok(())
+                } else {
+                    Err(MergeError::InvalidCodegen(format!("{}", errs[0])))
+                }
+            });
     match result {
         Ok(()) => Ok(mf),
         Err(e) => {
@@ -165,189 +380,55 @@ pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, Merg
 impl Codegen {
     // ----- pass 1: blocks and instruction skeletons ------------------------
 
-    fn pass1(&mut self, module: &mut Module, segs: &[Seg]) -> Result<(), MergeError> {
-        let entry = module.func_mut(self.mf).add_block("entry");
-        let mut cur: Option<BlockId> = Some(entry);
-        let mut pending: Vec<BlockId> = Vec::new();
-
-        for seg in segs {
-            match seg {
-                Seg::Match(pairs) => {
-                    for &(e1, e2) in pairs {
-                        match (e1, e2) {
-                            (Entry::Label(b1), Entry::Label(b2)) => {
-                                let nb = module.func_mut(self.mf).add_block("m");
-                                self.bridge(module, &mut cur, &mut pending, nb);
-                                self.map1.insert(Value::Block(b1), Value::Block(nb));
-                                self.map2.insert(Value::Block(b2), Value::Block(nb));
-                                cur = Some(nb);
-                            }
-                            (Entry::Inst(i1), Entry::Inst(i2)) => {
-                                let need_new = match cur {
-                                    Some(c) => self.terminated(module, c),
-                                    None => true,
-                                };
-                                if need_new {
-                                    let nb = module.func_mut(self.mf).add_block("j");
-                                    self.bridge(module, &mut cur, &mut pending, nb);
-                                    cur = Some(nb);
-                                }
-                                let block = cur.expect("insertion block");
-                                let skel = self.skeleton(self.f1c.inst(i1));
-                                let cid = module.func_mut(self.mf).append_inst(block, skel);
-                                self.map1.insert(Value::Inst(i1), Value::Inst(cid));
-                                self.map2.insert(Value::Inst(i2), Value::Inst(cid));
-                                self.clones.push(CloneRec {
-                                    id: cid,
-                                    src1: Some(i1),
-                                    src2: Some(i2),
-                                });
-                            }
-                            _ => {
-                                return Err(MergeError::InvalidCodegen(
-                                    "label aligned with instruction".into(),
-                                ))
-                            }
-                        }
-                    }
-                }
-                Seg::Diverge { left, right } => {
-                    let bridge_needed = match cur {
-                        Some(c) => !self.terminated(module, c),
-                        None => false,
-                    };
-                    let (lentry, lpend) = self.build_chain(module, left, true, bridge_needed);
-                    let (rentry, rpend) = self.build_chain(module, right, false, bridge_needed);
-                    if bridge_needed {
-                        let c = cur.expect("bridge implies current block");
-                        let fid = self.func_id.ok_or_else(|| {
-                            MergeError::InvalidCodegen(
-                                "divergent region without function identifier".into(),
-                            )
-                        })?;
-                        let void = module.types.void();
-                        let (le, re) = (
-                            lentry.expect("materialized left entry"),
-                            rentry.expect("materialized right entry"),
-                        );
-                        module.func_mut(self.mf).append_inst(
-                            c,
-                            Inst::new(
-                                Opcode::CondBr,
-                                void,
-                                vec![fid, Value::Block(le), Value::Block(re)],
-                            ),
-                        );
-                    }
-                    pending.extend(lpend);
-                    pending.extend(rpend);
-                    cur = None;
-                }
-            }
-        }
-        // Defensive: a well-formed input leaves no dangling control flow.
-        if let Some(c) = cur {
-            if !self.terminated(module, c) {
-                let void = module.types.void();
-                module
-                    .func_mut(self.mf)
-                    .append_inst(c, Inst::new(Opcode::Unreachable, void, vec![]));
-            }
-        }
-        for b in pending {
-            let void = module.types.void();
-            module.func_mut(self.mf).append_inst(b, Inst::new(Opcode::Unreachable, void, vec![]));
-        }
-        Ok(())
-    }
-
-    /// Builds one side's chain of guarded blocks. Returns the entry block
-    /// (if materialized) and the blocks left without terminators.
-    fn build_chain(
-        &mut self,
-        module: &mut Module,
-        entries: &[Entry],
-        first_side: bool,
-        bridge_needed: bool,
-    ) -> (Option<BlockId>, Vec<BlockId>) {
-        let mut entry: Option<BlockId> = None;
-        let mut cb: Option<BlockId> = None;
-        for &e in entries {
-            match e {
-                Entry::Label(b) => {
-                    let nb = module.func_mut(self.mf).add_block("d");
-                    if let Some(p) = cb {
-                        if !self.terminated(module, p) {
-                            let void = module.types.void();
-                            module.func_mut(self.mf).append_inst(
-                                p,
-                                Inst::new(Opcode::Br, void, vec![Value::Block(nb)]),
-                            );
-                        }
-                    }
-                    let map = if first_side { &mut self.map1 } else { &mut self.map2 };
-                    map.insert(Value::Block(b), Value::Block(nb));
-                    entry.get_or_insert(nb);
-                    cb = Some(nb);
-                }
-                Entry::Inst(i) => {
-                    if cb.is_none() {
-                        let nb = module.func_mut(self.mf).add_block("d");
-                        entry.get_or_insert(nb);
-                        cb = Some(nb);
-                    }
-                    let block = cb.expect("chain block");
-                    let src = if first_side { &self.f1c } else { &self.f2c };
-                    let skel = self.skeleton(src.inst(i));
-                    let cid = module.func_mut(self.mf).append_inst(block, skel);
-                    let map = if first_side { &mut self.map1 } else { &mut self.map2 };
-                    map.insert(Value::Inst(i), Value::Inst(cid));
-                    self.clones.push(CloneRec {
-                        id: cid,
-                        src1: first_side.then_some(i),
-                        src2: (!first_side).then_some(i),
-                    });
-                }
-            }
-        }
-        if entry.is_none() && bridge_needed {
-            // Empty side of a diamond: a forwarding block to be wired to
-            // the continuation (threaded away afterwards).
-            let nb = module.func_mut(self.mf).add_block("skip");
-            entry = Some(nb);
-            cb = Some(nb);
-        }
-        let pending = match cb {
-            Some(c) if !self.terminated(module, c) => vec![c],
-            _ => Vec::new(),
-        };
-        (entry, pending)
-    }
-
-    fn bridge(
-        &mut self,
-        module: &mut Module,
-        cur: &mut Option<BlockId>,
-        pending: &mut Vec<BlockId>,
-        to: BlockId,
-    ) {
+    /// Executes the [`layout`] operations against the module.
+    fn pass1(&mut self, module: &mut Module, ops: &[LayoutOp]) {
         let void = module.types.void();
-        if let Some(c) = *cur {
-            if !self.terminated(module, c) {
-                module
-                    .func_mut(self.mf)
-                    .append_inst(c, Inst::new(Opcode::Br, void, vec![Value::Block(to)]));
+        let mut blocks: Vec<BlockId> = Vec::new();
+        for &op in ops {
+            let f = module.func_mut(self.mf);
+            match op {
+                LayoutOp::Block(kind) => blocks.push(f.add_block(kind.name())),
+                LayoutOp::Label { block, l1, l2 } => {
+                    let nb = Value::Block(blocks[block as usize]);
+                    if let Some(b) = l1 {
+                        self.map1.insert(Value::Block(b), nb);
+                    }
+                    if let Some(b) = l2 {
+                        self.map2.insert(Value::Block(b), nb);
+                    }
+                }
+                LayoutOp::Clone { block, i1, i2 } => {
+                    let (_, src) = clone_source(&self.f1c, &self.f2c, i1, i2);
+                    let cid = f.append_inst(blocks[block as usize], self.skeleton(src));
+                    if let Some(i) = i1 {
+                        self.map1.insert(Value::Inst(i), Value::Inst(cid));
+                    }
+                    if let Some(i) = i2 {
+                        self.map2.insert(Value::Inst(i), Value::Inst(cid));
+                    }
+                    self.clones.push(CloneRec { id: cid, src1: i1, src2: i2 });
+                }
+                LayoutOp::Br { block, to } => {
+                    let to = Value::Block(blocks[to as usize]);
+                    f.append_inst(blocks[block as usize], Inst::new(Opcode::Br, void, vec![to]));
+                }
+                LayoutOp::CondBr { block, then, els } => {
+                    let fid = self.func_id.expect("layout checked the function identifier");
+                    let ops = vec![
+                        fid,
+                        Value::Block(blocks[then as usize]),
+                        Value::Block(blocks[els as usize]),
+                    ];
+                    f.append_inst(blocks[block as usize], Inst::new(Opcode::CondBr, void, ops));
+                }
+                LayoutOp::Unreachable { block } => {
+                    f.append_inst(
+                        blocks[block as usize],
+                        Inst::new(Opcode::Unreachable, void, vec![]),
+                    );
+                }
             }
         }
-        for b in pending.drain(..) {
-            module
-                .func_mut(self.mf)
-                .append_inst(b, Inst::new(Opcode::Br, void, vec![Value::Block(to)]));
-        }
-    }
-
-    fn terminated(&self, module: &Module, b: BlockId) -> bool {
-        module.func(self.mf).terminator(b).is_some()
     }
 
     fn skeleton(&self, src: &Inst) -> Inst {

@@ -176,6 +176,10 @@ pub struct PipelineStats {
     /// Attempts the sound pre-codegen Δ bound ruled out: no merged body
     /// was built for them.
     pub gate_skipped: usize,
+    /// Attempts that passed the gate, were built, and were discarded as
+    /// unprofitable: the builds a perfect gate would have skipped. Gate
+    /// recall is `gate_skipped / (gate_skipped + gate_missed)`.
+    pub gate_missed: usize,
     /// Attempts abandoned by the alignment budget's length cap.
     pub budget_skipped: usize,
     /// Merged bodies built speculatively by the prepare stage.
@@ -307,6 +311,7 @@ impl PipelineStats {
         self.reused += other.reused;
         self.recomputed += other.recomputed;
         self.gate_skipped += other.gate_skipped;
+        self.gate_missed += other.gate_missed;
         self.budget_skipped += other.budget_skipped;
         self.spec_built += other.spec_built;
         self.spec_used += other.spec_used;
@@ -353,6 +358,7 @@ impl PipelineStats {
             ("reused", Count(self.reused as u64)),
             ("recomputed", Count(self.recomputed as u64)),
             ("gate_skipped", Count(self.gate_skipped as u64)),
+            ("gate_missed", Count(self.gate_missed as u64)),
             ("budget_skipped", Count(self.budget_skipped as u64)),
             ("schedule_s", Secs(self.schedule.as_secs_f64())),
             ("schedule_query_s", Secs(self.schedule_query.as_secs_f64())),
@@ -778,10 +784,10 @@ fn run_pipeline(
                         let key = (*f1, c.func);
                         let Some(p) = prepared.get(&key) else { continue };
                         // A pair whose bound is ≤ 0 is never built here,
-                        // even when the store still lacks a pointer type
-                        // its skip needs: by commit an earlier build has
-                        // usually interned it, and if not, commit builds
-                        // the pair inline.
+                        // even a fallback shape whose skip still needs a
+                        // missing pointer type: by commit an earlier build
+                        // has usually interned it, and if not, commit
+                        // builds the pair inline.
                         let ruled_out = p.bound.as_ref().is_some_and(|b| b.bound <= 0);
                         if !ruled_out && p.alignment.is_some() && seen.insert(key) {
                             spec_jobs.push(key);
@@ -1067,6 +1073,7 @@ fn run_pipeline(
                             // interning and reject the attempt.
                             spec.discard_into(module);
                             pstats.spec_used += 1;
+                            pstats.gate_missed += 1;
                             att_early = Some(rec(
                                 align_score,
                                 Some(report.delta),
@@ -1440,6 +1447,7 @@ fn run_pipeline(
                     }
                     Some((info, report)) => {
                         module.remove_function(info.merged);
+                        pstats.gate_missed += 1;
                         stats.decisions.push(rec(
                             align_score,
                             Some(report.delta),

@@ -14,13 +14,14 @@
 
 use crate::callsites::{outgoing_calls, CallSiteIndex};
 use crate::linearize::Entry;
-use crate::merge::codegen::{classify_cast_widen, CastShape};
-use crate::merge::{merge_setup, MergeConfig, MergeError, MergeInfo};
+use crate::merge::codegen::{self, classify_cast_widen, CastShape, LayoutOp};
+use crate::merge::{merge_setup, MergeConfig, MergeError, MergeInfo, MergeSetup};
 use crate::thunks::{can_delete, count_call_sites};
-use fmsa_align::{Alignment, Step};
-use fmsa_ir::{FuncId, Function, Inst, InstId, Module, Opcode, TyId, Type, TypeStore, Value};
+use fmsa_align::Alignment;
+use fmsa_ir::cfg::DomTree;
+use fmsa_ir::{FuncId, Function, Inst, Module, Opcode, TyId, Type, TypeStore, Value};
 use fmsa_target::CostModel;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// Detailed outcome of the Δ computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,9 +165,25 @@ pub struct DeltaBound {
     /// Lower bound on ε: the exact thunk δ of each side that
     /// [`can_delete`] rejects (deletable sides are charged nothing).
     pub epsilon: u64,
+    /// How the merged body was charged.
+    pub charge: BodyCharge,
     /// What building and discarding the body interns, or `None` when the
     /// build could fail part-way and so intern less.
     replay: Option<TypeReplay>,
+}
+
+/// How [`delta_bound`] charged the merged body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BodyCharge {
+    /// The cheap terms alone: they already rule the pair out.
+    Cheap,
+    /// The CFG dry run: the cheap terms plus branches, per-block selects
+    /// and register demotion, on the blocks that stay reachable.
+    DryRun,
+    /// The cheap terms, for a shape the dry run does not model (φs, a
+    /// selector between two landing blocks) or a build that cannot
+    /// complete.
+    Fallback,
 }
 
 /// The types a build-and-discard leaves in the store, in interning order.
@@ -177,34 +194,53 @@ struct TypeReplay {
     params: Vec<TyId>,
     /// The return casts' integer containers `int(from)`, `int(to)`.
     ret_casts: Vec<(u32, u32)>,
-    /// Types of every cloned value: register demotion may intern a
-    /// stack slot `ptr(T)` for any of them.
-    slot_pointees: Vec<TyId>,
+    /// The demotion slots' pointer types, interned last.
+    slots: Slots,
+}
+
+/// The stack-slot pointer types `ptr(T)` register demotion interns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Slots {
+    /// Exactly these pointees, in demotion order (the dry run knows
+    /// which values codegen demotes).
+    Exact(Vec<TyId>),
+    /// Some subset of these pointees (every cloned value's type): a skip
+    /// can only replay the build when all their pointer types exist.
+    AnyOf(Vec<TyId>),
 }
 
 impl DeltaBound {
     /// Whether the gate may skip code generation: Δ ≤ 0 is proven, and
     /// [`DeltaBound::replay_skip`] leaves `types` exactly as the build
-    /// would — which needs every demotion-slot pointer type the build
-    /// could intern to exist already.
+    /// would. Without a dry run that needs every demotion-slot pointer
+    /// type the build could intern to exist already.
     pub fn rules_out(&self, types: &TypeStore) -> bool {
         self.bound <= 0
-            && self.replay.as_ref().is_some_and(|r| {
-                r.slot_pointees.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some())
+            && self.replay.as_ref().is_some_and(|r| match &r.slots {
+                Slots::Exact(_) => true,
+                Slots::AnyOf(pointees) => {
+                    pointees.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some())
+                }
             })
     }
 
     /// Interns what building and discarding the merged body would have
-    /// left behind: the merged signature, then the return-cast
-    /// containers. Type ids feed the MinHash fingerprints, so a skipped
-    /// build must evolve the store exactly like a real one. Call only
-    /// when [`DeltaBound::rules_out`] holds for `types`.
+    /// left behind: the merged signature, the return-cast containers,
+    /// then the demotion slots' pointer types. Type ids feed the MinHash
+    /// fingerprints, so a skipped build must evolve the store exactly
+    /// like a real one. Call only when [`DeltaBound::rules_out`] holds
+    /// for `types`.
     pub fn replay_skip(&self, types: &mut TypeStore) {
         let Some(r) = &self.replay else { return };
         types.func(r.ret, r.params.clone());
         for &(from, to) in &r.ret_casts {
             types.int(from);
             types.int(to);
+        }
+        if let Slots::Exact(pointees) = &r.slots {
+            for &t in pointees {
+                types.ptr(t);
+            }
         }
     }
 }
@@ -214,12 +250,10 @@ impl DeltaBound {
 /// their keys are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Resolved {
-    /// The one clone of a matched column (named by its first-side entry).
-    Shared(Entry),
-    /// The clone of an entry only the first function has.
-    First(Entry),
-    /// The clone of an entry only the second function has.
-    Second(Entry),
+    /// A clone, by its index in the layout.
+    Clone(u32),
+    /// A pass-1 block, by its index in the layout.
+    Block(u32),
     /// A merged parameter slot.
     Param(usize),
     /// A constant or function reference, used as is.
@@ -245,18 +279,401 @@ impl SideMap {
         SideMap { insts: vec![None; insts], blocks: vec![None; blocks] }
     }
 
-    fn set(&mut self, e: Entry, r: Resolved) {
-        match e {
-            Entry::Inst(i) => self.insts[i.index()] = Some(r),
-            Entry::Label(b) => self.blocks[b.index()] = Some(r),
+    fn get(&self, v: Value) -> Option<Resolved> {
+        match v {
+            Value::Inst(i) => self.insts.get(i.index()).copied().flatten(),
+            Value::Block(b) => self.blocks.get(b.index()).copied().flatten(),
+            other => Some(Resolved::Value(other)),
         }
     }
+}
 
-    fn get(&self, e: Entry) -> Option<Resolved> {
-        match e {
-            Entry::Inst(i) => self.insts.get(i.index()).copied().flatten(),
-            Entry::Label(b) => self.blocks.get(b.index()).copied().flatten(),
+/// One block of the merged body before register demotion: pass-1
+/// blocks in layout order, then pass 2's selector blocks.
+#[derive(Debug, Clone, Copy)]
+struct BlockFacts {
+    /// Instructions pass 1 puts here (clones and branches).
+    items: u32,
+    /// Cost of everything but a closing `br`.
+    cost: u64,
+    /// The block ends in a `br` (a bridge, or a cloned unconditional
+    /// branch).
+    ends_in_br: bool,
+    /// The successors, as a range of [`Body::edges`].
+    succs: (u32, u32),
+    /// Starts with a landing pad.
+    landing: bool,
+    /// The clone that ends the block, if the last item is one.
+    last_clone: Option<u32>,
+}
+
+impl BlockFacts {
+    const EMPTY: BlockFacts = BlockFacts {
+        items: 0,
+        cost: 0,
+        ends_in_br: false,
+        succs: (0, 0),
+        landing: false,
+        last_clone: None,
+    };
+}
+
+/// The merged body as codegen would build it, derived from the pass-1
+/// layout and pass 2's operand resolution without building anything.
+struct Body {
+    blocks: Vec<BlockFacts>,
+    /// Successor lists of all blocks, back to back.
+    edges: Vec<u32>,
+    /// Each clone's block.
+    clone_block: Vec<u32>,
+    /// Each clone's type (the first side's, for a matched column).
+    clone_ty: Vec<TyId>,
+    /// `(def, user block)` for every clone operand resolving to a clone.
+    uses: Vec<(u32, u32)>,
+    /// `(invoke clone, normal destination)`, in clone order: demotion
+    /// stores an invoke's value at the top of its normal destination.
+    invokes: Vec<(u32, u32)>,
+    /// `(block, pair)` for every mismatched value operand; `pair` numbers
+    /// the distinct operand pairs of `pairs`.
+    selects: Vec<(u32, u32)>,
+    pairs: HashMap<(Resolved, Resolved), u32>,
+    /// The selector block of each mismatched label pair.
+    selectors: HashMap<(u32, u32), u32>,
+    /// Identifier `condbr`s pass 1 emits.
+    fid_branches: u64,
+    /// Cost of the pass-1 clones, without `br`s.
+    clone_cost: u64,
+    /// Return-cast integer containers, in interning order.
+    ret_casts: Vec<(u32, u32)>,
+    /// Every operand resolves, and pass 2 can build every select,
+    /// selector and return cast: the build runs to completion.
+    completes: bool,
+    /// A shape the dry run does not model.
+    unmodeled: bool,
+}
+
+impl Body {
+    /// Replays pass 1 ([`codegen::layout`], whose errors it returns) and
+    /// pass 2's operand resolution.
+    fn resolve(
+        module: &Module,
+        cm: &CostModel,
+        (fa, fb): (&Function, &Function),
+        (seq1, seq2): (&[Entry], &[Entry]),
+        alignment: &Alignment,
+        setup: &MergeSetup,
+        config: &MergeConfig,
+    ) -> Result<Body, MergeError> {
+        let ops = codegen::layout(fa, fb, seq1, seq2, alignment, setup.has_func_id)?;
+        let types = &module.types;
+        let void = types.void();
+        let cost_of = |op: Opcode| cm.inst_cost(&Inst::new(op, void, Vec::new()));
+        let condbr = cost_of(Opcode::CondBr);
+        let mut body = Body {
+            blocks: Vec::new(),
+            edges: Vec::new(),
+            clone_block: Vec::new(),
+            clone_ty: Vec::new(),
+            uses: Vec::new(),
+            invokes: Vec::new(),
+            selects: Vec::new(),
+            pairs: HashMap::new(),
+            selectors: HashMap::new(),
+            fid_branches: 0,
+            clone_cost: 0,
+            ret_casts: Vec::new(),
+            completes: true,
+            unmodeled: false,
+        };
+        let mut side1 = SideMap::for_seq(seq1);
+        let mut side2 = SideMap::for_seq(seq2);
+        let source = |i1, i2| codegen::clone_source(fa, fb, i1, i2);
+        // Pass 1: blocks, clones and the branches between them.
+        for &op in &ops {
+            let (block, cost, ends_in_br, succs, clone) = match op {
+                LayoutOp::Block(_) => {
+                    body.blocks.push(BlockFacts::EMPTY);
+                    continue;
+                }
+                LayoutOp::Label { block, l1, l2 } => {
+                    for (map, l) in [(&mut side1, l1), (&mut side2, l2)] {
+                        if let Some(b) = l {
+                            map.blocks[b.index()] = Some(Resolved::Block(block));
+                        }
+                    }
+                    continue;
+                }
+                LayoutOp::Clone { block, i1, i2 } => {
+                    let k = body.clone_block.len() as u32;
+                    for (map, i) in [(&mut side1, i1), (&mut side2, i2)] {
+                        if let Some(i) = i {
+                            map.insts[i.index()] = Some(Resolved::Clone(k));
+                        }
+                    }
+                    let (_, inst) = source(i1, i2);
+                    body.clone_block.push(block);
+                    body.clone_ty.push(inst.ty);
+                    body.unmodeled |= inst.opcode == Opcode::Phi;
+                    let facts = &mut body.blocks[block as usize];
+                    facts.landing |= facts.items == 0 && inst.opcode == Opcode::LandingPad;
+                    let (cost, br) = match inst.opcode {
+                        Opcode::Br => (0, true),
+                        _ => (cm.inst_cost(inst), false),
+                    };
+                    body.clone_cost += cost;
+                    (block, cost, br, (0, 0), Some(k))
+                }
+                LayoutOp::Br { block, to } => {
+                    body.edges.push(to);
+                    (block, 0, true, (body.edges.len() as u32 - 1, 1), None)
+                }
+                LayoutOp::CondBr { block, then, els } => {
+                    body.fid_branches += 1;
+                    body.edges.extend([then, els]);
+                    (block, condbr, false, (body.edges.len() as u32 - 2, 2), None)
+                }
+                LayoutOp::Unreachable { block } => {
+                    (block, cost_of(Opcode::Unreachable), false, (0, 0), None)
+                }
+            };
+            let facts = &mut body.blocks[block as usize];
+            facts.items += 1;
+            facts.cost += cost;
+            facts.ends_in_br = ends_in_br;
+            facts.succs = succs;
+            facts.last_clone = clone;
         }
+        // Pass 2: operands, selects, selector blocks and return casts, in
+        // clone order as codegen assigns them.
+        let resolve = |first: bool, v: Value| -> Option<Resolved> {
+            match v {
+                Value::Param(p) => {
+                    let slots = if first { &setup.params.map1 } else { &setup.params.map2 };
+                    slots.get(p as usize).map(|&k| Resolved::Param(k))
+                }
+                _ => (if first { &side1 } else { &side2 }).get(v),
+            }
+        };
+        let mut targets: Vec<u32> = Vec::new();
+        let clones = ops.iter().filter_map(|op| match *op {
+            LayoutOp::Clone { i1, i2, .. } => Some((i1, i2)),
+            _ => None,
+        });
+        for (k, (i1, i2)) in clones.enumerate() {
+            let block = body.clone_block[k];
+            targets.clear();
+            let (first, inst) = source(i1, i2);
+            if let (true, Some(y)) = (first, i2) {
+                let (a, b) = (inst, fb.inst(y));
+                let (ops1, ops2) = (&a.operands, &b.operands);
+                // Codegen's commutative reordering: swap the second side's
+                // operands when that resolves more positions to one value.
+                let commutes = a.opcode.is_commutative()
+                    || (a.opcode == Opcode::ICmp
+                        && a.int_predicate().is_some_and(|p| p.is_commutative()));
+                let swap = config.reorder_commutative
+                    && commutes
+                    && ops1.len() == 2
+                    && ops2.len() == 2
+                    && {
+                        let same =
+                            |x: Value, y: Value| (resolve(true, x) == resolve(false, y)) as usize;
+                        same(ops1[0], ops2[1]) + same(ops1[1], ops2[0])
+                            > same(ops1[0], ops2[0]) + same(ops1[1], ops2[1])
+                    };
+                for (n, &o1) in ops1.iter().enumerate() {
+                    let Some(&o2) = ops2.get(if swap { 1 - n } else { n }) else { continue };
+                    let (Some(r1), Some(r2)) = (resolve(true, o1), resolve(false, o2)) else {
+                        body.completes = false;
+                        continue;
+                    };
+                    match (r1, r2) {
+                        (Resolved::Block(t1), Resolved::Block(t2)) if t1 == t2 => targets.push(t1),
+                        (Resolved::Block(t1), Resolved::Block(t2)) => {
+                            body.completes &= setup.has_func_id;
+                            targets.push(body.selector(t1, t2, condbr));
+                        }
+                        (Resolved::Block(_), _) | (_, Resolved::Block(_)) => body.completes = false,
+                        _ if matches!(o1, Value::Func(_)) || matches!(o2, Value::Func(_)) => {
+                            body.completes &= r1 == r2;
+                        }
+                        _ => {
+                            for r in [r1, r2] {
+                                if let Resolved::Clone(d) = r {
+                                    body.uses.push((d, block));
+                                }
+                            }
+                            if r1 != r2 {
+                                body.completes &= setup.has_func_id;
+                                let next = body.pairs.len() as u32;
+                                let pair = *body.pairs.entry((r1, r2)).or_insert(next);
+                                body.selects.push((block, pair));
+                            }
+                        }
+                    }
+                }
+            } else {
+                for &o in &inst.operands {
+                    match resolve(first, o) {
+                        None => body.completes = false,
+                        Some(Resolved::Block(t)) => targets.push(t),
+                        Some(Resolved::Clone(d)) => body.uses.push((d, block)),
+                        Some(_) => {}
+                    }
+                }
+            }
+            if body.blocks[block as usize].last_clone == Some(k as u32) && inst.is_terminator() {
+                let start = body.edges.len() as u32;
+                body.edges.extend_from_slice(&targets);
+                body.blocks[block as usize].succs = (start, targets.len() as u32);
+            }
+            match inst.opcode {
+                Opcode::Invoke => {
+                    if let Some(&normal) = targets.first() {
+                        body.invokes.push((k as u32, normal));
+                    }
+                }
+                Opcode::Ret if !matches!(types.get(setup.ret.base), Type::Void) => {
+                    let f = if first { fa } else { fb };
+                    let Some(&v) = inst.operands.first() else { continue };
+                    match classify_cast_widen(types, f.value_ty(v, types), setup.ret.base) {
+                        Ok(CastShape::Chain { from, to }) => {
+                            let pair = (from as u32, to as u32);
+                            if !body.ret_casts.contains(&pair) {
+                                body.ret_casts.push(pair);
+                            }
+                            // `cast_chain` widens through one `zext`.
+                            if from < to {
+                                body.blocks[block as usize].cost += cost_of(Opcode::ZExt);
+                            }
+                        }
+                        Ok(_) => {}
+                        Err(_) => body.completes = false,
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(body)
+    }
+
+    /// The selector block for the label pair `(t1, t2)`, created on first
+    /// use like `selector_block` does.
+    fn selector(&mut self, t1: u32, t2: u32, condbr: u64) -> u32 {
+        if let Some(&s) = self.selectors.get(&(t1, t2)) {
+            return s;
+        }
+        let (l1, l2) = (self.blocks[t1 as usize].landing, self.blocks[t2 as usize].landing);
+        if l1 && l2 {
+            // Codegen hoists the landing pads into the selector block.
+            self.unmodeled = true;
+        } else if l1 != l2 {
+            self.completes = false;
+        }
+        let s = self.blocks.len() as u32;
+        let start = self.edges.len() as u32;
+        self.edges.extend([t1, t2]);
+        self.blocks.push(BlockFacts {
+            cost: condbr,
+            ends_in_br: false,
+            succs: (start, 2),
+            ..BlockFacts::EMPTY
+        });
+        self.selectors.insert((t1, t2), s);
+        s
+    }
+
+    fn succs(&self, b: usize) -> &[u32] {
+        let (start, len) = self.blocks[b].succs;
+        &self.edges[start as usize..(start + len) as usize]
+    }
+
+    /// Lower bound on the merged body's size from the cheap terms: every
+    /// clone but a `br`, every identifier and selector `condbr`, one
+    /// select per distinct mismatched operand pair.
+    fn cheap_size(&self, cm: &CostModel, types: &TypeStore) -> u64 {
+        let void = types.void();
+        let condbr = cm.inst_cost(&Inst::new(Opcode::CondBr, void, Vec::new()));
+        let select = cm.inst_cost(&Inst::new(Opcode::Select, void, Vec::new()));
+        self.clone_cost
+            + condbr * (self.fid_branches + self.selectors.len() as u64)
+            + select * self.pairs.len() as u64
+    }
+
+    /// The type of every cloned value but `void`, each once: the
+    /// pointees demotion could make a slot for.
+    fn pointees(&self, types: &TypeStore) -> Vec<TyId> {
+        let void = types.void();
+        let mut pointees: Vec<TyId> = Vec::new();
+        for &t in &self.clone_ty {
+            // Few distinct types, each cloned many times in a row.
+            if t != void && pointees.last() != Some(&t) && !pointees.contains(&t) {
+                pointees.push(t);
+            }
+        }
+        pointees
+    }
+
+    /// The dry run: lower bound on the merged body's size after register
+    /// demotion, trivial-block threading and unreachable-block removal,
+    /// plus the pointees of the demotion slots in creation order.
+    fn dry_run(&self, cm: &CostModel, types: &TypeStore) -> (u64, Vec<TyId>) {
+        let void = types.void();
+        let cost_of = |op: Opcode| cm.inst_cost(&Inst::new(op, void, Vec::new()));
+        // The same tree `cfg::Dominators` gives `fix_dominance`.
+        let dom = DomTree::compute(self.blocks.len(), |b| self.succs(b));
+        // `fix_dominance`: a def is demoted when a user outside its block
+        // is not dominated by it (unreachable blocks dominate nothing);
+        // one load per (def, user block), dropped with an unreachable
+        // user block.
+        let mut demoted = vec![false; self.clone_block.len()];
+        let mut loads: Vec<(u32, u32)> = Vec::new();
+        for &(d, user) in &self.uses {
+            let def = self.clone_block[d as usize];
+            if def != user && !dom.dominates(def as usize, user as usize) {
+                demoted[d as usize] = true;
+                if dom.reachable(user as usize) {
+                    loads.push((d, user));
+                }
+            }
+        }
+        loads.sort_unstable();
+        loads.dedup();
+        // One slot and one store per demoted def; the store follows the
+        // def, or opens an invoke's normal destination.
+        let mut stored = vec![false; self.blocks.len()];
+        let mut slots: Vec<TyId> = Vec::new();
+        let mut stores = 0u64;
+        for (d, _) in demoted.iter().enumerate().filter(|(_, &x)| x) {
+            slots.push(self.clone_ty[d]);
+            let at = match self.invokes.binary_search_by_key(&(d as u32), |&(k, _)| k) {
+                Ok(n) => self.invokes[n].1,
+                Err(_) => self.clone_block[d],
+            };
+            if dom.reachable(at as usize) {
+                stores += 1;
+                stored[at as usize] = true;
+            }
+        }
+        let mut selects: Vec<(u32, u32)> =
+            self.selects.iter().copied().filter(|&(b, _)| dom.reachable(b as usize)).collect();
+        selects.sort_unstable();
+        selects.dedup();
+        let mut size = cost_of(Opcode::Alloca) * slots.len() as u64
+            + cost_of(Opcode::Store) * stores
+            + cost_of(Opcode::Load) * loads.len() as u64
+            + cost_of(Opcode::Select) * selects.len() as u64;
+        for (b, facts) in self.blocks.iter().enumerate() {
+            if !dom.reachable(b) {
+                continue;
+            }
+            size += facts.cost;
+            // Threading deletes a block that holds only its `br`.
+            if facts.ends_in_br && (b == 0 || facts.items > 1 || stored[b]) {
+                size += cost_of(Opcode::Br);
+            }
+        }
+        (size, slots)
     }
 }
 
@@ -265,20 +682,27 @@ impl SideMap {
 /// bodies and the module alone — no code is generated. If the bound is
 /// ≤ 0 the build is certain to be discarded as unprofitable.
 ///
-/// The merged body is charged, each term at most what codegen emits:
+/// The merged body is charged from codegen's own pass-1 layout
+/// (`codegen::layout`) and pass 2's operand resolution, each term at
+/// most what codegen emits. The cheap terms:
 ///
-/// * every matched column once, every other column on its own side —
-///   codegen clones each linearized instruction exactly once into blocks
-///   that stay reachable, and a matched pair has one opcode and operand
-///   count, so one cost. A `br` is charged 0: the trivial-block threading
-///   after codegen may delete it;
-/// * one function-identifier `condbr` per divergent region entered from a
-///   block that is not yet terminated — the diamond codegen opens there;
+/// * every clone but a `br`, at its source's cost — a matched pair has
+///   one opcode and operand count, so one cost;
+/// * every identifier `condbr` the layout emits, and one selector
+///   `condbr` per distinct mismatched label pair;
 /// * one `select` per distinct mismatched operand pair of the matched
-///   instructions, after codegen's own commutative swap, keyed the way its
-///   operand pass resolves operands (clones of matched columns, merged
-///   parameter slots, constants) — codegen emits at least one per pair;
-/// * one selector `condbr` per distinct mismatched label pair.
+///   instructions, after codegen's own commutative swap.
+///
+/// When those cannot rule the pair out (or a demotion slot's pointer
+/// type is missing from the store), a dry run of the merged CFG replaces
+/// them: with pass 2's edges and selector blocks it computes reachability
+/// and dominators exactly as `fix_dominance` does, and charges only the
+/// blocks that stay reachable — their clones, `condbr`s and
+/// `unreachable`s, the `br` of the entry and of every block threading
+/// keeps, one `select` per distinct (block, operand pair), and one
+/// `alloca`, `store` and per-(def, user block) `load` for every value
+/// codegen demotes. Knowing that set exactly, a skip replays the
+/// demotion slots' pointer types too.
 ///
 /// ε is charged the exact thunk δ of each side [`can_delete`] rejects;
 /// deletable sides pay a call-site term ≥ 0 and are charged nothing.
@@ -287,8 +711,9 @@ impl SideMap {
 ///
 /// # Errors
 ///
-/// The set-up errors of [`merge_setup`] — the build would fail the same
-/// way before interning anything.
+/// The set-up errors of [`merge_setup`] and the layout errors of
+/// `codegen::layout`: the build fails the same way, so there is nothing
+/// to bound.
 #[allow(clippy::too_many_arguments)]
 pub fn delta_bound(
     module: &Module,
@@ -301,155 +726,7 @@ pub fn delta_bound(
     config: &MergeConfig,
 ) -> Result<DeltaBound, MergeError> {
     let setup = merge_setup(module, f1, f2, seq1, seq2, alignment, config)?;
-    let (fa, fb) = (module.func(f1), module.func(f2));
     let types = &module.types;
-    let void = types.void();
-
-    // Walk the columns in codegen order: cost every clone, count the
-    // divergent regions that need an identifier branch, and collect what
-    // the operand pass will look at.
-    let mut side1 = SideMap::for_seq(seq1);
-    let mut side2 = SideMap::for_seq(seq2);
-    let cost = |f: &Function, e: Entry| match e {
-        Entry::Inst(i) if f.inst(i).opcode != Opcode::Br => cm.inst_cost(f.inst(i)),
-        _ => 0,
-    };
-    let mut size_merged = 0u64;
-    let mut matched: Vec<(InstId, InstId)> = Vec::new();
-    let mut singles: Vec<(bool, InstId)> = Vec::new();
-    // `ret` clones, as `(first side's view, inst)`. Only the side whose
-    // return type is not the base needs a cast, so at most one container
-    // pair exists and the visiting order does not matter.
-    let mut rets: Vec<(bool, InstId)> = Vec::new();
-    let mut pointees: Vec<TyId> = Vec::new();
-    // Pass 1 state: whether the current insertion block exists and has no
-    // terminator yet (codegen starts in an open entry block).
-    let mut open = true;
-    let mut in_region = false;
-    let mut fid_branches = 0u64;
-    for step in &alignment.steps {
-        if let Step::Both { i, j, matched: true } = *step {
-            in_region = false;
-            size_merged += cost(fa, seq1[i]);
-            side1.set(seq1[i], Resolved::Shared(seq1[i]));
-            side2.set(seq2[j], Resolved::Shared(seq1[i]));
-            match (seq1[i], seq2[j]) {
-                (Entry::Inst(x), Entry::Inst(y)) => {
-                    let inst = fa.inst(x);
-                    open = !inst.is_terminator();
-                    pointees.push(inst.ty);
-                    if inst.opcode == Opcode::Ret {
-                        rets.push((true, x));
-                    }
-                    matched.push((x, y));
-                }
-                _ => open = true,
-            }
-            continue;
-        }
-        if !in_region {
-            fid_branches += open as u64;
-            in_region = true;
-            open = false;
-        }
-        let (e1, e2) = match *step {
-            Step::Both { i, j, .. } => (Some(seq1[i]), Some(seq2[j])),
-            Step::Left(i) => (Some(seq1[i]), None),
-            Step::Right(j) => (None, Some(seq2[j])),
-        };
-        for (first, e) in [(true, e1), (false, e2)] {
-            let Some(e) = e else { continue };
-            let (f, map) = if first { (fa, &mut side1) } else { (fb, &mut side2) };
-            size_merged += cost(f, e);
-            map.set(e, if first { Resolved::First(e) } else { Resolved::Second(e) });
-            if let Entry::Inst(x) = e {
-                let inst = f.inst(x);
-                pointees.push(inst.ty);
-                singles.push((first, x));
-                if inst.opcode == Opcode::Ret {
-                    rets.push((first, x));
-                }
-            }
-        }
-    }
-
-    let resolve = |first: bool, v: Value| -> Option<Resolved> {
-        let (map, slots) =
-            if first { (&side1, &setup.params.map1) } else { (&side2, &setup.params.map2) };
-        match v {
-            Value::Inst(i) => map.get(Entry::Inst(i)),
-            Value::Block(b) => map.get(Entry::Label(b)),
-            Value::Param(p) => slots.get(p as usize).map(|&k| Resolved::Param(k)),
-            other => Some(Resolved::Value(other)),
-        }
-    };
-    // Whether codegen runs to completion, so a skip can replay it: every
-    // operand resolves and no matched pair needs a select it cannot build.
-    let mut completes = true;
-    for &(first, x) in &singles {
-        let f = if first { fa } else { fb };
-        completes &= f.inst(x).operands.iter().all(|&v| resolve(first, v).is_some());
-    }
-    let mut selects: HashSet<(Resolved, Resolved)> = HashSet::new();
-    let mut selectors: HashSet<(Resolved, Resolved)> = HashSet::new();
-    for &(x, y) in &matched {
-        let (i1, i2) = (fa.inst(x), fb.inst(y));
-        let (ops1, ops2) = (&i1.operands, &i2.operands);
-        // Codegen's commutative reordering: swap the second side's
-        // operands when that resolves more positions to one value.
-        let commutes = i1.opcode.is_commutative()
-            || (i1.opcode == Opcode::ICmp
-                && i1.int_predicate().is_some_and(|p| p.is_commutative()));
-        let swap =
-            config.reorder_commutative && commutes && ops1.len() == 2 && ops2.len() == 2 && {
-                let same = |a: Value, b: Value| (resolve(true, a) == resolve(false, b)) as usize;
-                same(ops1[0], ops2[1]) + same(ops1[1], ops2[0])
-                    > same(ops1[0], ops2[0]) + same(ops1[1], ops2[1])
-            };
-        for (k, &o1) in ops1.iter().enumerate() {
-            let Some(&o2) = ops2.get(if swap { 1 - k } else { k }) else { continue };
-            let (Some(r1), Some(r2)) = (resolve(true, o1), resolve(false, o2)) else {
-                completes = false;
-                continue;
-            };
-            if matches!(o1, Value::Func(_)) || matches!(o2, Value::Func(_)) {
-                completes &= r1 == r2;
-            } else if r1 != r2 {
-                completes &= setup.has_func_id;
-                if matches!(o1, Value::Block(_)) {
-                    selectors.insert((r1, r2));
-                } else {
-                    selects.insert((r1, r2));
-                }
-            }
-        }
-    }
-    let condbr = cm.inst_cost(&Inst::new(Opcode::CondBr, void, Vec::new()));
-    let select = cm.inst_cost(&Inst::new(Opcode::Select, void, Vec::new()));
-    size_merged += condbr * (fid_branches + selectors.len() as u64) + select * selects.len() as u64;
-
-    // The return casts' integer containers.
-    let mut ret_casts: Vec<(u32, u32)> = Vec::new();
-    if !matches!(types.get(setup.ret.base), Type::Void) {
-        for &(first, x) in &rets {
-            let f = if first { fa } else { fb };
-            let Some(&v) = f.inst(x).operands.first() else { continue };
-            match classify_cast_widen(types, f.value_ty(v, types), setup.ret.base) {
-                Ok(CastShape::Chain { from, to }) => {
-                    let pair = (from as u32, to as u32);
-                    if !ret_casts.contains(&pair) {
-                        ret_casts.push(pair);
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => completes = false,
-            }
-        }
-    }
-    pointees.retain(|&t| t != void);
-    pointees.sort_unstable();
-    pointees.dedup();
-
     let merged_params = setup.params.merged_tys.len() as u64;
     let mut epsilon = 0;
     for (func, ret_orig) in [(f1, setup.ret.ty1), (f2, setup.ret.ty2)] {
@@ -458,16 +735,36 @@ pub fn delta_bound(
                 thunk_epsilon(cm, merged_params, ret_cast_cost(module, ret_orig, setup.ret.base));
         }
     }
-    let size_f1 = cm.body_size(module, f1);
-    let size_f2 = cm.body_size(module, f2);
-    let bound = (size_f1 + size_f2) as i64 - (size_merged + epsilon) as i64;
-    let replay = completes.then(|| TypeReplay {
+    let inputs = (cm.body_size(module, f1) + cm.body_size(module, f2)) as i64;
+    let fns = (module.func(f1), module.func(f2));
+    let body = Body::resolve(module, cm, fns, (seq1, seq2), alignment, &setup, config)?;
+    let cheap = body.cheap_size(cm, types);
+    let (size_merged, charge, slots) = if !body.completes {
+        (cheap, BodyCharge::Fallback, None)
+    } else if body.unmodeled {
+        (cheap, BodyCharge::Fallback, Some(Slots::AnyOf(body.pointees(types))))
+    } else {
+        // The dry run is only needed when the cheap terms cannot rule the
+        // pair out, or a slot pointer type is missing from the store.
+        let cheap_skip = (inputs - (cheap + epsilon) as i64 <= 0)
+            .then(|| body.pointees(types))
+            .filter(|p| p.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some()));
+        match cheap_skip {
+            Some(pointees) => (cheap, BodyCharge::Cheap, Some(Slots::AnyOf(pointees))),
+            None => {
+                let (size, slots) = body.dry_run(cm, types);
+                (size, BodyCharge::DryRun, Some(Slots::Exact(slots)))
+            }
+        }
+    };
+    let replay = slots.map(|slots| TypeReplay {
         ret: setup.ret.base,
         params: setup.params.merged_tys.clone(),
-        ret_casts,
-        slot_pointees: pointees,
+        ret_casts: body.ret_casts.clone(),
+        slots,
     });
-    Ok(DeltaBound { bound, size_merged, epsilon, replay })
+    let bound = inputs - (size_merged + epsilon) as i64;
+    Ok(DeltaBound { bound, size_merged, epsilon, charge, replay })
 }
 
 /// A check of the Δ gate against real builds, filled in by
@@ -691,10 +988,38 @@ mod tests {
         assert!(bound.bound > 0, "a near-identical pair must stay in play: {bound:?}");
     }
 
+    /// Checks that replaying `bound`'s skip leaves exactly the store that
+    /// building and discarding the merge leaves, and returns the replayed
+    /// store.
+    fn assert_exact_replay(m: &mut fmsa_ir::Module, fa: FuncId, fb: FuncId) -> TypeStore {
+        use crate::linearize::linearize;
+        use crate::merge::{align_with, merge_pair_aligned};
+        let cfg = MergeConfig::default();
+        let cm = CostModel::new(TargetArch::X86_64);
+        let seq1 = linearize(m.func(fa));
+        let seq2 = linearize(m.func(fb));
+        let al = align_with(m, fa, fb, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+        let bound = delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).expect("set-up");
+        assert!(bound.rules_out(&m.types), "{bound:?}");
+        let mut replayed = m.types.clone();
+        bound.replay_skip(&mut replayed);
+        let before = m.types.len();
+        let info = merge_pair_aligned(m, fa, fb, seq1, seq2, al, &cfg).expect("builds");
+        assert!(evaluate(m, &cm, &info).delta <= bound.bound);
+        m.remove_function(info.merged);
+        assert!(m.types.len() > before, "the build interns its merged signature");
+        assert_eq!(replayed.len(), m.types.len());
+        for k in 0..m.types.len() {
+            let id = fmsa_ir::TyId::from_index(k);
+            assert_eq!(replayed.get(id), m.types.get(id), "type {k}");
+        }
+        replayed
+    }
+
     #[test]
     fn delta_bound_rules_out_dissimilar_pair_and_replays_its_types() {
         use crate::linearize::linearize;
-        use crate::merge::{align_with, merge_pair_aligned};
+        use crate::merge::align_with;
         let mut m = fmsa_ir::Module::new("m");
         let i32t = m.types.i32();
         let f64t = m.types.f64();
@@ -725,23 +1050,32 @@ mod tests {
         // anyway, so it stays exact for any future type).
         assert_eq!(bound.replay.as_ref().map(|r| r.ret_casts.clone()), Some(vec![(32, 64)]));
         // Demotion could intern `i32*` or `double*`, which this module
-        // lacks, so a skip could not replay the build yet.
-        assert!(!bound.rules_out(&m.types));
-        m.types.ptr(i32t);
-        m.types.ptr(f64t);
-        assert!(bound.rules_out(&m.types));
-        let mut replayed = m.types.clone();
-        bound.replay_skip(&mut replayed);
-        let before = m.types.len();
-        let info = merge_pair_aligned(&mut m, fa, fb, seq1, seq2, al, &cfg).expect("builds");
-        assert!(evaluate(&m, &cm, &info).delta <= bound.bound);
-        m.remove_function(info.merged);
-        assert!(m.types.len() > before, "the build interns its merged signature");
-        assert_eq!(replayed.len(), m.types.len());
-        for k in 0..m.types.len() {
-            let id = fmsa_ir::TyId::from_index(k);
-            assert_eq!(replayed.get(id), m.types.get(id), "type {k}");
+        // lacks; the dry run knows the build demotes nothing, so the pair
+        // is ruled out anyway and its skip interns neither.
+        let (p32, p64) = (Type::Ptr { pointee: i32t }, Type::Ptr { pointee: f64t });
+        assert_eq!(bound.charge, BodyCharge::DryRun);
+        let replayed = assert_exact_replay(&mut m, fa, fb);
+        assert!(replayed.lookup(&p32).is_none() && replayed.lookup(&p64).is_none());
+
+        // Two unrelated chains whose results meet at the shared `ret`:
+        // its select uses one value from each chain, so codegen demotes
+        // both, and the skip interns the missing `i32*` itself.
+        let fc = m.create_function("fc", fn1);
+        let fd = m.create_function("fd", fn1);
+        for (f, div) in [(fc, false), (fd, true)] {
+            let mut b = FuncBuilder::new(&mut m, f);
+            let e = b.block("entry");
+            b.switch_to(e);
+            let mut v = Value::Param(0);
+            for k in 0..8 {
+                v = if div { b.sdiv(v, b.const_i32(k + 2)) } else { b.xor(v, b.const_i32(k)) };
+            }
+            b.ret(Some(v));
         }
+        assert!(m.types.lookup(&p32).is_none());
+        let replayed = assert_exact_replay(&mut m, fc, fd);
+        assert!(replayed.lookup(&p32).is_some(), "the skip interns the demotion slot's type");
+        assert!(m.types.lookup(&p32).is_some());
     }
 
     #[test]

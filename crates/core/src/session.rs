@@ -19,6 +19,7 @@
 
 use crate::config::{optimize, Config};
 use crate::error::Error;
+use crate::pipeline::PipelineStats;
 use crate::store::{CompactStats, ContentHash, FunctionStore, StoreOptions};
 use crate::telemetry::{trace, DecisionLog, DecisionRecord};
 use fmsa_ir::{printer, Module};
@@ -80,6 +81,8 @@ pub struct SessionTotals {
     pub cache_hits: u64,
     /// Total wall clock across requests.
     pub wall: Duration,
+    /// Pipeline counters and timers, summed over the merges run.
+    pub pipeline: PipelineStats,
 }
 
 struct CachedResponse {
@@ -257,6 +260,7 @@ impl MergeSession {
         self.totals.merges += request.merges as u64;
         self.totals.functions += request.functions as u64;
         self.totals.wall += request.wall;
+        self.totals.pipeline.accumulate(&stats.pipeline.unwrap_or_default());
         if let Some(key) = key {
             if self.cache.len() >= CACHE_CAP {
                 self.cache.pop_front();

@@ -158,6 +158,7 @@ fn assert_reconciled(label: &str, st: &FmsaStats) {
     );
     if let Some(p) = st.pipeline.as_ref() {
         assert_eq!(d.count(O::GateSkipped), p.gate_skipped as u64, "{label}: gate");
+        assert_eq!(d.count(O::Unprofitable), p.gate_missed as u64, "{label}: gate misses");
         assert_eq!(d.count(O::BudgetSkipped), p.budget_skipped as u64, "{label}: budget");
         assert_eq!(d.count(O::Quarantined), p.quarantined() as u64, "{label}: quarantine");
     } else {

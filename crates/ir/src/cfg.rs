@@ -1,5 +1,6 @@
-//! Control-flow-graph utilities: predecessors, reachability, and the
-//! reverse post-order traversal used by FMSA's linearization (§III-B).
+//! Control-flow-graph utilities: predecessors, reachability, dominators,
+//! and the reverse post-order traversal used by FMSA's linearization
+//! (§III-B).
 
 use crate::function::Function;
 use crate::value::BlockId;
@@ -74,13 +75,169 @@ pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
     post
 }
 
-/// Immediate-dominator tree of a function's CFG (Cooper-Harvey-Kennedy
-/// iterative algorithm over the reverse post-order).
+/// Dominance over a graph of `n` nodes numbered from 0, node 0 being the
+/// entry. Only nodes reachable from the entry dominate or are dominated.
+/// Cooper-Harvey-Kennedy over the reverse post-order, then a depth-first
+/// numbering of the dominator tree, so that a query is one comparison
+/// however deep the tree.
+#[derive(Debug, Clone)]
+pub struct DomTree {
+    /// Immediate dominator (the entry's is itself; `NONE`: unreachable).
+    idom: Vec<u32>,
+    /// Pre-order number in the dominator tree (`NONE`: unreachable).
+    pre: Vec<u32>,
+    /// The largest pre-order number in each node's subtree.
+    last: Vec<u32>,
+}
+
+impl DomTree {
+    const NONE: u32 = u32::MAX;
+
+    /// Computes dominance from `succs(k)`, the successors of node `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0 (there is no entry).
+    pub fn compute<'a>(n: usize, succs: impl Fn(usize) -> &'a [u32]) -> DomTree {
+        const NONE: u32 = DomTree::NONE;
+        let mut post: Vec<u32> = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
+        seen[0] = true;
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if let Some(&s) = succs(b as usize).get(*next) {
+                *next += 1;
+                if !seen[s as usize] {
+                    seen[s as usize] = true;
+                    stack.push((s, 0));
+                }
+            } else {
+                post.push(b);
+                stack.pop();
+            }
+        }
+        let mut rpo = vec![NONE; n];
+        for (k, &b) in post.iter().rev().enumerate() {
+            rpo[b as usize] = k as u32;
+        }
+        // Predecessors of reachable nodes, from reachable nodes.
+        let mut start = vec![0u32; n + 1];
+        for &b in &post {
+            for &s in succs(b as usize) {
+                start[s as usize + 1] += 1;
+            }
+        }
+        for k in 0..n {
+            start[k + 1] += start[k];
+        }
+        let mut fill = start.clone();
+        let mut preds = vec![0u32; start[n] as usize];
+        for &b in &post {
+            for &s in succs(b as usize) {
+                preds[fill[s as usize] as usize] = b;
+                fill[s as usize] += 1;
+            }
+        }
+        let mut idom = vec![NONE; n];
+        idom[0] = 0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in post.iter().rev().skip(1) {
+                let mut new_idom = NONE;
+                for &p in &preds[start[b as usize] as usize..start[b as usize + 1] as usize] {
+                    if idom[p as usize] == NONE {
+                        continue; // not processed yet
+                    }
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        let (mut x, mut y) = (p, new_idom);
+                        while x != y {
+                            while rpo[x as usize] > rpo[y as usize] {
+                                x = idom[x as usize];
+                            }
+                            while rpo[y as usize] > rpo[x as usize] {
+                                y = idom[y as usize];
+                            }
+                        }
+                        x
+                    };
+                }
+                if new_idom != NONE && idom[b as usize] != new_idom {
+                    idom[b as usize] = new_idom;
+                    changed = true;
+                }
+            }
+        }
+        // Number the dominator tree depth-first: `a` dominates `b` exactly
+        // when `b`'s number falls in `a`'s subtree.
+        let mut first_child = vec![0u32; n + 1];
+        for &b in &post {
+            if b != 0 {
+                first_child[idom[b as usize] as usize + 1] += 1;
+            }
+        }
+        for k in 0..n {
+            first_child[k + 1] += first_child[k];
+        }
+        let mut fill = first_child.clone();
+        let mut children = vec![0u32; first_child[n] as usize];
+        for &b in &post {
+            if b != 0 {
+                let parent = idom[b as usize] as usize;
+                children[fill[parent] as usize] = b;
+                fill[parent] += 1;
+            }
+        }
+        let (mut pre, mut last) = (vec![NONE; n], vec![NONE; n]);
+        let mut counter = 0;
+        pre[0] = 0;
+        let mut stack: Vec<(u32, u32)> = vec![(0, first_child[0])];
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if *next < first_child[b as usize + 1] {
+                let c = children[*next as usize];
+                *next += 1;
+                counter += 1;
+                pre[c as usize] = counter;
+                stack.push((c, first_child[c as usize]));
+            } else {
+                last[b as usize] = counter;
+                stack.pop();
+            }
+        }
+        DomTree { idom, pre, last }
+    }
+
+    /// Whether node `b` is reachable from the entry.
+    pub fn reachable(&self, b: usize) -> bool {
+        self.pre[b] != Self::NONE
+    }
+
+    /// Whether node `a` dominates node `b` (reflexive).
+    pub fn dominates(&self, a: usize, b: usize) -> bool {
+        self.reachable(a)
+            && self.reachable(b)
+            && self.pre[a] <= self.pre[b]
+            && self.pre[b] <= self.last[a]
+    }
+
+    /// The immediate dominator of node `b` (`None` for the entry and for
+    /// unreachable nodes).
+    pub fn idom(&self, b: usize) -> Option<usize> {
+        (b != 0 && self.reachable(b)).then(|| self.idom[b] as usize)
+    }
+}
+
+/// Immediate-dominator tree of a function's CFG: a [`DomTree`] over its
+/// blocks, entry first.
 #[derive(Debug, Clone)]
 pub struct Dominators {
-    rpo_index: HashMap<BlockId, usize>,
-    idom: HashMap<BlockId, BlockId>,
-    entry: BlockId,
+    /// The node of each block id (`u32::MAX`: not a live block).
+    node: Vec<u32>,
+    /// The block of each node.
+    blocks: Vec<BlockId>,
+    tree: DomTree,
 }
 
 impl Dominators {
@@ -90,86 +247,40 @@ impl Dominators {
     ///
     /// Panics on declarations.
     pub fn compute(f: &Function) -> Dominators {
-        let rpo = reverse_post_order(f);
-        let entry = f.entry();
-        let mut rpo_index = HashMap::new();
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index.insert(b, i);
+        let blocks: Vec<BlockId> = f.block_ids().collect(); // the entry first
+        let mut node = vec![u32::MAX; blocks.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
+        for (k, b) in blocks.iter().enumerate() {
+            node[b.index()] = k as u32;
         }
-        let preds = Predecessors::compute(f);
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in preds.of(b) {
-                    if !idom.contains_key(&p) {
-                        continue; // predecessor not yet processed/unreachable
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        Dominators { rpo_index, idom, entry }
+        let succs: Vec<Vec<u32>> = blocks
+            .iter()
+            .map(|&b| {
+                let live = |s: BlockId| node.get(s.index()).copied().filter(|&k| k != u32::MAX);
+                f.successors(b).into_iter().filter_map(live).collect()
+            })
+            .collect();
+        let tree = DomTree::compute(blocks.len(), |k| &succs[k]);
+        Dominators { node, blocks, tree }
+    }
+
+    fn node(&self, b: BlockId) -> Option<usize> {
+        self.node.get(b.index()).copied().filter(|&k| k != u32::MAX).map(|k| k as usize)
     }
 
     /// Whether block `a` dominates block `b` (reflexive). Unreachable
     /// blocks dominate nothing and are dominated by nothing.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.rpo_index.contains_key(&a) || !self.rpo_index.contains_key(&b) {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            match self.idom.get(&cur) {
-                Some(&d) if d != cur => cur = d,
-                _ => return false,
-            }
+        match (self.node(a), self.node(b)) {
+            (Some(a), Some(b)) => self.tree.dominates(a, b),
+            _ => false,
         }
     }
 
     /// The immediate dominator of `b` (`None` for the entry and for
     /// unreachable blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        if b == self.entry {
-            return None;
-        }
-        self.idom.get(&b).copied()
+        self.tree.idom(self.node(b)?).map(|k| self.blocks[k])
     }
-}
-
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
-    while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
-        }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
-        }
-    }
-    a
 }
 
 /// Blocks unreachable from the entry, in layout order.

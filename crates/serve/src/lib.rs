@@ -927,6 +927,7 @@ fn render_metrics(ctx: &Ctx) -> String {
             "Wall-clock seconds the session has spent merging.",
             totals.wall.as_secs_f64(),
         );
+        totals.pipeline.record_into(m);
         let log = session.decisions();
         for outcome in DecisionOutcome::ALL {
             m.gauge_with(

@@ -286,6 +286,8 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         "fmsa_queue_active_connections",
         "fmsa_started_at_seconds",
         "fmsa_uptime_seconds",
+        "fmsa_pipeline_gate_skipped",
+        "fmsa_pipeline_gate_missed",
     ] {
         assert!(body.contains(family), "missing family {family} in:\n{body}");
     }

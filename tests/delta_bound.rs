@@ -1,12 +1,14 @@
 //! The pre-codegen Δ gate on whole inputs: every attempt the pipeline
-//! makes on a 1000-function LSH swarm, the suite modules and a lowered
-//! wasm corpus is audited against a real build
-//! (`run_fmsa_pipeline_audited`):
+//! makes on a 1000-function LSH swarm, the suite modules, a lowered wasm
+//! corpus and the benchmark's 96-function daemon uploads is audited
+//! against a real build (`run_fmsa_pipeline_audited`):
 //!
 //! * soundness — no attempt's real Δ exceeds its bound, including the
 //!   gate-skipped ones, which the audit builds and discards in place;
 //! * type replay — each skip leaves the type store exactly as that build
-//!   and discard did: same length, same `Type` at every id.
+//!   and discard did: same length, same `Type` at every id;
+//! * recall — at most 1 % of the attempts that turn out unprofitable
+//!   were built anyway (`gate_missed`).
 //!
 //! Plus bit-identity with the sequential driver at 1/2/4/8 threads on a
 //! swarm where skipped builds would have interned new signatures.
@@ -32,12 +34,19 @@ fn audit(base: &Module, cfg: &Config) -> (FmsaStats, GateAudit) {
 }
 
 /// The audit covered every attempt that reached the gate, and found
-/// nothing wrong: each evaluated build was checked, and each skip was
-/// built for the audit (checked too, unless that build failed).
+/// nothing wrong: each evaluated build was checked, each skip was built
+/// for the audit (checked too, unless that build failed), and the gate
+/// skipped all but at most 1 % of the unprofitable attempts.
 fn assert_clean(label: &str, stats: &FmsaStats, audit: &GateAudit) {
     assert!(audit.is_clean(), "{label}: {:?} / {:?}", audit.violations, audit.replay_mismatches);
     let p = stats.pipeline.expect("pipeline stats");
     assert_eq!(audit.skipped, p.gate_skipped, "{label}: every skip is audited");
+    assert!(
+        p.gate_missed * 100 <= p.gate_skipped + p.gate_missed,
+        "{label}: {} unprofitable attempts built, {} skipped",
+        p.gate_missed,
+        p.gate_skipped
+    );
     let evaluated = stats.decisions.records().filter(|r| r.delta.is_some()).count();
     assert_eq!(stats.decisions.dropped(), 0, "{label}: the log kept every record");
     assert!(
@@ -86,6 +95,24 @@ fn gate_bound_and_replay_hold_on_wasm_corpus() {
         assert_clean("wasm", &stats, &audit);
         assert!(audit.skipped > 0, "{audit:?}");
     }
+}
+
+/// The `serve` workload's input: 96-function wasm corpora, merged with
+/// the daemon's default configuration at one and two threads.
+#[test]
+fn gate_bound_and_replay_hold_on_serve_corpora() {
+    let mut skipped = 0;
+    for seed in [100u64, 101, 102, 103] {
+        let cfg = WasmFixtureConfig { seed, ..WasmFixtureConfig::with_functions(96) };
+        let base = fmsa::wasm::load_wasm(&wasm_fixture_bytes(&cfg), "serve-corpus")
+            .expect("fixture lowers");
+        for threads in [1usize, 2] {
+            let (stats, audit) = audit(&base, &Config::new().parallel(threads));
+            assert_clean(&format!("serve corpus {seed}, t={threads}"), &stats, &audit);
+            skipped += audit.skipped;
+        }
+    }
+    assert!(skipped > 0, "the gate never fired on the serve corpora");
 }
 
 /// Bit-identity with the ungated sequential driver at 1/2/4/8 threads on
