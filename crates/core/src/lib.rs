@@ -96,7 +96,7 @@ pub use quarantine::{QuarantineEntry, QuarantineLog, QuarantineStage};
 pub use search::{CandidateSearch, ExactSearch, LshConfig, LshSearch, SearchStrategy};
 pub use session::{MergeOutcome, MergeSession, RequestStats, SessionTotals};
 pub use store::{
-    module_hashes, scan_store, CompactStats, ContentHash, FsyncPolicy, FunctionStore, IngestStats,
-    RecoveryStats, SimilarEntry, StoreEntry, StoreOptions, StoreScan,
+    scan_store, CompactStats, ContentHash, FsyncPolicy, FunctionStore, IngestStats, RecoveryStats,
+    SimilarEntry, StoreEntry, StoreOptions, StoreScan,
 };
 pub use telemetry::{DecisionLog, DecisionOutcome, DecisionRecord, Registry};

@@ -230,13 +230,12 @@ impl MergeSession {
         if let Some(e) = errs.first() {
             return Err(Error::verify(false, &e.func, e.to_string()));
         }
-        let ingest = {
+        // The ingest hashes the *uploaded* functions, before optimize
+        // mutates the module: that is what a cached replay re-serves.
+        let (ingest, hashes) = {
             let _s = trace::span("session", "ingest");
-            self.store.ingest_module(&module)?
+            self.store.ingest_module_hashed(&module)?
         };
-        // Hash before optimize mutates the module: the cache must record
-        // the *uploaded* functions, which is what a replay re-serves.
-        let hashes = if key.is_some() { crate::store::module_hashes(&module) } else { Vec::new() };
         let mut stats = optimize(&mut module, &self.config)?;
         self.decisions.append(&mut stats.decisions);
         let output = {

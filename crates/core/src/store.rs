@@ -60,7 +60,7 @@ use crate::fingerprint::Fingerprint;
 use crate::search::minhash::estimated_jaccard;
 use crate::search::{LshConfig, LshSearch};
 use fmsa_ir::{printer, FuncId, Module};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
@@ -324,22 +324,6 @@ pub fn canonical_function_text(module: &Module, func: FuncId) -> String {
     out
 }
 
-/// Content hashes of every defined function in `module`, in definition
-/// order (duplicates included) — exactly what
-/// [`FunctionStore::ingest_module`] would key them by. The session's
-/// response cache records these so a cached replay can durably bump
-/// `seen` via [`FunctionStore::bump_seen`].
-pub fn module_hashes(module: &Module) -> Vec<ContentHash> {
-    let mut hashes = Vec::new();
-    for f in module.func_ids() {
-        if module.func(f).is_declaration() {
-            continue;
-        }
-        hashes.push(ContentHash::of_bytes(canonical_function_text(module, f).as_bytes()));
-    }
-    hashes
-}
-
 /// Content-addressed store of canonicalized function bodies with an
 /// incrementally-maintained, disk-durable LSH index over all of them.
 #[derive(Debug)]
@@ -531,54 +515,62 @@ impl FunctionStore {
     /// Hashes every defined function of `module` into the store:
     /// already-known bodies bump `seen` (durably, via a WAL bump record)
     /// and count as hits, new bodies are fingerprinted, indexed,
-    /// appended to disk (when persistent), and count as misses. The
-    /// append happens *before* the in-memory insert, so an I/O failure
-    /// leaves memory and disk agreeing (the entry is in neither).
+    /// appended to disk (when persistent), and count as misses. All of
+    /// an ingest's records go to the log in one write, *before* memory
+    /// changes, so a failed write never leaves memory ahead of the log.
     pub fn ingest_module(&mut self, module: &Module) -> Result<IngestStats, Error> {
-        let mut stats = IngestStats::default();
-        let mut bumps: Vec<(ContentHash, u64)> = Vec::new();
+        self.ingest_module_hashed(module).map(|(stats, _)| stats)
+    }
+
+    /// [`FunctionStore::ingest_module`] that also returns the content
+    /// hash of every defined function, in definition order (duplicates
+    /// included) — the session's response cache keeps them, so a cached
+    /// replay can bump `seen` without printing the upload again.
+    pub fn ingest_module_hashed(
+        &mut self,
+        module: &Module,
+    ) -> Result<(IngestStats, Vec<ContentHash>), Error> {
+        let mut hashes = Vec::new();
+        let mut entries: Vec<StoreEntry> = Vec::new();
+        let mut fresh: HashSet<u128> = HashSet::new();
+        // Repeated bodies in definition order, and how many of them
+        // precede each new entry: a write fault at entry k leaves the
+        // hits scanned before it counted, as a record-at-a-time ingest
+        // that stopped there would.
+        let mut repeats: Vec<ContentHash> = Vec::new();
+        let mut hits_before: Vec<usize> = Vec::new();
         for f in module.func_ids() {
             if module.func(f).is_declaration() {
                 continue;
             }
-            stats.functions += 1;
             let text = canonical_function_text(module, f);
             let hash = ContentHash::of_bytes(text.as_bytes());
-            if self.by_hash.contains_key(&hash.0) {
-                match bumps.iter_mut().find(|(h, _)| *h == hash) {
-                    Some((_, n)) => *n += 1,
-                    None => bumps.push((hash, 1)),
-                }
-                stats.hits += 1;
-                self.hits += 1;
+            hashes.push(hash);
+            if self.by_hash.contains_key(&hash.0) || !fresh.insert(hash.0) {
+                repeats.push(hash);
             } else {
-                let fp = Fingerprint::of(module, f);
-                let signature = self.index.signature_for(&fp);
-                let entry = StoreEntry {
+                let signature = self.index.signature_for(&Fingerprint::of(module, f));
+                hits_before.push(repeats.len());
+                entries.push(StoreEntry {
                     hash,
                     name: module.func(f).name.clone(),
                     seen: 1,
                     text,
                     signature,
-                };
-                self.append_record(&entry_payload(&entry), false)?;
-                self.insert_entry(entry);
-                stats.misses += 1;
-                self.misses += 1;
+                });
             }
         }
-        // Durable seen bumps: one record per distinct repeated hash.
-        // Memory is only bumped once the record is on disk, so a failed
-        // append under-counts rather than diverging from the log.
-        for (hash, delta) in bumps {
-            self.append_record(format!("seen {hash} +{delta}").as_bytes(), true)?;
-            if let Some(&i) = self.by_hash.get(&hash.0) {
-                self.entries[i].seen += delta;
-            }
-        }
-        self.sync_per_policy()?;
-        self.maybe_auto_compact();
-        Ok(stats)
+        let stats =
+            IngestStats { functions: hashes.len(), hits: repeats.len(), misses: entries.len() };
+        let committed = self.commit_batch(entries, &repeats);
+        let applied = match &committed {
+            Ok(()) => stats.misses,
+            Err((applied, _)) => *applied,
+        };
+        self.misses += applied as u64;
+        self.hits += hits_before.get(applied).copied().unwrap_or(stats.hits) as u64;
+        committed.map_err(|(_, e)| e)?;
+        Ok((stats, hashes))
     }
 
     /// Records `n` hits without re-hashing anything — used by the
@@ -593,32 +585,16 @@ impl FunctionStore {
     /// [`FunctionStore::ingest_module`] and previously left repeat
     /// counts at their first-ingest values. Every hash counts as a
     /// store hit; unknown hashes are ignored. Memory is only bumped
-    /// once the record is on disk, so a failed append under-counts
+    /// once the records are written, so a failed write under-counts
     /// rather than diverging from the log.
     pub fn bump_seen(&mut self, hashes: &[ContentHash]) -> Result<(), Error> {
-        let mut bumps: Vec<(ContentHash, u64)> = Vec::new();
-        for &hash in hashes {
-            if !self.by_hash.contains_key(&hash.0) {
-                continue;
-            }
-            self.hits += 1;
-            match bumps.iter_mut().find(|(h, _)| *h == hash) {
-                Some((_, n)) => *n += 1,
-                None => bumps.push((hash, 1)),
-            }
-        }
-        if bumps.is_empty() {
+        let known: Vec<ContentHash> =
+            hashes.iter().copied().filter(|h| self.by_hash.contains_key(&h.0)).collect();
+        if known.is_empty() {
             return Ok(());
         }
-        for (hash, delta) in bumps {
-            self.append_record(format!("seen {hash} +{delta}").as_bytes(), true)?;
-            if let Some(&i) = self.by_hash.get(&hash.0) {
-                self.entries[i].seen += delta;
-            }
-        }
-        self.sync_per_policy()?;
-        self.maybe_auto_compact();
-        Ok(())
+        self.hits += known.len() as u64;
+        self.commit_batch(Vec::new(), &known).map_err(|(_, e)| e)
     }
 
     /// The `k` most similar stored functions to the entry at `hash`
@@ -717,24 +693,81 @@ impl FunctionStore {
         )))
     }
 
-    /// Appends one framed record, migrating a v1 log to v2 first (via
-    /// compaction) if needed. `dead` marks records that compaction will
-    /// reclaim (seen bumps). Write-ahead: callers insert into memory
-    /// only after this succeeds.
-    fn append_record(&mut self, payload: &[u8], dead: bool) -> Result<(), Error> {
-        if self.dir.is_none() {
-            return Ok(());
+    /// Logs and applies one batch of records: `entries`, then one `seen`
+    /// bump per distinct hash in `repeats` (first-repeat order), framed
+    /// into one buffer and written once; then the fsync the policy asks
+    /// for and any due auto-compaction. A v1 log is migrated to v2 first
+    /// (via compaction). Each record advances the op counter and
+    /// consults the `StoreWrite` fault site in order: a fault at record k
+    /// writes and applies records 1..k−1, then returns the error —
+    /// exactly what appending one record at a time would leave.
+    /// Write-ahead: memory changes only after the write succeeds. An
+    /// error carries how many of `entries` were applied.
+    fn commit_batch(
+        &mut self,
+        entries: Vec<StoreEntry>,
+        repeats: &[ContentHash],
+    ) -> Result<(), (usize, Error)> {
+        let mut bumps: Vec<(ContentHash, u64)> = Vec::new();
+        for &hash in repeats {
+            match bumps.iter_mut().find(|(h, _)| *h == hash) {
+                Some((_, n)) => *n += 1,
+                None => bumps.push((hash, 1)),
+            }
         }
-        if self.format_v1 {
-            // A v1 log is read-only; the first write forces the
-            // migration compaction that rewrites it as v2.
-            self.compact()?;
+        let records = entries.len() + bumps.len();
+        let mut landed = records;
+        let mut fault = None;
+        if self.dir.is_some() && records > 0 {
+            if self.format_v1 {
+                // A v1 log is read-only; the first write forces the
+                // migration compaction that rewrites it as v2.
+                self.compact().map_err(|e| (0, e))?;
+            }
+            let mut buf = Vec::new();
+            let mut dead = 0u64;
+            for k in 0..records {
+                self.ops += 1;
+                if self.opts.faults.fires(FaultSite::StoreWrite, "store", &self.ops.to_string()) {
+                    landed = k;
+                    fault = Some(self.injected(FaultSite::StoreWrite));
+                    break;
+                }
+                match entries.get(k) {
+                    Some(entry) => buf.extend_from_slice(&frame(&entry_payload(entry))),
+                    None => {
+                        let (hash, delta) = bumps[k - entries.len()];
+                        let framed = frame(format!("seen {hash} +{delta}").as_bytes());
+                        dead += framed.len() as u64;
+                        buf.extend_from_slice(&framed);
+                    }
+                }
+            }
+            if !buf.is_empty() {
+                self.write_log(&buf).map_err(|e| (0, e))?;
+                self.dead_bytes += dead;
+            }
         }
-        let framed = frame(payload);
-        self.ops += 1;
-        if self.opts.faults.fires(FaultSite::StoreWrite, "store", &self.ops.to_string()) {
-            return Err(self.injected(FaultSite::StoreWrite));
+        let applied = landed.min(entries.len());
+        for entry in entries.into_iter().take(applied) {
+            self.insert_entry(entry);
         }
+        for &(hash, delta) in &bumps[..landed - applied] {
+            if let Some(&i) = self.by_hash.get(&hash.0) {
+                self.entries[i].seen += delta;
+            }
+        }
+        if let Some(e) = fault {
+            return Err((applied, e));
+        }
+        self.sync_per_policy().map_err(|e| (applied, e))?;
+        self.maybe_auto_compact();
+        Ok(())
+    }
+
+    /// Appends framed records to the log, creating the file (with its
+    /// header) on first use.
+    fn write_log(&mut self, framed: &[u8]) -> Result<(), Error> {
         if self.file.is_none() {
             let path = self.dir.as_ref().expect("persistent").join(STORE_FILE);
             let fresh =
@@ -747,13 +780,8 @@ impl FunctionStore {
             }
             self.file = Some(file);
         }
-        let file = self.file.as_mut().expect("append handle");
-        file.write_all(&framed)?;
-        file.flush()?;
+        self.file.as_mut().expect("append handle").write_all(framed)?;
         self.total_bytes += framed.len() as u64;
-        if dead {
-            self.dead_bytes += framed.len() as u64;
-        }
         self.dirty = true;
         Ok(())
     }
@@ -1339,6 +1367,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A `StoreWrite` plan whose first fault among store ops
+    /// `from..=at` is op `at` (found by seed search: `fires` is a pure
+    /// function of seed and op number).
+    fn first_write_fault_at(from: u64, at: u64) -> FaultPlan {
+        (0..)
+            .map(|seed| FaultPlan::new(seed, 250_000, &[FaultSite::StoreWrite]))
+            .find(|plan| {
+                (from..=at).all(|op| {
+                    plan.fires(FaultSite::StoreWrite, "store", &op.to_string()) == (op == at)
+                })
+            })
+            .expect("some seed faults exactly there")
+    }
+
+    /// `(hash, seen)` of every entry, in insertion order.
+    fn seen_counts(store: &FunctionStore) -> Vec<(ContentHash, u64)> {
+        store.entries().map(|e| (e.hash, e.seen)).collect()
+    }
+
+    /// Memory, the raw log, and a reopened store all hold the same
+    /// entries with the same counts.
+    fn assert_disk_agrees(store: &FunctionStore, dir: &Path) {
+        let memory = seen_counts(store);
+        let raw = std::fs::read(dir.join(STORE_FILE)).unwrap_or_default();
+        assert_eq!(scan_store(&raw).entries, memory, "log vs memory");
+        assert_eq!(seen_counts(&FunctionStore::open(dir).unwrap()), memory, "reopen vs memory");
+    }
+
     #[test]
     fn injected_write_fault_keeps_memory_and_disk_agreeing() {
         let dir = temp_dir("fault-write");
@@ -1359,6 +1415,108 @@ mod tests {
         let store = FunctionStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
+
+        // A fault at record k > 1 keeps records 1..k-1, on disk and in
+        // memory, and leaves the op counter where appending one record
+        // at a time would. Here the records are entries a, b, c, d (ops
+        // 1-4), then a's seen bump (op 5); a fault at c (op 3) keeps a
+        // and b, and the one hit (a2) scanned before c.
+        let dir = temp_dir("fault-entry-k");
+        let m = module_with(&[("a", 1), ("a2", 1), ("b", 2), ("c", 3), ("d", 4)]);
+        let opts = StoreOptions { faults: first_write_fault_at(1, 3), ..StoreOptions::default() };
+        let mut store = FunctionStore::open_with(&dir, opts).unwrap();
+        store.ingest_module(&m).unwrap_err();
+        assert_eq!(store.ops, 3, "one op per record up to the fault");
+        assert_eq!((store.len(), store.misses(), store.hits()), (2, 2, 1));
+        assert_disk_agrees(&store, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Entries a, b (ops 1-2), bumps a then b (ops 3-4): a fault at
+        // b's bump keeps both entries and a's bump.
+        let dir = temp_dir("fault-bump-k");
+        let m = module_with(&[("a", 1), ("a2", 1), ("b", 2), ("b2", 2)]);
+        let opts = StoreOptions { faults: first_write_fault_at(1, 4), ..StoreOptions::default() };
+        let mut store = FunctionStore::open_with(&dir, opts).unwrap();
+        store.ingest_module(&m).unwrap_err();
+        assert_eq!(store.ops, 4);
+        let seen: Vec<u64> = store.entries().map(|e| e.seen).collect();
+        assert_eq!(seen, [2, 1]);
+        assert_eq!((store.misses(), store.hits()), (2, 2));
+        assert_disk_agrees(&store, &dir);
+
+        // Ingesting c takes ops 5 (its entry) and 6 (the fsync). A replay
+        // of a, b, c, a then bumps a+2, b+1, c+1 at ops 7-9; a fault at
+        // the second bump keeps a's only.
+        store.set_faults(FaultPlan::disabled());
+        let (_, hashes) = store.ingest_module_hashed(&module_with(&[("c", 3)])).unwrap();
+        assert_eq!(store.ops, 6);
+        let [a, b, c] = [store.entries[0].hash, store.entries[1].hash, hashes[0]];
+        store.set_faults(first_write_fault_at(7, 8));
+        store.bump_seen(&[a, b, c, a]).unwrap_err();
+        assert_eq!(store.ops, 8);
+        assert_eq!(seen_counts(&store), [(a, 4), (b, 1), (c, 1)]);
+        assert_disk_agrees(&store, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batched_log_is_each_record_framed_in_order() {
+        let dir = temp_dir("frames");
+        let opts = StoreOptions { auto_compact: false, ..StoreOptions::default() };
+        let mut store = FunctionStore::open_with(&dir, opts).unwrap();
+        let m = module_with(&[("a", 1), ("b", 2), ("a2", 1)]);
+        let (_, hashes) = store.ingest_module_hashed(&m).unwrap();
+        store.ingest_module(&m).unwrap();
+        let [a, b] = [hashes[0], hashes[1]];
+        store.bump_seen(&[b, a, b]).unwrap();
+        let first = |h| entry_payload(&StoreEntry { seen: 1, ..store.get(h).unwrap().clone() });
+        let seen = |h: ContentHash, delta: u64| format!("seen {h} +{delta}").into_bytes();
+        let records = [
+            // The first ingest: a and b are new, a2 repeats a.
+            first(a),
+            first(b),
+            seen(a, 1),
+            // The re-ingest, then the replay, in first-repeat order.
+            seen(a, 2),
+            seen(b, 1),
+            seen(b, 2),
+            seen(a, 1),
+        ];
+        let mut expected = format!("{STORE_HEADER_V2}\n").into_bytes();
+        for record in &records {
+            expected.extend_from_slice(&frame(record));
+        }
+        assert_eq!(std::fs::read(dir.join(STORE_FILE)).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_returns_the_canonical_hash_of_each_defined_function() {
+        let mut m = module_with(&[("a", 1), ("b", 2)]);
+        let i32t = m.types.i32();
+        let fn_ty = m.types.func(i32t, vec![i32t]);
+        m.create_function("ext", fn_ty); // a declaration: skipped
+        let dup = m.create_function("a_again", fn_ty); // the body of a
+        let mut b = FuncBuilder::new(&mut m, dup);
+        let e = b.block("entry");
+        b.switch_to(e);
+        let mut v = Value::Param(0);
+        for j in 0..6 {
+            v = b.add(v, b.const_i32(1 + j));
+        }
+        b.ret(Some(v));
+        let expected: Vec<ContentHash> = m
+            .func_ids()
+            .into_iter()
+            .filter(|&f| !m.func(f).is_declaration())
+            .map(|f| ContentHash::of_bytes(canonical_function_text(&m, f).as_bytes()))
+            .collect();
+        let mut store = FunctionStore::in_memory();
+        let (stats, hashes) = store.ingest_module_hashed(&m).unwrap();
+        assert_eq!(hashes, expected);
+        assert_eq!(hashes.len(), 3);
+        assert_eq!(hashes[2], hashes[0], "a duplicate body hashes like its first copy");
+        assert_eq!((stats.functions, stats.misses, stats.hits), (3, 2, 1));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! checked *before* the corresponding bytes are read or buffered, so a
 //! hostile `Content-Length: 999999999999` costs nothing.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request line (method + target + version).
@@ -194,53 +194,63 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response with a `Content-Length` body.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Capacity of the response writer: a few [`CHUNK`]s, so a merged
+/// module goes out in a handful of writes instead of three per chunk.
+const WRITE_BUF: usize = 4 * CHUNK;
+
+/// The status line, `Content-Type`, the framing header, the caller's
+/// headers, and the blank line.
+fn write_head(
+    out: &mut impl Write,
     status: u16,
     headers: &[(&str, String)],
     content_type: &str,
-    body: &[u8],
+    framing: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        reason(status),
-        body.len()
-    );
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{framing}\r\n",
+        reason(status)
+    )?;
     for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    out.write_all(b"\r\n")
 }
 
-/// Streams a response body with chunked transfer encoding, [`CHUNK`]
-/// bytes at a time — the daemon's path for merged-module bodies, whose
-/// size it knows but whose transfer should start before the whole
-/// response is assembled into one buffer on the socket.
-pub fn write_chunked_response(
-    stream: &mut TcpStream,
+/// Writes a complete response with a `Content-Length` body.
+pub fn write_response(
+    stream: &TcpStream,
     status: u16,
     headers: &[(&str, String)],
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\n",
-        reason(status)
-    );
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+    let mut out = BufWriter::with_capacity(WRITE_BUF, stream);
+    let framing = format!("Content-Length: {}", body.len());
+    write_head(&mut out, status, headers, content_type, &framing)?;
+    out.write_all(body)?;
+    out.flush()
+}
+
+/// Writes a response body with chunked transfer encoding, [`CHUNK`]
+/// bytes per chunk — the daemon's framing for merged-module bodies. The
+/// body is already in memory; the chunks go out through one buffered
+/// writer a few chunks at a time.
+pub fn write_chunked_response(
+    stream: &TcpStream,
+    status: u16,
+    headers: &[(&str, String)],
+    content_type: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut out = BufWriter::with_capacity(WRITE_BUF, stream);
+    write_head(&mut out, status, headers, content_type, "Transfer-Encoding: chunked")?;
     for chunk in body.chunks(CHUNK) {
-        stream.write_all(format!("{:x}\r\n", chunk.len()).as_bytes())?;
-        stream.write_all(chunk)?;
-        stream.write_all(b"\r\n")?;
+        write!(out, "{:x}\r\n", chunk.len())?;
+        out.write_all(chunk)?;
+        out.write_all(b"\r\n")?;
     }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    out.write_all(b"0\r\n\r\n")?;
+    out.flush()
 }

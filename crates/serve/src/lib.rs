@@ -64,7 +64,7 @@ use fmsa::telemetry::metrics::latency_buckets;
 use fmsa::telemetry::{json_escape, trace, DecisionOutcome, Registry};
 use fmsa::{Config, ContentHash, Error, MergeOutcome, MergeSession, StoreOptions};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -237,9 +237,7 @@ impl RunningServer {
     /// join the accept loop.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        self.wake_and_join();
     }
 
     /// Hard stop: no drain, no flush, no compaction — the closest an
@@ -249,9 +247,23 @@ impl RunningServer {
     pub fn kill(&mut self) {
         self.hard.store(true, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
+        self.wake_and_join();
+    }
+
+    /// Connects once to the listener so its blocking `accept` returns
+    /// and the loop sees the stop flag, then joins it. An unspecified
+    /// bind address (`0.0.0.0`, `::`) is reached over loopback.
+    fn wake_and_join(&mut self) {
+        let Some(join) = self.join.take() else { return };
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let _ = TcpStream::connect(wake);
+        let _ = join.join();
     }
 }
 
@@ -295,7 +307,6 @@ impl Server {
     /// unless hard-killed — drains in-flight connections and flushes +
     /// compacts the store.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let ctx = Ctx {
             session: Arc::clone(&self.session),
             cfg: Arc::clone(&self.cfg),
@@ -305,19 +316,18 @@ impl Server {
             started: self.started,
             started_unix: self.started_unix,
         };
-        while !self.stop.load(Ordering::SeqCst) {
-            let (mut stream, peer) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                    continue;
-                }
-                Err(_) => continue,
-            };
+        loop {
+            let accepted = self.listener.accept();
+            // Checked after every accept: the connection that
+            // `RunningServer::stop`/`kill` opens to wake this loop is
+            // neither served nor shed.
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok((stream, peer)) = accepted else { continue };
             let t0 = Instant::now();
             if ctx.gauges.active.load(Ordering::SeqCst) >= self.cfg.max_connections {
                 ctx.gauges.shed_connections.fetch_add(1, Ordering::SeqCst);
-                let _ = stream.set_nonblocking(false);
                 let body = Json::obj([
                     ("error", Json::s("too many connections")),
                     ("limit", Json::i(self.cfg.max_connections as i128)),
@@ -325,7 +335,7 @@ impl Server {
                 ])
                 .0;
                 let _ = http::write_response(
-                    &mut stream,
+                    &stream,
                     503,
                     &retry_after(&self.cfg),
                     "application/json",
@@ -337,8 +347,7 @@ impl Server {
             ctx.gauges.active.fetch_add(1, Ordering::SeqCst);
             let ctx = ctx.clone();
             std::thread::spawn(move || {
-                let _ = stream.set_nonblocking(false);
-                let _ = handle_connection(stream, peer, &ctx);
+                let _ = handle_connection(&stream, peer, &ctx);
                 ctx.gauges.active.fetch_sub(1, Ordering::SeqCst);
             });
         }
@@ -380,23 +389,23 @@ fn retry_after(cfg: &ServerConfig) -> Vec<(&'static str, String)> {
     vec![("Retry-After", cfg.retry_after_secs.to_string())]
 }
 
-fn handle_connection(mut stream: TcpStream, peer: SocketAddr, ctx: &Ctx) -> std::io::Result<()> {
+fn handle_connection(stream: &TcpStream, peer: SocketAddr, ctx: &Ctx) -> std::io::Result<()> {
     let _conn_span = trace::span("serve", "connection");
     debug_log(ctx, peer, "accept");
-    let result = serve_requests(&mut stream, peer, ctx);
+    let result = serve_requests(stream, peer, ctx);
     debug_log(ctx, peer, "close");
     result
 }
 
-fn serve_requests(stream: &mut TcpStream, peer: SocketAddr, ctx: &Ctx) -> std::io::Result<()> {
+/// Serves a connection's requests in order. One reader lives as long as
+/// the connection, so bytes of a pipelined request that arrived with the
+/// previous one stay buffered for the next read.
+fn serve_requests(stream: &TcpStream, peer: SocketAddr, ctx: &Ctx) -> std::io::Result<()> {
     stream.set_read_timeout(Some(ctx.cfg.read_timeout))?;
+    let mut reader = BufReader::new(stream);
     loop {
         let t0 = Instant::now();
-        let request = {
-            let mut reader = BufReader::new(&*stream);
-            http::read_request(&mut reader, ctx.cfg.max_body)
-        };
-        let request = match request {
+        let request = match http::read_request(&mut reader, ctx.cfg.max_body) {
             Ok(r) => r,
             Err(RequestError::Closed) | Err(RequestError::Io(_)) => return Ok(()),
             Err(RequestError::Malformed(msg)) => {
@@ -550,7 +559,7 @@ fn build_profile() -> &'static str {
 /// Writes a fixed-length response and reports `(status, body bytes)`
 /// so the caller can record metrics and the access log.
 fn send(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     status: u16,
     headers: &[(&str, String)],
     content_type: &str,
@@ -562,7 +571,7 @@ fn send(
 
 /// Routes one request, writes its response, and returns the status and
 /// body size for the request record.
-fn respond(stream: &mut TcpStream, request: &Request, ctx: &Ctx) -> std::io::Result<(u16, u64)> {
+fn respond(stream: &TcpStream, request: &Request, ctx: &Ctx) -> std::io::Result<(u16, u64)> {
     let (path, query) = request.path_query();
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => send(stream, 200, &[], "text/plain", b"ok\n"),
@@ -699,11 +708,7 @@ fn respond(stream: &mut TcpStream, request: &Request, ctx: &Ctx) -> std::io::Res
 
 /// `POST /v1/modules`: merge-queue admission, the optional request
 /// deadline, and the success/error responses.
-fn serve_merge(
-    stream: &mut TcpStream,
-    request: &Request,
-    ctx: &Ctx,
-) -> std::io::Result<(u16, u64)> {
+fn serve_merge(stream: &TcpStream, request: &Request, ctx: &Ctx) -> std::io::Result<(u16, u64)> {
     // Admission control first: shedding is the one thing the daemon must
     // still do quickly when it is saturated.
     let pending = ctx.gauges.pending_merges.fetch_add(1, Ordering::SeqCst);

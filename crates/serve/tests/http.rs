@@ -258,6 +258,43 @@ fn keep_alive_serves_multiple_requests_on_one_connection() {
 }
 
 #[test]
+fn pipelined_keep_alive_requests_are_both_answered_in_order() {
+    let server = boot(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // A daemon that dropped the bytes read past the first request would
+    // leave the second unanswered until its read timeout.
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nGET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut reader = std::io::BufReader::new(&stream);
+    let first = client::read_response(&mut reader).unwrap();
+    assert_eq!((first.status, first.body.as_slice()), (200, b"ok\n".as_slice()));
+    let second = client::read_response(&mut reader).expect("second pipelined response");
+    assert_eq!(second.status, 404, "responses must come back in request order");
+}
+
+#[test]
+fn sequential_requests_do_not_wait_on_the_accept_loop() {
+    // Every request opens a fresh connection; an accept loop that slept
+    // 2 ms between polls would charge each one up to a tick, 400 ms or
+    // more per round. Up to five rounds run, so a round that a busy host
+    // preempted does not fail the test; a polling loop fails them all.
+    let server = boot(ServerConfig::default());
+    assert_eq!(client::get(server.addr(), "/healthz").unwrap().status, 200);
+    let limit = std::time::Duration::from_millis(200);
+    let mut rounds = Vec::new();
+    while rounds.len() < 5 && rounds.iter().all(|&took| took >= limit) {
+        let t0 = std::time::Instant::now();
+        for _ in 0..200 {
+            assert_eq!(client::get(server.addr(), "/healthz").unwrap().status, 200);
+        }
+        rounds.push(t0.elapsed());
+    }
+    assert!(rounds.iter().any(|&took| took < limit), "rounds of 200 requests took {rounds:?}");
+}
+
+#[test]
 fn metrics_endpoint_serves_prometheus_exposition() {
     let server = boot(ServerConfig::default());
     // One real merge so request, cache, store, and decision series all

@@ -162,3 +162,31 @@ fn graceful_shutdown_drains_in_flight_upload_then_compacts() {
     assert_eq!(store.dead_bytes(), 0, "shutdown compaction leaves no dead bytes");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `f` on a helper thread and fails unless it returns within
+/// `limit` — a stop that never wakes the accept loop hangs instead.
+fn returns_within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    assert!(rx.recv_timeout(limit).is_ok(), "did not return within {limit:?}");
+}
+
+#[test]
+fn idle_daemon_stops_and_dies_promptly() {
+    let mut stopped = boot(ServerConfig::default());
+    returns_within(Duration::from_secs(5), move || stopped.stop());
+    let mut killed = boot(ServerConfig::default());
+    returns_within(Duration::from_secs(5), move || killed.kill());
+}
+
+#[test]
+fn daemon_bound_to_the_unspecified_address_stops() {
+    let mut server = boot(ServerConfig { addr: "0.0.0.0:0".to_owned(), ..ServerConfig::default() });
+    assert!(server.addr().ip().is_unspecified());
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+    assert_eq!(client::get(loopback, "/healthz").unwrap().status, 200);
+    returns_within(Duration::from_secs(5), move || server.stop());
+}
