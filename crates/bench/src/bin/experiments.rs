@@ -29,12 +29,7 @@
 //! configuration (the `BENCH_ci.json` artifact), and `--check` turns
 //! parity-budget violations (LSH vs exact, pipeline vs sequential,
 //! daemon vs batch) into a non-zero exit for the CI gate.
-//! `merge-parallel` and `scale` additionally honour `--spec-depth N`
-//! (speculative codegen depth per subject; default: every pair the Δ
-//! bound cannot rule out) and
-//! `--spec-batch N` (subjects scheduled per generation; default: auto) —
-//! the corresponding knobs of `fmsa::Config`. `scale` honours
-//! `--functions N` (corpus size; default 1 000 000, or 20 000 with
+//! `scale` honours `--functions N` (corpus size; default 1 000 000, or 20 000 with
 //! `--fast`) and `--chunk N` (streamed chunk size): it processes the
 //! corpus one materialized chunk at a time so peak memory stays bounded
 //! by the chunk, then measures a threads-vs-wall scaling curve on a
@@ -47,8 +42,9 @@
 //! PATH`: the run records flight-recorder spans and writes Chrome
 //! trace-event JSON (Perfetto-viewable) on exit. `obs` measures the
 //! telemetry-disabled vs tracing-enabled overhead (gated ≤ 3% under
-//! `--check`), revalidates output bit-identity with tracing on, checks
-//! span nesting, reconciles the merge decision log against
+//! `--check`), revalidates output bit-identity with tracing on, requires
+//! the same decision log at every thread count, checks span nesting,
+//! reconciles the merge decision log against
 //! `PipelineStats`, fails on any decision record whose `delta` exceeds
 //! its `delta_bound` or on Δ-gate recall below 0.95, and scrapes a
 //! booted daemon's `/metrics`. `scale`,
@@ -87,27 +83,12 @@ fn main() {
             }
         }
     };
-    let mut overrides = Config::new();
-    if let Some(depth) = flag_value("--spec-depth") {
-        overrides = overrides.spec_depth(depth);
-    }
-    if let Some(batch) = flag_value("--spec-batch") {
-        overrides = overrides.batch(batch);
-    }
     let budget_secs = flag_value("--budget").unwrap_or(30);
     let scale_functions = flag_value("--functions");
     let scale_chunk = flag_value("--chunk");
     let trace_out =
         args.iter().position(|a| a == "--trace-out").and_then(|k| args.get(k + 1)).cloned();
-    let value_flags = [
-        "--json",
-        "--spec-depth",
-        "--spec-batch",
-        "--budget",
-        "--functions",
-        "--chunk",
-        "--trace-out",
-    ];
+    let value_flags = ["--json", "--budget", "--functions", "--chunk", "--trace-out"];
     let cmd = args
         .iter()
         .enumerate()
@@ -146,12 +127,12 @@ fn main() {
         "fig14" => fig14(&spec),
         "ablation-params" => ablation_params(&spec),
         "search" => search_scalability(fast, &mut report),
-        "merge-parallel" => merge_parallel(fast, &overrides, &mut report),
-        "wasm" => wasm_frontend(fast, &overrides, &mut report),
+        "merge-parallel" => merge_parallel(fast, &mut report),
+        "wasm" => wasm_frontend(fast, &mut report),
         "fuzz" => fuzz_farm(fast, budget_secs, &mut report),
         "faults" => fault_matrix(fast, &mut report),
         "serve-bench" => serve_bench(fast, &mut report),
-        "scale" => scale(fast, scale_functions, scale_chunk, &overrides, &mut report),
+        "scale" => scale(fast, scale_functions, scale_chunk, &mut report),
         "chaos" => chaos(fast, &mut report),
         "obs" => obs(fast, &mut report),
         "all" => {
@@ -165,8 +146,8 @@ fn main() {
             fig14(&spec);
             ablation_params(&spec);
             search_scalability(fast, &mut report);
-            merge_parallel(fast, &overrides, &mut report);
-            wasm_frontend(fast, &overrides, &mut report);
+            merge_parallel(fast, &mut report);
+            wasm_frontend(fast, &mut report);
             fuzz_farm(fast, budget_secs, &mut report);
             fault_matrix(fast, &mut report);
             serve_bench(fast, &mut report);
@@ -520,21 +501,12 @@ fn search_scalability(fast: bool, report: &mut Report) {
 
 // ---------------------------------------------------------------- pipeline
 
-fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
+fn merge_parallel(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
     let auto = Config::new().pipeline_options().resolved_threads();
-    let spec_depth_label = if overrides.spec_depth == usize::MAX {
-        "all".to_owned()
-    } else {
-        overrides.spec_depth.to_string()
-    };
-    println!(
-        "\n== Parallel merge pipeline vs sequential driver (t=5, lsh search, \
-         spec-depth={spec_depth_label}, spec-batch={}) ==",
-        if overrides.batch == 0 { "auto".to_owned() } else { overrides.batch.to_string() }
-    );
+    println!("\n== Parallel merge pipeline vs sequential driver (t=5, lsh search) ==");
     println!(
         "{:>6} {:<11} {:>7} {:>10} {:>8} {:>11} {:>10} {:>8}",
         "#fns", "driver", "threads", "wall", "merges", "reduction%", "identical", "speedup"
@@ -542,7 +514,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
     let sizes: &[usize] = if fast { &[100, 1000] } else { &[100, 1000, 5000] };
     for &n in sizes {
         let base = clone_swarm_module(&SwarmConfig::with_functions(n));
-        let cfg = overrides.clone().threshold(5).search(SearchStrategy::lsh());
+        let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
         let mut m_seq = base.clone();
         let t0 = std::time::Instant::now();
         let seq = run_fmsa(&mut m_seq, &cfg.fmsa_options());
@@ -570,11 +542,11 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             ("reduction_percent", Json::F(seq.reduction_percent())),
             ("wall_s", Json::F(t_seq.as_secs_f64())),
         ]);
-        // threads=1 is the PR 2-style no-speculation baseline; threads=2
-        // exercises speculative codegen + transplant even on a single
-        // core; threads=4 adds multi-partition parallel call-site
-        // rewriting (CI runs `--check` over all three); `auto` adds the
-        // machine's real parallelism when it offers more.
+        // threads=1 runs without a prepare stage; threads=2 adds the
+        // parallel schedule and prepare (alignment + Δ bound) stages;
+        // threads=4 adds multi-partition parallel call-site rewriting
+        // (CI runs `--check` over all three); `auto` adds the machine's
+        // real parallelism when it offers more.
         let mut thread_counts = vec![1usize, 2, 4];
         if auto > 4 {
             thread_counts.push(auto);
@@ -601,42 +573,25 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             let p = par.pipeline.unwrap_or_default();
             println!(
                 "       stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-                 prepare {:.2?} (cpu {:.2?}, spec codegen {:.2?}); align cpu {:.2?}, \
-                 bound cpu {:.2?}; \
-                 commit {:.2?} (codegen {:.2?}, transplant {:.2?}, rewrite {:.2?}); \
-                 spec bodies built {} / used {} (committed {}) / fallback {}; \
-                 commit barriers {} (batched {} merges, {} fallback)",
+                 prepare {:.2?} (cpu {:.2?}); align cpu {:.2?}, bound cpu {:.2?}; \
+                 commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); \
+                 generations {}, commit barriers {} (batched {} merges, {} fallback)",
                 p.schedule,
                 p.schedule_query,
                 p.schedule_prefill,
                 p.schedule_cpu,
                 p.prepare,
                 p.prepare_cpu,
-                p.spec_codegen,
                 p.align_cpu,
                 p.bound_cpu,
                 p.commit,
                 p.commit_codegen,
-                p.transplant,
                 p.rewrite,
-                p.spec_built,
-                p.spec_used,
-                p.spec_committed,
-                p.spec_fallback,
+                p.generations,
                 p.commit_barriers,
                 p.batched_merges,
                 p.batch_fallback,
             );
-            if p.spec_built > 0 {
-                println!(
-                    "       scratch setup: {} COW-shared / {} cloned stores, \
-                     {} suffix types interned, ~{:.1} MiB of store copies avoided",
-                    p.scratch_cow_shared,
-                    p.scratch_cloned,
-                    p.scratch_suffix_types,
-                    p.scratch_bytes_avoided as f64 / (1024.0 * 1024.0),
-                );
-            }
             // Header pairs first, then the canonical PipelineStats field
             // list (shared with `scale --json` and `fmsa_opt --stats`).
             // `threads` is already in the header, so drop the duplicate.
@@ -647,8 +602,6 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
                 ("search", Json::S("lsh".into())),
                 ("alignment", Json::S("needleman-wunsch".into())),
                 ("threads", Json::I(threads as i64)),
-                ("spec_depth", Json::S(spec_depth_label.clone())),
-                ("spec_batch", Json::I(pcfg.batch as i64)),
                 ("merges", Json::I(par.merges as i64)),
                 ("reduction_percent", Json::F(par.reduction_percent())),
                 ("wall_s", Json::F(t_par.as_secs_f64())),
@@ -674,7 +627,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
         }
     }
     println!(
-        "(pipeline threads=1 disables speculation; its win over the sequential driver is \
+        "(pipeline threads=1 has no prepare stage; its win over the sequential driver is \
          the linearization cache, the call-site index, and the pre-codegen Δ gate)"
     );
 }
@@ -700,13 +653,7 @@ fn peak_rss_mib() -> Option<f64> {
 /// driver at every measured thread count, and — when the runner has ≥ 2
 /// (resp. ≥ 4) cores — threads=2 (resp. threads=4) must beat threads=1
 /// wall-clock.
-fn scale(
-    fast: bool,
-    functions: Option<usize>,
-    chunk: Option<usize>,
-    overrides: &Config,
-    report: &mut Report,
-) {
+fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mut Report) {
     use fmsa_core::pipeline::PipelineStats;
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
@@ -716,7 +663,7 @@ fn scale(
     let seed = 0x5ca1_e001u64;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let auto = Config::new().pipeline_options().resolved_threads();
-    let cfg = overrides.clone().threshold(5).search(SearchStrategy::lsh());
+    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
     println!(
         "\n== Million-function scale: streamed corpus of {total} functions in \
          chunks of {chunk} (t=5, lsh search, {cores} cores) =="
@@ -888,7 +835,7 @@ fn scale(
 /// timers (decode/lower/verify) and per-stage pipeline timers, and gates
 /// both merge-output parity across 1/2/4 threads and a non-trivial size
 /// reduction.
-fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
+fn wasm_frontend(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
@@ -932,7 +879,7 @@ fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
             report.fail(format!("wasm n={n}: lowered module invalid: {}", errs[0]));
             continue;
         }
-        let cfg = overrides.clone().threshold(5).search(SearchStrategy::Auto);
+        let cfg = Config::new().threshold(5).search(SearchStrategy::Auto);
         let mut first: Option<(String, f64)> = None;
         for threads in [1usize, 2, 4] {
             let mut m = base.clone();
@@ -977,10 +924,8 @@ fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
                 ("identical_to_threads1", Json::B(identical)),
                 ("schedule_s", Json::F(p.schedule.as_secs_f64())),
                 ("prepare_s", Json::F(p.prepare.as_secs_f64())),
-                ("spec_codegen_s", Json::F(p.spec_codegen.as_secs_f64())),
                 ("commit_s", Json::F(p.commit.as_secs_f64())),
                 ("commit_codegen_s", Json::F(p.commit_codegen.as_secs_f64())),
-                ("transplant_s", Json::F(p.transplant.as_secs_f64())),
                 ("rewrite_s", Json::F(p.rewrite.as_secs_f64())),
             ]);
             if !identical {
@@ -1133,8 +1078,7 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
 /// deterministic `FaultPlan` forcing panics and verifier failures, and
 /// gate the graceful-degradation contract — the run completes, only
 /// planned pairs are quarantined, and output plus quarantine summary are
-/// bit-identical at 1, 2, and 4 threads. A scratch-poison-only plan must
-/// degrade to the inline path with no quarantine and unchanged output.
+/// bit-identical at 1, 2, and 4 threads.
 fn fault_matrix(fast: bool, report: &mut Report) {
     use fmsa_core::quarantine::QuarantineStage;
     use fmsa_core::SearchStrategy;
@@ -1145,151 +1089,101 @@ fn fault_matrix(fast: bool, report: &mut Report) {
     let n = if fast { 600 } else { 5000 };
     println!("\n== Fault-injection matrix: quarantine and graceful degradation (n={n}) ==");
     println!(
-        "{:>9} {:>7} {:>10} {:>8} {:>6} {:>8} {:>7} {:>7} {:>10} {:>9}",
-        "plan",
-        "threads",
-        "wall",
-        "merges",
-        "quar",
-        "panics",
-        "poison",
-        "verify",
-        "identical",
-        "summary="
+        "{:>9} {:>7} {:>10} {:>8} {:>6} {:>8} {:>7} {:>10} {:>9}",
+        "plan", "threads", "wall", "merges", "quar", "panics", "verify", "identical", "summary="
     );
     let base = clone_swarm_module(&SwarmConfig::with_functions(n));
     let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
-    let plan = FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL);
-    let poison_only = FaultPlan::new(0xFA17, 1_000_000, &[FaultSite::ScratchPoison]);
-    // The clean 4-thread output is the reference the poison-only run must
-    // reproduce exactly (spec-wave faults degrade, they never quarantine).
-    let mut clean = base.clone();
-    {
-        let clean_cfg = cfg.clone().parallel(4);
-        run_fmsa_pipeline(&mut clean, &clean_cfg.fmsa_options(), &clean_cfg.pipeline_options());
-    }
-    let clean_text = print_module(&clean);
-    for (label, faults) in [("injected", plan), ("poison", poison_only)] {
-        let mut reference: Option<(String, String)> = None;
-        for threads in [1usize, 2, 4] {
-            let mut m = base.clone();
-            let pcfg = cfg.clone().parallel(threads).faults(faults);
-            let t0 = std::time::Instant::now();
-            let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
-            let wall = t0.elapsed();
-            let errs = fmsa_ir::verify_module(&m);
-            if !errs.is_empty() {
-                report.fail(format!(
-                    "faults {label} threads={threads}: output module invalid: {}",
-                    errs[0]
-                ));
+    let (label, faults) = ("injected", FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL));
+    let mut reference: Option<(String, String)> = None;
+    for threads in [1usize, 2, 4] {
+        let mut m = base.clone();
+        let pcfg = cfg.clone().parallel(threads).faults(faults);
+        let t0 = std::time::Instant::now();
+        let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let wall = t0.elapsed();
+        let errs = fmsa_ir::verify_module(&m);
+        if !errs.is_empty() {
+            report.fail(format!(
+                "faults {label} threads={threads}: output module invalid: {}",
+                errs[0]
+            ));
+        }
+        let text = print_module(&m);
+        let summary = stats.quarantine.summary();
+        let (identical, summary_same) = match &reference {
+            None => {
+                reference = Some((text, summary));
+                (true, true)
             }
-            let text = print_module(&m);
-            let summary = stats.quarantine.summary();
-            let (identical, summary_same) = match &reference {
-                None => {
-                    reference = Some((text.clone(), summary.clone()));
-                    (true, true)
-                }
-                Some((rt, rs)) => (*rt == text, *rs == summary),
-            };
-            let p = stats.pipeline.unwrap_or_default();
-            println!(
-                "{:>9} {:>7} {:>9.2?} {:>8} {:>6} {:>8} {:>7} {:>7} {:>10} {:>9}",
-                label,
-                threads,
-                wall,
-                stats.merges,
-                p.quarantined(),
-                p.panics_caught,
-                p.poisoned_scratch,
-                p.quarantined_verify,
-                if identical { "yes" } else { "NO" },
-                if summary_same { "same" } else { "DIFFERS" }
-            );
-            report.record(&[
-                ("experiment", Json::S("faults".into())),
-                ("plan", Json::S(label.into())),
-                ("functions", Json::I(n as i64)),
-                ("threads", Json::I(threads as i64)),
-                ("rate_ppm", Json::I(faults.rate_ppm as i64)),
-                ("merges", Json::I(stats.merges as i64)),
-                ("quarantined", Json::I(p.quarantined() as i64)),
-                ("quarantined_align", Json::I(p.quarantined_align as i64)),
-                ("quarantined_codegen", Json::I(p.quarantined_codegen as i64)),
-                ("quarantined_verify", Json::I(p.quarantined_verify as i64)),
-                ("panics_caught", Json::I(p.panics_caught as i64)),
-                ("poisoned_scratch", Json::I(p.poisoned_scratch as i64)),
-                ("wall_s", Json::F(wall.as_secs_f64())),
-                ("identical_to_threads1", Json::B(identical)),
-                ("quarantine_summary_identical", Json::B(summary_same)),
-            ]);
-            if !identical || !summary_same {
-                report.fail(format!(
-                    "faults {label} threads={threads}: output or quarantine set diverges \
-                     from threads=1"
-                ));
-            }
-            // Every quarantined pair must trace back to the plan: the
-            // corpus itself is healthy, so an unplanned entry means the
-            // fault boundary leaked.
-            for e in stats.quarantine.entries() {
-                let site = match e.stage {
-                    QuarantineStage::Align => FaultSite::Align,
-                    QuarantineStage::Codegen => FaultSite::Codegen,
-                    QuarantineStage::Verify => FaultSite::Verify,
-                    QuarantineStage::Mismatch => {
-                        report.fail(format!(
-                            "faults {label}: unexpected mismatch quarantine for {},{}",
-                            e.f1, e.f2
-                        ));
-                        continue;
-                    }
-                };
-                if !faults.fires(site, &e.f1, &e.f2) {
+            Some((rt, rs)) => (*rt == text, *rs == summary),
+        };
+        let p = stats.pipeline.unwrap_or_default();
+        println!(
+            "{:>9} {:>7} {:>9.2?} {:>8} {:>6} {:>8} {:>7} {:>10} {:>9}",
+            label,
+            threads,
+            wall,
+            stats.merges,
+            p.quarantined(),
+            p.panics_caught,
+            p.quarantined_verify,
+            if identical { "yes" } else { "NO" },
+            if summary_same { "same" } else { "DIFFERS" }
+        );
+        report.record(&[
+            ("experiment", Json::S("faults".into())),
+            ("plan", Json::S(label.into())),
+            ("functions", Json::I(n as i64)),
+            ("threads", Json::I(threads as i64)),
+            ("rate_ppm", Json::I(faults.rate_ppm as i64)),
+            ("merges", Json::I(stats.merges as i64)),
+            ("quarantined", Json::I(p.quarantined() as i64)),
+            ("quarantined_align", Json::I(p.quarantined_align as i64)),
+            ("quarantined_codegen", Json::I(p.quarantined_codegen as i64)),
+            ("quarantined_verify", Json::I(p.quarantined_verify as i64)),
+            ("panics_caught", Json::I(p.panics_caught as i64)),
+            ("wall_s", Json::F(wall.as_secs_f64())),
+            ("identical_to_threads1", Json::B(identical)),
+            ("quarantine_summary_identical", Json::B(summary_same)),
+        ]);
+        if !identical || !summary_same {
+            report.fail(format!(
+                "faults {label} threads={threads}: output or quarantine set diverges \
+                 from threads=1"
+            ));
+        }
+        // Every quarantined pair must trace back to the plan: the
+        // corpus itself is healthy, so an unplanned entry means the
+        // fault boundary leaked.
+        for e in stats.quarantine.entries() {
+            let site = match e.stage {
+                QuarantineStage::Align => FaultSite::Align,
+                QuarantineStage::Codegen => FaultSite::Codegen,
+                QuarantineStage::Verify => FaultSite::Verify,
+                QuarantineStage::Mismatch => {
                     report.fail(format!(
-                        "faults {label}: pair {},{} quarantined at {} without a planned fault",
-                        e.f1, e.f2, e.stage
+                        "faults {label}: unexpected mismatch quarantine for {},{}",
+                        e.f1, e.f2
                     ));
+                    continue;
                 }
-            }
-            match label {
-                "injected" => {
-                    if p.quarantined() == 0 {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: plan fired no quarantines — \
-                             the matrix is not exercising the boundaries"
-                        ));
-                    }
-                }
-                _ => {
-                    if p.quarantined() > 0 {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: scratch poison must degrade, \
-                             not quarantine ({} quarantined)",
-                            p.quarantined()
-                        ));
-                    }
-                    if threads > 1 && p.poisoned_scratch == 0 {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: poison plan never poisoned \
-                             a scratch body"
-                        ));
-                    }
-                    if text != clean_text {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: degraded output differs from \
-                             the fault-free run"
-                        ));
-                    }
-                }
+            };
+            if !faults.fires(site, &e.f1, &e.f2) {
+                report.fail(format!(
+                    "faults {label}: pair {},{} quarantined at {} without a planned fault",
+                    e.f1, e.f2, e.stage
+                ));
             }
         }
+        if p.quarantined() == 0 {
+            report.fail(format!(
+                "faults {label} threads={threads}: plan fired no quarantines — \
+                 the matrix is not exercising the boundaries"
+            ));
+        }
     }
-    println!(
-        "(injected faults quarantine deterministically on the commit path; spec-wave \
-         faults degrade to inline codegen with no quarantine)"
-    );
+    println!("(injected faults quarantine deterministically on the commit path)");
 }
 
 // ---------------------------------------------------------------- ablation
@@ -1829,8 +1723,9 @@ const MIN_GATE_RECALL: f64 = 0.95;
 
 /// Flight-recorder smoke test: the CI `obs-smoke` job runs this with
 /// `--fast --check`. Gates (a) tracing overhead ≤ 3% over the
-/// telemetry-disabled run, (b) bit-identical output at 1/2/4/8 threads
-/// with tracing on and off, (c) well-nested Chrome-trace spans with the
+/// telemetry-disabled run, (b) bit-identical output and a byte-identical
+/// decision log at 1/2/4/8 threads with tracing on and off, (c)
+/// well-nested Chrome-trace spans with the
 /// expected span names, (d) exact reconciliation of the per-attempt
 /// decision log against `FmsaStats`/`PipelineStats`, with no record's
 /// real Δ above its pre-codegen `delta_bound` and gate recall of at
@@ -1903,13 +1798,16 @@ fn obs(fast: bool, report: &mut Report) {
 
     // (b) Bit-identity: the pipeline must print the sequential bytes at
     // every thread count, with the flight recorder both off and on —
-    // telemetry observes, it never decides.
+    // telemetry observes, it never decides — and its decision log must
+    // be byte-identical to the threads=1 run's.
     let seq_text = {
         let mut m = base.clone();
         run_fmsa(&mut m, &cfg.fmsa_options());
         print_module(&m)
     };
     let mut identical_all = true;
+    let mut decisions_all = true;
+    let mut reference_log: Option<String> = None;
     for traced in [false, true] {
         if traced {
             trace::enable();
@@ -1919,27 +1817,39 @@ fn obs(fast: bool, report: &mut Report) {
         for threads in [1usize, 2, 4, 8] {
             let pcfg = cfg.clone().parallel(threads);
             let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let st = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let tracing = if traced { "on" } else { "off" };
             let identical = print_module(&m) == seq_text;
             identical_all &= identical;
             if !identical {
                 report.fail(format!(
                     "obs: pipeline output diverges from sequential at threads={threads} \
-                     tracing={}",
-                    if traced { "on" } else { "off" }
+                     tracing={tracing}"
+                ));
+            }
+            let log = st.decisions.to_jsonl();
+            let same_log = *reference_log.get_or_insert_with(|| log.clone()) == log;
+            decisions_all &= same_log;
+            if !same_log {
+                report.fail(format!(
+                    "obs: decision log at threads={threads} tracing={tracing} differs from \
+                     the threads=1 log"
                 ));
             }
         }
     }
     println!(
-        "  bit-identity at threads 1/2/4/8, tracing off+on: {}",
-        if identical_all { "yes" } else { "NO" }
+        "  bit-identity at threads 1/2/4/8, tracing off+on: {}; decision log identical to \
+         threads=1: {}",
+        if identical_all { "yes" } else { "NO" },
+        if decisions_all { "yes" } else { "NO" }
     );
     report.record(&[
         ("experiment", Json::S("obs".into())),
         ("check", Json::S("bit-identity".into())),
         ("functions", Json::I(n as i64)),
         ("identical_to_sequential", Json::B(identical_all)),
+        ("decisions_identical_to_threads1", Json::B(decisions_all)),
     ]);
 
     // (c) Trace validity: the traced half of the identity loop left its
@@ -1991,11 +1901,7 @@ fn obs(fast: bool, report: &mut Report) {
             }
         };
         check("total()", d.total(), st.attempted as u64);
-        check(
-            "Merged+ConflictFallback",
-            d.count(O::Merged) + d.count(O::ConflictFallback),
-            st.merges as u64,
-        );
+        check("Merged", d.count(O::Merged), st.merges as u64);
         if let Some(p) = st.pipeline.as_ref() {
             check("GateSkipped", d.count(O::GateSkipped), p.gate_skipped as u64);
             check("Unprofitable", d.count(O::Unprofitable), p.gate_missed as u64);
@@ -2063,7 +1969,6 @@ fn obs(fast: bool, report: &mut Report) {
         ("attempted", Json::I(par_stats.attempted as i64)),
         ("decisions_total", Json::I(par_stats.decisions.total() as i64)),
         ("merged", Json::I(par_stats.decisions.count(O::Merged) as i64)),
-        ("conflict_fallback", Json::I(par_stats.decisions.count(O::ConflictFallback) as i64)),
         ("unprofitable", Json::I(par_stats.decisions.count(O::Unprofitable) as i64)),
         ("gate_skipped", Json::I(skipped as i64)),
         ("gate_recall", Json::F(recall)),

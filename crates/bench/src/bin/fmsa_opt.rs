@@ -5,8 +5,7 @@
 //! fmsa_opt <input.fir|input.wasm> [--technique identical|soa|fmsa]
 //!          [--threshold N] [--oracle] [--arch x86-64|arm-thumb]
 //!          [--canonicalize] [--search exact|lsh|auto] [--threads N]
-//!          [--spec-depth N] [--spec-batch N] [--exclude name,name]
-//!          [--stats] [--trace-out trace.json]
+//!          [--exclude name,name] [--stats] [--trace-out trace.json]
 //!          [--explain-merges decisions.jsonl] [-o <output.fir>]
 //! ```
 //!
@@ -19,12 +18,7 @@
 //! `--threads N` selects the parallel merge pipeline with `N` workers
 //! (`0` = available parallelism); without it the paper's sequential
 //! driver runs. Both produce bit-identical output (see
-//! `fmsa_core::pipeline`). `--spec-depth N` bounds how many of each
-//! subject's candidates that the pre-codegen Δ bound cannot rule out get
-//! speculative merge codegen per generation (`0` disables speculation,
-//! default: all) and
-//! `--spec-batch N` fixes the subjects scheduled per generation
-//! (default: auto); both only apply together with `--threads`.
+//! `fmsa_core::pipeline`).
 //!
 //! The `fmsa` technique is one [`fmsa::Config`] fed to [`fmsa::optimize`]
 //! — the same call the `fmsa-serve` daemon makes per upload, which is why
@@ -76,8 +70,8 @@ fn main() -> ExitCode {
             "usage: fmsa_opt <input.fir|input.wasm> [--technique identical|soa|fmsa] \
              [--threshold N] [--oracle] [--arch x86-64|arm-thumb] \
              [--canonicalize] [--search exact|lsh|auto] [--threads N] \
-             [--spec-depth N] [--spec-batch N] [--exclude a,b] [--stats] \
-             [--trace-out trace.json] [--explain-merges out.jsonl] [-o out.fir]"
+             [--exclude a,b] [--stats] [--trace-out trace.json] \
+             [--explain-merges out.jsonl] [-o out.fir]"
         );
         return ExitCode::from(2);
     }
@@ -90,8 +84,6 @@ fn main() -> ExitCode {
     let mut canonicalize = false;
     let mut search = SearchStrategy::Auto;
     let mut threads: Option<usize> = None;
-    let mut spec_depth: Option<usize> = None;
-    let mut spec_batch: Option<usize> = None;
     let mut exclude: HashSet<String> = HashSet::new();
     let mut stats = false;
     let mut trace_out: Option<String> = None;
@@ -120,20 +112,6 @@ fn main() -> ExitCode {
                 Some(Ok(n)) => threads = Some(n),
                 _ => {
                     eprintln!("fmsa_opt: --threads needs a number (0 = available parallelism)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--spec-depth" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => spec_depth = Some(n),
-                _ => {
-                    eprintln!("fmsa_opt: --spec-depth needs a number (0 disables speculation)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--spec-batch" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => spec_batch = Some(n),
-                _ => {
-                    eprintln!("fmsa_opt: --spec-batch needs a number (0 = auto)");
                     return ExitCode::from(2);
                 }
             },
@@ -191,7 +169,7 @@ fn main() -> ExitCode {
     let cm = CostModel::new(arch);
     let before = cm.module_size(&module);
 
-    let mut cfg = Config::new()
+    let cfg = Config::new()
         .threshold(threshold)
         .oracle(oracle)
         .arch(arch)
@@ -200,12 +178,6 @@ fn main() -> ExitCode {
         .threads(threads)
         .exclude(exclude)
         .faults(FaultPlan::from_env().unwrap_or_default());
-    if let Some(d) = spec_depth {
-        cfg = cfg.spec_depth(d);
-    }
-    if let Some(b) = spec_batch {
-        cfg = cfg.batch(b);
-    }
     if trace_out.is_some() {
         fmsa::telemetry::trace::enable();
     }
@@ -315,11 +287,9 @@ fn main() -> ExitCode {
             use fmsa::telemetry::DecisionOutcome as O;
             eprintln!(
                 "fmsa_opt: {technique}: decisions: attempted={} merged={} \
-                 conflict_fallback={} unprofitable={} gate_skipped={} budget_skipped={} \
-                 quarantined={} failed={}",
+                 unprofitable={} gate_skipped={} budget_skipped={} quarantined={} failed={}",
                 d.total(),
                 d.count(O::Merged),
-                d.count(O::ConflictFallback),
                 d.count(O::Unprofitable),
                 d.count(O::GateSkipped),
                 d.count(O::BudgetSkipped),

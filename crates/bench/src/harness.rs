@@ -368,7 +368,7 @@ pub fn pipeline_json_fields(p: &PipelineStats) -> Vec<(&'static str, Json)> {
         .map(|(name, v)| {
             let j = match v {
                 StatValue::Count(c) => Json::I(c as i64),
-                StatValue::Secs(s) | StatValue::Ratio(s) => Json::F(s),
+                StatValue::Secs(s) => Json::F(s),
             };
             (name, j)
         })
@@ -390,8 +390,6 @@ pub fn pipeline_stats_text(p: &PipelineStats, per_line: usize) -> Vec<String> {
         match v {
             StatValue::Count(c) => line.push_str(&format!("{name}={c}")),
             StatValue::Secs(s) => line.push_str(&format!("{name}={s:.3}")),
-            StatValue::Ratio(r) if r.is_finite() => line.push_str(&format!("{name}={r:.4}")),
-            StatValue::Ratio(_) => line.push_str(&format!("{name}=n/a")),
         }
     }
     if !line.is_empty() {

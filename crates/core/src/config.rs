@@ -75,14 +75,6 @@ pub struct Config {
     /// `Some(n)` = the parallel pipeline with `n` workers (`0` =
     /// available parallelism). Output is bit-identical either way.
     pub threads: Option<usize>,
-    /// Pipeline: subjects scheduled per generation (`0` = whole
-    /// frontier). Ignored by the sequential driver.
-    pub batch: usize,
-    /// Pipeline: speculative codegen depth per subject — how many of its
-    /// candidates the Δ bound cannot rule out get a body built in the
-    /// prepare stage (`0` disables speculation). Ignored by the
-    /// sequential driver.
-    pub spec_depth: usize,
     /// Deterministic fault injection (tests, `experiments faults`).
     pub faults: FaultPlan,
     /// Run LLVM-style identical-function merging before FMSA — what
@@ -107,8 +99,6 @@ impl Default for Config {
             search: SearchStrategy::Auto,
             budget: fmsa_align::AlignmentBudget::default(),
             threads: None,
-            batch: 0,
-            spec_depth: usize::MAX,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
             fail_on_quarantine: false,
@@ -195,18 +185,6 @@ impl Config {
         self
     }
 
-    /// Sets the pipeline generation batch size.
-    pub fn batch(mut self, batch: usize) -> Config {
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the pipeline speculation depth.
-    pub fn spec_depth(mut self, depth: usize) -> Config {
-        self.spec_depth = depth;
-        self
-    }
-
     /// Installs a fault-injection plan.
     pub fn faults(mut self, faults: FaultPlan) -> Config {
         self.faults = faults;
@@ -250,12 +228,7 @@ impl Config {
     /// directly has already decided to run the pipeline.
     #[allow(deprecated)]
     pub fn pipeline_options(&self) -> PipelineOptions {
-        PipelineOptions {
-            threads: self.threads.unwrap_or(0),
-            batch: self.batch,
-            spec_depth: self.spec_depth,
-            faults: self.faults,
-        }
+        PipelineOptions { threads: self.threads.unwrap_or(0), faults: self.faults }
     }
 }
 
@@ -282,8 +255,6 @@ impl From<(FmsaOptions, PipelineOptions)> for Config {
     fn from((o, p): (FmsaOptions, PipelineOptions)) -> Config {
         let mut cfg = Config::from(o);
         cfg.threads = Some(p.threads);
-        cfg.batch = p.batch;
-        cfg.spec_depth = p.spec_depth;
         cfg.faults = p.faults;
         cfg
     }
@@ -425,17 +396,18 @@ mod tests {
     #[allow(deprecated)]
     #[test]
     fn shims_round_trip() {
-        let cfg = Config::new().threshold(7).parallel(3).batch(64).canonicalize(true);
+        let faults = FaultPlan::new(9, 1_000, &crate::faults::FaultSite::ALL);
+        let cfg = Config::new().threshold(7).parallel(3).faults(faults).canonicalize(true);
         let opts: FmsaOptions = cfg.clone().into();
         let pipe: PipelineOptions = cfg.clone().into();
         assert_eq!(opts.threshold, 7);
         assert!(opts.canonicalize);
         assert_eq!(pipe.threads, 3);
-        assert_eq!(pipe.batch, 64);
+        assert_eq!(pipe.faults, faults);
         let back = Config::from((opts, pipe));
         assert_eq!(back.threshold, 7);
         assert_eq!(back.threads, Some(3));
-        assert_eq!(back.batch, 64);
+        assert_eq!(back.faults, faults);
         assert!(back.canonicalize);
     }
 

@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the merge pipeline.
 //!
 //! A [`FaultPlan`] forces failures — worker panics, verifier rejections,
-//! poisoned scratch modules — at named pipeline sites, standing in for
-//! the real bugs the fault-isolation machinery exists to survive. The
-//! plan is a pure function of its seed and the *names* of the function
-//! pair at each site, so the same pairs fault at every thread count,
-//! batch size, and speculation depth: the quarantine set a faulted run
-//! produces is reproducible from `(seed, rate, sites)` alone.
+//! store I/O errors — at named sites, standing in for the real bugs the
+//! fault-isolation machinery exists to survive. The plan is a pure
+//! function of its seed and the *names* of the function pair at each
+//! site, so the same pairs fault at every thread count: the quarantine
+//! set a faulted run produces is reproducible from `(seed, rate, sites)`
+//! alone.
 //!
 //! Plans come from three places: explicit construction ([`FaultPlan::new`],
 //! used by tests and `experiments faults`), a spec string
@@ -15,7 +15,7 @@
 //! comma-separated `key=value` fields:
 //!
 //! ```text
-//! FMSA_FAULTS="seed=7,rate_ppm=20000,sites=align|codegen|verify|scratch"
+//! FMSA_FAULTS="seed=7,rate_ppm=20000,sites=align|codegen|verify"
 //! FMSA_FAULTS="seed=3,rate_ppm=50000,sites=store-write|store-fsync|store-rename"
 //! ```
 //!
@@ -38,16 +38,11 @@ pub enum FaultSite {
     /// commit stage's inline recompute — the fault follows the pair, not
     /// the thread, so quarantine decisions stay thread-independent).
     Align,
-    /// Panic inside merge code generation (speculative build and the
-    /// authoritative inline path alike).
+    /// Panic inside merge code generation at commit.
     Codegen,
     /// The merged body is reported invalid by the verifier even when it
     /// is well-formed.
     Verify,
-    /// The speculative scratch body is corrupted after a successful
-    /// build — the commit stage must catch it by re-verification and
-    /// degrade to inline codegen.
-    ScratchPoison,
     /// A store log append fails with an I/O error before any byte is
     /// written (the record is atomically absent, standing in for ENOSPC
     /// or a pulled disk).
@@ -62,11 +57,10 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::Align,
         FaultSite::Codegen,
         FaultSite::Verify,
-        FaultSite::ScratchPoison,
         FaultSite::StoreWrite,
         FaultSite::StoreFsync,
         FaultSite::StoreRename,
@@ -78,7 +72,6 @@ impl FaultSite {
             FaultSite::Align => "align",
             FaultSite::Codegen => "codegen",
             FaultSite::Verify => "verify",
-            FaultSite::ScratchPoison => "scratch",
             FaultSite::StoreWrite => "store-write",
             FaultSite::StoreFsync => "store-fsync",
             FaultSite::StoreRename => "store-rename",
@@ -95,10 +88,9 @@ impl FaultSite {
             FaultSite::Align => 1,
             FaultSite::Codegen => 2,
             FaultSite::Verify => 4,
-            FaultSite::ScratchPoison => 8,
-            FaultSite::StoreWrite => 16,
-            FaultSite::StoreFsync => 32,
-            FaultSite::StoreRename => 64,
+            FaultSite::StoreWrite => 8,
+            FaultSite::StoreFsync => 16,
+            FaultSite::StoreRename => 32,
         }
     }
 }
@@ -147,8 +139,7 @@ impl FaultPlan {
 
     /// Whether the plan injects a fault at `site` for the function pair
     /// `(a, b)`. Symmetric in `a`/`b` (the pair may be revisited with
-    /// roles swapped) and independent of thread count, batch size, and
-    /// visit order.
+    /// roles swapped) and independent of thread count and visit order.
     pub fn fires(&self, site: FaultSite, a: &str, b: &str) -> bool {
         if self.rate_ppm == 0 || !self.enables(site) {
             return false;
@@ -294,7 +285,7 @@ mod tests {
         assert!(plan.fires(FaultSite::Verify, "a", "b"));
         assert!(!plan.fires(FaultSite::Align, "a", "b"));
         assert!(!plan.fires(FaultSite::Codegen, "a", "b"));
-        assert!(!plan.fires(FaultSite::ScratchPoison, "a", "b"));
+        assert!(!plan.fires(FaultSite::StoreWrite, "a", "b"));
     }
 
     #[test]
@@ -323,15 +314,24 @@ mod tests {
     #[test]
     fn parse_round_trips() {
         let plan =
-            FaultPlan::parse("seed=42, rate_ppm=20000, sites=align|scratch").expect("parses");
+            FaultPlan::parse("seed=42, rate_ppm=20000, sites=align|codegen").expect("parses");
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rate_ppm, 20_000);
         assert!(plan.enables(FaultSite::Align));
-        assert!(plan.enables(FaultSite::ScratchPoison));
+        assert!(plan.enables(FaultSite::Codegen));
         assert!(!plan.enables(FaultSite::Verify));
         assert_eq!(FaultPlan::parse("").expect("empty is disabled"), FaultPlan::disabled());
         assert!(FaultPlan::parse("sites=bogus").is_err());
         assert!(FaultPlan::parse("seed=x").is_err());
         assert!(FaultPlan::parse("nonsense").is_err());
+    }
+
+    #[test]
+    fn retired_scratch_site_is_an_unknown_site() {
+        // A stale `FMSA_FAULTS` naming the site of the removed scratch
+        // modules must fail loudly, not silently inject nothing.
+        let err = FaultPlan::parse("sites=scratch").expect_err("no such site");
+        assert!(err.contains("unknown fault site"), "{err}");
+        assert!(FaultPlan::parse("seed=3,rate_ppm=100,sites=align|scratch").is_err());
     }
 }

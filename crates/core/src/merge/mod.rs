@@ -9,10 +9,8 @@
 
 pub mod codegen;
 pub mod params;
-pub mod speculate;
 
 pub use params::{merge_params, ParamMerge};
-pub use speculate::{commit_speculative, evaluate_speculative, speculate_merge, SpeculativeMerge};
 
 use crate::equivalence::KeyInterner;
 use crate::linearize::{linearize, Entry};

@@ -99,31 +99,8 @@ fn delta_cost(
 ) -> u64 {
     let func: FuncId = if first { info.f1 } else { info.f2 };
     let ret_orig = if first { info.ret.ty1 } else { info.ret.ty2 };
-    delta_cost_side(
-        module,
-        cm,
-        func,
-        info.params.merged_tys.len() as u64,
-        ret_orig,
-        info.ret.base,
-        sites_of,
-    )
-}
-
-/// [`delta_cost`] over explicit pieces instead of a [`MergeInfo`] — used
-/// by [`crate::merge::speculate::evaluate_speculative`], whose merged
-/// body still lives in a scratch module and so has no main-module
-/// `MergeInfo` yet. All ids must be main-module ids.
-pub(crate) fn delta_cost_side(
-    module: &Module,
-    cm: &CostModel,
-    func: FuncId,
-    merged_params: u64,
-    ret_orig: TyId,
-    ret_base: TyId,
-    sites_of: &dyn Fn(FuncId) -> usize,
-) -> u64 {
-    let ret_cast = ret_cast_cost(module, ret_orig, ret_base);
+    let merged_params = info.params.merged_tys.len() as u64;
+    let ret_cast = ret_cast_cost(module, ret_orig, info.ret.base);
     if can_delete(module, func) {
         // Call-graph update: every call site passes extra arguments and may
         // convert the result.
@@ -170,6 +147,10 @@ pub struct DeltaBound {
     /// What building and discarding the body interns, or `None` when the
     /// build could fail part-way and so intern less.
     replay: Option<TypeReplay>,
+    /// The cheap-tier size and slot pointees of a pair the cheap terms
+    /// already rule out but that took the dry run because a slot pointer
+    /// type was missing; see [`DeltaBound::refresh`].
+    cheap_tier: Option<(u64, Vec<TyId>)>,
 }
 
 /// How [`delta_bound`] charged the merged body.
@@ -209,6 +190,12 @@ enum Slots {
     AnyOf(Vec<TyId>),
 }
 
+/// Whether every pointee's pointer type is already interned: the build
+/// can then intern no new slot type.
+fn slot_ptrs_exist(types: &TypeStore, pointees: &[TyId]) -> bool {
+    pointees.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some())
+}
+
 impl DeltaBound {
     /// Whether the gate may skip code generation: Δ ≤ 0 is proven, and
     /// [`DeltaBound::replay_skip`] leaves `types` exactly as the build
@@ -218,10 +205,28 @@ impl DeltaBound {
         self.bound <= 0
             && self.replay.as_ref().is_some_and(|r| match &r.slots {
                 Slots::Exact(_) => true,
-                Slots::AnyOf(pointees) => {
-                    pointees.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some())
-                }
+                Slots::AnyOf(pointees) => slot_ptrs_exist(types, pointees),
             })
+    }
+
+    /// Brings a bound computed against an earlier state of `types` up to
+    /// date, for functions that have not changed since: [`delta_bound`]
+    /// charges the cheap tier instead of the dry run once every slot
+    /// pointer type exists, and the store only grows. The pipeline
+    /// refreshes the bounds its prepare stage computed, so the commit
+    /// stage gates on — and logs — exactly the bound an inline
+    /// computation would give, at every thread count.
+    pub fn refresh(&mut self, types: &TypeStore) {
+        if !self.cheap_tier.as_ref().is_some_and(|(_, p)| slot_ptrs_exist(types, p)) {
+            return;
+        }
+        let (cheap, pointees) = self.cheap_tier.take().expect("checked above");
+        self.bound += self.size_merged as i64 - cheap as i64;
+        self.size_merged = cheap;
+        self.charge = BodyCharge::Cheap;
+        if let Some(r) = &mut self.replay {
+            r.slots = Slots::AnyOf(pointees);
+        }
     }
 
     /// Interns what building and discarding the merged body would have
@@ -739,6 +744,7 @@ pub fn delta_bound(
     let fns = (module.func(f1), module.func(f2));
     let body = Body::resolve(module, cm, fns, (seq1, seq2), alignment, &setup, config)?;
     let cheap = body.cheap_size(cm, types);
+    let mut cheap_tier = None;
     let (size_merged, charge, slots) = if !body.completes {
         (cheap, BodyCharge::Fallback, None)
     } else if body.unmodeled {
@@ -746,13 +752,14 @@ pub fn delta_bound(
     } else {
         // The dry run is only needed when the cheap terms cannot rule the
         // pair out, or a slot pointer type is missing from the store.
-        let cheap_skip = (inputs - (cheap + epsilon) as i64 <= 0)
-            .then(|| body.pointees(types))
-            .filter(|p| p.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some()));
-        match cheap_skip {
-            Some(pointees) => (cheap, BodyCharge::Cheap, Some(Slots::AnyOf(pointees))),
-            None => {
+        let pointees = (inputs - (cheap + epsilon) as i64 <= 0).then(|| body.pointees(types));
+        match pointees {
+            Some(pointees) if slot_ptrs_exist(types, &pointees) => {
+                (cheap, BodyCharge::Cheap, Some(Slots::AnyOf(pointees)))
+            }
+            pointees => {
                 let (size, slots) = body.dry_run(cm, types);
+                cheap_tier = pointees.map(|p| (cheap, p));
                 (size, BodyCharge::DryRun, Some(Slots::Exact(slots)))
             }
         }
@@ -764,7 +771,7 @@ pub fn delta_bound(
         slots,
     });
     let bound = inputs - (size_merged + epsilon) as i64;
-    Ok(DeltaBound { bound, size_merged, epsilon, charge, replay })
+    Ok(DeltaBound { bound, size_merged, epsilon, charge, replay, cheap_tier })
 }
 
 /// A check of the Δ gate against real builds, filled in by
@@ -1076,6 +1083,47 @@ mod tests {
         let replayed = assert_exact_replay(&mut m, fc, fd);
         assert!(replayed.lookup(&p32).is_some(), "the skip interns the demotion slot's type");
         assert!(m.types.lookup(&p32).is_some());
+    }
+
+    #[test]
+    fn refreshed_bound_equals_a_fresh_one_after_slot_types_appear() {
+        use crate::linearize::linearize;
+        use crate::merge::align_with;
+        let mut m = fmsa_ir::Module::new("m");
+        let i32t = m.types.i32();
+        let f64t = m.types.f64();
+        let (fn1, fn2) = (m.types.func(i32t, vec![i32t]), m.types.func(f64t, vec![f64t]));
+        let fa = m.create_function("fa", fn1);
+        let fb = m.create_function("fb", fn2);
+        for (f, float) in [(fa, false), (fb, true)] {
+            let mut b = FuncBuilder::new(&mut m, f);
+            let e = b.block("entry");
+            b.switch_to(e);
+            let mut v = Value::Param(0);
+            for k in 0..8 {
+                v = if float { b.fdiv(v, b.const_f64(1.5)) } else { b.xor(v, b.const_i32(k)) };
+            }
+            b.ret(Some(v));
+        }
+        let (cfg, cm) = (MergeConfig::default(), CostModel::new(TargetArch::X86_64));
+        let (seq1, seq2) = (linearize(m.func(fa)), linearize(m.func(fb)));
+        let al = align_with(&m, fa, fb, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+        let bound =
+            |m: &fmsa_ir::Module| delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).unwrap();
+        // `i32*` and `double*` are missing, so the dry run charges the
+        // body; refreshing against the same store changes nothing.
+        let mut early = bound(&m);
+        assert_eq!(early.charge, BodyCharge::DryRun);
+        early.refresh(&m.types);
+        assert_eq!(early, bound(&m));
+        // Once an earlier build has interned them, the cheap tier applies,
+        // and the refreshed early bound is the bound computed now.
+        m.types.ptr(i32t);
+        m.types.ptr(f64t);
+        let now = bound(&m);
+        assert_eq!(now.charge, BodyCharge::Cheap);
+        early.refresh(&m.types);
+        assert_eq!(early, now);
     }
 
     #[test]

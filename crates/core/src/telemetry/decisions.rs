@@ -19,10 +19,6 @@ use std::collections::VecDeque;
 pub enum DecisionOutcome {
     /// Profitable and committed.
     Merged,
-    /// Committed, but the speculative body was discarded first (stale
-    /// inputs / verify / transplant conflict) and codegen re-ran
-    /// inline at commit. Only occurs with `threads > 1`.
-    ConflictFallback,
     /// Merged body built and evaluated, Δ ≤ 0 — discarded.
     Unprofitable,
     /// The pre-codegen Δ bound proved the merge unprofitable; codegen
@@ -42,7 +38,6 @@ impl DecisionOutcome {
     pub fn as_str(self) -> &'static str {
         match self {
             DecisionOutcome::Merged => "merged",
-            DecisionOutcome::ConflictFallback => "conflict-fallback",
             DecisionOutcome::Unprofitable => "unprofitable",
             DecisionOutcome::GateSkipped => "gate-skipped",
             DecisionOutcome::BudgetSkipped => "budget-skipped",
@@ -52,9 +47,8 @@ impl DecisionOutcome {
     }
 
     /// All outcomes, in the order used by [`DecisionLog`] counts.
-    pub const ALL: [DecisionOutcome; 7] = [
+    pub const ALL: [DecisionOutcome; 6] = [
         DecisionOutcome::Merged,
-        DecisionOutcome::ConflictFallback,
         DecisionOutcome::Unprofitable,
         DecisionOutcome::GateSkipped,
         DecisionOutcome::BudgetSkipped,
@@ -124,7 +118,7 @@ pub struct DecisionLog {
     records: VecDeque<DecisionRecord>,
     cap: usize,
     dropped: u64,
-    counts: [u64; 7],
+    counts: [u64; DecisionOutcome::ALL.len()],
 }
 
 impl Default for DecisionLog {
@@ -141,7 +135,12 @@ impl DecisionLog {
     /// Creates a log retaining at most `cap` records (counts are
     /// always exact regardless of `cap`).
     pub fn new(cap: usize) -> DecisionLog {
-        DecisionLog { records: VecDeque::new(), cap, dropped: 0, counts: [0; 7] }
+        DecisionLog {
+            records: VecDeque::new(),
+            cap,
+            dropped: 0,
+            counts: [0; DecisionOutcome::ALL.len()],
+        }
     }
 
     /// Appends a record, evicting the oldest when at capacity.

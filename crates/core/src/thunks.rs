@@ -287,12 +287,6 @@ pub struct CommitResult {
 /// original when legal (internal linkage, address not taken) or turns it
 /// into a thunk otherwise.
 ///
-/// `info` may come from direct code generation
-/// ([`crate::merge::merge_pair_aligned`]) or from a transplanted
-/// speculative build ([`crate::merge::commit_speculative`]); both leave
-/// the merged function in `module` with main-module ids throughout, so
-/// the call-graph update is identical either way.
-///
 /// # Errors
 ///
 /// Propagates cast construction failures; the module may be partially

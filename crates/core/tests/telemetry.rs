@@ -151,18 +151,12 @@ fn assert_reconciled(label: &str, st: &FmsaStats) {
     use DecisionOutcome as O;
     let d = &st.decisions;
     assert_eq!(d.total(), st.attempted as u64, "{label}: one record per attempt");
-    assert_eq!(
-        d.count(O::Merged) + d.count(O::ConflictFallback),
-        st.merges as u64,
-        "{label}: committed merges"
-    );
+    assert_eq!(d.count(O::Merged), st.merges as u64, "{label}: committed merges");
     if let Some(p) = st.pipeline.as_ref() {
         assert_eq!(d.count(O::GateSkipped), p.gate_skipped as u64, "{label}: gate");
         assert_eq!(d.count(O::Unprofitable), p.gate_missed as u64, "{label}: gate misses");
         assert_eq!(d.count(O::BudgetSkipped), p.budget_skipped as u64, "{label}: budget");
         assert_eq!(d.count(O::Quarantined), p.quarantined() as u64, "{label}: quarantine");
-    } else {
-        assert_eq!(d.count(O::ConflictFallback), 0, "{label}: sequential runs cannot conflict");
     }
     // Retained records never exceed the exact totals, and the JSONL
     // dump carries exactly the retained records.
@@ -190,12 +184,8 @@ fn decision_log_reconciles_with_stats() {
         let mut m_par = m.clone();
         let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
         assert_reconciled(&format!("pipeline-{threads}"), &par);
-        // The thread-invariant half of the outcome split matches the
-        // sequential run; the Merged/ConflictFallback split itself may
-        // shift with scheduling.
-        use DecisionOutcome as O;
         assert_eq!(
-            par.decisions.count(O::Merged) + par.decisions.count(O::ConflictFallback),
+            par.decisions.count(DecisionOutcome::Merged),
             seq.merges as u64,
             "pipeline-{threads} commits the sequential merge set"
         );

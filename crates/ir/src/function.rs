@@ -87,14 +87,6 @@ impl Function {
         self.fn_ty
     }
 
-    /// Replaces the signature type id without touching the parameter list.
-    /// Used by [`crate::transplant`] when a function moves between modules
-    /// and its types are re-interned into the destination store; the caller
-    /// is responsible for remapping the parameter types to match.
-    pub(crate) fn set_fn_ty(&mut self, fn_ty: TyId) {
-        self.fn_ty = fn_ty;
-    }
-
     /// Return type of the function.
     pub fn ret_ty(&self, types: &TypeStore) -> TyId {
         types.fn_ret(self.fn_ty).expect("fn_ty is a function type")

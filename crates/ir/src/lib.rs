@@ -42,7 +42,6 @@ pub mod module;
 pub mod parser;
 pub mod passes;
 pub mod printer;
-pub mod transplant;
 pub mod types;
 pub mod value;
 pub mod verifier;
@@ -51,9 +50,6 @@ pub use builder::FuncBuilder;
 pub use function::{Block, Function, Linkage, Param};
 pub use inst::{ExtraData, FloatPredicate, Inst, IntPredicate, LandingPadClause, Opcode};
 pub use module::Module;
-pub use transplant::{
-    transplant_function, ScratchModule, ScratchSetup, TransplantError, Transplanted, TypeMap,
-};
 pub use types::{TyId, Type, TypeStore};
 pub use value::{BlockId, FuncId, InstId, Value};
 pub use verifier::{ensure_valid, verify_function, verify_module, VerifyError};

@@ -11,7 +11,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// An interned reference to a [`Type`] inside a [`TypeStore`].
 ///
@@ -80,46 +79,15 @@ pub enum Type {
     },
 }
 
-/// The immutable, `Arc`-shared prefix of a copy-on-write [`TypeStore`]:
-/// every type interned before the store's last [`TypeStore::freeze`],
-/// together with the interner entries resolving them. Stores cloned from
-/// a frozen store share this allocation instead of copying it.
-#[derive(Debug)]
-struct FrozenTypes {
-    types: Vec<Type>,
-    interner: HashMap<Type, TyId>,
-}
-
 /// Interning arena for [`Type`]s.
 ///
 /// A fresh store eagerly contains the common primitive types so the
 /// convenience accessors ([`TypeStore::i32`], [`TypeStore::f64`], ...) never
 /// allocate.
-///
-/// # Copy-on-write sharing
-///
-/// The store is split into a *frozen prefix* (an immutable,
-/// [`Arc`]-shared table built by [`TypeStore::freeze`]) and a *local
-/// suffix* owned by this store alone. Interning semantics are identical
-/// to a monolithic store — ids are assigned in interning order and
-/// structural duplicates dedupe across the prefix/suffix boundary — but
-/// [`Clone`] only copies the suffix, so cloning a freshly frozen store is
-/// `O(1)` in the number of interned types. The parallel merge pipeline
-/// freezes the main module's store once per generation so that every
-/// speculative [`crate::transplant::ScratchModule`] shares the prefix
-/// instead of deep-copying thousands of types (and their interner
-/// entries) per speculation. A store that is never frozen behaves exactly
-/// like the historical implementation: everything lives in the suffix and
-/// `Clone` copies it all.
 #[derive(Debug, Clone)]
 pub struct TypeStore {
-    /// Frozen shared prefix; `None` until the first [`TypeStore::freeze`].
-    frozen: Option<Arc<FrozenTypes>>,
-    /// Types interned after the last freeze, owned by this store alone.
-    /// Ids continue where the prefix ends.
-    suffix: Vec<Type>,
-    /// Interner over the suffix only; the frozen prefix carries its own.
-    suffix_interner: HashMap<Type, TyId>,
+    types: Vec<Type>,
+    interner: HashMap<Type, TyId>,
     // Pre-interned primitives.
     void: TyId,
     label: TyId,
@@ -143,9 +111,8 @@ impl TypeStore {
     /// Creates a store pre-populated with the primitive types.
     pub fn new() -> Self {
         let mut store = TypeStore {
-            frozen: None,
-            suffix: Vec::new(),
-            suffix_interner: HashMap::new(),
+            types: Vec::new(),
+            interner: HashMap::new(),
             void: TyId(0),
             label: TyId(0),
             i1: TyId(0),
@@ -175,9 +142,9 @@ impl TypeStore {
         if let Some(id) = self.lookup(&ty) {
             return id;
         }
-        let id = TyId(self.len() as u32);
-        self.suffix.push(ty.clone());
-        self.suffix_interner.insert(ty, id);
+        let id = TyId(self.types.len() as u32);
+        self.types.push(ty.clone());
+        self.interner.insert(ty, id);
         id
     }
 
@@ -186,12 +153,7 @@ impl TypeStore {
     /// call-site rewrite, which holds `&TypeStore` on worker threads)
     /// resolve types that a sequential planning step interned up front.
     pub fn lookup(&self, ty: &Type) -> Option<TyId> {
-        if let Some(f) = &self.frozen {
-            if let Some(&id) = f.interner.get(ty) {
-                return Some(id);
-            }
-        }
-        self.suffix_interner.get(ty).copied()
+        self.interner.get(ty).copied()
     }
 
     /// Returns the structural description of `id`.
@@ -200,70 +162,12 @@ impl TypeStore {
     ///
     /// Panics if `id` was produced by a different store.
     pub fn get(&self, id: TyId) -> &Type {
-        let idx = id.0 as usize;
-        let base = self.frozen_len();
-        if idx < base {
-            &self.frozen.as_ref().expect("non-zero prefix implies a frozen table").types[idx]
-        } else {
-            &self.suffix[idx - base]
-        }
+        &self.types[id.0 as usize]
     }
 
     /// Number of distinct types interned so far.
     pub fn len(&self) -> usize {
-        self.frozen_len() + self.suffix.len()
-    }
-
-    /// Length of the frozen shared prefix (`0` for a store that was never
-    /// [frozen](TypeStore::freeze)). Cloning this store copies only the
-    /// `len() - frozen_len()` suffix types.
-    pub fn frozen_len(&self) -> usize {
-        self.frozen.as_ref().map_or(0, |f| f.types.len())
-    }
-
-    /// Whether every interned type sits in the frozen shared prefix, i.e.
-    /// a [`Clone`] of this store right now copies no type at all.
-    pub fn is_fully_frozen(&self) -> bool {
-        self.frozen.is_some() && self.suffix.is_empty()
-    }
-
-    /// Whether this store and `other` share the same frozen prefix
-    /// allocation (both cloned from the same freeze point). Diagnostic
-    /// hook for tests and benches of the copy-on-write path.
-    pub fn shares_frozen_with(&self, other: &TypeStore) -> bool {
-        match (&self.frozen, &other.frozen) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
-    /// Freezes the current contents into an immutable, `Arc`-shared
-    /// prefix. Interning behaviour is completely unchanged — ids keep
-    /// their values, duplicates keep deduping against the prefix, new
-    /// types append after it — but every subsequent [`Clone`] shares the
-    /// prefix instead of copying it, until the next type is interned
-    /// (clones then copy just that suffix). Re-freezing folds the suffix
-    /// interned since the last freeze into a new prefix; a no-op when the
-    /// store is already fully frozen.
-    ///
-    /// The parallel pipeline calls this once per generation, from the
-    /// sequential schedule stage, so the speculative scratch modules
-    /// built by the prepare stage share the main store by reference.
-    pub fn freeze(&mut self) {
-        if self.is_fully_frozen() {
-            return;
-        }
-        let mut types = Vec::with_capacity(self.len());
-        let mut interner = match &self.frozen {
-            Some(f) => {
-                types.extend(f.types.iter().cloned());
-                f.interner.clone()
-            }
-            None => HashMap::new(),
-        };
-        types.append(&mut self.suffix);
-        interner.extend(self.suffix_interner.drain());
-        self.frozen = Some(Arc::new(FrozenTypes { types, interner }));
+        self.types.len()
     }
 
     /// Whether `id` refers to a type interned in *this* store. Ids from a
@@ -682,65 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_ids_and_dedupes_across_the_boundary() {
-        let mut plain = TypeStore::new();
-        let mut cow = TypeStore::new();
-        let ops: Vec<fn(&mut TypeStore) -> TyId> = vec![
-            |ts| ts.int(40),
-            |ts| ts.ptr(ts.i32()),
-            |ts| ts.int(40), // dedupe pre-freeze type
-            |ts| {
-                let p = ts.ptr(ts.i32());
-                ts.array(p, 3)
-            },
-            |ts| ts.ptr(ts.i32()), // dedupe across the frozen boundary
-            |ts| ts.func(ts.void(), vec![ts.i64()]),
-        ];
-        for (k, op) in ops.iter().enumerate() {
-            if k == 2 || k == 4 {
-                cow.freeze();
-            }
-            assert_eq!(op(&mut plain), op(&mut cow), "op {k} diverged");
-        }
-        assert_eq!(plain.len(), cow.len());
-        for i in 0..plain.len() {
-            let id = TyId(i as u32);
-            assert_eq!(plain.get(id), cow.get(id), "type {i} diverged");
-        }
-    }
-
-    #[test]
-    fn clone_of_frozen_store_shares_the_prefix() {
+    fn lookup_finds_only_interned_types() {
         let mut ts = TypeStore::new();
-        let p = ts.ptr(ts.i64());
-        ts.freeze();
-        assert!(ts.is_fully_frozen());
-        let mut fork = ts.clone();
-        assert!(fork.shares_frozen_with(&ts));
-        assert_eq!(fork.frozen_len(), ts.len(), "clone copies no type");
-        // The fork interns privately after the shared prefix; the donor
-        // interning the same type independently gets the same id.
-        let a = fork.ptr(p);
-        assert_eq!(fork.len(), ts.len() + 1);
-        assert_eq!(ts.ptr(p), a);
-        assert_eq!(fork.display(a), "i64**");
-        // Re-interning a prefix type still dedupes to the prefix id.
-        assert_eq!(fork.ptr(fork.i64()), p);
-    }
-
-    #[test]
-    fn refreeze_folds_the_suffix() {
-        let mut ts = TypeStore::new();
-        ts.freeze();
-        let first = ts.frozen_len();
         let q = ts.ptr(ts.i8());
-        assert_eq!(ts.frozen_len(), first, "interning never grows the prefix");
-        ts.freeze();
-        assert_eq!(ts.frozen_len(), first + 1);
-        assert!(ts.is_fully_frozen());
-        assert_eq!(ts.ptr(ts.i8()), q);
         assert_eq!(ts.lookup(&Type::Ptr { pointee: ts.i8() }), Some(q));
         assert_eq!(ts.lookup(&Type::Int(999)), None);
+        assert_eq!(ts.len(), TypeStore::new().len() + 1, "lookup never interns");
     }
 
     #[test]

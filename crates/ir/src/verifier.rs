@@ -86,8 +86,8 @@ impl<'a> Verifier<'a> {
     fn run(&mut self) {
         // Signature types must come from this module's store before
         // anything else: the per-instruction checks read the return and
-        // parameter types, and a foreign id (e.g. a transplant that never
-        // remapped fn_ty) would panic the store lookup.
+        // parameter types, and a foreign id (one interned in another
+        // module's store) would panic the store lookup.
         let ts = &self.module.types;
         let mut sig_tys = vec![self.f.fn_ty()];
         sig_tys.extend(self.f.params().iter().map(|p| p.ty));
@@ -145,8 +145,8 @@ impl<'a> Verifier<'a> {
                 );
             }
             if !self.check_tyids_in_range(b, iid, inst) {
-                // Out-of-range type ids (a botched cross-module transplant)
-                // would make the typing checks index past the store.
+                // Out-of-range type ids (copied from another module's
+                // store) would make the typing checks index past the store.
                 continue;
             }
             self.check_operands(b, iid, inst);
@@ -155,7 +155,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// Every [`crate::TyId`] an instruction carries must come from this
-    /// module's store; ids from a foreign (e.g. scratch) store are reported
+    /// module's store; ids from a foreign store are reported
     /// instead of panicking deeper in the typing checks. Returns whether
     /// all ids were in range.
     fn check_tyids_in_range(&mut self, b: BlockId, iid: InstId, inst: &Inst) -> bool {
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn dangling_function_reference_reported_not_panicking() {
         // A call whose callee id points past the function table (e.g. a
-        // cross-module FuncId that was never remapped by a transplant)
+        // FuncId copied from another module without remapping)
         // must produce a verify error, not an index panic.
         let mut m = Module::new("m");
         let void = m.types.void();
@@ -636,13 +636,11 @@ mod tests {
         assert!(errs.iter().any(|e| e.message.contains("was removed")), "{errs:?}");
     }
 
-    /// A [`TyId`] that only a bigger, foreign store knows: fork the
-    /// module's store the way a scratch module does (a copy-on-write
-    /// clone of the frozen donor), intern `depth` pointer wrappers after
-    /// the shared prefix, and return the last id — out of range for `m`.
+    /// A [`TyId`] that only a bigger, foreign store knows: clone the
+    /// module's store, intern `depth` pointer wrappers into the clone,
+    /// and return the last id — out of range for `m`.
     fn alien_ptr_ty(m: &Module, depth: usize) -> crate::types::TyId {
         let mut foreign = m.types.clone();
-        foreign.freeze(); // exercise the COW path: new types append after the frozen prefix
         let mut alien = foreign.i64();
         for _ in 0..depth {
             alien = foreign.ptr(alien);
@@ -654,7 +652,7 @@ mod tests {
 
     #[test]
     fn foreign_type_id_reported_not_panicking() {
-        // A TyId from a bigger (scratch) store is out of range here; the
+        // A TyId from a bigger, foreign store is out of range here; the
         // verifier must report it instead of indexing past the store.
         let mut m = Module::new("m");
         let void = m.types.void();

@@ -148,69 +148,4 @@ proptest! {
             prop_assert!(dom.dominates(entry, b));
         }
     }
-
-    /// The copy-on-write type store is interning-order invisible: for any
-    /// sequence of type constructions interleaved with freeze points (and
-    /// clone-forks at every freeze, the scratch-module pattern), every
-    /// intern returns exactly the id a plain never-frozen store assigns,
-    /// and both stores resolve every produced id to the same structure.
-    #[test]
-    fn cow_store_interns_identically_under_arbitrary_interleavings(
-        seed in 0u64..100_000,
-        op_count in 1usize..60,
-        freeze_mask in 0u64..u64::MAX,
-    ) {
-        use fmsa_ir::types::{TyId, TypeStore};
-        fn apply(
-            ts: &mut TypeStore,
-            seen: &[TyId],
-            (kind, pick, bits, len): (u8, usize, u32, u64),
-        ) -> TyId {
-            let at = |p: usize| seen[p % seen.len()];
-            match kind {
-                0 => ts.int(bits),
-                1 => ts.ptr(at(pick)),
-                2 => ts.array(at(pick), len),
-                3 => ts.struct_(vec![at(pick), at(pick / 2)]),
-                _ => ts.func(at(pick), vec![at(pick / 3)]),
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ops: Vec<(u8, usize, u32, u64)> = (0..op_count)
-            .map(|_| {
-                (
-                    rng.gen_range(0..5u8),
-                    rng.gen_range(0..64usize),
-                    rng.gen_range(1..64u32),
-                    rng.gen_range(1..5u64),
-                )
-            })
-            .collect();
-        let mut plain = TypeStore::new();
-        let mut cow = TypeStore::new();
-        // Every id either store has handed out so far (primitives first);
-        // both stores must agree on all of them, so one list suffices.
-        let mut seen: Vec<TyId> = vec![
-            plain.void(), plain.label(), plain.i1(), plain.i8(), plain.i16(),
-            plain.i32(), plain.i64(), plain.half(), plain.f32(), plain.f64(),
-        ];
-        for (k, &op) in ops.iter().enumerate() {
-            if freeze_mask & (1 << (k % 64)) != 0 {
-                cow.freeze();
-                // Fork-and-continue, as a scratch module would: the fork
-                // shares the frozen prefix; dropping the original proves
-                // the fork is self-sufficient.
-                cow = cow.clone();
-            }
-            let a = apply(&mut plain, &seen, op);
-            let b = apply(&mut cow, &seen, op);
-            prop_assert_eq!(a, b, "op {} diverged", k);
-            seen.push(a);
-        }
-        prop_assert_eq!(plain.len(), cow.len());
-        for &id in &seen {
-            prop_assert_eq!(plain.get(id), cow.get(id));
-            prop_assert_eq!(plain.display(id), cow.display(id));
-        }
-    }
 }

@@ -27,7 +27,8 @@ options:
                           (default: in-memory, nothing survives a restart)
   --fsync POLICY          store durability: never | per-ingest | interval:SECS
                           (default per-ingest)
-  --threads N             parallel merge pipeline with N workers (default: sequential)
+  --threads N             parallel merge pipeline with N workers; 0 = available
+                          parallelism (default: sequential)
   --threshold N           alignment profitability threshold (default 1)
   --search MODE           candidate search: exact | lsh | auto (default auto)
   --min-similarity F      skip candidate pairs below estimated similarity F
@@ -116,7 +117,7 @@ fn main() -> ExitCode {
                     let n: usize = value("--threads")?
                         .parse()
                         .map_err(|_| "--threads needs a number".to_owned())?;
-                    merge = merge.clone().threads(if n == 0 { None } else { Some(n) });
+                    merge = merge.clone().parallel(n);
                 }
                 "--threshold" => {
                     let n = value("--threshold")?

@@ -346,7 +346,9 @@ fn metrics_endpoint_serves_prometheus_exposition() {
 fn merges_recent_returns_bounded_decision_records() {
     let server = boot(ServerConfig::default());
     let corpus = wasm_corpus(24, 9);
-    assert_eq!(client::post(server.addr(), "/v1/modules", &corpus).unwrap().status, 200);
+    let upload = client::post(server.addr(), "/v1/modules", &corpus).unwrap();
+    assert_eq!(upload.status, 200);
+    let merges: usize = upload.header("x-fmsa-merges").unwrap().parse().unwrap();
 
     let resp = client::get(server.addr(), "/v1/merges/recent?n=3").unwrap();
     assert_eq!(resp.status, 200);
@@ -356,10 +358,10 @@ fn merges_recent_returns_bounded_decision_records() {
     let records = body.matches("\"subject\":").count();
     assert!(records <= 3, "asked for 3, got {records}: {body}");
     assert!(records > 0, "a merged corpus must leave decision records: {body}");
-    // Decision totals reconcile with the merge count the upload reported.
-    let merged = body.matches("\"outcome\":\"merged\"").count()
-        + body.matches("\"outcome\":\"conflict-fallback\"").count();
-    assert!(merged <= records);
+    // Decision records reconcile with the merge count the upload reported.
+    let all = client::get(server.addr(), "/v1/merges/recent?n=1000").unwrap().text();
+    assert!(all.contains("\"dropped\":0"), "every record retained: {all}");
+    assert_eq!(all.matches("\"outcome\":\"merged\"").count(), merges, "{all}");
 
     // Default n, no query string.
     let resp = client::get(server.addr(), "/v1/merges/recent").unwrap();

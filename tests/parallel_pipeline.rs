@@ -63,7 +63,7 @@ proptest! {
 
 /// Families of near-clones with cross-calls and mixed linkage: deletable
 /// sides with live callers and thunked (external) sides force the
-/// batched commit's conflict fallback, while caller-less families
+/// batched commit's fallback, while caller-less families
 /// exercise the deferred path — both in one module.
 fn calling_swarm(seed: u64, families: usize, members: usize) -> Module {
     use fmsa::ir::{FuncBuilder, Linkage, Value};
@@ -111,7 +111,7 @@ proptest! {
 
     /// Batched generation commits are decision-invisible: with
     /// cross-calls and mixed linkage driving both the deferred path and
-    /// the conflict fallback, any thread count produces the sequential
+    /// the immediate fallback, any thread count produces the sequential
     /// driver's exact module text, and every merge is accounted to
     /// exactly one of the two commit paths.
     #[test]
@@ -165,7 +165,7 @@ fn caller_overlap_falls_back_and_matches_serial() {
         assert!(fmsa::ir::verify_module(&m_par).is_empty());
     }
     let (batched, fallback) = counters.expect("ran");
-    assert!(fallback > 0, "cross-calls must force the conflict fallback");
+    assert!(fallback > 0, "cross-calls must force the batch fallback");
     assert!(batched > 0, "caller-less merges must defer");
 }
 
@@ -190,17 +190,16 @@ fn stress_shared_candidates_exercise_conflict_revalidation() {
     let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
     assert_eq!(print_module(&m_seq), print_module(&m_par));
     let p = par.pipeline.expect("pipeline stats");
-    assert!(p.recomputed > 0, "shared candidates must invalidate speculative attempts: {p:?}");
+    assert!(p.recomputed > 0, "shared candidates must invalidate prepared attempts: {p:?}");
     assert!(p.reused > 0, "independent attempts must still be reused: {p:?}");
     assert!(fmsa::ir::verify_module(&m_par).is_empty());
 }
 
-/// With speculative codegen enabled (the default), every thread count
-/// must produce the identical merge list and module text — and on the
-/// swarm workload the majority of speculative bodies must be committed
-/// unmodified (the transplant path is the common case, not the fallback).
+/// Every thread count must produce the identical merge list and module
+/// text on a swarm whose clone families make scheduled attempts share
+/// functions.
 #[test]
-fn stress_speculative_codegen_across_thread_counts() {
+fn stress_swarm_is_identical_across_thread_counts() {
     let cfg = SwarmConfig {
         functions: 120,
         family_size: 6,
@@ -224,19 +223,54 @@ fn stress_speculative_codegen_across_thread_counts() {
             "merge list (rank order) at {threads} threads"
         );
         assert_eq!(seq_text, print_module(&m_par), "module text at {threads} threads");
-        let p = par.pipeline.expect("pipeline stats");
-        if threads == 1 {
-            assert_eq!(p.spec_built, 0, "one thread runs without speculation: {p:?}");
-        } else {
-            assert!(p.spec_built > 0, "speculative bodies must be built: {p:?}");
-            assert!(p.spec_committed > 0, "transplants must land: {p:?}");
-            let rate = p.spec_hit_rate().expect("bodies reached commit");
-            assert!(
-                rate >= 0.5,
-                "≥50% of speculative bodies must commit unmodified, got {rate:.2}: {p:?}"
-            );
-        }
         assert!(fmsa::ir::verify_module(&m_par).is_empty());
+    }
+}
+
+/// Generations hold the same subjects at every thread count, so the
+/// decision log and every commit counter are thread-invariant — here on
+/// a module with more eligible functions than one generation holds, under
+/// injected faults so quarantine records take part.
+#[test]
+fn decision_log_and_commit_counters_are_thread_invariant() {
+    use fmsa::core::pipeline::GENERATION_SUBJECTS;
+    use fmsa::core::{silence_injected_panics, FaultPlan, FaultSite};
+    silence_injected_panics();
+    let base = clone_swarm_module(&SwarmConfig::with_functions(600));
+    assert!(base.func_ids().len() > 2 * GENERATION_SUBJECTS);
+    let faults = FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL);
+    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh()).faults(faults);
+    let mut reference: Option<(String, String, Vec<usize>)> = None;
+    for threads in [1usize, 2, 4, 8] {
+        let mut m = base.clone();
+        let pcfg = cfg.clone().parallel(threads);
+        let st = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let p = st.pipeline.expect("pipeline stats");
+        let counters = vec![
+            p.generations,
+            p.commit_barriers,
+            p.batched_merges,
+            p.batch_fallback,
+            p.gate_skipped,
+            p.gate_missed,
+            p.budget_skipped,
+            p.quarantined_align,
+            p.quarantined_codegen,
+            p.quarantined_verify,
+        ];
+        assert!(p.generations > 2, "the frontier must span generations: {p:?}");
+        let run = (print_module(&m), st.decisions.to_jsonl(), counters);
+        match &reference {
+            None => {
+                assert!(p.quarantined() > 0, "the plan must quarantine something: {p:?}");
+                reference = Some(run);
+            }
+            Some(r) => {
+                assert!(r.0 == run.0, "module text diverged at {threads} threads");
+                assert!(r.1 == run.1, "decision log diverged at {threads} threads");
+                assert_eq!(r.2, run.2, "commit counters diverged at {threads} threads: {p:?}");
+            }
+        }
     }
 }
 
