@@ -51,7 +51,7 @@ pub struct AlignmentBudget {
 impl Default for AlignmentBudget {
     /// The default budget never triggers on paper-scale functions (the
     /// suite tops out well below 5 000 linearized entries), so pipeline
-    /// output stays bit-identical to the unbudgeted sequential pass;
+    /// output stays bit-identical to the paper's unbudgeted loop;
     /// adversarial inputs beyond that fall back to a 64-wide band. The
     /// 25 M-cell cap was sized when a cell cost 9 bytes (an `i64` score
     /// and a direction); it now bounds 25 MB of directions per pair, and

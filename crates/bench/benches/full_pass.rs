@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fmsa_core::baselines::{run_identical, run_soa};
-use fmsa_core::pass::run_fmsa;
-use fmsa_core::Config;
+use fmsa_core::{optimize, Config};
 use fmsa_target::TargetArch;
 use fmsa_workloads::spec_suite;
 
@@ -42,7 +41,7 @@ fn bench_techniques(c: &mut Criterion) {
         group.bench_function(format!("fmsa-t{t}"), |b| {
             b.iter_batched(
                 milc_module,
-                |mut m| run_fmsa(&mut m, &Config::new().threshold(t).fmsa_options()),
+                |mut m| optimize(&mut m, &Config::new().threshold(t).identical_prepass(false)),
                 criterion::BatchSize::SmallInput,
             );
         });
@@ -50,7 +49,7 @@ fn bench_techniques(c: &mut Criterion) {
     group.bench_function("fmsa-oracle", |b| {
         b.iter_batched(
             libquantum_module, // oracle is quadratic; use the small module
-            |mut m| run_fmsa(&mut m, &Config::new().oracle(true).fmsa_options()),
+            |mut m| optimize(&mut m, &Config::new().oracle(true).identical_prepass(false)),
             criterion::BatchSize::SmallInput,
         );
     });

@@ -15,10 +15,10 @@
 //! section/opcode and byte offset); anything else parses as the textual
 //! IR. Output is always textual IR.
 //!
-//! `--threads N` selects the parallel merge pipeline with `N` workers
-//! (`0` = available parallelism); without it the paper's sequential
-//! driver runs. Both produce bit-identical output (see
-//! `fmsa_core::pipeline`).
+//! `--threads N` runs the merge pipeline with `N` workers (default 1;
+//! `0` = available parallelism). Output is bit-identical at every thread
+//! count (see `fmsa_core::pipeline`), and `--oracle` works at any of
+//! them.
 //!
 //! The `fmsa` technique is one [`fmsa::Config`] fed to [`fmsa::optimize`]
 //! — the same call the `fmsa-serve` daemon makes per upload, which is why
@@ -83,7 +83,7 @@ fn main() -> ExitCode {
     let mut arch = TargetArch::X86_64;
     let mut canonicalize = false;
     let mut search = SearchStrategy::Auto;
-    let mut threads: Option<usize> = None;
+    let mut threads = 1usize;
     let mut exclude: HashSet<String> = HashSet::new();
     let mut stats = false;
     let mut trace_out: Option<String> = None;
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
                 }
             }
             "--threads" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => threads = Some(n),
+                Some(Ok(n)) => threads = n,
                 _ => {
                     eprintln!("fmsa_opt: --threads needs a number (0 = available parallelism)");
                     return ExitCode::from(2);
@@ -175,7 +175,7 @@ fn main() -> ExitCode {
         .arch(arch)
         .canonicalize(canonicalize)
         .search(search)
-        .threads(threads)
+        .parallel(threads)
         .exclude(exclude)
         .faults(FaultPlan::from_env().unwrap_or_default());
     if trace_out.is_some() {
@@ -247,15 +247,13 @@ fn main() -> ExitCode {
         }
     }
     if stats {
-        // Self-describing result header: driver, thread count, and the
-        // selected search/alignment strategies. Only the fmsa technique
-        // uses the pipeline or a search strategy; the baselines always
-        // run sequentially.
-        let (driver, nthreads, search_name) = if technique == "fmsa" {
-            let resolved = threads.map(|_| cfg.pipeline_options().resolved_threads());
+        // Self-describing result header: thread count and the selected
+        // search/alignment strategies. Only the fmsa technique uses the
+        // pipeline's workers or a search strategy; the baselines run on
+        // one thread.
+        let (nthreads, search_name) = if technique == "fmsa" {
             (
-                if resolved.is_some() { "pipeline" } else { "sequential" },
-                resolved.unwrap_or(1),
+                cfg.pipeline_options().resolved_threads(),
                 match search {
                     SearchStrategy::Exact => "exact",
                     SearchStrategy::Lsh(_) => "lsh",
@@ -263,10 +261,10 @@ fn main() -> ExitCode {
                 },
             )
         } else {
-            ("sequential", 1, "n/a")
+            (1, "n/a")
         };
         eprintln!(
-            "fmsa_opt: {technique}: driver={driver} threads={nthreads} search={search_name} \
+            "fmsa_opt: {technique}: threads={nthreads} search={search_name} \
              alignment=needleman-wunsch"
         );
         eprintln!(

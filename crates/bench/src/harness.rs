@@ -4,7 +4,7 @@
 //! this module.
 
 use fmsa_core::baselines::{run_identical, run_soa};
-use fmsa_core::pass::{run_fmsa, StepTimers};
+use fmsa_core::pass::StepTimers;
 use fmsa_core::pipeline::{PipelineStats, StatValue};
 use fmsa_core::Config;
 use fmsa_ir::Module;
@@ -145,9 +145,8 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
     for &t in &plan.thresholds {
         let mut m = base.clone();
         let t0 = Instant::now();
-        run_identical(&mut m, plan.arch);
         let cfg = Config::new().threshold(t).arch(plan.arch).exclude(plan.exclude.iter().cloned());
-        let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+        let stats = fmsa_core::optimize(&mut m, &cfg).expect("suite module merges");
         fmsa.push((
             t,
             TechniqueResult {
@@ -163,9 +162,8 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
     let oracle = (plan.oracle && fns <= plan.oracle_fn_cap).then(|| {
         let mut m = base.clone();
         let t0 = Instant::now();
-        run_identical(&mut m, plan.arch);
         let cfg = Config::new().oracle(true).arch(plan.arch).exclude(plan.exclude.iter().cloned());
-        let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+        let stats = fmsa_core::optimize(&mut m, &cfg).expect("suite module merges");
         TechniqueResult {
             merges: stats.merges,
             reduction: reduction_percent(size_before, cm.module_size(&m)),
@@ -243,11 +241,10 @@ pub fn run_runtime_experiment(desc: &BenchDesc, threshold: usize) -> RuntimeResu
 
     let merge_with_exclusions = |exclude: &[String]| -> (u64, f64) {
         let mut m = base.clone();
-        run_identical(&mut m, TargetArch::X86_64);
         let cfg = Config::new()
             .threshold(threshold)
             .exclude(exclude.iter().cloned().chain(["__driver".to_owned()]));
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        fmsa_core::optimize(&mut m, &cfg).expect("driver module merges");
         let (steps, _) = run_driver(&m);
         (steps, reduction_percent(size_before, cm.module_size(&m)))
     };

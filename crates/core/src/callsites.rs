@@ -13,8 +13,8 @@
 //! The index tracks *committed* module state. A freshly generated merge
 //! candidate that has not been committed is intentionally not part of the
 //! index; [`crate::profitability::evaluate_indexed`] accounts for its
-//! outgoing calls separately so the combined counts match a direct scan
-//! of the module mid-evaluation.
+//! outgoing calls (and those of an oracle's pending best) separately so
+//! the combined counts match a direct scan of the module mid-evaluation.
 
 use fmsa_ir::{FuncId, Function, Module, Opcode, Value};
 use std::collections::HashMap;

@@ -3,25 +3,23 @@
 //! Historically a run was configured by two structs: [`FmsaOptions`]
 //! (what to merge and how) and [`PipelineOptions`] (how to parallelize
 //! it), with every caller — `fmsa_opt`, `experiments`, all tests —
-//! constructing both and choosing between [`run_fmsa`] and
-//! [`run_fmsa_pipeline`] by hand. PR 7 folds both into one
+//! constructing both by hand. Both are folded into one
 //! `#[non_exhaustive]` builder-style [`Config`] and one fallible entry
 //! point [`optimize`], which is what the merge daemon (`fmsa-serve`)
-//! and the CLI sit on. The old structs survive as deprecated shims with
-//! `From`/`Into` conversions in both directions, so downstream code
-//! migrates mechanically.
+//! and the CLI sit on. The old structs survive as deprecated shims that
+//! [`Config::fmsa_options`] and [`Config::pipeline_options`] produce for
+//! [`run_fmsa_pipeline`].
 //!
-//! Driver selection lives in [`Config::threads`]: `None` runs the
-//! paper's sequential driver, `Some(n)` the parallel pipeline with `n`
-//! workers (`Some(0)` = available parallelism). Both produce
-//! bit-identical output (see [`crate::pipeline`]), so the choice is pure
+//! Every run goes through the merge pipeline ([`crate::pipeline`]);
+//! [`Config::threads`] only sets its worker count. Output is
+//! bit-identical at every thread count, so the choice is pure
 //! performance policy.
 
 use crate::error::Error;
 use crate::faults::FaultPlan;
 use crate::merge::MergeConfig;
 #[allow(deprecated)]
-use crate::pass::{run_fmsa, FmsaOptions, FmsaStats};
+use crate::pass::{FmsaOptions, FmsaStats};
 #[allow(deprecated)]
 use crate::pipeline::{run_fmsa_pipeline, PipelineOptions};
 use crate::quarantine::panic_message;
@@ -44,7 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// use fmsa_core::Config;
 /// let cfg = Config::new().threshold(5).parallel(4);
 /// assert_eq!(cfg.threshold, 5);
-/// assert_eq!(cfg.threads, Some(4));
+/// assert_eq!(cfg.threads, 4);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -53,8 +51,7 @@ pub struct Config {
     /// function (paper evaluates t = 1, 5, 10).
     pub threshold: usize,
     /// Oracle mode: evaluate every candidate, commit the best — the
-    /// paper's quadratic upper bound. Forces exact search and the
-    /// sequential driver.
+    /// paper's quadratic upper bound. Forces exact search.
     pub oracle: bool,
     /// Target whose cost model drives profitability.
     pub arch: TargetArch,
@@ -69,12 +66,12 @@ pub struct Config {
     pub canonicalize: bool,
     /// Candidate search strategy (exact, LSH, or auto by module size).
     pub search: SearchStrategy,
-    /// Per-pair alignment cost bounds (honoured by the pipeline driver).
+    /// Per-pair alignment cost bounds.
     pub budget: fmsa_align::AlignmentBudget,
-    /// Driver selection: `None` = the paper's sequential driver,
-    /// `Some(n)` = the parallel pipeline with `n` workers (`0` =
-    /// available parallelism). Output is bit-identical either way.
-    pub threads: Option<usize>,
+    /// Worker threads of the merge pipeline: `1` (the default) runs it
+    /// without a prepare stage, `0` means available parallelism. Output
+    /// is bit-identical at every count.
+    pub threads: usize,
     /// Deterministic fault injection (tests, `experiments faults`).
     pub faults: FaultPlan,
     /// Run LLVM-style identical-function merging before FMSA — what
@@ -98,7 +95,7 @@ impl Default for Config {
             canonicalize: false,
             search: SearchStrategy::Auto,
             budget: fmsa_align::AlignmentBudget::default(),
-            threads: None,
+            threads: 1,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
             fail_on_quarantine: false,
@@ -107,7 +104,7 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The default configuration: sequential driver, threshold 1, auto
+    /// The default configuration: one pipeline thread, threshold 1, auto
     /// search, identical-merging prepass on.
     pub fn new() -> Config {
         Config::default()
@@ -171,17 +168,10 @@ impl Config {
         self
     }
 
-    /// Selects the parallel pipeline with `n` worker threads (`0` =
-    /// available parallelism).
+    /// Runs the pipeline with `n` worker threads (`0` = available
+    /// parallelism).
     pub fn parallel(mut self, n: usize) -> Config {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Selects the driver explicitly: `None` = sequential, `Some(n)` =
-    /// pipeline.
-    pub fn threads(mut self, threads: Option<usize>) -> Config {
-        self.threads = threads;
+        self.threads = n;
         self
     }
 
@@ -204,9 +194,8 @@ impl Config {
     }
 
     /// The merge-policy half of this configuration as the deprecated
-    /// [`FmsaOptions`] — interop with the low-level reference drivers
-    /// ([`run_fmsa`], [`run_fmsa_pipeline`]), which keep their paper-era
-    /// signatures.
+    /// [`FmsaOptions`] — interop with [`run_fmsa_pipeline`], which keeps
+    /// its paper-era signature.
     #[allow(deprecated)]
     pub fn fmsa_options(&self) -> FmsaOptions {
         FmsaOptions {
@@ -223,60 +212,16 @@ impl Config {
     }
 
     /// The parallelism half of this configuration as the deprecated
-    /// [`PipelineOptions`]. `threads == None` maps to the pipeline
-    /// default (auto), because the caller choosing [`run_fmsa_pipeline`]
-    /// directly has already decided to run the pipeline.
+    /// [`PipelineOptions`].
     #[allow(deprecated)]
     pub fn pipeline_options(&self) -> PipelineOptions {
-        PipelineOptions { threads: self.threads.unwrap_or(0), faults: self.faults }
-    }
-}
-
-#[allow(deprecated)]
-impl From<FmsaOptions> for Config {
-    fn from(o: FmsaOptions) -> Config {
-        Config {
-            threshold: o.threshold,
-            oracle: o.oracle,
-            arch: o.arch,
-            merge: o.merge,
-            exclude: o.exclude,
-            min_similarity: o.min_similarity,
-            canonicalize: o.canonicalize,
-            search: o.search,
-            budget: o.budget,
-            ..Config::default()
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<(FmsaOptions, PipelineOptions)> for Config {
-    fn from((o, p): (FmsaOptions, PipelineOptions)) -> Config {
-        let mut cfg = Config::from(o);
-        cfg.threads = Some(p.threads);
-        cfg.faults = p.faults;
-        cfg
-    }
-}
-
-#[allow(deprecated)]
-impl From<Config> for FmsaOptions {
-    fn from(c: Config) -> FmsaOptions {
-        c.fmsa_options()
-    }
-}
-
-#[allow(deprecated)]
-impl From<Config> for PipelineOptions {
-    fn from(c: Config) -> PipelineOptions {
-        c.pipeline_options()
+        PipelineOptions { threads: self.threads, faults: self.faults }
     }
 }
 
 /// Runs the full merge stack over `module` under `cfg`: input
-/// verification, the optional identical-merging prepass, the selected
-/// driver behind a panic boundary, and output re-verification.
+/// verification, the optional identical-merging prepass, the merge
+/// pipeline behind a panic boundary, and output re-verification.
 ///
 /// This is the library entry point the daemon and `fmsa_opt` share —
 /// byte-identical output between them falls out of calling the same
@@ -287,20 +232,11 @@ pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
     if let Some(e) = errs.first() {
         return Err(Error::verify(false, &e.func, e.to_string()));
     }
-    if cfg.oracle && cfg.threads.is_some() {
-        // The pipeline delegates oracle runs to the sequential driver
-        // anyway; make the policy explicit at the API boundary.
-        return Err(Error::config("oracle mode runs sequentially; leave `threads` unset"));
-    }
-    let opts = cfg.fmsa_options();
     let ran = catch_unwind(AssertUnwindSafe(|| {
         if cfg.identical_prepass {
             crate::baselines::run_identical(module, cfg.arch);
         }
-        match cfg.threads {
-            Some(_) => run_fmsa_pipeline(module, &opts, &cfg.pipeline_options()),
-            None => run_fmsa(module, &opts),
-        }
+        run_fmsa_pipeline(module, &cfg.fmsa_options(), &cfg.pipeline_options())
     }));
     let stats = match ran {
         Ok(stats) => stats,
@@ -354,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_pipeline_configs_agree_bitwise() {
+    fn default_and_parallel_configs_agree_bitwise() {
         let mut m1 = Module::new("m");
         clone_family(&mut m1, 6);
         let mut m2 = Module::new("m");
@@ -384,31 +320,6 @@ mod tests {
         let err = optimize(&mut m, &Config::new()).unwrap_err();
         assert_eq!(err.stage(), "verify-input");
         assert_eq!(err.function(), Some("broken"));
-    }
-
-    #[test]
-    fn oracle_plus_threads_is_a_config_error() {
-        let mut m = Module::new("m");
-        let err = optimize(&mut m, &Config::new().oracle(true).parallel(2)).unwrap_err();
-        assert_eq!(err.stage(), "config");
-    }
-
-    #[allow(deprecated)]
-    #[test]
-    fn shims_round_trip() {
-        let faults = FaultPlan::new(9, 1_000, &crate::faults::FaultSite::ALL);
-        let cfg = Config::new().threshold(7).parallel(3).faults(faults).canonicalize(true);
-        let opts: FmsaOptions = cfg.clone().into();
-        let pipe: PipelineOptions = cfg.clone().into();
-        assert_eq!(opts.threshold, 7);
-        assert!(opts.canonicalize);
-        assert_eq!(pipe.threads, 3);
-        assert_eq!(pipe.faults, faults);
-        let back = Config::from((opts, pipe));
-        assert_eq!(back.threshold, 7);
-        assert_eq!(back.threads, Some(3));
-        assert_eq!(back.faults, faults);
-        assert!(back.canonicalize);
     }
 
     #[test]

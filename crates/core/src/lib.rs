@@ -22,7 +22,9 @@
 //!   near-linear MinHash/LSH shortlisting
 //! * [`profitability`] — the Δ cost model over the target TTI (§IV-A)
 //! * [`thunks`] — call-graph update: thunks, call-site rewriting, deletion
-//! * [`pass`] — the optimization driver with per-step timers (§IV, Fig. 7)
+//! * [`pipeline`] — the optimization driver (§IV, Fig. 7), greedy or
+//!   oracle, as a schedule/prepare/commit pipeline on a worker pool
+//! * [`pass`] — a run's statistics and per-step timers (Fig. 13)
 //! * [`baselines`] — LLVM-style identical merging and the SOA structural
 //!   merging of von Koch et al. (§V-A)
 //! * [`config`] / [`error`] — the unified public API: one builder-style

@@ -74,7 +74,7 @@ impl Linearized {
 /// A cache of linearizations and their key sequences, keyed by function
 /// id.
 ///
-/// The sequential pass linearizes both functions of every merge attempt,
+/// The paper's loop linearizes both functions of every merge attempt,
 /// so a function that appears as a candidate of many subjects is
 /// re-linearized once per attempt. The pipeline keeps one
 /// [`LinearizationCache`] for the whole pass and invalidates entries only

@@ -278,8 +278,8 @@ pub fn merge_setup(
 }
 
 /// The code-generation half of [`merge_pair`], taking a precomputed
-/// alignment (used by the pass driver for fine-grained timing, and by the
-/// SOA baseline which builds its lock-step alignment directly).
+/// alignment (used by the pipeline, which aligns on cached keys, and by
+/// the SOA baseline which builds its lock-step alignment directly).
 ///
 /// # Errors
 ///

@@ -1,11 +1,19 @@
-//! The parallel merge pipeline: a schedule/prepare/commit restructuring
-//! of the sequential FMSA driver ([`crate::pass::run_fmsa`]).
+//! The FMSA optimization driver (paper §IV, Fig. 7) as a
+//! schedule/prepare/commit pipeline.
 //!
-//! The sequential driver interleaves cheap bookkeeping with the two
-//! expensive per-attempt steps (sequence alignment and merge code
-//! generation), leaving every core but one idle. This driver splits each
-//! worklist *generation* into three stages (see `docs/pipeline.md` for
-//! the architecture sketch):
+//! "It starts by precomputing and caching fingerprints for all functions
+//! ... For each function f1, we use a priority queue to rank the topmost
+//! similar candidates ... We then perform this candidate exploration in a
+//! greedy fashion, terminating after finding the first candidate that
+//! results in a profitable merge and committing that merge operation. ...
+//! the new function is added to the optimization working list. Because of
+//! this feedback loop, merge operations can also be performed on functions
+//! that resulted from previous merge operations."
+//!
+//! The paper's loop interleaves cheap bookkeeping with the two expensive
+//! per-attempt steps (sequence alignment and merge code generation). This
+//! driver splits each worklist *generation* into three stages (see
+//! `docs/pipeline.md` for the architecture sketch):
 //!
 //! 1. **Schedule** (parallel): pop a batch of live subjects, query the
 //!    [`crate::search::CandidateSearch`] index for each one's top
@@ -19,17 +27,18 @@
 //!    [`fmsa_align::AlignmentBudget`] of [`FmsaOptions::budget`]) and
 //!    computes the sound pre-codegen bound on Δ
 //!    ([`crate::profitability::delta_bound`]). Workers only read the
-//!    module; every result is advisory.
-//! 3. **Commit** (sequential): subjects are visited in the exact order
-//!    the sequential driver would visit them. Each prepared attempt is
-//!    re-validated — if either function mutated since it was scheduled,
-//!    or an earlier commit dirtied the candidate index, the stale part is
-//!    recomputed inline. The Δ bound gates every attempt: a pair it
-//!    rules out skips codegen and only replays the type interning the
-//!    build would have left. The rest are built in place
-//!    ([`crate::merge::merge_pair_aligned`]), verified, and evaluated
-//!    exactly ([`crate::profitability::evaluate_indexed`]); the §III-A
-//!    commit feeds accepted merges back into the search index, the
+//!    module; every result is advisory. One thread runs no prepare
+//!    stage: the commit stage aligns and bounds every attempt inline.
+//! 3. **Commit** (sequential): subjects are visited in the paper's
+//!    worklist order. Each prepared attempt is re-validated — if either
+//!    function mutated since it was scheduled, or an earlier commit
+//!    dirtied the candidate index, the stale part is recomputed inline.
+//!    The Δ bound gates every attempt: a pair it rules out skips codegen
+//!    and only replays the type interning the build would have left. The
+//!    rest are built in place ([`crate::merge::merge_pair_aligned`]),
+//!    verified, and evaluated exactly
+//!    ([`crate::profitability::evaluate_indexed`]); the §III-A commit
+//!    feeds accepted merges back into the search index, the
 //!    linearization cache, the call-site index, and the next
 //!    generation's worklist.
 //!
@@ -42,32 +51,33 @@
 //! callers, the merged body calls neither its own originals nor anything
 //! an earlier pending merge retired — are not committed one rewrite plan
 //! (and one worker-pool barrier) at a time. Their bookkeeping runs
-//! eagerly (so every later decision reads exactly the state the serial
-//! driver would see) and the residual body work — thunking non-deletable
-//! originals — is accumulated into one [`RewritePlan`] that flushes at
-//! the end of the generation, or just before a merge that fails the
-//! eligibility rules commits immediately. See `docs/pipeline.md`
-//! ("Sharded schedule & batched commit") and the
+//! eagerly (so every later decision reads exactly the state an immediate
+//! commit would leave) and the residual body work — thunking
+//! non-deletable originals — is accumulated into one [`RewritePlan`]
+//! that flushes at the end of the generation, or just before a merge
+//! that fails the eligibility rules commits immediately. See
+//! `docs/pipeline.md` ("Sharded schedule & batched commit") and the
 //! [`PipelineStats::commit_barriers`] / [`PipelineStats::batched_merges`]
 //! counters; bit-identity under batching is property-tested in
 //! `tests/parallel_pipeline.rs`.
 //!
-//! Because the commit stage replays the sequential driver's decision
-//! procedure exactly — same candidate order, same greedy
-//! first-profitable rule, same profitability values — the optimized
-//! module is **bit-identical to the sequential pass at any thread
-//! count** (as long as the alignment budget never triggers, which the
-//! default budget guarantees at paper scale). Parallelism only moves
-//! *where* alignments are computed; staleness is handled by
-//! re-validation, never by accepting a prepared result blindly.
+//! Because the commit stage replays the paper's decision procedure
+//! exactly — same candidate order, same greedy first-profitable rule,
+//! same profitability values — the optimized module is **bit-identical
+//! to the paper's loop at any thread count** (as long as the alignment
+//! budget never triggers, which the default budget guarantees at paper
+//! scale). Parallelism only moves *where* alignments are computed;
+//! staleness is handled by re-validation, never by accepting a prepared
+//! result blindly. The root package's tests keep a plain copy of the
+//! paper's loop as the reference they compare against.
 //!
-//! The oracle mode explores every candidate of every subject and commits
-//! the global best per subject; its upper-bound claim depends on
-//! evaluating against the exact module state, so [`run_fmsa_pipeline`]
-//! delegates oracle runs to the sequential driver.
+//! Oracle mode ([`FmsaOptions::oracle`]) takes every live function as a
+//! candidate (exact search) and has the commit stage evaluate them all
+//! before it commits the one with the largest Δ, through the same commit
+//! path.
 
-// This module *implements* the deprecated `PipelineOptions` surface; the
-// replacement ([`crate::Config`]) converts into it.
+// This module *implements* the deprecated option surfaces; the
+// replacement ([`crate::Config`]) converts into them.
 #![allow(deprecated)]
 
 use crate::callsites::{outgoing_calls, CallSiteIndex};
@@ -75,10 +85,11 @@ use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
 use crate::merge::{merge_pair_aligned, AlignAlgo, MergeInfo};
-use crate::pass::{run_fmsa, seed_pass, FmsaOptions, FmsaStats, SeededPass};
+use crate::pass::{FmsaOptions, FmsaStats, StepTimers};
 use crate::profitability::{delta_bound, evaluate_indexed, DeltaBound, GateAudit, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
 use crate::ranking::Candidate;
+use crate::search::SearchStrategy;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
 use crate::thunks::{
     can_delete, commit_merge_partitioned, prepare_commit_casts, Disposition, RewritePlan,
@@ -86,7 +97,7 @@ use crate::thunks::{
 use fmsa_align::{align_with_plan, Alignment};
 use fmsa_ir::{FuncId, Module};
 use fmsa_target::CostModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -94,7 +105,7 @@ use std::time::{Duration, Instant};
 /// Options of the pipeline driver, on top of [`FmsaOptions`].
 #[deprecated(
     since = "0.7.0",
-    note = "use `fmsa_core::Config` with `threads` set (and `fmsa_core::optimize`); \
+    note = "use `fmsa_core::Config` (and `fmsa_core::optimize`); \
             `Config::pipeline_options()` converts for this driver"
 )]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,18 +123,7 @@ pub struct PipelineOptions {
     pub faults: FaultPlan,
 }
 
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions { threads: 0, faults: FaultPlan::disabled() }
-    }
-}
-
 impl PipelineOptions {
-    /// Convenience: a pipeline with a fixed thread count.
-    pub fn with_threads(threads: usize) -> PipelineOptions {
-        PipelineOptions { threads, ..PipelineOptions::default() }
-    }
-
     /// The worker count this configuration resolves to on this machine
     /// (`threads == 0` means available parallelism).
     pub fn resolved_threads(&self) -> usize {
@@ -352,6 +352,17 @@ pub enum StatValue {
 /// tie with the whole frontier there (`docs/pipeline.md`).
 pub const GENERATION_SUBJECTS: usize = 256;
 
+/// Most pairs one oracle generation schedules. An oracle subject takes
+/// every live function as a candidate, so [`GENERATION_SUBJECTS`]
+/// subjects of a 400-function module would prepare about 100 000
+/// alignments at once: on the 39 SPEC+MiBench modules of at most 400
+/// functions, two threads peaked at 422 MiB against 24 MiB at one
+/// (2-core Xeon VM), and 59 MiB with this cap. Oracle generations take
+/// this many pairs' worth of subjects instead; the count depends on the
+/// live functions, not on the thread count, so it stays as
+/// decision-neutral and thread-invariant as the subject cap.
+const ORACLE_GENERATION_PAIRS: usize = 4096;
+
 /// One attempt aligned and bounded by the prepare stage.
 struct Prepared {
     /// `None` when the alignment budget skipped the pair.
@@ -407,6 +418,76 @@ fn align_and_bound(
         delta_bound(module, cm, f1, f2, &lin1.entries, &lin2.entries, al, &opts.merge).ok()
     });
     Gated { alignment, bound, align_time: t1 - t0, bound_time: t1.elapsed() }
+}
+
+fn eligible(module: &Module, f: FuncId, opts: &FmsaOptions) -> bool {
+    let func = module.func(f);
+    !func.is_declaration() && !opts.exclude.contains(&func.name)
+}
+
+/// The state the worklist starts from: fingerprints, the seeded search
+/// index, and the initial worklist/live set.
+struct SeededPass {
+    fingerprints: HashMap<FuncId, Fingerprint>,
+    index: Box<dyn crate::search::CandidateSearch>,
+    worklist: VecDeque<FuncId>,
+    live: HashSet<FuncId>,
+}
+
+/// Canonicalizes (when asked), fingerprints every eligible function and
+/// seeds the candidate-search index.
+///
+/// With a `pool`, fingerprinting and index seeding run on the workers —
+/// `Fingerprint::of` and `MinHasher::signature` are pure functions of the
+/// (quiescent) module, and the sharded batch insert preserves serial
+/// bucket order, so the seeded state is bit-identical either way. At the
+/// million-function scale these two loops are the entire startup cost.
+fn seed_pass(
+    module: &mut Module,
+    opts: &FmsaOptions,
+    timers: &mut StepTimers,
+    pool: Option<&rayon::ThreadPool>,
+) -> SeededPass {
+    // Optional future-work extension: canonical intra-block instruction
+    // order, so reordered clones linearize identically.
+    if opts.canonicalize {
+        let t0 = Instant::now();
+        for f in module.func_ids() {
+            if eligible(module, f, opts) {
+                fmsa_ir::passes::canonicalize_block_order(module.func_mut(f));
+            }
+        }
+        timers.linearization += t0.elapsed();
+    }
+    // Fingerprint every eligible function (cached; §IV) and seed the
+    // candidate-search index. The index is maintained incrementally through
+    // the feedback loop — no per-iteration pool is ever rebuilt.
+    let t0 = Instant::now();
+    let available: Vec<FuncId> =
+        module.func_ids().into_iter().filter(|&f| eligible(module, f, opts)).collect();
+    let fingerprints: HashMap<FuncId, Fingerprint> = match pool {
+        Some(pool) if pool.current_num_threads() > 1 && available.len() > 1 => {
+            let module = &*module;
+            pool.par_map(&available, |_, &f| (f, Fingerprint::of(module, f))).into_iter().collect()
+        }
+        _ => available.iter().map(|&f| (f, Fingerprint::of(module, f))).collect(),
+    };
+    timers.fingerprinting += t0.elapsed();
+    let t0 = Instant::now();
+    // The oracle's "best possible candidate" claim requires an exhaustive
+    // scan: shortlisting would silently turn its upper bound into a guess,
+    // so oracle mode always searches exactly regardless of `opts.search`.
+    // `Auto` resolves here, against the eligible-function count.
+    let strategy =
+        if opts.oracle { SearchStrategy::Exact } else { opts.search.resolve(available.len()) };
+    let mut index = strategy.build();
+    let items: Vec<(FuncId, &Fingerprint)> =
+        available.iter().map(|&f| (f, &fingerprints[&f])).collect();
+    index.insert_batch(&items, pool);
+    timers.ranking += t0.elapsed();
+    let worklist: VecDeque<FuncId> = available.iter().copied().collect();
+    let live: HashSet<FuncId> = available.into_iter().collect();
+    SeededPass { fingerprints, index, worklist, live }
 }
 
 /// Executes the pending batch of deferred merges (no-op when empty):
@@ -466,16 +547,12 @@ fn flush_batch(
     pstats.commit_barriers += 1;
 }
 
-/// Runs the FMSA optimization over `module` with the parallel merge
-/// pipeline. Produces a module bit-identical to [`run_fmsa`] for any
-/// `pipe.threads` (see the module docs for why), in substantially less
-/// wall-clock: alignments and Δ bounds are computed on a worker pool,
-/// functions are linearized once per generation instead of once per
-/// attempt, and profitability queries hit an incremental call-site index
-/// instead of rescanning the module.
-///
-/// Oracle runs ([`FmsaOptions::oracle`]) delegate to the sequential
-/// driver.
+/// Runs the FMSA optimization over `module` with the merge pipeline.
+/// Produces a module bit-identical to the paper's loop for any
+/// `pipe.threads` (see the module docs for why): alignments and Δ bounds
+/// are computed on a worker pool, functions are linearized once per
+/// generation instead of once per attempt, and profitability queries hit
+/// an incremental call-site index instead of rescanning the module.
 pub fn run_fmsa_pipeline(
     module: &mut Module,
     opts: &FmsaOptions,
@@ -523,9 +600,6 @@ fn run_pipeline(
     mut audit: Option<&mut GateAudit>,
     mut key_audit: Option<&mut KeyAudit>,
 ) -> FmsaStats {
-    if opts.oracle {
-        return run_fmsa(module, opts);
-    }
     let _pass_span = trace::span("fmsa", "pass");
     let threads = pipe.resolved_threads();
     let faults = pipe.faults;
@@ -534,15 +608,15 @@ fn run_pipeline(
     let mut stats = FmsaStats { size_before: cm.module_size(module), ..FmsaStats::default() };
     let mut pstats = PipelineStats { threads, ..PipelineStats::default() };
 
-    // Seed fingerprints and the candidate-search index with the exact
-    // same helper as the sequential driver (part of the bit-identity
-    // guarantee).
     let SeededPass { mut fingerprints, mut index, mut worklist, mut live } =
         seed_pass(module, opts, &mut stats.timers, (threads > 1).then_some(&pool));
 
-    // Pipeline-only state: the linearization cache, the incremental
-    // call-site index, and per-function mutation generations used to
-    // re-validate prepared work.
+    // Oracle mode explores every candidate of every subject.
+    let threshold = if opts.oracle { usize::MAX } else { opts.threshold };
+
+    // The linearization cache, the incremental call-site index, and
+    // per-function mutation generations used to re-validate prepared
+    // work.
     let mut lin_cache = LinearizationCache::new();
     let mut call_sites = CallSiteIndex::build(module);
     let mut gens: HashMap<FuncId, u64> = HashMap::new();
@@ -555,7 +629,12 @@ fn run_pipeline(
             vec![("gen", pstats.generations.to_string())]
         });
         // ---------------------------------------------------- schedule
-        let take = GENERATION_SUBJECTS.min(worklist.len());
+        let cap = if opts.oracle {
+            (ORACLE_GENERATION_PAIRS / live.len().max(1)).clamp(1, GENERATION_SUBJECTS)
+        } else {
+            GENERATION_SUBJECTS
+        };
+        let take = cap.min(worklist.len());
         let mut subjects = Vec::with_capacity(take);
         for _ in 0..take {
             let f = worklist.pop_front().expect("worklist non-empty");
@@ -581,7 +660,7 @@ fn run_pipeline(
                 let _s = trace::span("fmsa", "query");
                 let t = Instant::now();
                 let cands =
-                    shared_index.candidates(f, &fps[&f], fps, opts.threshold, opts.min_similarity);
+                    shared_index.candidates(f, &fps[&f], fps, threshold, opts.min_similarity);
                 query_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 (f, cands)
             });
@@ -672,7 +751,7 @@ fn run_pipeline(
         // `dirty` flips on the first commit of the generation: from then
         // on the index may answer differently than it did at schedule
         // time, so candidate lists are re-queried (exactly what the
-        // sequential driver would see at this point of the worklist).
+        // paper's loop would see at this point of the worklist).
         let commit_span = trace::span("fmsa", "commit");
         let t_commit = Instant::now();
         let mut dirty = false;
@@ -692,7 +771,7 @@ fn run_pipeline(
                     f1,
                     &fingerprints[&f1],
                     &fingerprints,
-                    opts.threshold,
+                    threshold,
                     opts.min_similarity,
                 );
                 stats.timers.ranking += t0.elapsed();
@@ -701,6 +780,13 @@ fn run_pipeline(
                 scheduled_cands
             };
 
+            // The subject's decision records, in attempt order. The
+            // winner's outcome is fixed up once its commit resolves, then
+            // the whole batch lands in `stats.decisions`.
+            let mut recs: Vec<DecisionRecord> = Vec::new();
+            // The merge this subject commits: its 1-based rank, its
+            // built body, its Δ and the index of its record in `recs`.
+            let mut best: Option<(usize, MergeInfo, i64, usize)> = None;
             for (pos, cand) in cands.iter().enumerate() {
                 stats.attempted += 1;
                 let t0 = Instant::now();
@@ -776,7 +862,7 @@ fn run_pipeline(
                                 ) {
                                     pstats.quarantined_align += 1;
                                 }
-                                stats.decisions.push(rec(None, None, DecisionOutcome::Quarantined));
+                                recs.push(rec(None, None, DecisionOutcome::Quarantined));
                                 continue;
                             }
                         }
@@ -785,7 +871,7 @@ fn run_pipeline(
                 let align_score = alignment.as_ref().map(|al| al.score);
                 let Some(alignment) = alignment else {
                     pstats.budget_skipped += 1;
-                    stats.decisions.push(rec(None, None, DecisionOutcome::BudgetSkipped));
+                    recs.push(rec(None, None, DecisionOutcome::BudgetSkipped));
                     continue;
                 };
                 // From here on every record carries the gate's bound.
@@ -796,10 +882,10 @@ fn run_pipeline(
                 };
                 if let Some(b) = bound.as_ref().filter(|b| b.rules_out(&module.types)) {
                     // Sound gate: the bound proves the real Δ would be
-                    // ≤ 0, so the sequential driver would have generated
-                    // and discarded this merge. Skip codegen, replaying
-                    // the types the discarded build would have left
-                    // behind.
+                    // ≤ 0, so the paper's loop would have generated and
+                    // discarded this merge (and the oracle could not
+                    // pick it). Skip codegen, replaying the types the
+                    // discarded build would have left behind.
                     if let Some(a) = audit.as_deref_mut() {
                         a.check_skip(
                             module,
@@ -816,7 +902,7 @@ fn run_pipeline(
                     }
                     b.replay_skip(&mut module.types);
                     pstats.gate_skipped += 1;
-                    stats.decisions.push(rec(align_score, None, DecisionOutcome::GateSkipped));
+                    recs.push(rec(align_score, None, DecisionOutcome::GateSkipped));
                     continue;
                 }
                 let t0 = Instant::now();
@@ -895,7 +981,10 @@ fn run_pipeline(
                         }
                         break 'attempt Err(rec(align_score, None, DecisionOutcome::Quarantined));
                     }
-                    let report = evaluate_indexed(module, &cm, &info, &call_sites);
+                    // An oracle's best-so-far body is still in the module:
+                    // its calls count, as the paper's loop counts them.
+                    let pending = best.as_ref().map(|b| b.1.merged);
+                    let report = evaluate_indexed(module, &cm, &info, &call_sites, pending);
                     if let (Some(a), Some(b)) = (audit.as_deref_mut(), bound.as_ref()) {
                         a.check_built(module, f1, cand.func, b, report.delta);
                     }
@@ -905,139 +994,83 @@ fn run_pipeline(
                 pstats.commit_codegen += t0.elapsed();
                 match outcome {
                     Ok((info, report)) if report.is_profitable() => {
-                        let pool_ref = (threads > 1).then_some(&pool);
-                        // Batch eligibility — the merge's call-graph
-                        // update must provably interact with nothing else
-                        // in the generation: every deletable side has
-                        // zero callers to rewrite (after the serial
-                        // loop's own filters), neither side is a merged
-                        // function still pending in the batch, and the
-                        // merged body is already final (it calls neither
-                        // its own originals nor anything the batch
-                        // retired). Such a commit touches no third
-                        // function, so its bookkeeping can run eagerly
-                        // and its body work can wait for the flush.
-                        let deletable = [can_delete(module, f1), can_delete(module, info.f2)];
-                        let callers_clear = [(f1, deletable[0]), (info.f2, deletable[1])]
-                            .into_iter()
-                            .all(|(func, del)| {
-                                !del || call_sites.callers_of(func).into_iter().all(|g| {
-                                    g == func || plan.retired().contains(&g) || !module.is_live(g)
-                                })
-                            });
-                        let defer = callers_clear
-                            && !plan.merged_funcs().contains(&f1)
-                            && !plan.merged_funcs().contains(&info.f2)
-                            && {
-                                let merged_out = outgoing_calls(module.func(info.merged));
-                                !merged_out.contains_key(&f1)
-                                    && !merged_out.contains_key(&info.f2)
-                                    && merged_out.keys().all(|c| !plan.retired().contains(c))
-                            };
-                        if defer {
-                            let t0 = Instant::now();
-                            let dispositions = deletable.map(|d| {
-                                if d {
-                                    Disposition::Deleted
-                                } else {
-                                    Disposition::Thunk
-                                }
-                            });
-                            // Serial commit would intern the thunk-side
-                            // cast container types right now; replay that
-                            // eagerly so the deferred execution leaves
-                            // the type store bit-identical.
-                            if prepare_commit_casts(module, &info).is_err() {
-                                // Mirror the immediate path's failed
-                                // commit: drop the merge, resynchronize,
-                                // abandon the subject.
-                                flush_batch(
-                                    module,
-                                    &mut plan,
-                                    &mut pending_expect,
-                                    pool_ref,
-                                    &mut stats,
-                                    &mut pstats,
-                                    &mut call_sites,
-                                    &mut lin_cache,
-                                    &mut epoch,
-                                    &mut dirty,
-                                );
-                                module.remove_function(info.merged);
-                                stats.decisions.push(rec(
-                                    align_score,
-                                    Some(report.delta),
-                                    DecisionOutcome::Failed,
-                                ));
-                                call_sites = CallSiteIndex::build(module);
-                                lin_cache = LinearizationCache::new();
-                                epoch += 1;
-                                dirty = true;
-                                break;
+                        // Greedy: the first profitable candidate wins.
+                        // Oracle: a strictly larger Δ displaces the best
+                        // so far, whose body is discarded and whose record
+                        // flips to unprofitable.
+                        let delta = report.delta;
+                        if best.as_ref().is_none_or(|b| delta > b.2) {
+                            if let Some((_, old, _, i)) = best.take() {
+                                module.remove_function(old.merged);
+                                recs[i].outcome = DecisionOutcome::Unprofitable;
                             }
-                            plan.add_merge(module, &info, &call_sites);
-                            pending_expect.push((dispositions[0], dispositions[1]));
-                            stats.timers.update_calls += t0.elapsed();
-                            pstats.rewrite += t0.elapsed();
-                            pstats.batched_merges += 1;
-                            stats.merges += 1;
-                            stats.rank_positions.push(pos + 1);
-                            stats.decisions.push(rec(
-                                align_score,
-                                Some(report.delta),
-                                DecisionOutcome::Merged,
-                            ));
-                            for d in dispositions {
-                                match d {
-                                    Disposition::Deleted => stats.deleted += 1,
-                                    Disposition::Thunk => stats.thunks += 1,
-                                }
-                            }
-                            live.remove(&f1);
-                            live.remove(&info.f2);
-                            fingerprints.remove(&f1);
-                            fingerprints.remove(&info.f2);
-                            index.remove(f1);
-                            index.remove(info.f2);
-                            for (func, disposition) in
-                                [(f1, dispositions[0]), (info.f2, dispositions[1])]
-                            {
-                                lin_cache.invalidate(func);
-                                match disposition {
-                                    Disposition::Deleted => {
-                                        call_sites.remove(func);
-                                        gens.remove(&func);
-                                        // Eager removal keeps liveness
-                                        // and `func_by_name` (merged-name
-                                        // deduplication) identical to the
-                                        // serial driver; the flush's
-                                        // re-removal is a no-op.
-                                        module.remove_function(func);
-                                    }
-                                    Disposition::Thunk => {
-                                        call_sites.set_thunk(func, info.merged);
-                                        *gens.entry(func).or_insert(0) += 1;
-                                    }
-                                }
-                            }
-                            // No caller is touched (that is what the
-                            // eligibility rules guarantee), and the
-                            // merged body is final: its index entry and
-                            // fingerprint are exact now.
-                            call_sites.refresh(module, info.merged);
-                            let t0 = Instant::now();
-                            let merged_fp = Fingerprint::of(module, info.merged);
-                            index.insert(info.merged, &merged_fp);
-                            fingerprints.insert(info.merged, merged_fp);
-                            stats.timers.fingerprinting += t0.elapsed();
-                            live.insert(info.merged);
-                            worklist.push_back(info.merged);
-                            dirty = true;
-                            break; // greedy: first profitable candidate wins
+                            best = Some((pos + 1, info, delta, recs.len()));
+                            recs.push(rec(align_score, Some(delta), DecisionOutcome::Merged));
+                        } else {
+                            module.remove_function(info.merged);
+                            recs.push(rec(align_score, Some(delta), DecisionOutcome::Unprofitable));
                         }
-                        // Ineligible: the pending batch precedes this
-                        // merge in serial order, so flush it first, then
-                        // commit through an immediate single-merge plan.
+                        if !opts.oracle {
+                            break;
+                        }
+                    }
+                    Ok((info, report)) => {
+                        module.remove_function(info.merged);
+                        pstats.gate_missed += 1;
+                        recs.push(rec(
+                            align_score,
+                            Some(report.delta),
+                            DecisionOutcome::Unprofitable,
+                        ));
+                    }
+                    Err(r) => recs.push(r),
+                }
+            }
+
+            'commit: {
+                let Some((rank, info, _, win)) = best else {
+                    break 'commit;
+                };
+                let pool_ref = (threads > 1).then_some(&pool);
+                // Batch eligibility — the merge's call-graph update must
+                // provably interact with nothing else in the generation:
+                // every deletable side has zero callers to rewrite (after
+                // the serial loop's own filters), neither side is a
+                // merged function still pending in the batch, and the
+                // merged body is already final (it calls neither its own
+                // originals nor anything the batch retired). Such a
+                // commit touches no third function, so its bookkeeping
+                // can run eagerly and its body work can wait for the
+                // flush.
+                let deletable = [can_delete(module, f1), can_delete(module, info.f2)];
+                let callers_clear =
+                    [(f1, deletable[0]), (info.f2, deletable[1])].into_iter().all(|(func, del)| {
+                        !del || call_sites
+                            .callers_of(func)
+                            .into_iter()
+                            .all(|g| g == func || plan.retired().contains(&g) || !module.is_live(g))
+                    });
+                let defer = callers_clear
+                    && !plan.merged_funcs().contains(&f1)
+                    && !plan.merged_funcs().contains(&info.f2)
+                    && {
+                        let merged_out = outgoing_calls(module.func(info.merged));
+                        !merged_out.contains_key(&f1)
+                            && !merged_out.contains_key(&info.f2)
+                            && merged_out.keys().all(|c| !plan.retired().contains(c))
+                    };
+                if defer {
+                    let t0 = Instant::now();
+                    let dispositions =
+                        deletable
+                            .map(|d| if d { Disposition::Deleted } else { Disposition::Thunk });
+                    // Serial commit would intern the thunk-side cast
+                    // container types right now; replay that eagerly so
+                    // the deferred execution leaves the type store
+                    // bit-identical.
+                    if prepare_commit_casts(module, &info).is_err() {
+                        // Mirror the immediate path's failed commit: drop
+                        // the merge, resynchronize, abandon the subject.
                         flush_batch(
                             module,
                             &mut plan,
@@ -1050,119 +1083,171 @@ fn run_pipeline(
                             &mut epoch,
                             &mut dirty,
                         );
-                        pstats.batch_fallback += 1;
-                        let t0 = Instant::now();
-                        // Call-graph update through the partitioned plan:
-                        // callers come from the incremental call-site
-                        // index, disjoint caller partitions rewrite on the
-                        // worker pool. Single-threaded runs execute the
-                        // partitions inline (no pool handoff).
-                        let commit =
-                            match commit_merge_partitioned(module, &info, &call_sites, pool_ref) {
-                                Ok(c) => c,
-                                Err(_) => {
-                                    // Should not happen (guarded by tests).
-                                    // Mirror the sequential driver: drop the
-                                    // merge and abandon this subject. The
-                                    // failed commit may have partially
-                                    // rewritten call sites, a state the
-                                    // per-function generations cannot
-                                    // describe, so resynchronize the caches
-                                    // with the module and invalidate all
-                                    // prepared work.
-                                    module.remove_function(info.merged);
-                                    stats.decisions.push(rec(
-                                        align_score,
-                                        Some(report.delta),
-                                        DecisionOutcome::Failed,
-                                    ));
-                                    call_sites = CallSiteIndex::build(module);
-                                    lin_cache = LinearizationCache::new();
-                                    epoch += 1;
-                                    dirty = true;
-                                    break;
-                                }
-                            };
-                        stats.timers.update_calls += t0.elapsed();
-                        pstats.rewrite += t0.elapsed();
-                        pstats.commit_barriers += 1;
-                        stats.merges += 1;
-                        stats.rank_positions.push(pos + 1);
-                        stats.decisions.push(rec(
-                            align_score,
-                            Some(report.delta),
-                            DecisionOutcome::Merged,
-                        ));
-                        for d in [commit.first, commit.second] {
-                            match d {
-                                Disposition::Deleted => stats.deleted += 1,
-                                Disposition::Thunk => stats.thunks += 1,
-                            }
-                        }
-                        // Retire the originals from the merge pool.
-                        live.remove(&f1);
-                        live.remove(&info.f2);
-                        fingerprints.remove(&f1);
-                        fingerprints.remove(&info.f2);
-                        index.remove(f1);
-                        index.remove(info.f2);
-                        // Maintain the pipeline caches: mutated functions
-                        // get new generations and fresh call-site entries,
-                        // deleted ones leave every structure.
-                        for (func, disposition) in [(f1, commit.first), (info.f2, commit.second)] {
-                            lin_cache.invalidate(func);
-                            match disposition {
-                                Disposition::Deleted => {
-                                    call_sites.remove(func);
-                                    gens.remove(&func);
-                                }
-                                Disposition::Thunk => {
-                                    call_sites.refresh(module, func);
-                                    *gens.entry(func).or_insert(0) += 1;
-                                }
-                            }
-                        }
-                        for &g in &commit.touched {
-                            lin_cache.invalidate(g);
-                            *gens.entry(g).or_insert(0) += 1;
-                            if module.is_live(g) {
-                                call_sites.refresh(module, g);
-                            } else {
-                                call_sites.remove(g);
-                            }
-                        }
-                        call_sites.refresh(module, info.merged);
-                        // Feedback loop: rewritten callers re-enter the
-                        // index with fresh fingerprints, the merged
-                        // function joins the next generation's worklist.
-                        let t0 = Instant::now();
-                        for g in commit.touched {
-                            if live.contains(&g) && module.is_live(g) {
-                                let fp = Fingerprint::of(module, g);
-                                index.insert(g, &fp);
-                                fingerprints.insert(g, fp);
-                            }
-                        }
-                        let merged_fp = Fingerprint::of(module, info.merged);
-                        index.insert(info.merged, &merged_fp);
-                        fingerprints.insert(info.merged, merged_fp);
-                        stats.timers.fingerprinting += t0.elapsed();
-                        live.insert(info.merged);
-                        worklist.push_back(info.merged);
-                        dirty = true;
-                        break; // greedy: first profitable candidate wins
-                    }
-                    Ok((info, report)) => {
                         module.remove_function(info.merged);
-                        pstats.gate_missed += 1;
-                        stats.decisions.push(rec(
-                            align_score,
-                            Some(report.delta),
-                            DecisionOutcome::Unprofitable,
-                        ));
+                        recs[win].outcome = DecisionOutcome::Failed;
+                        call_sites = CallSiteIndex::build(module);
+                        lin_cache = LinearizationCache::new();
+                        epoch += 1;
+                        dirty = true;
+                        break 'commit;
                     }
-                    Err(r) => stats.decisions.push(r),
+                    plan.add_merge(module, &info, &call_sites);
+                    pending_expect.push((dispositions[0], dispositions[1]));
+                    stats.timers.update_calls += t0.elapsed();
+                    pstats.rewrite += t0.elapsed();
+                    pstats.batched_merges += 1;
+                    stats.merges += 1;
+                    stats.rank_positions.push(rank);
+                    for d in dispositions {
+                        match d {
+                            Disposition::Deleted => stats.deleted += 1,
+                            Disposition::Thunk => stats.thunks += 1,
+                        }
+                    }
+                    live.remove(&f1);
+                    live.remove(&info.f2);
+                    fingerprints.remove(&f1);
+                    fingerprints.remove(&info.f2);
+                    index.remove(f1);
+                    index.remove(info.f2);
+                    for (func, disposition) in [(f1, dispositions[0]), (info.f2, dispositions[1])] {
+                        lin_cache.invalidate(func);
+                        match disposition {
+                            Disposition::Deleted => {
+                                call_sites.remove(func);
+                                gens.remove(&func);
+                                // Eager removal keeps liveness and
+                                // `func_by_name` (merged-name
+                                // deduplication) identical to an
+                                // immediate commit; the flush's
+                                // re-removal is a no-op.
+                                module.remove_function(func);
+                            }
+                            Disposition::Thunk => {
+                                call_sites.set_thunk(func, info.merged);
+                                *gens.entry(func).or_insert(0) += 1;
+                            }
+                        }
+                    }
+                    // No caller is touched (that is what the eligibility
+                    // rules guarantee), and the merged body is final: its
+                    // index entry and fingerprint are exact now.
+                    call_sites.refresh(module, info.merged);
+                    let t0 = Instant::now();
+                    let merged_fp = Fingerprint::of(module, info.merged);
+                    index.insert(info.merged, &merged_fp);
+                    fingerprints.insert(info.merged, merged_fp);
+                    stats.timers.fingerprinting += t0.elapsed();
+                    live.insert(info.merged);
+                    worklist.push_back(info.merged);
+                    dirty = true;
+                    break 'commit;
                 }
+                // Ineligible: the pending batch precedes this merge in
+                // serial order, so flush it first, then commit through an
+                // immediate single-merge plan.
+                flush_batch(
+                    module,
+                    &mut plan,
+                    &mut pending_expect,
+                    pool_ref,
+                    &mut stats,
+                    &mut pstats,
+                    &mut call_sites,
+                    &mut lin_cache,
+                    &mut epoch,
+                    &mut dirty,
+                );
+                pstats.batch_fallback += 1;
+                let t0 = Instant::now();
+                // Call-graph update through the partitioned plan: callers
+                // come from the incremental call-site index, disjoint
+                // caller partitions rewrite on the worker pool.
+                // Single-threaded runs execute the partitions inline (no
+                // pool handoff).
+                let commit = match commit_merge_partitioned(module, &info, &call_sites, pool_ref) {
+                    Ok(c) => c,
+                    Err(_) => {
+                        // Should not happen (guarded by tests). Drop the
+                        // merge and abandon this subject. The failed
+                        // commit may have partially rewritten call sites,
+                        // a state the per-function generations cannot
+                        // describe, so resynchronize the caches with the
+                        // module and invalidate all prepared work.
+                        module.remove_function(info.merged);
+                        recs[win].outcome = DecisionOutcome::Failed;
+                        call_sites = CallSiteIndex::build(module);
+                        lin_cache = LinearizationCache::new();
+                        epoch += 1;
+                        dirty = true;
+                        break 'commit;
+                    }
+                };
+                stats.timers.update_calls += t0.elapsed();
+                pstats.rewrite += t0.elapsed();
+                pstats.commit_barriers += 1;
+                stats.merges += 1;
+                stats.rank_positions.push(rank);
+                for d in [commit.first, commit.second] {
+                    match d {
+                        Disposition::Deleted => stats.deleted += 1,
+                        Disposition::Thunk => stats.thunks += 1,
+                    }
+                }
+                // Retire the originals from the merge pool.
+                live.remove(&f1);
+                live.remove(&info.f2);
+                fingerprints.remove(&f1);
+                fingerprints.remove(&info.f2);
+                index.remove(f1);
+                index.remove(info.f2);
+                // Maintain the pipeline caches: mutated functions get new
+                // generations and fresh call-site entries, deleted ones
+                // leave every structure.
+                for (func, disposition) in [(f1, commit.first), (info.f2, commit.second)] {
+                    lin_cache.invalidate(func);
+                    match disposition {
+                        Disposition::Deleted => {
+                            call_sites.remove(func);
+                            gens.remove(&func);
+                        }
+                        Disposition::Thunk => {
+                            call_sites.refresh(module, func);
+                            *gens.entry(func).or_insert(0) += 1;
+                        }
+                    }
+                }
+                for &g in &commit.touched {
+                    lin_cache.invalidate(g);
+                    *gens.entry(g).or_insert(0) += 1;
+                    if module.is_live(g) {
+                        call_sites.refresh(module, g);
+                    } else {
+                        call_sites.remove(g);
+                    }
+                }
+                call_sites.refresh(module, info.merged);
+                // Feedback loop: rewritten callers re-enter the index with
+                // fresh fingerprints, the merged function joins the next
+                // generation's worklist.
+                let t0 = Instant::now();
+                for g in commit.touched {
+                    if live.contains(&g) && module.is_live(g) {
+                        let fp = Fingerprint::of(module, g);
+                        index.insert(g, &fp);
+                        fingerprints.insert(g, fp);
+                    }
+                }
+                let merged_fp = Fingerprint::of(module, info.merged);
+                index.insert(info.merged, &merged_fp);
+                fingerprints.insert(info.merged, merged_fp);
+                stats.timers.fingerprinting += t0.elapsed();
+                live.insert(info.merged);
+                worklist.push_back(info.merged);
+                dirty = true;
+            }
+            for r in recs {
+                stats.decisions.push(r);
             }
         }
         // End-of-generation flush: nothing pends across generations —
@@ -1193,6 +1278,7 @@ fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Config;
     use fmsa_ir::printer::print_module;
     use fmsa_ir::{FuncBuilder, Value};
 
@@ -1210,6 +1296,7 @@ mod tests {
                 v = b.add(v, b.const_i32(j as i32));
                 v = b.mul(v, Value::Param(1));
             }
+            // One differing constant per clone.
             v = b.xor(v, b.const_i32(k as i32 + 100));
             b.ret(Some(v));
             out.push(f);
@@ -1217,67 +1304,146 @@ mod tests {
         out
     }
 
-    fn assert_matches_sequential(opts: &FmsaOptions, pipe: &PipelineOptions) {
-        let mut m1 = Module::new("m");
-        clone_family(&mut m1, 6, 12);
-        let seq = run_fmsa(&mut m1, opts);
-        let mut m2 = Module::new("m");
-        clone_family(&mut m2, 6, 12);
-        let par = run_fmsa_pipeline(&mut m2, opts, pipe);
-        assert_eq!(print_module(&m1), print_module(&m2), "module text must be bit-identical");
-        assert_eq!(seq.merges, par.merges);
-        assert_eq!(seq.attempted, par.attempted);
-        assert_eq!(seq.rank_positions, par.rank_positions);
-        assert_eq!(seq.size_after, par.size_after);
-        assert_eq!((seq.deleted, seq.thunks), (par.deleted, par.thunks));
+    /// Runs the pipeline under `cfg` on a fresh clone family.
+    fn run_family(cfg: &Config, count: usize, body_len: usize) -> (Module, FmsaStats) {
+        let mut m = Module::new("m");
+        clone_family(&mut m, count, body_len);
+        let stats = run_fmsa_pipeline(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+        (m, stats)
     }
 
     #[test]
-    fn single_thread_matches_sequential() {
-        assert_matches_sequential(
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(1),
-        );
+    fn merges_a_clone_family_and_shrinks_module() {
+        let (m, stats) = run_family(&Config::new(), 4, 12);
+        assert!(stats.merges >= 2, "{stats:?}");
+        assert!(stats.size_after < stats.size_before, "{stats:?}");
+        assert!(fmsa_ir::verify_module(&m).is_empty(), "{:?}", fmsa_ir::verify_module(&m));
     }
 
     #[test]
-    fn multi_thread_matches_sequential() {
-        for threads in [2, 4, 8] {
-            assert_matches_sequential(
-                &FmsaOptions::with_threshold(5),
-                &PipelineOptions::with_threads(threads),
-            );
+    fn feedback_loop_merges_merged_functions() {
+        // 4 clones: pairwise merges produce 2 merged functions that are
+        // themselves similar and merge again -> 3 total merges.
+        let (_, stats) = run_family(&Config::new().threshold(10), 4, 12);
+        assert_eq!(stats.merges, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn exclusion_prevents_merging() {
+        let (_, stats) = run_family(&Config::new().exclude(["fam0"]), 2, 12);
+        assert_eq!(stats.merges, 0);
+        assert_eq!(stats.size_before, stats.size_after);
+    }
+
+    #[test]
+    fn oracle_finds_at_least_as_much_as_greedy() {
+        let (_, greedy) = run_family(&Config::new(), 5, 10);
+        let (_, oracle) = run_family(&Config::new().oracle(true), 5, 10);
+        assert!(oracle.size_after <= greedy.size_after, "greedy={greedy:?} oracle={oracle:?}");
+    }
+
+    #[test]
+    fn rank_positions_recorded() {
+        let (_, stats) = run_family(&Config::new().threshold(5), 4, 12);
+        assert_eq!(stats.rank_positions.len(), stats.merges);
+        assert!(stats.rank_positions.iter().all(|&p| (1..=5).contains(&p)));
+    }
+
+    #[test]
+    fn lsh_search_merges_clone_families_too() {
+        let cfg = Config::new().threshold(10).search(SearchStrategy::lsh());
+        let (m, stats) = run_family(&cfg, 4, 12);
+        assert!(stats.merges >= 2, "{stats:?}");
+        assert!(stats.size_after < stats.size_before, "{stats:?}");
+        assert!(fmsa_ir::verify_module(&m).is_empty());
+    }
+
+    #[test]
+    fn lsh_feedback_loop_reaches_merged_functions() {
+        // The incremental index must contain functions created mid-pass:
+        // 4 clones merge pairwise, and the two merged functions must find
+        // each other through the index for the third merge.
+        let cfg = Config::new().threshold(10).search(SearchStrategy::lsh());
+        let (_, stats) = run_family(&cfg, 4, 12);
+        assert_eq!(stats.merges, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn exact_and_lsh_agree_on_small_families() {
+        let (_, exact) = run_family(&Config::new().threshold(5), 6, 10);
+        let (_, lsh) = run_family(&Config::new().threshold(5).search(SearchStrategy::lsh()), 6, 10);
+        assert_eq!(exact.merges, lsh.merges, "exact={exact:?} lsh={lsh:?}");
+        assert_eq!(exact.size_after, lsh.size_after);
+    }
+
+    #[test]
+    fn oracle_overrides_lsh_shortlisting() {
+        // oracle + Lsh must behave exactly like oracle + Exact: the upper
+        // bound is only meaningful over an exhaustive scan.
+        let (_, exact) = run_family(&Config::new().oracle(true), 5, 10);
+        let (_, lsh) = run_family(&Config::new().oracle(true).search(SearchStrategy::lsh()), 5, 10);
+        assert_eq!(exact.merges, lsh.merges);
+        assert_eq!(exact.size_after, lsh.size_after);
+        assert_eq!(exact.rank_positions, lsh.rank_positions);
+    }
+
+    #[test]
+    fn timers_accumulate() {
+        let (_, stats) = run_family(&Config::new(), 4, 20);
+        assert!(stats.timers.total() > Duration::ZERO);
+        assert!(stats.timers.alignment > Duration::ZERO);
+    }
+
+    /// Every thread count in `threads` reproduces the one-thread run on a
+    /// 6-clone family: module text, merges, attempts, rank positions,
+    /// sizes and dispositions.
+    fn assert_thread_invariant(cfg: &Config, threads: &[usize]) {
+        let (m1, one) = run_family(&cfg.clone().parallel(1), 6, 12);
+        for &t in threads {
+            let (mt, par) = run_family(&cfg.clone().parallel(t), 6, 12);
+            assert_eq!(print_module(&m1), print_module(&mt), "module text at {t} threads");
+            assert_eq!(one.merges, par.merges);
+            assert_eq!(one.attempted, par.attempted);
+            assert_eq!(one.rank_positions, par.rank_positions);
+            assert_eq!(one.size_after, par.size_after);
+            assert_eq!((one.deleted, one.thunks), (par.deleted, par.thunks));
         }
     }
 
     #[test]
-    fn lsh_pipeline_matches_lsh_sequential() {
-        assert_matches_sequential(&FmsaOptions::with_lsh(5), &PipelineOptions::with_threads(4));
+    fn multi_thread_matches_single_thread() {
+        assert_thread_invariant(&Config::new().threshold(5), &[2, 4, 8]);
     }
 
     #[test]
-    fn oracle_delegates_to_sequential() {
-        let mut m1 = Module::new("m");
-        clone_family(&mut m1, 5, 10);
-        let seq = run_fmsa(&mut m1, &FmsaOptions::oracle());
-        let mut m2 = Module::new("m");
-        clone_family(&mut m2, 5, 10);
-        let par =
-            run_fmsa_pipeline(&mut m2, &FmsaOptions::oracle(), &PipelineOptions::with_threads(4));
-        assert_eq!(print_module(&m1), print_module(&m2));
-        assert!(par.pipeline.is_none(), "oracle runs report sequential stats");
-        assert_eq!(seq.merges, par.merges);
+    fn lsh_pipeline_is_thread_invariant() {
+        assert_thread_invariant(&Config::new().threshold(5).search(SearchStrategy::lsh()), &[4]);
+    }
+
+    #[test]
+    fn oracle_is_thread_invariant() {
+        assert_thread_invariant(&Config::new().oracle(true), &[2, 4]);
+    }
+
+    #[test]
+    fn oracle_commits_through_the_pipeline() {
+        let (m, stats) = run_family(&Config::new().oracle(true).parallel(4), 5, 10);
+        let p = stats.pipeline.expect("pipeline stats");
+        assert_eq!(p.threads, 4);
+        assert!(p.generations >= 1 && p.prepared > 0, "{p:?}");
+        assert_eq!(p.batched_merges + p.batch_fallback, stats.merges, "{p:?}");
+        // Every profitable candidate was built and evaluated: exactly one
+        // record per merge says so, the rest were gated, unprofitable or
+        // outbid.
+        use crate::telemetry::DecisionOutcome as O;
+        assert_eq!(stats.decisions.count(O::Merged), stats.merges as u64);
+        assert_eq!(stats.decisions.total(), stats.attempted as u64);
+        assert!(fmsa_ir::verify_module(&m).is_empty());
     }
 
     #[test]
     fn pipeline_reports_telemetry() {
-        let mut m = Module::new("m");
-        clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let (m, stats) = run_family(&Config::new().threshold(5).parallel(4), 6, 12);
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.threads, 4);
         assert!(p.generations >= 1);
@@ -1295,13 +1461,7 @@ mod tests {
         // pending in the batch (a fallback, flushed and committed
         // immediately). Either way, every merge is accounted once and
         // the barrier count stays below one-per-merge.
-        let mut m = Module::new("m");
-        clone_family(&mut m, 8, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let (m, stats) = run_family(&Config::new().threshold(5).parallel(4), 8, 12);
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.batched_merges + p.batch_fallback, stats.merges, "{p:?}");
         assert!(p.batched_merges > 0, "eligible merges must defer: {p:?}");
@@ -1316,13 +1476,7 @@ mod tests {
 
     #[test]
     fn schedule_timers_split_query_and_prefill() {
-        let mut m = Module::new("m");
-        clone_family(&mut m, 8, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let (_, stats) = run_family(&Config::new().threshold(5).parallel(4), 8, 12);
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.schedule, p.schedule_query + p.schedule_prefill, "{p:?}");
         assert!(p.schedule_query > Duration::ZERO, "{p:?}");
@@ -1335,19 +1489,13 @@ mod tests {
 
     #[test]
     fn injected_faults_quarantine_deterministically() {
-        use crate::faults::{FaultPlan, FaultSite};
         crate::faults::silence_injected_panics();
         // High rate so the small family reliably faults somewhere.
         let plan = FaultPlan::new(0xFA17, 400_000, &FaultSite::ALL);
         let mut baseline = None;
         for threads in [1usize, 2, 4] {
-            let mut m = Module::new("m");
-            clone_family(&mut m, 6, 12);
-            let stats = run_fmsa_pipeline(
-                &mut m,
-                &FmsaOptions::with_threshold(5),
-                &PipelineOptions { threads, faults: plan },
-            );
+            let cfg = Config::new().threshold(5).parallel(threads).faults(plan);
+            let (m, stats) = run_family(&cfg, 6, 12);
             assert!(fmsa_ir::verify_module(&m).is_empty(), "faulted run stays valid");
             let p = stats.pipeline.expect("pipeline stats");
             assert_eq!(
@@ -1368,17 +1516,15 @@ mod tests {
     #[test]
     fn budget_skip_abandons_pairs() {
         use fmsa_align::{AlignmentBudget, BudgetFallback};
-        let mut m = Module::new("m");
-        clone_family(&mut m, 4, 12);
-        let opts = FmsaOptions {
-            budget: AlignmentBudget {
+        let cfg = Config::new()
+            .threshold(5)
+            .budget(AlignmentBudget {
                 full_matrix_cells: usize::MAX,
                 fallback: BudgetFallback::Skip,
                 max_len: 4, // every family member is longer than this
-            },
-            ..FmsaOptions::with_threshold(5)
-        };
-        let stats = run_fmsa_pipeline(&mut m, &opts, &PipelineOptions::with_threads(2));
+            })
+            .parallel(2);
+        let (_, stats) = run_family(&cfg, 4, 12);
         assert_eq!(stats.merges, 0);
         assert!(stats.pipeline.expect("stats").budget_skipped > 0);
     }

@@ -60,17 +60,22 @@ pub fn evaluate(module: &Module, cm: &CostModel, info: &MergeInfo) -> ProfitRepo
 ///
 /// `sites` must reflect the *committed* module (it does not know the
 /// still-uncommitted merged function); the merged function's own direct
-/// calls are counted here from its body, so the result equals what
-/// [`evaluate`] would compute over the same module state.
+/// calls are counted here from its body, and so are those of `pending`,
+/// another uncommitted body still in the module (oracle mode's best
+/// merge so far). The result equals what [`evaluate`] would compute over
+/// the same module state.
 pub fn evaluate_indexed(
     module: &Module,
     cm: &CostModel,
     info: &MergeInfo,
     sites: &CallSiteIndex,
+    pending: Option<FuncId>,
 ) -> ProfitReport {
     let merged_out = outgoing_calls(module.func(info.merged));
+    let pending_out = pending.map(|p| outgoing_calls(module.func(p))).unwrap_or_default();
+    let calls = |out: &HashMap<FuncId, usize>, f| out.get(&f).copied().unwrap_or(0);
     evaluate_counted(module, cm, info, &|f| {
-        sites.count(f) + merged_out.get(&f).copied().unwrap_or(0)
+        sites.count(f) + calls(&merged_out, f) + calls(&pending_out, f)
     })
 }
 
@@ -821,7 +826,7 @@ impl GateAudit {
     }
 
     /// Builds and discards a gate-skipped merge in place, exactly as the
-    /// sequential driver would, checking its Δ against `bound` and the
+    /// paper's loop would, checking its Δ against `bound` and the
     /// store it leaves against [`DeltaBound::replay_skip`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn check_skip(
@@ -853,7 +858,7 @@ impl GateAudit {
             config,
         );
         if let Ok(info) = built {
-            let real = evaluate_indexed(module, cm, &info, sites).delta;
+            let real = evaluate_indexed(module, cm, &info, sites, None).delta;
             module.remove_function(info.merged);
             self.check_built(module, f1, f2, bound, real);
         }
@@ -970,7 +975,20 @@ mod tests {
         let cm = CostModel::new(TargetArch::X86_64);
         // The index was built before the (uncommitted) merged function was
         // added; evaluate_indexed must still agree with the direct scan.
-        assert_eq!(evaluate_indexed(&m, &cm, &info, &idx), evaluate(&m, &cm, &info));
+        assert_eq!(evaluate_indexed(&m, &cm, &info, &idx, None), evaluate(&m, &cm, &info));
+        // Another uncommitted body calling fa (an oracle's pending best)
+        // counts once it is named.
+        let pending = m.create_function("pending", fn_ty);
+        {
+            let mut b = FuncBuilder::new(&mut m, pending);
+            let e = b.block("entry");
+            b.switch_to(e);
+            let r = b.call(fa, vec![Value::Param(0), Value::Param(0)]);
+            b.ret(Some(r));
+        }
+        let scan = evaluate(&m, &cm, &info);
+        assert_ne!(evaluate_indexed(&m, &cm, &info, &idx, None), scan);
+        assert_eq!(evaluate_indexed(&m, &cm, &info, &idx, Some(pending)), scan);
     }
 
     #[test]

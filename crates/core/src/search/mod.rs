@@ -1,4 +1,4 @@
-//! Candidate search: how `run_fmsa` finds merge partners.
+//! Candidate search: how the merge pipeline finds merge partners.
 //!
 //! The paper ranks every live function against every other (§IV), which is
 //! quadratic in the number of functions and — per its own Fig. 13
@@ -166,7 +166,7 @@ impl CandidateSearch for ExactSearch {
 /// baseline.
 pub const AUTO_SEARCH_CROSSOVER: usize = 150;
 
-/// Which candidate-search implementation `run_fmsa` uses.
+/// Which candidate-search implementation the merge pipeline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SearchStrategy {
     /// Full pairwise ranking (the paper's algorithm; precision baseline).
@@ -176,9 +176,9 @@ pub enum SearchStrategy {
     /// Selected per pass by module size: [`SearchStrategy::Exact`] below
     /// [`AUTO_SEARCH_CROSSOVER`] eligible functions,
     /// [`SearchStrategy::Lsh`] (default parameters) at or above it. The
-    /// drivers resolve this before seeding the index, so the sequential
-    /// and pipeline drivers always resolve identically (part of the
-    /// bit-identity guarantee). Overridable via `fmsa_opt --search`.
+    /// pipeline resolves this once, before seeding the index, so every
+    /// thread count resolves identically (part of the bit-identity
+    /// guarantee). Overridable via `fmsa_opt --search`.
     #[default]
     Auto,
 }

@@ -19,7 +19,8 @@ use std::collections::VecDeque;
 pub enum DecisionOutcome {
     /// Profitable and committed.
     Merged,
-    /// Merged body built and evaluated, Δ ≤ 0 — discarded.
+    /// Merged body built and evaluated, then discarded: Δ ≤ 0, or (in
+    /// oracle mode) another candidate's Δ was larger.
     Unprofitable,
     /// The pre-codegen Δ bound proved the merge unprofitable; codegen
     /// was skipped.
@@ -78,9 +79,9 @@ pub struct DecisionRecord {
     /// merged body was built and evaluated (positive = profitable).
     pub delta: Option<i64>,
     /// The pipeline's pre-codegen upper bound on Δ, for every attempt
-    /// that reached the gate (`None` for the ungated sequential driver,
-    /// budget-skipped pairs, and pairs whose merge set-up fails). A
-    /// `delta` above it would be a soundness bug of the gate.
+    /// that reached the gate (`None` for budget-skipped pairs and pairs
+    /// whose merge set-up fails). A `delta` above it would be a
+    /// soundness bug of the gate.
     pub delta_bound: Option<i64>,
     /// How the attempt resolved.
     pub outcome: DecisionOutcome,

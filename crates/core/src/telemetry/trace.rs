@@ -36,7 +36,7 @@ fn now_micros() -> u64 {
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Span name (e.g. `"prepare"`, `"merge_attempt"`).
-    pub name: String,
+    pub name: &'static str,
     /// Category tag grouping related spans (e.g. `"pipeline"`).
     pub cat: &'static str,
     /// `true` for a begin event, `false` for the matching end.
@@ -84,19 +84,19 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-fn record(event: TraceEvent) {
+/// Appends one event to this thread's shard: one lock, no allocation
+/// beyond the arguments, so tracing a sub-millisecond pass stays cheap.
+fn record(name: &'static str, cat: &'static str, begin: bool, args: Vec<(&'static str, String)>) {
+    let ts = now_micros();
     LOCAL.with(|shard| {
         let mut s = shard.lock().unwrap();
         if s.events.len() < MAX_EVENTS_PER_THREAD {
-            s.events.push(event);
+            let tid = s.tid;
+            s.events.push(TraceEvent { name, cat, begin, ts, tid, args });
         } else {
             s.dropped += 1;
         }
     });
-}
-
-fn local_tid() -> u64 {
-    LOCAL.with(|shard| shard.lock().unwrap().tid)
 }
 
 /// RAII guard for a span: records the end event on drop. Inert (and
@@ -112,14 +112,7 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.live {
-            record(TraceEvent {
-                name: self.name.to_string(),
-                cat: self.cat,
-                begin: false,
-                ts: now_micros(),
-                tid: local_tid(),
-                args: Vec::new(),
-            });
+            record(self.name, self.cat, false, Vec::new());
         }
     }
 }
@@ -154,14 +147,7 @@ fn span_slow(
     name: &'static str,
     args: Vec<(&'static str, String)>,
 ) -> SpanGuard {
-    record(TraceEvent {
-        name: name.to_string(),
-        cat,
-        begin: true,
-        ts: now_micros(),
-        tid: local_tid(),
-        args,
-    });
+    record(name, cat, true, args);
     SpanGuard { live: true, name, cat }
 }
 
@@ -195,7 +181,7 @@ pub fn export_chrome(events: &[TraceEvent]) -> String {
         out.push_str(",\n{");
         out.push_str(&format!(
             "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
-            super::json_escape(&e.name),
+            super::json_escape(e.name),
             super::json_escape(e.cat),
             if e.begin { "B" } else { "E" },
             e.ts,
@@ -240,7 +226,7 @@ pub fn check_nesting(events: &[TraceEvent]) -> Result<(), String> {
         last_ts.insert(e.tid, e.ts);
         let stack = stacks.entry(e.tid).or_default();
         if e.begin {
-            stack.push(&e.name);
+            stack.push(e.name);
         } else {
             match stack.pop() {
                 Some(open) if open == e.name => {}

@@ -454,7 +454,6 @@ fn recursive_functions_merge() {
 fn fmsa_options_end_to_end_equivalence() {
     // Whole-pass check: run the FMSA driver over a module of callers and
     // callees, then compare observable behaviour of the entry point.
-    use fmsa_core::pass::run_fmsa;
     use fmsa_core::Config;
     let mut m = Module::new("m");
     let i32t = m.types.i32();
@@ -491,8 +490,8 @@ fn fmsa_options_end_to_end_equivalence() {
     let inputs = i32_inputs();
     let before: Vec<_> =
         inputs.iter().map(|a| execute(&m, "main", a.clone()).expect("runs").value).collect();
-    let cfg = Config::new().threshold(10).exclude(["main"]);
-    let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+    let cfg = Config::new().threshold(10).exclude(["main"]).identical_prepass(false);
+    let stats = fmsa_core::optimize(&mut m, &cfg).expect("optimize");
     assert!(stats.merges >= 1, "{stats:?}");
     assert!(fmsa_ir::verify_module(&m).is_empty(), "{:?}", fmsa_ir::verify_module(&m));
     for (args, exp) in inputs.iter().zip(before) {

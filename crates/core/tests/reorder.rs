@@ -4,7 +4,6 @@
 //! operations in a different textual order.
 
 use fmsa_core::merge::{merge_pair, MergeConfig};
-use fmsa_core::pass::run_fmsa;
 use fmsa_core::Config;
 use fmsa_interp::{Interpreter, Val};
 use fmsa_ir::{passes, Linkage, Module};
@@ -87,8 +86,8 @@ fn pass_option_merges_reordered_clones_and_preserves_behaviour() {
     m.func_mut(fa).linkage = Linkage::External;
     m.func_mut(fb).linkage = Linkage::External;
     let before_a = Interpreter::new(&m).run("fa", args_for(&m, "fa")).expect("runs");
-    let cfg = Config::new().threshold(5).canonicalize(true);
-    let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+    let cfg = Config::new().threshold(5).canonicalize(true).identical_prepass(false);
+    let stats = fmsa_core::optimize(&mut m, &cfg).expect("optimize");
     assert_eq!(stats.merges, 1, "{stats:?}");
     assert!(fmsa_ir::verify_module(&m).is_empty());
     let after_a = Interpreter::new(&m).run("fa", args_for(&m, "fa")).expect("runs");

@@ -2,7 +2,7 @@
 //! modules, LSH shortlisting must retain most of the exact search's merging
 //! power, and both strategies must be run-to-run deterministic.
 
-use fmsa_core::pass::{run_fmsa, FmsaStats};
+use fmsa_core::pass::FmsaStats;
 use fmsa_core::Config;
 use fmsa_core::SearchStrategy;
 use fmsa_ir::Module;
@@ -15,8 +15,8 @@ fn swarm(seed: u64, functions: usize) -> Module {
 
 fn run(m: &Module, search: SearchStrategy) -> (FmsaStats, String) {
     let mut m = m.clone();
-    let cfg = Config::new().threshold(5).search(search);
-    let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+    let cfg = Config::new().threshold(5).search(search).identical_prepass(false);
+    let stats = fmsa_core::optimize(&mut m, &cfg).expect("optimize");
     let errs = fmsa_ir::verify_module(&m);
     assert!(errs.is_empty(), "invalid module after pass: {errs:?}");
     (stats, fmsa_ir::printer::print_module(&m))

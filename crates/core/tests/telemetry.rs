@@ -8,7 +8,7 @@
 //! concurrent threads, so every test that enables tracing or drains
 //! the buffers holds [`RECORDER`] for its whole body.
 
-use fmsa_core::pass::{run_fmsa, FmsaStats};
+use fmsa_core::pass::FmsaStats;
 use fmsa_core::pipeline::run_fmsa_pipeline;
 use fmsa_core::telemetry::{trace, DecisionOutcome};
 use fmsa_core::Config;
@@ -29,6 +29,12 @@ fn swarm(functions: usize, seed: u64) -> fmsa_ir::Module {
 
 fn cfg() -> Config {
     Config::new().threshold(5).search(SearchStrategy::lsh())
+}
+
+/// Runs the pipeline over `m` under `cfg()` at `threads` workers.
+fn run(m: &mut fmsa_ir::Module, threads: usize) -> FmsaStats {
+    let pcfg = cfg().parallel(threads);
+    run_fmsa_pipeline(m, &pcfg.fmsa_options(), &pcfg.pipeline_options())
 }
 
 /// Emits a deterministic span tree described by `shape`: entry `i`
@@ -92,11 +98,9 @@ fn merge_run_traces_are_well_nested() {
     let _ = trace::drain();
 
     trace::enable();
-    let mut m = swarm(64, 7);
-    run_fmsa(&mut m, &cfg().fmsa_options());
-    let pcfg = cfg().parallel(2);
-    let mut m2 = swarm(64, 7);
-    run_fmsa_pipeline(&mut m2, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+    for threads in [1, 2] {
+        run(&mut swarm(64, 7), threads);
+    }
     trace::disable();
 
     let (events, _) = trace::drain();
@@ -110,8 +114,7 @@ fn merge_run_traces_are_well_nested() {
 }
 
 /// Tracing observes, it never decides: the printed module is
-/// byte-identical with the recorder off and on, sequential and at
-/// every pipeline width.
+/// byte-identical with the recorder off and on, at every pipeline width.
 #[test]
 fn tracing_changes_no_output_bytes() {
     let _lock = RECORDER.lock().unwrap();
@@ -120,7 +123,7 @@ fn tracing_changes_no_output_bytes() {
 
     let reference = {
         let mut m = swarm(96, 3);
-        run_fmsa(&mut m, &cfg().fmsa_options());
+        run(&mut m, 1);
         print_module(&m)
     };
     for tracing_on in [false, true] {
@@ -129,13 +132,9 @@ fn tracing_changes_no_output_bytes() {
         } else {
             trace::disable();
         }
-        let mut m = swarm(96, 3);
-        run_fmsa(&mut m, &cfg().fmsa_options());
-        assert_eq!(print_module(&m), reference, "sequential, tracing={tracing_on}");
         for threads in [1usize, 2, 4, 8] {
-            let pcfg = cfg().parallel(threads);
             let mut m = swarm(96, 3);
-            run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            run(&mut m, threads);
             assert_eq!(
                 print_module(&m),
                 reference,
@@ -152,21 +151,20 @@ fn assert_reconciled(label: &str, st: &FmsaStats) {
     let d = &st.decisions;
     assert_eq!(d.total(), st.attempted as u64, "{label}: one record per attempt");
     assert_eq!(d.count(O::Merged), st.merges as u64, "{label}: committed merges");
-    if let Some(p) = st.pipeline.as_ref() {
-        assert_eq!(d.count(O::GateSkipped), p.gate_skipped as u64, "{label}: gate");
-        assert_eq!(d.count(O::Unprofitable), p.gate_missed as u64, "{label}: gate misses");
-        assert_eq!(d.count(O::BudgetSkipped), p.budget_skipped as u64, "{label}: budget");
-        assert_eq!(d.count(O::Quarantined), p.quarantined() as u64, "{label}: quarantine");
-    }
+    let p = st.pipeline.expect("pipeline stats");
+    assert_eq!(d.count(O::GateSkipped), p.gate_skipped as u64, "{label}: gate");
+    assert_eq!(d.count(O::Unprofitable), p.gate_missed as u64, "{label}: gate misses");
+    assert_eq!(d.count(O::BudgetSkipped), p.budget_skipped as u64, "{label}: budget");
+    assert_eq!(d.count(O::Quarantined), p.quarantined() as u64, "{label}: quarantine");
     // Retained records never exceed the exact totals, and the JSONL
     // dump carries exactly the retained records.
     assert!(d.len() as u64 <= d.total());
     assert_eq!(d.to_jsonl().lines().count(), d.len());
 }
 
-/// Every attempt the drivers count lands as exactly one decision
+/// Every attempt the pipeline counts lands as exactly one decision
 /// record, with outcome counts that reconcile against the aggregate
-/// stats — sequential and parallel.
+/// stats — at one thread and in parallel.
 #[test]
 fn decision_log_reconciles_with_stats() {
     // Hold the recorder lock: these merge runs would otherwise emit
@@ -174,22 +172,17 @@ fn decision_log_reconciles_with_stats() {
     // event counts.
     let _lock = RECORDER.lock().unwrap();
     let m = swarm(128, 11);
-    let mut m_seq = m.clone();
-    let seq = run_fmsa(&mut m_seq, &cfg().fmsa_options());
-    assert!(seq.attempted > 0, "swarm produced no merge attempts");
-    assert_reconciled("sequential", &seq);
+    let one = run(&mut m.clone(), 1);
+    assert!(one.attempted > 0, "swarm produced no merge attempts");
+    assert_reconciled("pipeline-1", &one);
 
-    for threads in [1usize, 4] {
-        let pcfg = cfg().parallel(threads);
-        let mut m_par = m.clone();
-        let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
-        assert_reconciled(&format!("pipeline-{threads}"), &par);
-        assert_eq!(
-            par.decisions.count(DecisionOutcome::Merged),
-            seq.merges as u64,
-            "pipeline-{threads} commits the sequential merge set"
-        );
-    }
+    let par = run(&mut m.clone(), 4);
+    assert_reconciled("pipeline-4", &par);
+    assert_eq!(
+        par.decisions.count(DecisionOutcome::Merged),
+        one.merges as u64,
+        "pipeline-4 commits the one-thread merge set"
+    );
 }
 
 /// The bounded log drops oldest records but keeps exact totals.

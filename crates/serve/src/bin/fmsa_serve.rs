@@ -27,8 +27,8 @@ options:
                           (default: in-memory, nothing survives a restart)
   --fsync POLICY          store durability: never | per-ingest | interval:SECS
                           (default per-ingest)
-  --threads N             parallel merge pipeline with N workers; 0 = available
-                          parallelism (default: sequential)
+  --threads N             merge pipeline workers; 0 = available parallelism
+                          (default 1)
   --threshold N           alignment profitability threshold (default 1)
   --search MODE           candidate search: exact | lsh | auto (default auto)
   --min-similarity F      skip candidate pairs below estimated similarity F

@@ -45,15 +45,32 @@ fn gauge(metrics: &str, name: &str) -> Option<f64> {
     metrics.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
 }
 
-#[test]
-fn threads_zero_runs_the_pipeline_on_every_core() {
-    let (_daemon, addr) = spawn(&["--threads", "0"]);
+/// Uploads one small wasm corpus to a daemon started with `args` and
+/// returns its `/metrics` exposition.
+fn metrics_after_one_upload(args: &[&str]) -> String {
+    let (_daemon, addr) = spawn(args);
     let mut cfg = fmsa_workloads::WasmFixtureConfig::with_functions(24);
     cfg.seed = 3;
     let corpus = fmsa_workloads::wasm_fixture_bytes(&cfg);
     let upload = client::post(addr, "/v1/modules", &corpus).expect("upload");
     assert_eq!(upload.status, 200, "{}", upload.text());
-    let metrics = client::get(addr, "/metrics").expect("scrape").text();
+    client::get(addr, "/metrics").expect("scrape").text()
+}
+
+#[test]
+fn threads_zero_runs_the_pipeline_on_every_core() {
+    let metrics = metrics_after_one_upload(&["--threads", "0"]);
     let threads = gauge(&metrics, "fmsa_pipeline_threads").expect("pipeline threads gauge");
-    assert!(threads > 0.0, "--threads 0 must select the pipeline, got {threads}");
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    assert_eq!(threads, cores as f64, "--threads 0 must use every core");
+}
+
+#[test]
+fn default_daemon_reports_a_one_thread_pipeline() {
+    let metrics = metrics_after_one_upload(&[]);
+    let threads = gauge(&metrics, "fmsa_pipeline_threads").expect("pipeline threads gauge");
+    assert_eq!(threads, 1.0, "the default is one pipeline thread");
+    let generations =
+        gauge(&metrics, "fmsa_pipeline_generations").expect("pipeline generations gauge");
+    assert!(generations > 0.0, "the upload ran the pipeline, got {generations} generations");
 }

@@ -5,7 +5,6 @@
 //! cargo run --example quickstart
 //! ```
 
-use fmsa::core::pass::run_fmsa;
 use fmsa::interp::{execute, Val};
 use fmsa::ir::{printer, FuncBuilder, Module, Value};
 use fmsa::Config;
@@ -34,8 +33,10 @@ fn main() {
     let before_a = execute(&module, "poly_a", vec![Val::i32(2), Val::i32(3)]).unwrap();
     let before_b = execute(&module, "poly_b", vec![Val::i32(2), Val::i32(3)]).unwrap();
 
-    // 2. Run the FMSA optimization.
-    let stats = run_fmsa(&mut module, &Config::new().fmsa_options());
+    // 2. Run the FMSA optimization (FMSA alone: no identical-merging
+    //    prepass).
+    let cfg = Config::new().identical_prepass(false);
+    let stats = fmsa::optimize(&mut module, &cfg).expect("module merges");
     println!("\n--- after merging ---");
     print!("{}", printer::print_module(&module));
     println!("\nmerges committed : {}", stats.merges);

@@ -9,7 +9,6 @@
 //! ```
 
 use fmsa::core::baselines::{run_identical, run_soa};
-use fmsa::core::pass::run_fmsa;
 use fmsa::target::{reduction_percent, CostModel, TargetArch};
 use fmsa::Config;
 
@@ -34,7 +33,7 @@ fn main() {
     println!("SOA      : {} merges, {:.2}% reduction", soa.merges, soa.reduction_percent());
 
     let mut m = module.clone();
-    let stats = run_fmsa(&mut m, &Config::new().fmsa_options());
+    let stats = fmsa::optimize(&mut m, &Config::new().identical_prepass(false)).expect("merges");
     let after = cm.module_size(&m);
     println!(
         "FMSA     : {} merges, {:.2}% reduction (paper: 20.6%)",

@@ -9,7 +9,6 @@
 //! ```
 
 use fmsa::core::baselines::run_identical;
-use fmsa::core::pass::run_fmsa;
 use fmsa::ir::Module;
 use fmsa::target::{reduction_percent, CostModel, TargetArch};
 use fmsa::workloads::{generate_function, GenConfig, Variant};
@@ -56,8 +55,7 @@ fn main() {
 
     // FMSA with the feedback loop.
     let mut m = module.clone();
-    run_identical(&mut m, TargetArch::X86_64);
-    let stats = run_fmsa(&mut m, &Config::new().threshold(5).fmsa_options());
+    let stats = fmsa::optimize(&mut m, &Config::new().threshold(5)).expect("module merges");
     let after = cm.module_size(&m);
     println!(
         "FMSA merges across types too: {} more merges, {:.1}% total reduction",

@@ -10,10 +10,14 @@
 //! * recall — at most 1 % of the attempts that turn out unprofitable
 //!   were built anyway (`gate_missed`).
 //!
-//! Plus bit-identity with the sequential driver at 1/2/4/8 threads on a
-//! swarm where skipped builds would have interned new signatures.
+//! Plus bit-identity with the paper's ungated loop
+//! (`support/paper_loop.rs`) at 1/2/4/8 threads on a swarm where skipped
+//! builds would have interned new signatures.
 
-use fmsa::core::pass::{run_fmsa, FmsaStats};
+#[path = "support/paper_loop.rs"]
+mod paper_loop;
+
+use fmsa::core::pass::FmsaStats;
 use fmsa::core::pipeline::{run_fmsa_pipeline, run_fmsa_pipeline_audited};
 use fmsa::core::profitability::GateAudit;
 use fmsa::core::SearchStrategy;
@@ -115,9 +119,9 @@ fn gate_bound_and_replay_hold_on_serve_corpora() {
     assert!(skipped > 0, "the gate never fired on the serve corpora");
 }
 
-/// Bit-identity with the ungated sequential driver at 1/2/4/8 threads on
-/// a swarm where the gate fires and its skips replay new signatures —
-/// the case a skip that interned nothing would get wrong.
+/// Bit-identity with the paper's ungated loop at 1/2/4/8 threads on a
+/// swarm where the gate fires and its skips replay new signatures — the
+/// case a skip that interned nothing would get wrong.
 #[test]
 fn gated_pipeline_is_bit_identical_where_skips_intern_types() {
     let base =
@@ -127,7 +131,7 @@ fn gated_pipeline_is_bit_identical_where_skips_intern_types() {
     assert_clean("swarm-300", &stats, &audit);
     assert!(audit.replays_interning > 0, "skips must replay new types here: {audit:?}");
     let mut m_seq = base.clone();
-    let seq = run_fmsa(&mut m_seq, &cfg.fmsa_options());
+    let seq = paper_loop::paper_loop(&mut m_seq, &cfg);
     let seq_text = print_module(&m_seq);
     for threads in [1usize, 2, 4, 8] {
         let pcfg = cfg.clone().parallel(threads);

@@ -80,6 +80,26 @@ fn injected_faults_quarantine_only_planned_pairs_across_threads() {
     check_injected_plan(600);
 }
 
+/// The default configuration runs the same pipeline, so a fault plan
+/// reaches it: `optimize` with no thread count quarantines exactly the
+/// pairs a two-thread run does, and leaves the same module.
+#[test]
+fn default_config_quarantines_like_the_parallel_pipeline() {
+    silence_injected_panics();
+    let base = clone_swarm_module(&SwarmConfig::with_functions(600));
+    let plan = FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL);
+    let run = |cfg: Config| {
+        let mut m = base.clone();
+        let stats = fmsa_core::optimize(&mut m, &cfg.faults(plan)).expect("faults degrade");
+        (print_module(&m), stats.quarantine.summary())
+    };
+    let (default_text, default_summary) = run(swarm_cfg());
+    let (parallel_text, parallel_summary) = run(swarm_cfg().parallel(2));
+    assert!(!default_summary.is_empty(), "the plan must fire under the default configuration");
+    assert_eq!(default_summary, parallel_summary, "quarantine set");
+    assert!(default_text == parallel_text, "module text");
+}
+
 /// Acceptance-scale swarm; slow in debug builds, so opt-in.
 #[test]
 #[ignore = "5000-function swarm: run with --ignored or via `experiments faults`"]

@@ -2,11 +2,10 @@
 //! full technique stack, with the paper's qualitative claims asserted.
 
 use fmsa::core::baselines::{run_identical, run_soa};
-use fmsa::core::pass::run_fmsa;
 use fmsa::interp::Interpreter;
 use fmsa::target::{CostModel, TargetArch};
 use fmsa::workloads::{add_driver, mibench_suite, spec_suite, DriverConfig};
-use fmsa::Config;
+use fmsa::{optimize, Config};
 use std::collections::HashSet;
 
 fn desc(name: &str) -> fmsa::workloads::BenchDesc {
@@ -34,8 +33,7 @@ fn technique_ordering_on_small_spec_benchmarks() {
         run_soa(&mut ms, TargetArch::X86_64);
         let soa = before - cm.module_size(&ms);
         let mut mf = base.clone();
-        run_identical(&mut mf, TargetArch::X86_64);
-        run_fmsa(&mut mf, &Config::new().threshold(10).fmsa_options());
+        optimize(&mut mf, &Config::new().threshold(10)).expect("optimize");
         let fmsa = before - cm.module_size(&mf);
         assert!(fmsa >= soa, "{name}: FMSA {fmsa} < SOA {soa}");
         assert!(soa >= ident, "{name}: SOA {soa} < Identical {ident}");
@@ -51,7 +49,7 @@ fn modules_stay_valid_through_all_techniques() {
         let mut m = base.clone();
         run_identical(&mut m, TargetArch::X86_64);
         run_soa(&mut m, TargetArch::X86_64);
-        run_fmsa(&mut m, &Config::new().threshold(5).fmsa_options());
+        optimize(&mut m, &Config::new().threshold(5).identical_prepass(false)).expect("optimize");
         let errs = fmsa_ir::verify_module(&m);
         assert!(errs.is_empty(), "{}: {errs:?}", d.name);
     }
@@ -72,9 +70,8 @@ fn driver_behaviour_preserved_through_full_pipeline() {
     };
     let (out_before, steps_before) = run(&base);
     let mut merged = base.clone();
-    run_identical(&mut merged, TargetArch::X86_64);
     let cfg = Config::new().threshold(10).exclude(["__driver"]);
-    let stats = run_fmsa(&mut merged, &cfg.fmsa_options());
+    let stats = optimize(&mut merged, &cfg).expect("optimize");
     assert!(stats.merges > 0, "milc-like module should merge something");
     let (out_after, steps_after) = run(&merged);
     assert_eq!(out_before, out_after, "observable behaviour changed");
@@ -110,11 +107,9 @@ fn fmsa_bench_harness_runtime(d: &fmsa::workloads::BenchDesc) -> (f64, f64) {
     let (steps_before, hot) = run(&base);
     let merge = |exclude: Vec<String>| {
         let mut m = base.clone();
-        run_identical(&mut m, TargetArch::X86_64);
         let mut ex: HashSet<String> = exclude.into_iter().collect();
         ex.insert("__driver".to_owned());
-        let cfg = Config::new().threshold(1).exclude(ex);
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        optimize(&mut m, &Config::new().threshold(1).exclude(ex)).expect("optimize");
         run(&m).0 as f64 / steps_before as f64
     };
     (merge(hot), merge(Vec::new()))
@@ -128,7 +123,8 @@ fn mibench_tiny_benchmarks_find_nothing() {
         let mut m = d.build();
         let i = run_identical(&mut m, TargetArch::X86_64);
         let s = run_soa(&mut m, TargetArch::X86_64);
-        let f = run_fmsa(&mut m, &Config::new().threshold(10).fmsa_options());
+        let f = optimize(&mut m, &Config::new().threshold(10).identical_prepass(false))
+            .expect("optimize");
         assert_eq!((i.merges, s.merges, f.merges), (0, 0, 0), "{name} should have no merges");
     }
 }
@@ -143,7 +139,7 @@ fn rijndael_giant_pair_dominates() {
     let mut m = base.clone();
     assert_eq!(run_identical(&mut m, TargetArch::X86_64).merges, 0);
     assert_eq!(run_soa(&mut m, TargetArch::X86_64).merges, 0);
-    let stats = run_fmsa(&mut m, &Config::new().fmsa_options());
+    let stats = optimize(&mut m, &Config::new().identical_prepass(false)).expect("optimize");
     assert_eq!(stats.merges, 1);
     let red = fmsa::target::reduction_percent(before, cm.module_size(&m));
     assert!((15.0..30.0).contains(&red), "rijndael reduction should be paper-sized (20.6%): {red}");
@@ -155,10 +151,11 @@ fn oracle_never_loses_to_greedy() {
         let d = desc(name);
         let base = d.build();
         let cm = CostModel::new(TargetArch::X86_64);
+        let cfg = Config::new().identical_prepass(false);
         let mut g = base.clone();
-        run_fmsa(&mut g, &Config::new().threshold(1).fmsa_options());
+        optimize(&mut g, &cfg.clone().threshold(1)).expect("optimize");
         let mut o = base.clone();
-        run_fmsa(&mut o, &Config::new().oracle(true).fmsa_options());
+        optimize(&mut o, &cfg.clone().oracle(true)).expect("optimize");
         assert!(
             cm.module_size(&o) <= cm.module_size(&g),
             "{name}: oracle should be at least as good"
@@ -177,9 +174,7 @@ fn both_targets_agree_qualitatively() {
         let cm = CostModel::new(arch);
         let before = cm.module_size(&base);
         let mut m = base.clone();
-        run_identical(&mut m, arch);
-        let cfg = Config::new().threshold(1).arch(arch);
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        optimize(&mut m, &Config::new().threshold(1).arch(arch)).expect("optimize");
         reductions.push(fmsa::target::reduction_percent(before, cm.module_size(&m)));
     }
     assert!(reductions.iter().all(|&r| r > 0.0), "{reductions:?}");

@@ -121,7 +121,6 @@ proptest! {
 
     #[test]
     fn whole_pass_preserves_behaviour(seed in 0u64..2_000) {
-        use fmsa::core::pass::run_fmsa;
         use fmsa::Config;
         let mut m = Module::new("prop-pass");
         let cfg = GenConfig { target_size: 40, ..GenConfig::default() };
@@ -135,10 +134,10 @@ proptest! {
         }
         let before: Vec<_> =
             names.iter().map(|n| (n.clone(), observe(&m, n, 1))).collect();
-        let stats = run_fmsa(&mut m, &Config::new().threshold(5).fmsa_options());
+        let cfg = Config::new().threshold(5).identical_prepass(false);
+        fmsa::optimize(&mut m, &cfg).expect("optimize");
         let errs = fmsa_ir::verify_module(&m);
         prop_assert!(errs.is_empty(), "after pass: {errs:?}");
-        let _ = stats;
         for (name, expect) in before {
             let got = observe(&m, &name, 1);
             match (&expect, &got) {

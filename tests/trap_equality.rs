@@ -6,7 +6,6 @@
 //! the exact trap, including its payload (the faulting address and
 //! access length for out-of-bounds).
 
-use fmsa_core::pass::run_fmsa;
 use fmsa_core::Config;
 use fmsa_interp::batch::add_memory_driver;
 use fmsa_interp::{Interpreter, Trap, Val};
@@ -97,7 +96,8 @@ fn merged_pair() -> (Module, Module) {
     assert!(verify_module(&pre).is_empty());
 
     let mut post = pre.clone();
-    let stats = run_fmsa(&mut post, &Config::new().threshold(5).fmsa_options());
+    let cfg = Config::new().threshold(5).identical_prepass(false);
+    let stats = fmsa_core::optimize(&mut post, &cfg).expect("optimize");
     assert!(stats.merges > 0, "the trap families must merge: {stats:?}");
     assert!(verify_module(&post).is_empty());
 
