@@ -9,18 +9,22 @@
 //! This implementation hashes a structural summary of every defined
 //! function, groups by hash, confirms equality pairwise within each
 //! bucket, and folds duplicates onto a representative (deleting them or
-//! leaving thunks, like the FMSA commit machinery).
+//! leaving thunks, like the FMSA commit machinery). A deleted duplicate's
+//! calls are rewritten in the callers a [`CallSiteIndex`] names, not by a
+//! scan of the whole module, so the prepass is linear in the module
+//! rather than in folds × functions.
 
+use crate::callsites::CallSiteIndex;
 use crate::linearize::{linearize, Entry};
-use crate::thunks::{can_delete, make_thunk, rewrite_call_sites, CallRewrite};
-use fmsa_ir::{ExtraData, FuncId, Module, Value};
+use crate::thunks::{can_delete, make_thunk, rewrite_calls_in, CallRewrite};
+use fmsa_ir::{BlockId, ExtraData, FuncId, InstId, Module, Value};
 use fmsa_target::{CostModel, TargetArch};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Statistics of one identical-merging run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdenticalStats {
     /// Number of functions folded onto a representative (the paper's
     /// "merge operations" count for Identical).
@@ -53,6 +57,9 @@ pub fn run_identical(module: &mut Module, arch: TargetArch) -> IdenticalStats {
     }
     let mut hashes: Vec<u64> = buckets.keys().copied().collect();
     hashes.sort_unstable();
+    // Built at the first fold, so a module without duplicates pays
+    // nothing for it.
+    let mut sites: Option<CallSiteIndex> = None;
     for h in hashes {
         let group = &buckets[&h];
         if group.len() < 2 {
@@ -64,7 +71,8 @@ pub fn run_identical(module: &mut Module, arch: TargetArch) -> IdenticalStats {
         for &f in group {
             match representatives.iter().find(|&&r| structurally_equal(module, r, f)) {
                 Some(&rep) => {
-                    fold(module, f, rep);
+                    let sites = sites.get_or_insert_with(|| CallSiteIndex::build(module));
+                    fold(module, sites, f, rep);
                     stats.merges += 1;
                 }
                 None => representatives.push(f),
@@ -75,9 +83,11 @@ pub fn run_identical(module: &mut Module, arch: TargetArch) -> IdenticalStats {
     stats
 }
 
-/// Folds duplicate `dup` onto `rep`: rewrites call sites, then deletes the
-/// duplicate or leaves a thunk.
-fn fold(module: &mut Module, dup: FuncId, rep: FuncId) {
+/// Folds duplicate `dup` onto `rep`: rewrites its call sites, then
+/// deletes the duplicate or leaves a thunk, and keeps `sites` in step
+/// with the module. An identity rewrite interns no types, so callers can
+/// be rewritten one by one with no plan across them.
+fn fold(module: &mut Module, sites: &mut CallSiteIndex, dup: FuncId, rep: FuncId) {
     let nparams = module.func(dup).params().len();
     let ret = module.func(dup).ret_ty(&module.types);
     let rw = CallRewrite {
@@ -89,10 +99,17 @@ fn fold(module: &mut Module, dup: FuncId, rep: FuncId) {
         ret_orig: ret,
     };
     if can_delete(module, dup) {
-        rewrite_call_sites(module, dup, &rw).expect("identity rewrite cannot fail");
+        let callers = sites.callers_of(dup);
+        let touched =
+            rewrite_calls_in(module, dup, &rw, callers).expect("identity rewrite cannot fail");
+        for g in touched {
+            sites.refresh(module, g);
+        }
         module.remove_function(dup);
+        sites.remove(dup);
     } else {
         make_thunk(module, dup, &rw).expect("identity thunk cannot fail");
+        sites.refresh(module, dup);
     }
 }
 
@@ -103,7 +120,7 @@ pub fn structural_hash(module: &Module, f: FuncId) -> u64 {
     let mut h = DefaultHasher::new();
     func.fn_ty().hash(&mut h);
     let seq = linearize(func);
-    let index = position_index(&seq);
+    let pos = Positions::of(&seq);
     for e in &seq {
         match e {
             Entry::Label(_) => 0u8.hash(&mut h),
@@ -114,7 +131,7 @@ pub fn structural_hash(module: &Module, f: FuncId) -> u64 {
                 inst.ty.hash(&mut h);
                 hash_extra(&inst.extra, &mut h);
                 for op in &inst.operands {
-                    hash_operand(*op, &index, &mut h);
+                    hash_operand(*op, &pos, &mut h);
                 }
             }
         }
@@ -122,8 +139,38 @@ pub fn structural_hash(module: &Module, f: FuncId) -> u64 {
     h.finish()
 }
 
-fn position_index(seq: &[Entry]) -> HashMap<Entry, usize> {
-    seq.iter().enumerate().map(|(k, &e)| (e, k)).collect()
+/// Each entry's position in a function's linearization, in tables indexed
+/// by inst and block id; `None` for an id outside it (an unreachable
+/// block, or an id the function does not have).
+#[derive(Default)]
+struct Positions {
+    insts: Vec<Option<usize>>,
+    labels: Vec<Option<usize>>,
+}
+
+impl Positions {
+    fn of(seq: &[Entry]) -> Positions {
+        let mut pos = Positions::default();
+        for (k, &e) in seq.iter().enumerate() {
+            let (table, id) = match e {
+                Entry::Inst(i) => (&mut pos.insts, i.index()),
+                Entry::Label(b) => (&mut pos.labels, b.index()),
+            };
+            if table.len() <= id {
+                table.resize(id + 1, None);
+            }
+            table[id] = Some(k);
+        }
+        pos
+    }
+
+    fn inst(&self, i: InstId) -> Option<usize> {
+        self.insts.get(i.index()).copied().flatten()
+    }
+
+    fn label(&self, b: BlockId) -> Option<usize> {
+        self.labels.get(b.index()).copied().flatten()
+    }
 }
 
 fn hash_extra(extra: &ExtraData, h: &mut DefaultHasher) {
@@ -161,15 +208,15 @@ fn hash_extra(extra: &ExtraData, h: &mut DefaultHasher) {
     }
 }
 
-fn hash_operand(op: Value, index: &HashMap<Entry, usize>, h: &mut DefaultHasher) {
+fn hash_operand(op: Value, pos: &Positions, h: &mut DefaultHasher) {
     match op {
         Value::Inst(i) => {
             0u8.hash(h);
-            index.get(&Entry::Inst(i)).hash(h);
+            pos.inst(i).hash(h);
         }
         Value::Block(b) => {
             1u8.hash(h);
-            index.get(&Entry::Label(b)).hash(h);
+            pos.label(b).hash(h);
         }
         Value::Param(p) => {
             2u8.hash(h);
@@ -199,8 +246,7 @@ pub fn structurally_equal(module: &Module, a: FuncId, b: FuncId) -> bool {
     if sa.len() != sb.len() {
         return false;
     }
-    let ia = position_index(&sa);
-    let ib = position_index(&sb);
+    let (pa, pb) = (Positions::of(&sa), Positions::of(&sb));
     for (ea, eb) in sa.iter().zip(&sb) {
         match (ea, eb) {
             (Entry::Label(_), Entry::Label(_)) => {}
@@ -215,12 +261,12 @@ pub fn structurally_equal(module: &Module, a: FuncId, b: FuncId) -> bool {
                 }
                 // Extras must match modulo φ incoming-block renumbering.
                 match (&ix.extra, &iy.extra) {
-                    (ExtraData::Phi { incoming: pa }, ExtraData::Phi { incoming: pb }) => {
-                        if pa.len() != pb.len() {
+                    (ExtraData::Phi { incoming: xa }, ExtraData::Phi { incoming: xb }) => {
+                        if xa.len() != xb.len() {
                             return false;
                         }
-                        for (&ba, &bb) in pa.iter().zip(pb) {
-                            if ia.get(&Entry::Label(ba)) != ib.get(&Entry::Label(bb)) {
+                        for (&ba, &bb) in xa.iter().zip(xb) {
+                            if pa.label(ba) != pb.label(bb) {
                                 return false;
                             }
                         }
@@ -233,12 +279,8 @@ pub fn structurally_equal(module: &Module, a: FuncId, b: FuncId) -> bool {
                 }
                 for (&oa, &ob) in ix.operands.iter().zip(&iy.operands) {
                     let congruent = match (oa, ob) {
-                        (Value::Inst(p), Value::Inst(q)) => {
-                            ia.get(&Entry::Inst(p)) == ib.get(&Entry::Inst(q))
-                        }
-                        (Value::Block(p), Value::Block(q)) => {
-                            ia.get(&Entry::Label(p)) == ib.get(&Entry::Label(q))
-                        }
+                        (Value::Inst(p), Value::Inst(q)) => pa.inst(p) == pb.inst(q),
+                        (Value::Block(p), Value::Block(q)) => pa.label(p) == pb.label(q),
                         (x, y) => x == y,
                     };
                     if !congruent {

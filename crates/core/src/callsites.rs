@@ -10,6 +10,13 @@
 //! actually touched. Queries are `O(1)` and return exactly what
 //! `count_call_sites` would.
 //!
+//! It has two users. The merge pipeline reads the counts for δ and the
+//! reverse edges ([`CallSiteIndex::callers_of`]) to partition call-site
+//! rewrites. The identical-function prepass
+//! ([`crate::baselines::run_identical`]) rewrites a deleted duplicate's
+//! calls only in `callers_of(dup)`, instead of scanning every function of
+//! the module on each fold.
+//!
 //! The index tracks *committed* module state. A freshly generated merge
 //! candidate that has not been committed is intentionally not part of the
 //! index; [`crate::profitability::evaluate_indexed`] accounts for its

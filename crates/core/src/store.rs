@@ -1204,6 +1204,54 @@ mod tests {
     }
 
     #[test]
+    fn canonical_text_and_hash_are_pinned() {
+        // Store logs persist these hashes: any drift in the printed text
+        // turns every stored function into a miss on its next upload.
+        let mut m = module_with(&[("fact_helper", 3)]);
+        let helper = m.func_ids()[0];
+        let i32t = m.types.i32();
+        let fn_ty = m.types.func(i32t, vec![i32t]);
+        let f = m.create_function("fact", fn_ty);
+        let mut b = FuncBuilder::new(&mut m, f);
+        let entry = b.block("entry");
+        let rec = b.block("rec");
+        let done = b.block("");
+        b.switch_to(entry);
+        let small = b.icmp(fmsa_ir::IntPredicate::Sle, Value::Param(0), b.const_i32(1));
+        b.condbr(small, done, rec);
+        b.switch_to(rec);
+        let n1 = b.sub(Value::Param(0), b.const_i32(1));
+        let r = b.call(f, vec![n1]);
+        let h = b.call(helper, vec![r]);
+        let p = b.mul(h, Value::Param(0));
+        b.br(done);
+        b.switch_to(done);
+        let out = b.phi(i32t, vec![(b.const_i32(1), entry), (p, rec)]);
+        b.ret(Some(out));
+        let text = canonical_function_text(&m, f);
+        let expected = r#"define internal i32 @<self>(i32 %a0) {
+entry.0:
+  %v0 = icmp sle i32 %a0, i32 1
+  condbr i1 %v0, label %bb2, label %rec.1
+rec.1:
+  %v2 = sub i32 %a0, i32 1
+  %v3 = call i32 @<self>(i32 %v2)
+  %v4 = call i32 @fact_helper(i32 %v3)
+  %v5 = mul i32 %v4, i32 %a0
+  br label %bb2
+bb2:
+  %v7 = phi i32 [ i32 1, %entry.0 ], [ i32 %v5, %rec.1 ]
+  ret i32 %v7
+}
+"#;
+        assert_eq!(text, expected);
+        assert_eq!(
+            ContentHash::of_bytes(text.as_bytes()).to_string(),
+            "32387c7edff8bb22214fbcb175b6663f"
+        );
+    }
+
+    #[test]
     fn ingest_dedupes_and_counts() {
         let mut store = FunctionStore::in_memory();
         let m = module_with(&[("a", 1), ("b", 1), ("c", 9)]);

@@ -128,8 +128,21 @@ pub fn rewrite_call_sites(
     from: FuncId,
     rw: &CallRewrite,
 ) -> Result<Vec<FuncId>, MergeError> {
+    let callers = module.func_ids();
+    rewrite_calls_in(module, from, rw, callers)
+}
+
+/// [`rewrite_call_sites`] over `callers` only: the identical prepass
+/// passes [`CallSiteIndex::callers_of`] (ascending, the order a full scan
+/// visits them) instead of every function of the module.
+pub(crate) fn rewrite_calls_in(
+    module: &mut Module,
+    from: FuncId,
+    rw: &CallRewrite,
+    callers: Vec<FuncId>,
+) -> Result<Vec<FuncId>, MergeError> {
     let mut touched = Vec::new();
-    for g in module.func_ids() {
+    for g in callers {
         if g == from {
             continue; // the original body is about to be replaced anyway
         }

@@ -8,7 +8,7 @@
 use crate::function::{Function, Linkage};
 use crate::inst::{ExtraData, FloatPredicate, Inst, IntPredicate, LandingPadClause, Opcode};
 use crate::module::Module;
-use crate::types::TyId;
+use crate::types::{TyId, Type};
 use crate::value::{BlockId, InstId, Value};
 use std::collections::HashMap;
 use std::error::Error;
@@ -422,12 +422,23 @@ fn parse_value(module: &mut Module, ctx: &NameCtx, cur: &mut Cursor<'_>) -> Resu
     let const_col = cur.column();
     let w = cur.word();
     if module.types.is_float(ty) {
-        let x: f64 =
-            w.parse().map_err(|_| err_at(cur.line, const_col, format!("bad float {w:?}")))?;
-        let bits = if module.types.display(ty) == "float" {
-            (x as f32).to_bits() as u64
+        let bad = || err_at(cur.line, const_col, format!("bad float {w:?}"));
+        let is_f32 = matches!(module.types.get(ty), Type::Float);
+        let bits = if let Some(hex) = w.strip_prefix("0x") {
+            // Raw bits: the printer's form for a NaN other than `NaN`'s.
+            if is_f32 {
+                u32::from_str_radix(hex, 16).map(u64::from)
+            } else {
+                u64::from_str_radix(hex, 16)
+            }
+            .map_err(|_| bad())?
         } else {
-            x.to_bits()
+            let x: f64 = w.parse().map_err(|_| bad())?;
+            if is_f32 {
+                (x as f32).to_bits() as u64
+            } else {
+                x.to_bits()
+            }
         };
         return Ok(Value::ConstFloat { ty, bits });
     }
@@ -766,6 +777,54 @@ e.2:
         let text2 = print_module(&m2);
         assert_eq!(text1, text2);
         assert!(verify_module(&m2).is_empty());
+    }
+
+    /// Bits of every float constant operand of `m`'s first function.
+    fn float_bits(m: &Module) -> Vec<u64> {
+        let f = m.func(m.func_ids()[0]);
+        f.inst_ids()
+            .into_iter()
+            .flat_map(|i| f.inst(i).operands.clone())
+            .filter_map(|v| match v {
+                Value::ConstFloat { bits, .. } => Some(bits),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nan_constants_keep_sign_and_payload() {
+        let mut m = Module::new("nan");
+        let f32t = m.types.f32();
+        let f64t = m.types.f64();
+        let fn_ty = m.types.func(m.types.void(), vec![f32t, f64t]);
+        let f = m.create_function("nans", fn_ty);
+        let mut b = FuncBuilder::new(&mut m, f);
+        let entry = b.block("entry");
+        b.switch_to(entry);
+        // Negative, payload and signaling NaNs, then the parser's own
+        // NaN, which prints as `NaN`.
+        let doubles = [0xfff8_0000_0000_0000u64, 0x7ff8_0000_0000_0001, 0x7ff0_0000_0000_0001];
+        let floats = [0xffc0_0000u32, 0x7fc0_0001, 0x7f80_0001];
+        for bits in doubles.into_iter().chain([f64::NAN.to_bits()]) {
+            b.fadd(Value::Param(1), Value::ConstFloat { ty: f64t, bits });
+        }
+        for bits in floats.into_iter().chain([f32::NAN.to_bits()]) {
+            b.fadd(Value::Param(0), Value::ConstFloat { ty: f32t, bits: u64::from(bits) });
+        }
+        b.ret(None);
+        let text = print_module(&m);
+        assert!(text.contains("double 0xfff8000000000000"), "{text}");
+        assert!(text.contains("float 0x7f800001"), "{text}");
+        assert_eq!(text.matches(" NaN").count(), 2, "{text}");
+        let parsed = parse_module(&text).expect("parses");
+        assert_eq!(float_bits(&parsed), float_bits(&m));
+        assert_eq!(print_module(&parsed), text);
+        // `NaN` itself parses to the bits the printer leaves as `NaN`.
+        let canonical = "define internal void @f(float %a0, double %a1) {\nentry.0:\n  \
+            %v0 = fadd float %a0, float NaN\n  %v1 = fadd double %a1, double NaN\n  ret void\n}\n";
+        let m = parse_module(canonical).expect("parses");
+        assert_eq!(float_bits(&m), vec![0x7fc0_0000, 0x7ff8_0000_0000_0000]);
     }
 
     #[test]

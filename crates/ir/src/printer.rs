@@ -1,12 +1,22 @@
 //! Textual printer producing an LLVM-flavoured dump of modules and
 //! functions. The output is deterministic and accepted back by
 //! [`crate::parser`].
+//!
+//! Everything is written into one buffer: types, operands and names are
+//! appended in place, with no intermediate string per token.
 
 use crate::function::{Function, Linkage};
-use crate::inst::{ExtraData, Inst, LandingPadClause, Opcode};
+use crate::inst::{ExtraData, LandingPadClause, Opcode};
 use crate::module::Module;
+use crate::types::{TyId, Type};
 use crate::value::{BlockId, InstId, Value};
 use std::fmt::Write as _;
+
+/// What the parser makes of `NaN` for `double` (and `half`, which keeps
+/// `f64` bits), and for `float`. Any other NaN prints as `0x` and its raw
+/// bits, so its sign and payload survive a round trip.
+const PARSED_NAN_F64: u64 = 0x7ff8_0000_0000_0000;
+const PARSED_NAN_F32: u32 = 0x7fc0_0000;
 
 /// Prints the whole module.
 pub fn print_module(m: &Module) -> String {
@@ -14,169 +24,247 @@ pub fn print_module(m: &Module) -> String {
     let _ = writeln!(out, "; module {}", m.name);
     for id in m.func_ids() {
         out.push('\n');
-        out.push_str(&print_function(m, m.func(id)));
+        Writer { m, f: m.func(id), out: &mut out }.function();
     }
     out
 }
 
 /// Prints one function.
 pub fn print_function(m: &Module, f: &Function) -> String {
-    let ts = &m.types;
     let mut out = String::new();
-    let ret = ts.display(f.ret_ty(ts));
-    let params = f
-        .params()
-        .iter()
-        .map(|p| format!("{} %{}", ts.display(p.ty), p.name))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let linkage = match f.linkage {
-        Linkage::Internal => "internal ",
-        Linkage::External => "",
-    };
-    if f.is_declaration() {
-        let _ = writeln!(out, "declare {linkage}{ret} @{}({params})", f.name);
-        return out;
-    }
-    let _ = writeln!(out, "define {linkage}{ret} @{}({params}) {{", f.name);
-    for b in f.block_ids() {
-        let _ = writeln!(out, "{}:", block_name(f, b));
-        for &i in &f.block(b).insts {
-            let _ = writeln!(out, "  {}", print_inst(m, f, i));
-        }
-    }
-    out.push_str("}\n");
+    Writer { m, f, out: &mut out }.function();
     out
 }
 
-fn block_name(f: &Function, b: BlockId) -> String {
-    let name = &f.block(b).name;
-    if name.is_empty() {
-        format!("bb{}", b.index())
-    } else {
-        format!("{name}.{}", b.index())
-    }
+/// Appends the text of one function of `m` to `out`.
+struct Writer<'a> {
+    m: &'a Module,
+    f: &'a Function,
+    out: &'a mut String,
 }
 
-/// Prints a value operand with its type prefix.
-pub fn print_value(m: &Module, f: &Function, v: Value) -> String {
-    let ts = &m.types;
-    match v {
-        Value::Inst(i) => format!("{} %v{}", ts.display(f.inst(i).ty), i.index()),
-        Value::Param(p) => {
-            let param = &f.params()[p as usize];
-            format!("{} %{}", ts.display(param.ty), param.name)
+impl Writer<'_> {
+    fn function(&mut self) {
+        let f = self.f;
+        self.out.push_str(if f.is_declaration() { "declare " } else { "define " });
+        if f.linkage == Linkage::Internal {
+            self.out.push_str("internal ");
         }
-        Value::Block(b) => format!("label %{}", block_name(f, b)),
-        Value::Func(fid) => format!("@{}", m.func(fid).name),
-        Value::ConstInt { ty, bits } => format!("{} {}", ts.display(ty), bits as i64),
-        Value::ConstFloat { ty, bits } => {
-            if ts.display(ty) == "float" {
-                format!("float {:?}", f32::from_bits(bits as u32))
-            } else {
-                format!("{} {:?}", ts.display(ty), f64::from_bits(bits))
+        self.ty(f.ret_ty(&self.m.types));
+        let _ = write!(self.out, " @{}(", f.name);
+        for (k, p) in f.params().iter().enumerate() {
+            if k > 0 {
+                self.out.push_str(", ");
+            }
+            self.ty(p.ty);
+            let _ = write!(self.out, " %{}", p.name);
+        }
+        if f.is_declaration() {
+            self.out.push_str(")\n");
+            return;
+        }
+        self.out.push_str(") {\n");
+        for b in f.block_ids() {
+            self.block_name(b);
+            self.out.push_str(":\n");
+            for &i in &f.block(b).insts {
+                self.out.push_str("  ");
+                self.inst(i);
+                self.out.push('\n');
             }
         }
-        Value::ConstNull(ty) => format!("{} null", ts.display(ty)),
-        Value::Undef(ty) => format!("{} undef", ts.display(ty)),
+        self.out.push_str("}\n");
     }
-}
 
-/// Prints one instruction.
-pub fn print_inst(m: &Module, f: &Function, id: InstId) -> String {
-    let ts = &m.types;
-    let inst: &Inst = f.inst(id);
-    let ops = |r: std::ops::Range<usize>| -> String {
-        inst.operands[r].iter().map(|&v| print_value(m, f, v)).collect::<Vec<_>>().join(", ")
-    };
-    let lhs = if matches!(ts.get(inst.ty), crate::types::Type::Void) || inst.opcode == Opcode::Store
-    {
-        String::new()
-    } else {
-        format!("%v{} = ", id.index())
-    };
-    let body = match inst.opcode {
-        Opcode::ICmp => {
-            let p = inst.int_predicate().expect("icmp predicate");
-            format!("icmp {} {}", p.mnemonic(), ops(0..inst.operands.len()))
+    fn ty(&mut self, ty: TyId) {
+        self.m.types.display_into(ty, self.out);
+    }
+
+    fn block_name(&mut self, b: BlockId) {
+        let name = &self.f.block(b).name;
+        if name.is_empty() {
+            self.out.push_str("bb");
+        } else {
+            self.out.push_str(name);
+            self.out.push('.');
         }
-        Opcode::FCmp => {
-            let p = inst.float_predicate().expect("fcmp predicate");
-            format!("fcmp {} {}", p.mnemonic(), ops(0..inst.operands.len()))
-        }
-        Opcode::Alloca => {
-            let ExtraData::Alloca { allocated } = &inst.extra else { unreachable!() };
-            format!("alloca {}", ts.display(*allocated))
-        }
-        Opcode::Gep => {
-            let ExtraData::Gep { source_elem } = &inst.extra else { unreachable!() };
-            format!(
-                "getelementptr {} -> {}, {}",
-                ts.display(*source_elem),
-                ts.display(inst.ty),
-                ops(0..inst.operands.len())
-            )
-        }
-        Opcode::Phi => {
-            let ExtraData::Phi { incoming } = &inst.extra else { unreachable!() };
-            let pairs = inst
-                .operands
-                .iter()
-                .zip(incoming)
-                .map(|(&v, &b)| format!("[ {}, %{} ]", print_value(m, f, v), block_name(f, b)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("phi {} {}", ts.display(inst.ty), pairs)
-        }
-        Opcode::LandingPad => {
-            let ExtraData::LandingPad { clauses, cleanup } = &inst.extra else { unreachable!() };
-            let mut s = format!("landingpad {}", ts.display(inst.ty));
-            if *cleanup {
-                s.push_str(" cleanup");
+        let _ = write!(self.out, "{}", b.index());
+    }
+
+    /// A value operand with its type prefix.
+    fn value(&mut self, v: Value) {
+        let f = self.f;
+        match v {
+            Value::Inst(i) => {
+                self.ty(f.inst(i).ty);
+                let _ = write!(self.out, " %v{}", i.index());
             }
-            for c in clauses {
-                match c {
-                    LandingPadClause::Catch(sym) => {
-                        let _ = write!(s, " catch @{sym}");
+            Value::Param(p) => {
+                let param = &f.params()[p as usize];
+                self.ty(param.ty);
+                let _ = write!(self.out, " %{}", param.name);
+            }
+            Value::Block(b) => {
+                self.out.push_str("label %");
+                self.block_name(b);
+            }
+            Value::Func(fid) => {
+                let _ = write!(self.out, "@{}", self.m.func(fid).name);
+            }
+            Value::ConstInt { ty, bits } => {
+                self.ty(ty);
+                let _ = write!(self.out, " {}", bits as i64);
+            }
+            Value::ConstFloat { ty, bits } => {
+                self.ty(ty);
+                if matches!(self.m.types.get(ty), Type::Float) {
+                    let x = f32::from_bits(bits as u32);
+                    if x.is_nan() && x.to_bits() != PARSED_NAN_F32 {
+                        let _ = write!(self.out, " 0x{:08x}", x.to_bits());
+                    } else {
+                        let _ = write!(self.out, " {x:?}");
                     }
-                    LandingPadClause::Filter(syms) => {
-                        let _ = write!(s, " filter [{}]", syms.join(", "));
+                } else {
+                    let x = f64::from_bits(bits);
+                    if x.is_nan() && bits != PARSED_NAN_F64 {
+                        let _ = write!(self.out, " 0x{bits:016x}");
+                    } else {
+                        let _ = write!(self.out, " {x:?}");
                     }
                 }
             }
-            s
+            Value::ConstNull(ty) => {
+                self.ty(ty);
+                self.out.push_str(" null");
+            }
+            Value::Undef(ty) => {
+                self.ty(ty);
+                self.out.push_str(" undef");
+            }
         }
-        Opcode::ExtractValue | Opcode::InsertValue => {
-            let ExtraData::AggIndices(idx) = &inst.extra else { unreachable!() };
-            let idxs = idx.iter().map(u32::to_string).collect::<Vec<_>>().join(", ");
-            format!("{} {}, [{}]", inst.opcode.mnemonic(), ops(0..inst.operands.len()), idxs)
+    }
+
+    /// Comma-separated operands.
+    fn values(&mut self, vs: &[Value]) {
+        for (k, &v) in vs.iter().enumerate() {
+            if k > 0 {
+                self.out.push_str(", ");
+            }
+            self.value(v);
         }
-        Opcode::Call => {
-            format!(
-                "call {} {}({})",
-                ts.display(inst.ty),
-                print_value(m, f, inst.operands[0]),
-                ops(1..inst.operands.len())
-            )
+    }
+
+    fn inst(&mut self, id: InstId) {
+        let f = self.f;
+        let inst = f.inst(id);
+        let ops = &inst.operands[..];
+        if !matches!(self.m.types.get(inst.ty), Type::Void) && inst.opcode != Opcode::Store {
+            let _ = write!(self.out, "%v{} = ", id.index());
         }
-        Opcode::Invoke => {
-            let n = inst.operands.len();
-            format!(
-                "invoke {} {}({}) to {} unwind {}",
-                ts.display(inst.ty),
-                print_value(m, f, inst.operands[0]),
-                ops(1..n - 2),
-                print_value(m, f, inst.operands[n - 2]),
-                print_value(m, f, inst.operands[n - 1]),
-            )
+        match inst.opcode {
+            Opcode::ICmp => {
+                let p = inst.int_predicate().expect("icmp predicate");
+                let _ = write!(self.out, "icmp {} ", p.mnemonic());
+                self.values(ops);
+            }
+            Opcode::FCmp => {
+                let p = inst.float_predicate().expect("fcmp predicate");
+                let _ = write!(self.out, "fcmp {} ", p.mnemonic());
+                self.values(ops);
+            }
+            Opcode::Alloca => {
+                let ExtraData::Alloca { allocated } = &inst.extra else { unreachable!() };
+                self.out.push_str("alloca ");
+                self.ty(*allocated);
+            }
+            Opcode::Gep => {
+                let ExtraData::Gep { source_elem } = &inst.extra else { unreachable!() };
+                self.out.push_str("getelementptr ");
+                self.ty(*source_elem);
+                self.out.push_str(" -> ");
+                self.ty(inst.ty);
+                self.out.push_str(", ");
+                self.values(ops);
+            }
+            Opcode::Phi => {
+                let ExtraData::Phi { incoming } = &inst.extra else { unreachable!() };
+                self.out.push_str("phi ");
+                self.ty(inst.ty);
+                self.out.push(' ');
+                for (k, (&v, &b)) in ops.iter().zip(incoming).enumerate() {
+                    if k > 0 {
+                        self.out.push_str(", ");
+                    }
+                    self.out.push_str("[ ");
+                    self.value(v);
+                    self.out.push_str(", %");
+                    self.block_name(b);
+                    self.out.push_str(" ]");
+                }
+            }
+            Opcode::LandingPad => {
+                let ExtraData::LandingPad { clauses, cleanup } = &inst.extra else {
+                    unreachable!()
+                };
+                self.out.push_str("landingpad ");
+                self.ty(inst.ty);
+                if *cleanup {
+                    self.out.push_str(" cleanup");
+                }
+                for c in clauses {
+                    match c {
+                        LandingPadClause::Catch(sym) => {
+                            let _ = write!(self.out, " catch @{sym}");
+                        }
+                        LandingPadClause::Filter(syms) => {
+                            let _ = write!(self.out, " filter [{}]", syms.join(", "));
+                        }
+                    }
+                }
+            }
+            Opcode::ExtractValue | Opcode::InsertValue => {
+                let ExtraData::AggIndices(idx) = &inst.extra else { unreachable!() };
+                let _ = write!(self.out, "{} ", inst.opcode.mnemonic());
+                self.values(ops);
+                self.out.push_str(", [");
+                for (k, i) in idx.iter().enumerate() {
+                    let _ = write!(self.out, "{}{i}", if k > 0 { ", " } else { "" });
+                }
+                self.out.push(']');
+            }
+            Opcode::Call => {
+                self.out.push_str("call ");
+                self.ty(inst.ty);
+                self.out.push(' ');
+                self.value(ops[0]);
+                self.out.push('(');
+                self.values(&ops[1..]);
+                self.out.push(')');
+            }
+            Opcode::Invoke => {
+                let n = ops.len();
+                self.out.push_str("invoke ");
+                self.ty(inst.ty);
+                self.out.push(' ');
+                self.value(ops[0]);
+                self.out.push('(');
+                self.values(&ops[1..n - 2]);
+                self.out.push_str(") to ");
+                self.value(ops[n - 2]);
+                self.out.push_str(" unwind ");
+                self.value(ops[n - 1]);
+            }
+            Opcode::Ret if ops.is_empty() => self.out.push_str("ret void"),
+            op => {
+                let _ = write!(self.out, "{} ", op.mnemonic());
+                self.values(ops);
+                if op.is_cast() {
+                    self.out.push_str(" to ");
+                    self.ty(inst.ty);
+                }
+            }
         }
-        Opcode::Ret if inst.operands.is_empty() => "ret void".to_owned(),
-        op if op.is_cast() => {
-            format!("{} {} to {}", op.mnemonic(), ops(0..inst.operands.len()), ts.display(inst.ty))
-        }
-        op => format!("{} {}", op.mnemonic(), ops(0..inst.operands.len())),
-    };
-    format!("{lhs}{body}")
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! function types. `label` is the type of basic-block references.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An interned reference to a [`Type`] inside a [`TypeStore`].
 ///
@@ -446,35 +446,54 @@ impl TypeStore {
 
     /// Renders `ty` using LLVM-like syntax (`i32`, `float*`, `{ i32, i8 }`).
     pub fn display(&self, ty: TyId) -> String {
+        let mut out = String::new();
+        self.display_into(ty, &mut out);
+        out
+    }
+
+    /// Appends the [`TypeStore::display`] text of `ty` to `out`.
+    pub fn display_into(&self, ty: TyId, out: &mut String) {
         match self.get(ty) {
-            Type::Void => "void".to_owned(),
-            Type::Label => "label".to_owned(),
-            Type::Int(w) => format!("i{w}"),
-            Type::Half => "half".to_owned(),
-            Type::Float => "float".to_owned(),
-            Type::Double => "double".to_owned(),
-            Type::Ptr { pointee } => format!("{}*", self.display(*pointee)),
-            Type::Array { elem, len } => format!("[{} x {}]", len, self.display(*elem)),
+            Type::Void => out.push_str("void"),
+            Type::Label => out.push_str("label"),
+            Type::Int(w) => {
+                let _ = write!(out, "i{w}");
+            }
+            Type::Half => out.push_str("half"),
+            Type::Float => out.push_str("float"),
+            Type::Double => out.push_str("double"),
+            Type::Ptr { pointee } => {
+                self.display_into(*pointee, out);
+                out.push('*');
+            }
+            Type::Array { elem, len } => {
+                let _ = write!(out, "[{len} x ");
+                self.display_into(*elem, out);
+                out.push(']');
+            }
             Type::Struct { fields, packed } => {
-                let inner = fields.iter().map(|&f| self.display(f)).collect::<Vec<_>>().join(", ");
-                if *packed {
-                    format!("<{{ {inner} }}>")
-                } else {
-                    format!("{{ {inner} }}")
-                }
+                out.push_str(if *packed { "<{ " } else { "{ " });
+                self.list_into(fields, out);
+                out.push_str(if *packed { " }>" } else { " }" });
             }
             Type::Func { ret, params, varargs } => {
-                let mut inner =
-                    params.iter().map(|&p| self.display(p)).collect::<Vec<_>>().join(", ");
+                self.display_into(*ret, out);
+                out.push_str(" (");
+                self.list_into(params, out);
                 if *varargs {
-                    if inner.is_empty() {
-                        inner = "...".to_owned();
-                    } else {
-                        inner.push_str(", ...");
-                    }
+                    out.push_str(if params.is_empty() { "..." } else { ", ..." });
                 }
-                format!("{} ({})", self.display(*ret), inner)
+                out.push(')');
             }
+        }
+    }
+
+    fn list_into(&self, tys: &[TyId], out: &mut String) {
+        for (k, &ty) in tys.iter().enumerate() {
+            if k > 0 {
+                out.push_str(", ");
+            }
+            self.display_into(ty, out);
         }
     }
 }
