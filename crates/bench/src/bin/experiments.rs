@@ -515,9 +515,9 @@ fn merge_parallel(fast: bool, report: &mut Report) {
         let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
         // threads=1 (the reference) runs without a prepare stage;
         // threads=2 adds the parallel schedule and prepare (alignment + Δ
-        // bound) stages; threads=4 adds multi-partition parallel call-site
-        // rewriting (CI runs `--check` over all three); `auto` adds the
-        // machine's real parallelism when it offers more.
+        // bound) stages; threads=4 runs them on more workers (CI runs
+        // `--check` over all three); `auto` adds the machine's real
+        // parallelism when it offers more.
         let mut thread_counts = vec![1usize, 2, 4];
         if auto > 4 {
             thread_counts.push(auto);
@@ -549,8 +549,7 @@ fn merge_parallel(fast: bool, report: &mut Report) {
             println!(
                 "       stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
                  prepare {:.2?} (cpu {:.2?}); align cpu {:.2?}, bound cpu {:.2?}; \
-                 commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); \
-                 generations {}, commit barriers {} (batched {} merges, {} fallback)",
+                 commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); generations {}",
                 p.schedule,
                 p.schedule_query,
                 p.schedule_prefill,
@@ -563,9 +562,6 @@ fn merge_parallel(fast: bool, report: &mut Report) {
                 p.commit_codegen,
                 p.rewrite,
                 p.generations,
-                p.commit_barriers,
-                p.batched_merges,
-                p.batch_fallback,
             );
             // Header pairs first, then the canonical PipelineStats field
             // list (shared with `scale --json` and `fmsa_opt --stats`).
@@ -682,8 +678,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     );
     println!(
         "  stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-         prepare {:.2?} (cpu {:.2?}), align cpu {:.2?}, bound cpu {:.2?}, commit {:.2?}; \
-         commit barriers {} (batched {} merges, {} fallback)",
+         prepare {:.2?} (cpu {:.2?}), align cpu {:.2?}, bound cpu {:.2?}, commit {:.2?}",
         agg.schedule,
         agg.schedule_query,
         agg.schedule_prefill,
@@ -693,9 +688,6 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
         agg.align_cpu,
         agg.bound_cpu,
         agg.commit,
-        agg.commit_barriers,
-        agg.batched_merges,
-        agg.batch_fallback,
     );
     // Header pairs, then the canonical PipelineStats field list (same
     // formatter as merge-parallel and fmsa_opt --stats); `threads` is

@@ -10,12 +10,13 @@
 //! actually touched. Queries are `O(1)` and return exactly what
 //! `count_call_sites` would.
 //!
-//! It has two users. The merge pipeline reads the counts for δ and the
-//! reverse edges ([`CallSiteIndex::callers_of`]) to partition call-site
-//! rewrites. The identical-function prepass
-//! ([`crate::baselines::run_identical`]) rewrites a deleted duplicate's
-//! calls only in `callers_of(dup)`, instead of scanning every function of
-//! the module on each fold.
+//! It has two users. The merge pipeline reads the counts for δ, and
+//! commits each merge through the reverse edges
+//! ([`CallSiteIndex::callers_of`]): a deleted side's calls are rewritten
+//! only in its callers ([`crate::thunks::commit_merge_indexed`]). The
+//! identical-function prepass ([`crate::baselines::run_identical`]) does
+//! the same for each duplicate it deletes. Neither scans every function
+//! of the module.
 //!
 //! The index tracks *committed* module state. A freshly generated merge
 //! candidate that has not been committed is intentionally not part of the
@@ -35,8 +36,8 @@ pub struct CallSiteIndex {
     /// folded into `counts`, so refreshes can diff).
     outgoing: HashMap<FuncId, HashMap<FuncId, usize>>,
     /// callee → the callers currently contributing sites — the reverse
-    /// edge set the partitioned call-site rewrite partitions over
-    /// ([`crate::thunks::RewritePlan`]). Kept in lockstep with
+    /// edges a commit rewrites over
+    /// ([`crate::thunks::commit_merge_indexed`]). Kept in lockstep with
     /// `outgoing`; the value is the same per-caller count.
     incoming: HashMap<FuncId, HashMap<FuncId, usize>>,
 }
@@ -95,21 +96,6 @@ impl CallSiteIndex {
         if !fresh.is_empty() {
             self.outgoing.insert(caller, fresh);
         }
-    }
-
-    /// Records that `caller`'s body is (or is about to be) a thunk whose
-    /// only outgoing call targets `target` — the exact contribution
-    /// [`CallSiteIndex::refresh`] would compute from a built thunk
-    /// ([`crate::thunks::make_thunk`] emits one call plus a return),
-    /// without reading the body. The pipeline's batched commit path uses
-    /// this to keep the index in lockstep with the *planned* module
-    /// state while the body replacement itself is deferred to the batch
-    /// flush.
-    pub fn set_thunk(&mut self, caller: FuncId, target: FuncId) {
-        self.retract(caller);
-        *self.counts.entry(target).or_insert(0) += 1;
-        self.incoming.entry(target).or_default().insert(caller, 1);
-        self.outgoing.insert(caller, HashMap::from([(target, 1)]));
     }
 
     /// Removes `caller`'s contribution (call when the function is deleted
@@ -227,29 +213,6 @@ mod tests {
             .append_inst(e, fmsa_ir::Inst::new(Opcode::Ret, void, vec![Value::Param(0)]));
         idx.refresh(&m, callers[2]);
         assert_eq!(idx.callers_of(callee), vec![callee]);
-    }
-
-    #[test]
-    fn set_thunk_matches_refresh_of_built_thunk() {
-        let (mut m, callee, callers) = call_module();
-        // Predicted contribution, set before the body changes...
-        let mut predicted = CallSiteIndex::build(&m);
-        predicted.set_thunk(callers[2], callee);
-        // ...must equal a refresh after actually building the thunk body.
-        m.func_mut(callers[2]).clear_body();
-        let e = m.func_mut(callers[2]).add_block("entry");
-        let void = m.types.void();
-        let call = m
-            .func_mut(callers[2])
-            .append_inst(e, fmsa_ir::Inst::new(Opcode::Call, void, vec![Value::Func(callee)]));
-        m.func_mut(callers[2])
-            .append_inst(e, fmsa_ir::Inst::new(Opcode::Ret, void, vec![Value::Inst(call)]));
-        let mut rescanned = CallSiteIndex::build(&m);
-        rescanned.refresh(&m, callers[2]);
-        assert_eq!(predicted.count(callee), rescanned.count(callee));
-        assert_eq!(predicted.callers_of(callee), rescanned.callers_of(callee));
-        // caller2's two old calls were retracted, one thunk call added.
-        assert_eq!(predicted.count(callee), 3);
     }
 
     #[test]

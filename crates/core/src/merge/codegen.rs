@@ -812,10 +812,8 @@ pub(crate) fn classify_cast_back(
 
 /// Interns the integer container types [`cast_back_in`] needs for a
 /// `base -> want` conversion: `int(bits(base))` first, `int(bits(want))`
-/// second — the exact order the historical lazy cast interned them, so a
-/// planning step running this up front evolves the store identically. A
-/// no-op (nothing interned) when the conversion is an identity or a
-/// lossless bitcast.
+/// second. A no-op (nothing interned) when the conversion is an identity
+/// or a lossless bitcast.
 ///
 /// # Errors
 ///
@@ -834,10 +832,10 @@ pub(crate) fn prepare_cast_tys(
 
 /// The reverse conversion of [`cast_chain`], used at call sites and
 /// thunks: `base -> want` via truncation through integer containers.
-/// Inserts before `user`, directly into a (possibly detached) function:
-/// it only *reads* the type store, so the partitioned call-site rewrite
-/// can run it on worker threads after [`prepare_cast_tys`] interned the
-/// container types sequentially.
+/// Inserts before `user`, directly into the function: it only *reads*
+/// the type store, so it runs while the function is borrowed mutably
+/// from its module, after [`prepare_cast_tys`] interned the container
+/// types.
 pub(crate) fn cast_back_in(
     f: &mut Function,
     types: &fmsa_ir::TypeStore,

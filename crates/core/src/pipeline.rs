@@ -37,29 +37,16 @@
 //!    and only replays the type interning the build would have left. The
 //!    rest are built in place ([`crate::merge::merge_pair_aligned`]),
 //!    verified, and evaluated exactly
-//!    ([`crate::profitability::evaluate_indexed`]); the §III-A commit
-//!    feeds accepted merges back into the search index, the
-//!    linearization cache, the call-site index, and the next
+//!    ([`crate::profitability::evaluate_indexed`]). An accepted merge is
+//!    committed on the spot ([`crate::thunks::commit_merge_indexed`]):
+//!    the §III-A call-graph update rewrites only the callers the
+//!    call-site index names, then the merge feeds back into the search
+//!    index, the linearization cache, the call-site index, and the next
 //!    generation's worklist.
 //!
 //! A generation holds at most [`GENERATION_SUBJECTS`] subjects, at every
 //! thread count, so generation boundaries — and with them every commit
 //! counter and the decision log — do not depend on the thread count.
-//!
-//! Accepted merges whose call-graph update provably interacts with
-//! nothing else in the generation — every deletable side has zero
-//! callers, the merged body calls neither its own originals nor anything
-//! an earlier pending merge retired — are not committed one rewrite plan
-//! (and one worker-pool barrier) at a time. Their bookkeeping runs
-//! eagerly (so every later decision reads exactly the state an immediate
-//! commit would leave) and the residual body work — thunking
-//! non-deletable originals — is accumulated into one [`RewritePlan`]
-//! that flushes at the end of the generation, or just before a merge
-//! that fails the eligibility rules commits immediately. See
-//! `docs/pipeline.md` ("Sharded schedule & batched commit") and the
-//! [`PipelineStats::commit_barriers`] / [`PipelineStats::batched_merges`]
-//! counters; bit-identity under batching is property-tested in
-//! `tests/parallel_pipeline.rs`.
 //!
 //! Because the commit stage replays the paper's decision procedure
 //! exactly — same candidate order, same greedy first-profitable rule,
@@ -80,7 +67,7 @@
 // replacement ([`crate::Config`]) converts into them.
 #![allow(deprecated)]
 
-use crate::callsites::{outgoing_calls, CallSiteIndex};
+use crate::callsites::CallSiteIndex;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
@@ -91,9 +78,7 @@ use crate::quarantine::{panic_message, QuarantineStage};
 use crate::ranking::Candidate;
 use crate::search::SearchStrategy;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
-use crate::thunks::{
-    can_delete, commit_merge_partitioned, prepare_commit_casts, Disposition, RewritePlan,
-};
+use crate::thunks::{commit_merge_indexed, Disposition};
 use fmsa_align::{align_with_plan, Alignment};
 use fmsa_ir::{FuncId, Module};
 use fmsa_target::CostModel;
@@ -205,8 +190,8 @@ pub struct PipelineStats {
     /// [`PipelineStats::spec_built`]).
     pub transplant: Duration,
     /// Of [`PipelineStats::commit`], the call-graph update (call-site
-    /// rewriting + thunking) — executed as a partitioned rewrite plan on
-    /// the worker pool ([`crate::thunks::RewritePlan`]).
+    /// rewriting + thunking), run inline for each accepted merge
+    /// ([`crate::thunks::commit_merge_indexed`]).
     pub rewrite: Duration,
     /// Pairs quarantined because sequence alignment panicked.
     pub quarantined_align: usize,
@@ -223,20 +208,10 @@ pub struct PipelineStats {
     /// Differential mismatches attributed to this run by an external
     /// driver (the fuzz farm); the pipeline itself never sets it.
     pub mismatches: usize,
-    /// Commit-stage barriers: rewrite-plan executions, each one a
-    /// detach/pool-scope handoff. One per batch flush plus one per
-    /// immediate (batch-ineligible) commit — the quantity batching
-    /// shrinks from one-per-merge to one-(or a few)-per-generation.
+    /// Always zero: the commit stage hands no call-graph update to the
+    /// worker pool. Kept only because `perfbench/` reads it (see
+    /// [`PipelineStats::spec_built`]).
     pub commit_barriers: usize,
-    /// Merges committed through a deferred batch (bookkeeping eager,
-    /// body work folded into the generation's flush; no private barrier).
-    pub batched_merges: usize,
-    /// Profitable merges that failed the batch-eligibility rules (a
-    /// deletable side with live callers, a merged body calling its own
-    /// originals or a pending side, or a feedback merge onto a pending
-    /// merged function) and fell back to an immediate single-merge plan,
-    /// flushing any pending batch first.
-    pub batch_fallback: usize,
 }
 
 impl PipelineStats {
@@ -274,9 +249,6 @@ impl PipelineStats {
         self.quarantined_verify += other.quarantined_verify;
         self.panics_caught += other.panics_caught;
         self.mismatches += other.mismatches;
-        self.commit_barriers += other.commit_barriers;
-        self.batched_merges += other.batched_merges;
-        self.batch_fallback += other.batch_fallback;
     }
 
     /// The canonical `(name, value)` serialization of every counter and
@@ -305,9 +277,6 @@ impl PipelineStats {
             ("commit_s", Secs(self.commit.as_secs_f64())),
             ("commit_codegen_s", Secs(self.commit_codegen.as_secs_f64())),
             ("rewrite_s", Secs(self.rewrite.as_secs_f64())),
-            ("commit_barriers", Count(self.commit_barriers as u64)),
-            ("batched_merges", Count(self.batched_merges as u64)),
-            ("batch_fallback", Count(self.batch_fallback as u64)),
             ("quarantined", Count(self.quarantined() as u64)),
             ("quarantined_align", Count(self.quarantined_align as u64)),
             ("quarantined_codegen", Count(self.quarantined_codegen as u64)),
@@ -488,63 +457,6 @@ fn seed_pass(
     let worklist: VecDeque<FuncId> = available.iter().copied().collect();
     let live: HashSet<FuncId> = available.into_iter().collect();
     SeededPass { fingerprints, index, worklist, live }
-}
-
-/// Executes the pending batch of deferred merges (no-op when empty):
-/// thunks the non-deletable originals and re-confirms the removals, all
-/// through one [`RewritePlan::execute`] barrier. The eligibility rules
-/// guarantee the plan rewrites no caller, so the flush commutes with
-/// everything that ran since the merges were accepted; `expected` holds
-/// the dispositions predicted at decision time, re-checked here.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    module: &mut Module,
-    plan: &mut RewritePlan,
-    expected: &mut Vec<(Disposition, Disposition)>,
-    pool: Option<&rayon::ThreadPool>,
-    stats: &mut FmsaStats,
-    pstats: &mut PipelineStats,
-    call_sites: &mut CallSiteIndex,
-    lin_cache: &mut LinearizationCache,
-    epoch: &mut u64,
-    dirty: &mut bool,
-) {
-    if plan.merges() == 0 {
-        return;
-    }
-    let _span = trace::span("fmsa", "flush_batch");
-    let t0 = Instant::now();
-    let taken = std::mem::take(plan);
-    let expect = std::mem::take(expected);
-    match taken.execute(module, pool) {
-        Ok(results) => {
-            debug_assert_eq!(
-                results.iter().map(|r| (r.first, r.second)).collect::<Vec<_>>(),
-                expect,
-                "deferred dispositions must match the decision-time prediction"
-            );
-            debug_assert!(
-                results.iter().all(|r| r.touched.is_empty()),
-                "batch-eligible merges must not touch any caller"
-            );
-        }
-        Err(_) => {
-            // Should not happen: eligible merges schedule no caller
-            // rewrites and their thunk cast types were pre-interned at
-            // decision time. The merges stay accepted (their bookkeeping
-            // already fed the feedback loop); resynchronize the caches
-            // with whatever state the module is in and invalidate all
-            // prepared work.
-            *call_sites = CallSiteIndex::build(module);
-            *lin_cache = LinearizationCache::new();
-            *epoch += 1;
-            *dirty = true;
-        }
-    }
-    let dt = t0.elapsed();
-    stats.timers.update_calls += dt;
-    pstats.rewrite += dt;
-    pstats.commit_barriers += 1;
 }
 
 /// Runs the FMSA optimization over `module` with the merge pipeline.
@@ -755,12 +667,6 @@ fn run_pipeline(
         let commit_span = trace::span("fmsa", "commit");
         let t_commit = Instant::now();
         let mut dirty = false;
-        // Deferred call-graph work of the generation's batch-eligible
-        // merges (thunk bodies, removal confirmation), executed through
-        // one barrier by `flush_batch` — at generation end, or earlier
-        // when an ineligible merge must commit immediately.
-        let mut plan = RewritePlan::new();
-        let mut pending_expect: Vec<(Disposition, Disposition)> = Vec::new();
         for (f1, scheduled_cands) in scheduled {
             if !live.contains(&f1) || !module.is_live(f1) {
                 continue;
@@ -1031,141 +937,10 @@ fn run_pipeline(
                 let Some((rank, info, _, win)) = best else {
                     break 'commit;
                 };
-                let pool_ref = (threads > 1).then_some(&pool);
-                // Batch eligibility — the merge's call-graph update must
-                // provably interact with nothing else in the generation:
-                // every deletable side has zero callers to rewrite (after
-                // the serial loop's own filters), neither side is a
-                // merged function still pending in the batch, and the
-                // merged body is already final (it calls neither its own
-                // originals nor anything the batch retired). Such a
-                // commit touches no third function, so its bookkeeping
-                // can run eagerly and its body work can wait for the
-                // flush.
-                let deletable = [can_delete(module, f1), can_delete(module, info.f2)];
-                let callers_clear =
-                    [(f1, deletable[0]), (info.f2, deletable[1])].into_iter().all(|(func, del)| {
-                        !del || call_sites
-                            .callers_of(func)
-                            .into_iter()
-                            .all(|g| g == func || plan.retired().contains(&g) || !module.is_live(g))
-                    });
-                let defer = callers_clear
-                    && !plan.merged_funcs().contains(&f1)
-                    && !plan.merged_funcs().contains(&info.f2)
-                    && {
-                        let merged_out = outgoing_calls(module.func(info.merged));
-                        !merged_out.contains_key(&f1)
-                            && !merged_out.contains_key(&info.f2)
-                            && merged_out.keys().all(|c| !plan.retired().contains(c))
-                    };
-                if defer {
-                    let t0 = Instant::now();
-                    let dispositions =
-                        deletable
-                            .map(|d| if d { Disposition::Deleted } else { Disposition::Thunk });
-                    // Serial commit would intern the thunk-side cast
-                    // container types right now; replay that eagerly so
-                    // the deferred execution leaves the type store
-                    // bit-identical.
-                    if prepare_commit_casts(module, &info).is_err() {
-                        // Mirror the immediate path's failed commit: drop
-                        // the merge, resynchronize, abandon the subject.
-                        flush_batch(
-                            module,
-                            &mut plan,
-                            &mut pending_expect,
-                            pool_ref,
-                            &mut stats,
-                            &mut pstats,
-                            &mut call_sites,
-                            &mut lin_cache,
-                            &mut epoch,
-                            &mut dirty,
-                        );
-                        module.remove_function(info.merged);
-                        recs[win].outcome = DecisionOutcome::Failed;
-                        call_sites = CallSiteIndex::build(module);
-                        lin_cache = LinearizationCache::new();
-                        epoch += 1;
-                        dirty = true;
-                        break 'commit;
-                    }
-                    plan.add_merge(module, &info, &call_sites);
-                    pending_expect.push((dispositions[0], dispositions[1]));
-                    stats.timers.update_calls += t0.elapsed();
-                    pstats.rewrite += t0.elapsed();
-                    pstats.batched_merges += 1;
-                    stats.merges += 1;
-                    stats.rank_positions.push(rank);
-                    for d in dispositions {
-                        match d {
-                            Disposition::Deleted => stats.deleted += 1,
-                            Disposition::Thunk => stats.thunks += 1,
-                        }
-                    }
-                    live.remove(&f1);
-                    live.remove(&info.f2);
-                    fingerprints.remove(&f1);
-                    fingerprints.remove(&info.f2);
-                    index.remove(f1);
-                    index.remove(info.f2);
-                    for (func, disposition) in [(f1, dispositions[0]), (info.f2, dispositions[1])] {
-                        lin_cache.invalidate(func);
-                        match disposition {
-                            Disposition::Deleted => {
-                                call_sites.remove(func);
-                                gens.remove(&func);
-                                // Eager removal keeps liveness and
-                                // `func_by_name` (merged-name
-                                // deduplication) identical to an
-                                // immediate commit; the flush's
-                                // re-removal is a no-op.
-                                module.remove_function(func);
-                            }
-                            Disposition::Thunk => {
-                                call_sites.set_thunk(func, info.merged);
-                                *gens.entry(func).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    // No caller is touched (that is what the eligibility
-                    // rules guarantee), and the merged body is final: its
-                    // index entry and fingerprint are exact now.
-                    call_sites.refresh(module, info.merged);
-                    let t0 = Instant::now();
-                    let merged_fp = Fingerprint::of(module, info.merged);
-                    index.insert(info.merged, &merged_fp);
-                    fingerprints.insert(info.merged, merged_fp);
-                    stats.timers.fingerprinting += t0.elapsed();
-                    live.insert(info.merged);
-                    worklist.push_back(info.merged);
-                    dirty = true;
-                    break 'commit;
-                }
-                // Ineligible: the pending batch precedes this merge in
-                // serial order, so flush it first, then commit through an
-                // immediate single-merge plan.
-                flush_batch(
-                    module,
-                    &mut plan,
-                    &mut pending_expect,
-                    pool_ref,
-                    &mut stats,
-                    &mut pstats,
-                    &mut call_sites,
-                    &mut lin_cache,
-                    &mut epoch,
-                    &mut dirty,
-                );
-                pstats.batch_fallback += 1;
+                // The §III-A call-graph update: a deleted side's calls are
+                // rewritten only in the callers the index names.
                 let t0 = Instant::now();
-                // Call-graph update through the partitioned plan: callers
-                // come from the incremental call-site index, disjoint
-                // caller partitions rewrite on the worker pool.
-                // Single-threaded runs execute the partitions inline (no
-                // pool handoff).
-                let commit = match commit_merge_partitioned(module, &info, &call_sites, pool_ref) {
+                let commit = match commit_merge_indexed(module, &info, &call_sites) {
                     Ok(c) => c,
                     Err(_) => {
                         // Should not happen (guarded by tests). Drop the
@@ -1185,7 +960,6 @@ fn run_pipeline(
                 };
                 stats.timers.update_calls += t0.elapsed();
                 pstats.rewrite += t0.elapsed();
-                pstats.commit_barriers += 1;
                 stats.merges += 1;
                 stats.rank_positions.push(rank);
                 for d in [commit.first, commit.second] {
@@ -1250,22 +1024,6 @@ fn run_pipeline(
                 stats.decisions.push(r);
             }
         }
-        // End-of-generation flush: nothing pends across generations —
-        // the next schedule must see final bodies before handing shared
-        // references to the workers.
-        flush_batch(
-            module,
-            &mut plan,
-            &mut pending_expect,
-            (threads > 1).then_some(&pool),
-            &mut stats,
-            &mut pstats,
-            &mut call_sites,
-            &mut lin_cache,
-            &mut epoch,
-            &mut dirty,
-        );
-        let _ = dirty;
         pstats.commit += t_commit.elapsed();
         drop(commit_span);
     }
@@ -1431,7 +1189,6 @@ mod tests {
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.threads, 4);
         assert!(p.generations >= 1 && p.prepared > 0, "{p:?}");
-        assert_eq!(p.batched_merges + p.batch_fallback, stats.merges, "{p:?}");
         // Every profitable candidate was built and evaluated: exactly one
         // record per merge says so, the rest were gated, unprofitable or
         // outbid.
@@ -1451,26 +1208,6 @@ mod tests {
         assert!(p.reused > 0);
         assert!(p.rewrite > Duration::ZERO, "commits must book rewrite time: {p:?}");
         assert!(p.rewrite <= p.commit, "{p:?}");
-        assert!(fmsa_ir::verify_module(&m).is_empty());
-    }
-
-    #[test]
-    fn generation_commits_are_batched() {
-        // Clone families are internal with no callers, so merges are
-        // batch-eligible unless a subject picks a merged function still
-        // pending in the batch (a fallback, flushed and committed
-        // immediately). Either way, every merge is accounted once and
-        // the barrier count stays below one-per-merge.
-        let (m, stats) = run_family(&Config::new().threshold(5).parallel(4), 8, 12);
-        let p = stats.pipeline.expect("pipeline stats");
-        assert_eq!(p.batched_merges + p.batch_fallback, stats.merges, "{p:?}");
-        assert!(p.batched_merges > 0, "eligible merges must defer: {p:?}");
-        assert!(
-            p.commit_barriers <= 2 * p.batch_fallback + p.generations,
-            "per fallback: one flush plus one immediate barrier; plus at most one \
-             flush per generation: {p:?}"
-        );
-        assert!(p.commit_barriers < stats.merges || stats.merges <= 1, "{p:?}");
         assert!(fmsa_ir::verify_module(&m).is_empty());
     }
 

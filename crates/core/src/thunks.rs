@@ -9,16 +9,12 @@
 //! that prohibit the complete removal of the original functions are the
 //! existence of indirect calls or the possibility of external linkage."
 
-use crate::callsites::{outgoing_calls, CallSiteIndex};
+use crate::callsites::CallSiteIndex;
 use crate::merge::{
     codegen::{cast_back_in, prepare_cast_tys},
     MergeError, MergeInfo,
 };
-use fmsa_ir::{
-    FuncId, Function, Inst, InstId, Linkage, Module, Opcode, TyId, Type, TypeStore, Value,
-};
-use rayon::ThreadPool;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use fmsa_ir::{FuncId, Inst, InstId, Linkage, Module, Opcode, TyId, Type, TypeStore, Value};
 
 /// How one original function was retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +47,7 @@ pub struct CallRewrite {
 
 impl CallRewrite {
     /// Builds the rewrite description for one side of a merge.
-    pub fn for_side(_module: &Module, info: &MergeInfo, first_side: bool) -> CallRewrite {
+    pub fn for_side(info: &MergeInfo, first_side: bool) -> CallRewrite {
         let map = if first_side { info.params.map1.clone() } else { info.params.map2.clone() };
         CallRewrite {
             target: info.merged,
@@ -101,20 +97,6 @@ pub fn count_call_sites(module: &Module, func: FuncId) -> usize {
     n
 }
 
-/// Direct call/invoke sites of `from` inside one function body, in
-/// layout order — the per-caller scan shared by the serial rewrite loop
-/// and the partitioned rewrite tasks.
-fn call_sites_of(f: &Function, from: FuncId) -> Vec<InstId> {
-    f.inst_ids()
-        .into_iter()
-        .filter(|&i| {
-            let inst = f.inst(i);
-            matches!(inst.opcode, Opcode::Call | Opcode::Invoke)
-                && inst.operands.first() == Some(&Value::Func(from))
-        })
-        .collect()
-}
-
 /// Rewrites every direct call/invoke of `from` in the module into a call of
 /// the merged function per `rw`. Returns the functions whose bodies were
 /// modified (their fingerprints need refreshing).
@@ -132,9 +114,10 @@ pub fn rewrite_call_sites(
     rewrite_calls_in(module, from, rw, callers)
 }
 
-/// [`rewrite_call_sites`] over `callers` only: the identical prepass
-/// passes [`CallSiteIndex::callers_of`] (ascending, the order a full scan
-/// visits them) instead of every function of the module.
+/// [`rewrite_call_sites`] over `callers` only: the identical prepass and
+/// [`commit_merge_indexed`] pass [`CallSiteIndex::callers_of`]
+/// (ascending, the order a full scan visits them) instead of every
+/// function of the module.
 pub(crate) fn rewrite_calls_in(
     module: &mut Module,
     from: FuncId,
@@ -146,7 +129,16 @@ pub(crate) fn rewrite_calls_in(
         if g == from {
             continue; // the original body is about to be replaced anyway
         }
-        let call_sites = call_sites_of(module.func(g), from);
+        let f = module.func(g);
+        let call_sites: Vec<InstId> = f
+            .inst_ids()
+            .into_iter()
+            .filter(|&i| {
+                let inst = f.inst(i);
+                matches!(inst.opcode, Opcode::Call | Opcode::Invoke)
+                    && inst.operands.first() == Some(&Value::Func(from))
+            })
+            .collect();
         if call_sites.is_empty() {
             continue;
         }
@@ -160,8 +152,7 @@ pub(crate) fn rewrite_calls_in(
 
 /// Interns the cast container types a side's rewrites/thunk will need —
 /// exactly when a result conversion will actually be built (non-void
-/// original return that differs from the merged base), so the store
-/// evolves identically to the historical rewrite-time interning.
+/// original return that differs from the merged base).
 fn prepare_side_casts(types: &mut TypeStore, rw: &CallRewrite) -> Result<(), MergeError> {
     let orig_is_void = matches!(types.get(rw.ret_orig), Type::Void);
     if !orig_is_void && rw.ret_orig != rw.ret_base {
@@ -170,15 +161,14 @@ fn prepare_side_casts(types: &mut TypeStore, rw: &CallRewrite) -> Result<(), Mer
     Ok(())
 }
 
-/// [`rewrite_one_call`] against a (possibly detached) function: mutates
-/// only `f` and reads only pre-interned types, so disjoint callers can be
-/// rewritten from different worker threads (see [`RewritePlan`]).
-fn rewrite_one_call_in(
-    f: &mut Function,
-    types: &TypeStore,
+fn rewrite_one_call(
+    module: &mut Module,
+    g: FuncId,
     c: InstId,
     rw: &CallRewrite,
 ) -> Result<(), MergeError> {
+    prepare_side_casts(&mut module.types, rw)?;
+    let (f, types) = module.func_mut_with_types(g);
     let (is_invoke, orig_args, labels) = {
         let inst = f.inst(c);
         let is_invoke = inst.opcode == Opcode::Invoke;
@@ -236,20 +226,14 @@ fn rewrite_one_call_in(
     Ok(())
 }
 
-fn rewrite_one_call(
-    module: &mut Module,
-    g: FuncId,
-    c: InstId,
-    rw: &CallRewrite,
-) -> Result<(), MergeError> {
+/// Replaces the body of `orig` with a thunk calling the merged function.
+///
+/// # Errors
+///
+/// Propagates cast construction failures.
+pub fn make_thunk(module: &mut Module, orig: FuncId, rw: &CallRewrite) -> Result<(), MergeError> {
     prepare_side_casts(&mut module.types, rw)?;
-    let (f, types) = module.func_mut_with_types(g);
-    rewrite_one_call_in(f, types, c, rw)
-}
-
-/// [`make_thunk`] against a (possibly detached) function; see
-/// [`rewrite_one_call_in`] for why this only reads the type store.
-fn make_thunk_in(f: &mut Function, types: &TypeStore, rw: &CallRewrite) -> Result<(), MergeError> {
+    let (f, types) = module.func_mut_with_types(orig);
     let n_params = f.params().len();
     let ret_orig = rw.ret_orig;
     f.clear_body();
@@ -273,17 +257,6 @@ fn make_thunk_in(f: &mut Function, types: &TypeStore, rw: &CallRewrite) -> Resul
     Ok(())
 }
 
-/// Replaces the body of `orig` with a thunk calling the merged function.
-///
-/// # Errors
-///
-/// Propagates cast construction failures.
-pub fn make_thunk(module: &mut Module, orig: FuncId, rw: &CallRewrite) -> Result<(), MergeError> {
-    prepare_side_casts(&mut module.types, rw)?;
-    let (f, types) = module.func_mut_with_types(orig);
-    make_thunk_in(f, types, rw)
-}
-
 /// Result of committing one merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitResult {
@@ -298,339 +271,69 @@ pub struct CommitResult {
 
 /// Commits a completed merge: rewrites call sites, then deletes each
 /// original when legal (internal linkage, address not taken) or turns it
-/// into a thunk otherwise.
+/// into a thunk otherwise. Every function of the module is scanned for
+/// call sites; [`commit_merge_indexed`] visits only the indexed callers.
 ///
 /// # Errors
 ///
 /// Propagates cast construction failures; the module may be partially
 /// rewritten in that case (tests assert this never happens).
 pub fn commit_merge(module: &mut Module, info: &MergeInfo) -> Result<CommitResult, MergeError> {
+    commit_sides(module, info, |module, _| module.func_ids())
+}
+
+/// [`commit_merge`] that rewrites a deleted side's calls only in the
+/// callers `sites` names, plus the merged function, which `sites` does
+/// not hold yet (its body may call a side). The callers are visited in
+/// ascending [`FuncId`] order, the order of the full scan, so the result
+/// and the module are identical to [`commit_merge`]'s. `sites` must hold
+/// the calls of every live function but `info.merged`; the merge
+/// pipeline keeps it that way.
+///
+/// # Errors
+///
+/// See [`commit_merge`].
+pub fn commit_merge_indexed(
+    module: &mut Module,
+    info: &MergeInfo,
+    sites: &CallSiteIndex,
+) -> Result<CommitResult, MergeError> {
+    commit_sides(module, info, |module, side| {
+        // A first side deleted a moment ago is still in the index.
+        let mut callers = sites.callers_of(side);
+        callers.retain(|&g| module.is_live(g));
+        if let Err(at) = callers.binary_search(&info.merged) {
+            callers.insert(at, info.merged);
+        }
+        callers
+    })
+}
+
+/// The commit both entry points share: side 1, then side 2, each either
+/// deleted after its calls are rewritten in `callers(module, side)`, or
+/// turned into a thunk.
+fn commit_sides(
+    module: &mut Module,
+    info: &MergeInfo,
+    callers: impl Fn(&Module, FuncId) -> Vec<FuncId>,
+) -> Result<CommitResult, MergeError> {
     let mut touched = Vec::new();
     let mut dispositions = [Disposition::Thunk; 2];
     for (idx, (func, first)) in [(info.f1, true), (info.f2, false)].into_iter().enumerate() {
-        let rw = CallRewrite::for_side(module, info, first);
+        let rw = CallRewrite::for_side(info, first);
         if can_delete(module, func) {
-            touched.extend(rewrite_call_sites(module, func, &rw)?);
+            let callers = callers(module, func);
+            touched.extend(rewrite_calls_in(module, func, &rw, callers)?);
             module.remove_function(func);
             dispositions[idx] = Disposition::Deleted;
         } else {
             // Keep the symbol; external callers keep its signature.
             make_thunk(module, func, &rw)?;
-            dispositions[idx] = Disposition::Thunk;
         }
     }
     touched.sort();
     touched.dedup();
     Ok(CommitResult { first: dispositions[0], second: dispositions[1], touched })
-}
-
-/// One caller-exclusive action inside a [`RewritePlan`] partition.
-#[derive(Debug, Clone)]
-enum RewriteTask {
-    /// Rewrite every direct call/invoke of `from` in this caller into a
-    /// call of the merged function per `rw`.
-    Calls { from: FuncId, rw: CallRewrite },
-    /// Replace this function's body with a thunk calling the merged
-    /// function.
-    Thunk { rw: CallRewrite },
-}
-
-/// How one original function will be retired when its plan executes.
-#[derive(Debug)]
-struct PlannedSide {
-    func: FuncId,
-    rw: CallRewrite,
-    disposition: Disposition,
-    /// Callers from the call-site index (committed module state), in
-    /// module order, minus sides retired earlier in the batch. The
-    /// batch's merged functions are scanned at execute time, when all of
-    /// them are known.
-    index_callers: Vec<FuncId>,
-}
-
-/// A partitioned call-graph-update plan for a batch of validated merges —
-/// the parallel replacement for serial [`commit_merge`] loops.
-///
-/// [`RewritePlan::add_merge`] records, per merge, the rewrite description
-/// of both sides and the callers of each deletable side (via the
-/// incremental [`CallSiteIndex`]). [`RewritePlan::execute`] then scans
-/// the batch's merged functions (absent from the index, but their bodies
-/// can carry rewritable call sites — recursion, or a later merge built
-/// from a caller of an earlier side), groups every rewrite **by
-/// caller** — each caller is one partition, mutated exclusively by one
-/// task list — detaches the partitions from the module, and runs them on
-/// the worker pool: disjoint callers in parallel, a caller touched by
-/// multiple merges (or by both sides of one merge) serially within its
-/// partition, in the order the merges were added. Every cross-caller
-/// effect of the serial loop is hoisted into the sequential plan/assemble
-/// steps — cast container types are pre-interned in the serial order
-/// (`prepare_cast_tys`), deletions are deferred past every rewrite — so
-/// the result is bit-identical, at any thread count, to building every
-/// merged function first and then running serial [`commit_merge`] once
-/// per merge in add order (property-tested in `tests/rewrite_plan.rs`).
-///
-/// Batch contract: the originals of the added merges must be pairwise
-/// distinct functions that existed before the batch — a merged function
-/// produced by this batch cannot itself be a side of a later merge in
-/// the same batch (the paper's feedback loop commits such merges one
-/// plan at a time, as the pipeline does; `add_merge` asserts this).
-/// `sites` must describe the module state before any merge of the batch
-/// (the batch's own merged functions are scanned directly, so they may
-/// be present in the module but need not be indexed).
-#[derive(Debug, Default)]
-pub struct RewritePlan {
-    /// Both sides of every added merge, in add order.
-    sides: Vec<PlannedSide>,
-    /// Sides already planned by this batch: their bodies are replaced or
-    /// removed before any later rewrite would reach them serially, so
-    /// later merges must not schedule rewrites inside them.
-    retired: HashSet<FuncId>,
-    /// Merged functions of the batch — live in the module but absent
-    /// from the call-site index; scanned at execute time.
-    merged: Vec<FuncId>,
-}
-
-impl RewritePlan {
-    /// An empty plan.
-    pub fn new() -> RewritePlan {
-        RewritePlan::default()
-    }
-
-    /// Records the call-graph update of one merge (both sides) in the
-    /// batch. Pure bookkeeping — the module is only read.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a batch-contract violation: a side that is a merged
-    /// function of this batch, or a side (or merged function) planned
-    /// twice. Rewrites targeting a batch-produced function only exist
-    /// after earlier partitions ran, so they cannot be planned
-    /// statically; committing such a merge silently wrong would be far
-    /// worse than refusing it — use one plan per merge (the pipeline's
-    /// configuration) for feedback-loop merges.
-    pub fn add_merge(&mut self, module: &Module, info: &MergeInfo, sites: &CallSiteIndex) {
-        for side in [info.f1, info.f2] {
-            assert!(
-                !self.merged.contains(&side),
-                "batch contract: side {side} is a merged function produced by this batch"
-            );
-            assert!(
-                !self.retired.contains(&side),
-                "batch contract: side {side} already planned by this batch"
-            );
-        }
-        assert!(
-            !self.merged.contains(&info.merged),
-            "batch contract: merged function {} planned twice",
-            info.merged
-        );
-        self.merged.push(info.merged);
-        for (func, first) in [(info.f1, true), (info.f2, false)] {
-            let rw = CallRewrite::for_side(module, info, first);
-            let (disposition, index_callers) = if can_delete(module, func) {
-                // Callers in module order: the index's committed view,
-                // minus the function itself (a serial scan skips it) and
-                // anything this batch already retired.
-                let callers: Vec<FuncId> = sites
-                    .callers_of(func)
-                    .into_iter()
-                    .filter(|&g| g != func && !self.retired.contains(&g) && module.is_live(g))
-                    .collect();
-                (Disposition::Deleted, callers)
-            } else {
-                // Keep the symbol; external callers keep its signature.
-                (Disposition::Thunk, Vec::new())
-            };
-            self.sides.push(PlannedSide { func, rw, disposition, index_callers });
-            self.retired.insert(func);
-        }
-    }
-
-    /// Number of merges added to the batch so far.
-    pub fn merges(&self) -> usize {
-        self.sides.len() / 2
-    }
-
-    /// Sides retired by the batch so far (both originals of every added
-    /// merge). The pipeline's batch-eligibility rules consult this: a
-    /// merge whose callers or merged-body callees intersect the retired
-    /// set would interact with a pending rewrite and must flush first.
-    pub fn retired(&self) -> &HashSet<FuncId> {
-        &self.retired
-    }
-
-    /// Merged functions of the batch, in add order.
-    pub fn merged_funcs(&self) -> &[FuncId] {
-        &self.merged
-    }
-
-    /// Executes the batch: assembles the caller partitions (including the
-    /// batch's merged functions, scanned once each), pre-interns the cast
-    /// container types in serial commit order, runs every partition on
-    /// `pool` (or inline, without a pool / on a single-thread pool), and
-    /// finally removes the deletable originals. Returns one
-    /// [`CommitResult`] per added merge, in add order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cast construction failures (programming errors guarded
-    /// by tests); like a failed serial commit, the module may be left
-    /// partially rewritten.
-    pub fn execute(
-        self,
-        module: &mut Module,
-        pool: Option<&ThreadPool>,
-    ) -> Result<Vec<CommitResult>, MergeError> {
-        // One body scan per batch merged function, shared by every side.
-        let merged_outs: Vec<(FuncId, HashMap<FuncId, usize>)> =
-            self.merged.iter().map(|&m| (m, outgoing_calls(module.func(m)))).collect();
-        let mut tasks: HashMap<FuncId, Vec<RewriteTask>> = HashMap::new();
-        let mut side_touched: Vec<Vec<FuncId>> = Vec::with_capacity(self.sides.len());
-        for side in &self.sides {
-            match side.disposition {
-                Disposition::Deleted => {
-                    let mut callers: BTreeSet<FuncId> =
-                        side.index_callers.iter().copied().collect();
-                    callers.extend(
-                        merged_outs
-                            .iter()
-                            .filter(|(_, outs)| outs.contains_key(&side.func))
-                            .map(|&(m, _)| m),
-                    );
-                    if !callers.is_empty() {
-                        prepare_side_casts(&mut module.types, &side.rw)?;
-                    }
-                    for &g in &callers {
-                        tasks
-                            .entry(g)
-                            .or_default()
-                            .push(RewriteTask::Calls { from: side.func, rw: side.rw.clone() });
-                    }
-                    side_touched.push(callers.into_iter().collect());
-                }
-                Disposition::Thunk => {
-                    prepare_side_casts(&mut module.types, &side.rw)?;
-                    tasks
-                        .entry(side.func)
-                        .or_default()
-                        .push(RewriteTask::Thunk { rw: side.rw.clone() });
-                    side_touched.push(Vec::new());
-                }
-            }
-        }
-        let mut order: Vec<FuncId> = tasks.keys().copied().collect();
-        order.sort_unstable();
-        let task_lists: Vec<Vec<RewriteTask>> =
-            order.iter().map(|g| tasks.remove(g).expect("planned partition")).collect();
-        let results: Vec<Result<(), MergeError>> =
-            module.with_detached_functions(&order, |types, funcs| match pool {
-                Some(pool) if pool.current_num_threads() > 1 && funcs.len() > 1 => {
-                    let mut results: Vec<Result<(), MergeError>> = Vec::new();
-                    results.resize_with(funcs.len(), || Ok(()));
-                    pool.scope(|s| {
-                        for ((f, tasks), slot) in
-                            funcs.iter_mut().zip(&task_lists).zip(results.iter_mut())
-                        {
-                            s.spawn(move |_| *slot = run_partition(f, types, tasks));
-                        }
-                    });
-                    results
-                }
-                _ => funcs
-                    .iter_mut()
-                    .zip(&task_lists)
-                    .map(|(f, tasks)| run_partition(f, types, tasks))
-                    .collect(),
-            });
-        for r in results {
-            r?;
-        }
-        let mut out = Vec::with_capacity(self.sides.len() / 2);
-        for (pair, pair_touched) in self.sides.chunks(2).zip(side_touched.chunks(2)) {
-            let mut touched: Vec<FuncId> = Vec::new();
-            let mut disp = [Disposition::Thunk; 2];
-            for (k, side) in pair.iter().enumerate() {
-                disp[k] = side.disposition;
-                touched.extend(&pair_touched[k]);
-                if side.disposition == Disposition::Deleted {
-                    module.remove_function(side.func);
-                }
-            }
-            touched.sort();
-            touched.dedup();
-            out.push(CommitResult { first: disp[0], second: disp[1], touched });
-        }
-        Ok(out)
-    }
-}
-
-/// Runs one caller partition: its rewrite tasks, in batch order, against
-/// the detached function. Only `f` is mutated; `types` is read-only.
-fn run_partition(
-    f: &mut Function,
-    types: &TypeStore,
-    tasks: &[RewriteTask],
-) -> Result<(), MergeError> {
-    for task in tasks {
-        match task {
-            RewriteTask::Calls { from, rw } => {
-                let call_sites = call_sites_of(f, *from);
-                debug_assert!(!call_sites.is_empty(), "planned caller without call sites");
-                for c in call_sites {
-                    rewrite_one_call_in(f, types, c, rw)?;
-                }
-            }
-            RewriteTask::Thunk { rw } => make_thunk_in(f, types, rw)?,
-        }
-    }
-    Ok(())
-}
-
-/// Pre-interns, at merge-decision time, the cast container types the
-/// serial commit of `info` would intern right now — so a *deferred*
-/// (batched) commit leaves the type store evolving bit-identically to
-/// committing immediately. Only thunk sides intern here: the pipeline's
-/// batch-eligibility rules guarantee every deletable side has zero
-/// callers, and a caller-less deleted side interns nothing serially
-/// either. When the batch flushes, [`RewritePlan::execute`] re-runs the
-/// same preparation, which the type store's interning dedupe turns into
-/// a no-op.
-///
-/// # Errors
-///
-/// Propagates cast construction failures.
-pub(crate) fn prepare_commit_casts(
-    module: &mut Module,
-    info: &MergeInfo,
-) -> Result<(), MergeError> {
-    for (func, first) in [(info.f1, true), (info.f2, false)] {
-        if !can_delete(module, func) {
-            let rw = CallRewrite::for_side(module, info, first);
-            prepare_side_casts(&mut module.types, &rw)?;
-        }
-    }
-    Ok(())
-}
-
-/// [`commit_merge`] through a single-merge [`RewritePlan`]: identical
-/// output, but the per-caller rewrite partitions execute on `pool` (pass
-/// `None` to run them inline). The pipeline's commit stage uses this so
-/// the last serial per-merge loop — call-site rewriting and thunking —
-/// scales with the worker pool.
-///
-/// # Errors
-///
-/// See [`commit_merge`].
-pub fn commit_merge_partitioned(
-    module: &mut Module,
-    info: &MergeInfo,
-    sites: &CallSiteIndex,
-    pool: Option<&ThreadPool>,
-) -> Result<CommitResult, MergeError> {
-    let mut plan = RewritePlan::new();
-    plan.add_merge(module, info, sites);
-    let mut results = plan.execute(module, pool)?;
-    Ok(results.pop().expect("exactly one merge planned"))
 }
 
 #[cfg(test)]
@@ -706,45 +409,22 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_commit_matches_serial_at_any_thread_count() {
+    fn indexed_commit_matches_full_scan() {
         use fmsa_ir::printer::print_module;
-        for threads in [1usize, 2, 4, 8] {
-            let (mut serial_m, ta, tb, _) = pair_with_caller();
-            serial_m.func_mut(tb).linkage = Linkage::External;
-            let info = merge_pair(&mut serial_m, ta, tb, &MergeConfig::default()).expect("merges");
-            let serial = commit_merge(&mut serial_m, &info).expect("commit");
+        let (mut full_m, ta, tb, _) = pair_with_caller();
+        full_m.func_mut(tb).linkage = Linkage::External;
+        let info = merge_pair(&mut full_m, ta, tb, &MergeConfig::default()).expect("merges");
+        let full = commit_merge(&mut full_m, &info).expect("commit");
 
-            let (mut part_m, ta, tb, _) = pair_with_caller();
-            part_m.func_mut(tb).linkage = Linkage::External;
-            let sites = crate::callsites::CallSiteIndex::build(&part_m);
-            let info = merge_pair(&mut part_m, ta, tb, &MergeConfig::default()).expect("merges");
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            let partitioned =
-                commit_merge_partitioned(&mut part_m, &info, &sites, Some(&pool)).expect("commit");
-            assert_eq!(serial, partitioned, "at {threads} threads");
-            assert_eq!(
-                print_module(&serial_m),
-                print_module(&part_m),
-                "module text at {threads} threads"
-            );
-            assert!(fmsa_ir::verify_module(&part_m).is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "merged function produced by this batch")]
-    fn batch_rejects_feedback_loop_merges() {
-        // A merged function of the batch cannot be a side of a later
-        // merge in the same batch: its incoming calls only exist after
-        // earlier partitions ran, so they cannot be planned statically.
-        let (mut m, ta, tb, _) = pair_with_caller();
-        let sites = crate::callsites::CallSiteIndex::build(&m);
-        let info1 = merge_pair(&mut m, ta, tb, &MergeConfig::default()).expect("merges");
-        let mut info2 = info1.clone();
-        info2.f1 = info1.merged; // feedback-loop shape
-        let mut plan = RewritePlan::new();
-        plan.add_merge(&m, &info1, &sites);
-        plan.add_merge(&m, &info2, &sites);
+        let (mut indexed_m, ta, tb, _) = pair_with_caller();
+        indexed_m.func_mut(tb).linkage = Linkage::External;
+        let sites = CallSiteIndex::build(&indexed_m);
+        let info = merge_pair(&mut indexed_m, ta, tb, &MergeConfig::default()).expect("merges");
+        let indexed = commit_merge_indexed(&mut indexed_m, &info, &sites).expect("commit");
+        assert_eq!(full, indexed);
+        assert!(!indexed.touched.is_empty(), "the caller's call to ta was rewritten");
+        assert_eq!(print_module(&full_m), print_module(&indexed_m));
+        assert!(fmsa_ir::verify_module(&indexed_m).is_empty());
     }
 
     #[test]

@@ -436,7 +436,7 @@ fn straight_line(b: &mut FuncBuilder<'_>, f: FuncId, p: &Pool, rng: &mut Rng) {
 }
 
 /// Clone families whose members call random functions of the module, so
-/// that merges rewrite callers (after the pipeline's tests of batched
+/// that merges rewrite callers (after the pipeline's tests of indexed
 /// commits).
 fn calling_families(seed: u64, families: usize, members: usize) -> Module {
     let mut m = Module::new("calling");

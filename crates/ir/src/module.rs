@@ -79,38 +79,6 @@ impl Module {
         (self.functions[id.index()].as_mut().expect("live function"), &self.types)
     }
 
-    /// Temporarily detaches the (distinct, live) functions `ids` from the
-    /// module and hands them to `f` as a mutable slice, alongside shared
-    /// access to the type store. This is the aliasing foundation of the
-    /// partitioned parallel call-site rewrite: each detached function is
-    /// owned exclusively by the slice, so disjoint elements can be
-    /// mutated from different worker threads while the store is read
-    /// concurrently. The functions are re-attached (same ids, same names)
-    /// when `f` returns.
-    ///
-    /// While detached, the functions are invisible to [`Module::func`] /
-    /// [`Module::is_live`]; `f` must not look them up through the module.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is dead or repeated. If `f` panics, the unwound
-    /// module is left without the detached functions.
-    pub fn with_detached_functions<R>(
-        &mut self,
-        ids: &[FuncId],
-        f: impl FnOnce(&TypeStore, &mut [Function]) -> R,
-    ) -> R {
-        let mut detached: Vec<Function> = ids
-            .iter()
-            .map(|&id| self.functions[id.index()].take().expect("live, distinct function"))
-            .collect();
-        let result = f(&self.types, &mut detached);
-        for (&id, func) in ids.iter().zip(detached) {
-            self.functions[id.index()] = Some(func);
-        }
-        result
-    }
-
     /// Whether `id` refers to a function that has not been removed.
     pub fn is_live(&self, id: FuncId) -> bool {
         self.functions.get(id.index()).is_some_and(Option::is_some)

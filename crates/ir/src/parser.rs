@@ -193,9 +193,15 @@ fn parse_body(
     Ok(())
 }
 
+/// The block name behind a printed label: the printer writes a named
+/// block as `name.<index>` and an unnamed one as `bb<index>`.
 fn strip_block_index(label: &str) -> String {
+    let is_index = |s: &str| s.chars().all(|c| c.is_ascii_digit());
     match label.rsplit_once('.') {
-        Some((name, idx)) if idx.chars().all(|c| c.is_ascii_digit()) => name.to_owned(),
+        Some((name, idx)) if is_index(idx) => name.to_owned(),
+        None if label.strip_prefix("bb").is_some_and(|idx| !idx.is_empty() && is_index(idx)) => {
+            String::new()
+        }
         _ => label.to_owned(),
     }
 }
@@ -371,6 +377,29 @@ fn parse_type(module: &mut Module, cur: &mut Cursor<'_>) -> Result<TyId> {
         if cur.rest().starts_with('*') {
             cur.pos += 1;
             base = module.types.ptr(base);
+        } else if cur.eat("(") {
+            // A function type, printed as `ret (params[, ...])`.
+            let mut params = Vec::new();
+            let mut varargs = false;
+            if !cur.eat(")") {
+                loop {
+                    if cur.eat("...") {
+                        varargs = true;
+                        cur.expect(")")?;
+                        break;
+                    }
+                    params.push(parse_type(module, cur)?);
+                    if !cur.eat(",") {
+                        cur.expect(")")?;
+                        break;
+                    }
+                }
+            }
+            base = if varargs {
+                module.types.varargs_func(base, params)
+            } else {
+                module.types.func(base, params)
+            };
         } else {
             break;
         }
@@ -490,7 +519,8 @@ fn parse_inst(
         .ok_or_else(|| err_at(ln, mnemonic_col, format!("unknown opcode {mnemonic:?}")))?;
     let inst = match op {
         Opcode::Ret => {
-            if cur.eat("void") && cur.at_end() {
+            // `ret void`, but not a value of a type like `void ()*`.
+            if cur.rest().trim() == "void" {
                 Inst::new(Opcode::Ret, void, vec![])
             } else {
                 let v = parse_value(module, ctx, &mut cur)?;
@@ -529,6 +559,9 @@ fn parse_inst(
         }
         Opcode::Alloca => {
             let ty = parse_type(module, &mut cur)?;
+            if !cur.at_end() {
+                return Err(cur.fail(format!("unexpected {:?} after the alloca type", cur.rest())));
+            }
             let ptr = module.types.ptr(ty);
             Inst::with_extra(op, ptr, vec![], ExtraData::Alloca { allocated: ty })
         }
@@ -635,22 +668,15 @@ fn parse_inst(
         }
         Opcode::Call | Opcode::Invoke => {
             let ret = parse_type(module, &mut cur)?;
-            cur.skip_ws();
+            // The callee is `@name` or a typed value whose type may have
+            // parentheses of its own (`i32 (i32)* %v0`).
+            let callee = parse_value(module, ctx, &mut cur)?;
+            cur.expect("(")?;
             let rest = cur.rest();
             let rest_base = cur.rest_base();
-            let paren = rest.find('(').ok_or_else(|| cur.fail("call missing ("))?;
-            let mut callee_cur =
-                Cursor::new_at(rest[..paren].trim(), ln, trimmed_start(rest_base, &rest[..paren]));
-            let callee = parse_value(module, ctx, &mut callee_cur)?;
             let close = rest.rfind(')').ok_or_else(|| cur.fail("call missing )"))?;
             let mut operands = vec![callee];
-            operands.extend(parse_values_csv(
-                module,
-                ctx,
-                &rest[paren + 1..close],
-                ln,
-                rest_base + paren + 1,
-            )?);
+            operands.extend(parse_values_csv(module, ctx, &rest[..close], ln, rest_base)?);
             if op == Opcode::Invoke {
                 let tail = &rest[close + 1..];
                 let tail_base = rest_base + close + 1;
@@ -911,6 +937,73 @@ entry.0:
         let ts = &m.types;
         assert_eq!(ts.display(m.func(f).ret_ty(ts)), "{ i32, double* }");
         assert_eq!(ts.display(m.func(f).params()[0].ty), "[4 x i8]*");
+    }
+
+    #[test]
+    fn parses_function_types() {
+        let text = "\
+; module m
+
+define internal i32 @target(i32 %x) {
+entry.0:
+  ret i32 %x
+}
+
+define internal i32 (i32)* @pick(i32 (i32)** %slot, i32 %x) {
+entry.0:
+  %v0 = alloca i32 (i8*, ...)*
+  %v1 = alloca void (...)*
+  %v2 = load void (...)** %v1
+  store void (...)* %v2, void (...)** %v1
+  %v4 = load i32 (i32)** %slot
+  %v5 = call i32 i32 (i32)* %v4(i32 %x)
+  ret i32 (i32)* %v4
+}
+";
+        let m = parse_module(text).expect("parses");
+        assert_eq!(print_module(&m), text);
+        let ts = &m.types;
+        let f = m.func(m.func_by_name("pick").expect("exists"));
+        assert_eq!(ts.display(f.ret_ty(ts)), "i32 (i32)*");
+        let allocated: Vec<String> = f
+            .inst_ids()
+            .into_iter()
+            .filter_map(|i| match &f.inst(i).extra {
+                ExtraData::Alloca { allocated } => Some(ts.display(*allocated)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(allocated, ["i32 (i8*, ...)*", "void (...)*"]);
+    }
+
+    #[test]
+    fn alloca_rejects_trailing_text() {
+        let text =
+            "define internal void @f() {\nentry.0:\n  %v0 = alloca i32 junk\n  ret void\n}\n";
+        let e = parse_module(text).expect_err("trailing text after the type");
+        assert_eq!((e.line, e.column), (3, 20), "{e}");
+        assert!(e.message.contains("junk"), "{e}");
+    }
+
+    #[test]
+    fn unnamed_blocks_keep_their_printed_labels() {
+        let text = "\
+; module m
+
+define internal i32 @f(i1 %c) {
+bb0:
+  condbr i1 %c, label %bb1, label %bb.2
+bb1:
+  ret i32 1
+bb.2:
+  ret i32 2
+}
+";
+        let m = parse_module(text).expect("parses");
+        let f = m.func(m.func_by_name("f").expect("exists"));
+        let names: Vec<&str> = f.block_ids().map(|b| f.block(b).name.as_str()).collect();
+        assert_eq!(names, ["", "", "bb"]);
+        assert_eq!(print_module(&m), text);
     }
 
     use crate::inst::IntPredicate;

@@ -149,9 +149,9 @@ impl TypeStore {
     }
 
     /// The canonical id of `ty` if it is already interned, without
-    /// interning it. Lets read-only contexts (e.g. the partitioned
-    /// call-site rewrite, which holds `&TypeStore` on worker threads)
-    /// resolve types that a sequential planning step interned up front.
+    /// interning it. Lets read-only contexts (e.g. call-site rewriting,
+    /// which holds `&TypeStore` while it mutates a function of the same
+    /// module) resolve types that were interned up front.
     pub fn lookup(&self, ty: &Type) -> Option<TyId> {
         self.interner.get(ty).copied()
     }

@@ -3,6 +3,7 @@
 //! by a hash of their printed text, so any byte drift in the printer turns
 //! store hits into misses; this test pins the bytes.
 
+use fmsa_ir::parser::parse_module;
 use fmsa_ir::printer::{print_function, print_module};
 use fmsa_ir::{
     FloatPredicate, FuncBuilder, Inst, IntPredicate, LandingPadClause, Linkage, Module, Opcode,
@@ -236,4 +237,11 @@ fn printer_output_is_pinned() {
     let per_function: String =
         m.func_ids().iter().map(|&f| format!("\n{}", print_function(&m, m.func(f)))).collect();
     assert_eq!(format!("; module golden\n{per_function}"), GOLDEN);
+}
+
+#[test]
+fn golden_module_round_trips() {
+    let text = print_module(&golden_module());
+    let parsed = parse_module(&text).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(print_module(&parsed), text);
 }

@@ -67,9 +67,9 @@ proptest! {
 }
 
 /// Families of near-clones with cross-calls and mixed linkage: deletable
-/// sides with live callers and thunked (external) sides force the
-/// batched commit's fallback, while caller-less families
-/// exercise the deferred path — both in one module.
+/// sides with live callers (their calls are rewritten through the
+/// call-site index), thunked (external) sides, and caller-less families,
+/// all in one module.
 fn calling_swarm(seed: u64, families: usize, members: usize) -> Module {
     use fmsa::ir::{FuncBuilder, Linkage, Value};
     let mut m = Module::new("calling_swarm");
@@ -114,13 +114,11 @@ fn calling_swarm(seed: u64, families: usize, members: usize) -> Module {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Batched generation commits are decision-invisible: with
-    /// cross-calls and mixed linkage driving both the deferred path and
-    /// the immediate fallback, any thread count produces the paper's
-    /// loop's exact module text, and every merge is accounted to exactly
-    /// one of the two commit paths.
+    /// Commits through the call-site index are decision-invisible: with
+    /// cross-calls and mixed linkage, any thread count produces the
+    /// paper's loop's exact module text.
     #[test]
-    fn batched_commits_are_bit_identical_to_sequential(
+    fn calling_swarm_commits_are_bit_identical_to_sequential(
         seed in 0u64..10_000,
         families in 3usize..8,
         members in 2usize..4,
@@ -134,44 +132,27 @@ proptest! {
         let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
         prop_assert_eq!(print_module(&m_seq), print_module(&m_par));
         prop_assert_eq!(seq.merges, par.merges);
-        let p = par.pipeline.expect("pipeline stats");
-        prop_assert_eq!(p.batched_merges + p.batch_fallback, par.merges);
     }
 }
 
-/// Pinned: overlapping caller partitions must take the fallback path
-/// (flush + immediate single-merge plan), caller-less merges must defer,
-/// and both must reproduce the serial text at 1/2/4/8 threads. The two
-/// counters are also thread-invariant — the commit decision procedure
-/// never depends on the worker count.
+/// Pinned: merges whose sides share callers, merges with thunked sides
+/// and caller-less merges must reproduce the serial text at 1/2/4/8
+/// threads.
 #[test]
-fn caller_overlap_falls_back_and_matches_serial() {
+fn caller_overlap_matches_serial_at_any_thread_count() {
     let base = calling_swarm(0x0ba7_c4ed, 6, 3);
     let mut m_seq = base.clone();
     let seq = paper_loop(&mut m_seq, &Config::new().threshold(5));
     assert!(seq.merges > 3, "workload must merge: {}", seq.merges);
     let seq_text = print_module(&m_seq);
-    let mut counters: Option<(usize, usize)> = None;
     for threads in [1usize, 2, 4, 8] {
         let cfg = Config::new().threshold(5).parallel(threads);
         let mut m_par = base.clone();
         let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
         assert_eq!(seq_text, print_module(&m_par), "module text at {threads} threads");
-        let p = par.pipeline.expect("pipeline stats");
-        assert_eq!(p.batched_merges + p.batch_fallback, par.merges, "{p:?}");
-        match counters {
-            None => counters = Some((p.batched_merges, p.batch_fallback)),
-            Some(c) => assert_eq!(
-                c,
-                (p.batched_merges, p.batch_fallback),
-                "commit-path split diverged at {threads} threads"
-            ),
-        }
+        assert_eq!(seq.merges, par.merges, "merges at {threads} threads");
         assert!(fmsa::ir::verify_module(&m_par).is_empty());
     }
-    let (batched, fallback) = counters.expect("ran");
-    assert!(fallback > 0, "cross-calls must force the batch fallback");
-    assert!(batched > 0, "caller-less merges must defer");
 }
 
 /// Large clone families make many scheduled attempts share functions:
@@ -253,9 +234,6 @@ fn decision_log_and_commit_counters_are_thread_invariant() {
         let p = st.pipeline.expect("pipeline stats");
         let counters = vec![
             p.generations,
-            p.commit_barriers,
-            p.batched_merges,
-            p.batch_fallback,
             p.gate_skipped,
             p.gate_missed,
             p.budget_skipped,

@@ -1,14 +1,13 @@
-//! Cross-crate tests of the partitioned call-site rewrite
-//! (`fmsa_core::thunks::RewritePlan`): for caller-heavy modules with
-//! thunked sides, mixed return types (call-site cast chains), shared
-//! callers, and merged bodies that are themselves callers, the
-//! partitioned execution must produce output identical to the serial
-//! `commit_merge` loop at 1/2/4/8 worker threads — both one merge at a
-//! time (the pipeline's configuration) and as a multi-merge batch.
+//! Cross-crate test of the indexed call-graph update
+//! (`fmsa_core::thunks::commit_merge_indexed`, the pipeline's commit):
+//! for caller-heavy modules with thunked sides, mixed return types
+//! (call-site cast chains), shared callers, and merged bodies that are
+//! themselves callers, rewriting only the indexed callers must produce
+//! output identical to the full-scan `commit_merge`.
 
 use fmsa::core::callsites::CallSiteIndex;
 use fmsa::core::merge::{merge_pair, MergeConfig};
-use fmsa::core::thunks::{commit_merge, commit_merge_partitioned, CommitResult, RewritePlan};
+use fmsa::core::thunks::{commit_merge, commit_merge_indexed, CommitResult};
 use fmsa::ir::printer::print_module;
 use fmsa::ir::{FuncBuilder, FuncId, Linkage, Module, Opcode, Value};
 use proptest::prelude::*;
@@ -113,14 +112,11 @@ fn caller_heavy_module(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// One merge at a time (the pipeline's configuration): committing
-    /// through a single-merge partitioned plan must be bit-identical to
-    /// the serial `commit_merge`, for any module shape and thread count.
+    /// Merge by merge, committing through the call-site index must be
+    /// bit-identical to the full-scan `commit_merge`, for any module
+    /// shape.
     #[test]
-    fn partitioned_rewrite_matches_serial_commit(
-        seed in 0u64..10_000,
-        threads in 1usize..9,
-    ) {
+    fn partitioned_rewrite_matches_serial_commit(seed in 0u64..10_000) {
         let (base, pairs) = caller_heavy_module(seed, 4, 6, true);
         let config = MergeConfig::default();
         let mut serial = base.clone();
@@ -129,128 +125,19 @@ proptest! {
             let Ok(info) = merge_pair(&mut serial, a, b, &config) else { continue };
             serial_results.push(commit_merge(&mut serial, &info).expect("serial commit"));
         }
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        let mut part = base.clone();
-        let mut part_results: Vec<CommitResult> = Vec::new();
+        let mut indexed = base.clone();
+        let mut indexed_results: Vec<CommitResult> = Vec::new();
         for &(a, b) in &pairs {
             // Index over committed state only, as the pipeline maintains
             // it (built before the merged function exists).
-            let sites = CallSiteIndex::build(&part);
-            let Ok(info) = merge_pair(&mut part, a, b, &config) else { continue };
-            part_results.push(
-                commit_merge_partitioned(&mut part, &info, &sites, Some(&pool))
-                    .expect("partitioned commit"),
+            let sites = CallSiteIndex::build(&indexed);
+            let Ok(info) = merge_pair(&mut indexed, a, b, &config) else { continue };
+            indexed_results.push(
+                commit_merge_indexed(&mut indexed, &info, &sites).expect("indexed commit"),
             );
         }
-        prop_assert_eq!(&serial_results, &part_results);
-        prop_assert_eq!(print_module(&serial), print_module(&part));
-        prop_assert!(fmsa::ir::verify_module(&part).is_empty());
+        prop_assert_eq!(&serial_results, &indexed_results);
+        prop_assert_eq!(print_module(&serial), print_module(&indexed));
+        prop_assert!(fmsa::ir::verify_module(&indexed).is_empty());
     }
-}
-
-/// A multi-merge batch: merges planned into one [`RewritePlan`] and
-/// executed in a single partitioned wave must match the batch's serial
-/// reference — build every merged function first, then `commit_merge`
-/// each in add order. Cross-calling families are included, so batches
-/// cover callers shared by several merges (partitions serialize their
-/// rewrites), merge sides rewritten by earlier commits, and merged
-/// bodies calling another merge's deletable side.
-#[test]
-fn batched_plan_matches_serial_commit_order() {
-    for (seed, threads) in [(11u64, 1usize), (12, 2), (13, 4), (14, 8)] {
-        let (base, pairs) = caller_heavy_module(seed, 3, 8, true);
-        let config = MergeConfig::default();
-        // Serial reference: merge all pairs, then commit in add order.
-        let mut serial = base.clone();
-        let serial_infos: Vec<_> = pairs
-            .iter()
-            .filter_map(|&(a, b)| merge_pair(&mut serial, a, b, &config).ok())
-            .collect();
-        let serial_results: Vec<CommitResult> = serial_infos
-            .iter()
-            .map(|info| commit_merge(&mut serial, info).expect("serial commit"))
-            .collect();
-        let mut part = base.clone();
-        let sites = CallSiteIndex::build(&part);
-        let infos: Vec<_> =
-            pairs.iter().filter_map(|&(a, b)| merge_pair(&mut part, a, b, &config).ok()).collect();
-        let mut plan = RewritePlan::new();
-        for info in &infos {
-            plan.add_merge(&part, info, &sites);
-        }
-        assert_eq!(plan.merges(), infos.len());
-        assert!(plan.merges() > 0, "seed {seed} produced no merges");
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        let results = plan.execute(&mut part, Some(&pool)).expect("execute");
-        assert_eq!(serial_results, results, "commit results at {threads} threads");
-        assert!(results.iter().any(|r| !r.touched.is_empty()), "seed {seed} produced no rewrites");
-        assert_eq!(
-            print_module(&serial),
-            print_module(&part),
-            "module text at {threads} threads (seed {seed})"
-        );
-        assert!(fmsa::ir::verify_module(&part).is_empty());
-    }
-}
-
-/// The reviewer-surfaced interaction shape, pinned deterministically: a
-/// later-added merge's merged body calls an earlier-added merge's
-/// deletable side (its own side called it before merging). The batch
-/// must rewrite inside that merged body before the side is deleted.
-#[test]
-fn batch_rewrites_later_merged_bodies_calling_earlier_sides() {
-    let mut m = Module::new("interacting");
-    let i32t = m.types.i32();
-    let fn_ty = m.types.func(i32t, vec![i32t]);
-    // Merge 1: (f1, f2), both internal — f1 will be deleted.
-    // Merge 2: (g, h) where g calls f1, so merged2's body calls f1.
-    let mut build = |name: &str, c: i32, callee: Option<FuncId>| {
-        let f = m.create_function(name, fn_ty);
-        let mut b = FuncBuilder::new(&mut m, f);
-        let e = b.block("entry");
-        b.switch_to(e);
-        let mut v = Value::Param(0);
-        for j in 0..8i32 {
-            v = b.mul(v, b.const_i32(j + 2));
-            v = b.xor(v, b.const_i32(c));
-        }
-        if let Some(t) = callee {
-            let r = b.call(t, vec![v]);
-            v = b.xor(v, r);
-        }
-        b.ret(Some(v));
-        f
-    };
-    let f1 = build("f1", 3, None);
-    let f2 = build("f2", 5, None);
-    let g = build("g", 7, Some(f1));
-    let h = build("h", 9, Some(f1));
-    let config = MergeConfig::default();
-    let mut serial = m.clone();
-    let infos_s = [
-        merge_pair(&mut serial, f1, f2, &config).expect("merge1"),
-        merge_pair(&mut serial, g, h, &config).expect("merge2"),
-    ];
-    let serial_results: Vec<CommitResult> =
-        infos_s.iter().map(|i| commit_merge(&mut serial, i).expect("commit")).collect();
-    let mut part = m.clone();
-    let sites = CallSiteIndex::build(&part);
-    let infos = [
-        merge_pair(&mut part, f1, f2, &config).expect("merge1"),
-        merge_pair(&mut part, g, h, &config).expect("merge2"),
-    ];
-    let merged2 = infos[1].merged;
-    let mut plan = RewritePlan::new();
-    for info in &infos {
-        plan.add_merge(&part, info, &sites);
-    }
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-    let results = plan.execute(&mut part, Some(&pool)).expect("execute");
-    assert_eq!(serial_results, results);
-    assert!(
-        results[0].touched.contains(&merged2),
-        "merge2's body calls f1 and must be rewritten by merge1's side: {results:?}"
-    );
-    assert_eq!(print_module(&serial), print_module(&part));
-    assert!(fmsa::ir::verify_module(&part).is_empty(), "{:?}", fmsa::ir::verify_module(&part));
 }
