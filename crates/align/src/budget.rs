@@ -9,29 +9,16 @@
 //! the per-pair cost up front, from the sequence lengths alone:
 //!
 //! * pairs whose DP matrix fits in [`AlignmentBudget::full_matrix_cells`]
-//!   are aligned exactly with the caller's preferred algorithm;
-//! * larger pairs use the [`BudgetFallback`]: Hirschberg (same optimal
-//!   score, linear space, ~2× time) or banded NW (linear-ish time and
-//!   space, possibly suboptimal — see [`crate::banded_needleman_wunsch`]
-//!   for why suboptimality is conservative for merge profitability);
+//!   are aligned exactly with [`crate::needleman_wunsch`];
+//! * larger pairs use banded NW of half-width [`AlignmentBudget::band`]
+//!   (linear-ish time and space, possibly suboptimal — see
+//!   [`crate::banded_needleman_wunsch`] for why suboptimality is
+//!   conservative for merge profitability);
 //! * pairs where either side exceeds [`AlignmentBudget::max_len`] are
 //!   skipped outright ([`AlignPlan::Skip`]) and the candidate is treated
 //!   as unprofitable.
 
-use crate::{banded_needleman_wunsch, hirschberg, needleman_wunsch, Alignment, ScoringScheme};
-
-/// What to do with a pair whose full DP matrix exceeds the cell budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetFallback {
-    /// Banded NW with the given half-width: bounded time and space, score
-    /// may be below the full-matrix optimum.
-    Banded(usize),
-    /// Hirschberg: optimal score in linear space, but still `O(nm)` time.
-    /// Protects memory, not wall-clock.
-    Hirschberg,
-    /// Give up on the pair.
-    Skip,
-}
+use crate::{banded_needleman_wunsch, needleman_wunsch, Alignment, ScoringScheme};
 
 /// Per-pair cost bounds for one alignment, decided from lengths alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,10 +28,12 @@ pub struct AlignmentBudget {
     /// scores in three diagonal buffers), so the cap is also the pair's
     /// quadratic memory in bytes.
     pub full_matrix_cells: usize,
-    /// Strategy for pairs over the cell budget.
-    pub fallback: BudgetFallback,
+    /// Half-width of the banded NW that aligns pairs over the cell
+    /// budget: bounded time and space, score may be below the
+    /// full-matrix optimum.
+    pub band: usize,
     /// Hard cap: if either sequence is longer than this, the pair is
-    /// skipped regardless of the fallback.
+    /// skipped.
     pub max_len: usize,
 }
 
@@ -58,21 +47,15 @@ impl Default for AlignmentBudget {
     /// stays where it is because moving it would move fallbacks, and
     /// with them the output.
     fn default() -> Self {
-        AlignmentBudget {
-            full_matrix_cells: 25_000_000,
-            fallback: BudgetFallback::Banded(64),
-            max_len: 200_000,
-        }
+        AlignmentBudget { full_matrix_cells: 25_000_000, band: 64, max_len: 200_000 }
     }
 }
 
 /// The algorithm an [`AlignmentBudget`] selected for one pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignPlan {
-    /// Full-matrix alignment with the caller's preferred algorithm.
+    /// Full-matrix Needleman-Wunsch.
     Full,
-    /// Hirschberg divide-and-conquer.
-    Hirschberg,
     /// Banded NW with the given half-width.
     Banded(usize),
     /// Do not align this pair.
@@ -80,16 +63,6 @@ pub enum AlignPlan {
 }
 
 impl AlignmentBudget {
-    /// A budget that always selects [`AlignPlan::Full`] — the exact
-    /// behaviour of the pass before budgets existed.
-    pub fn unlimited() -> AlignmentBudget {
-        AlignmentBudget {
-            full_matrix_cells: usize::MAX,
-            fallback: BudgetFallback::Hirschberg,
-            max_len: usize::MAX,
-        }
-    }
-
     /// Decides how to align a pair of sequences of lengths `n` and `m`.
     pub fn plan(&self, n: usize, m: usize) -> AlignPlan {
         if n > self.max_len || m > self.max_len {
@@ -97,31 +70,24 @@ impl AlignmentBudget {
         }
         let cells = (n + 1).saturating_mul(m + 1);
         if cells <= self.full_matrix_cells {
-            return AlignPlan::Full;
-        }
-        match self.fallback {
-            BudgetFallback::Banded(w) => AlignPlan::Banded(w),
-            BudgetFallback::Hirschberg => AlignPlan::Hirschberg,
-            BudgetFallback::Skip => AlignPlan::Skip,
+            AlignPlan::Full
+        } else {
+            AlignPlan::Banded(self.band)
         }
     }
 }
 
-/// Aligns `a` and `b` according to `plan`. `Full` uses plain NW when
-/// `prefer_hirschberg` is false and Hirschberg otherwise (the caller's
-/// base algorithm choice). Returns `None` for [`AlignPlan::Skip`].
+/// Aligns `a` and `b` according to `plan`. Returns `None` for
+/// [`AlignPlan::Skip`].
 pub fn align_with_plan<T: Clone>(
     a: &[T],
     b: &[T],
-    eq: impl Fn(&T, &T) -> bool + Copy,
+    eq: impl Fn(&T, &T) -> bool,
     scheme: &ScoringScheme,
     plan: AlignPlan,
-    prefer_hirschberg: bool,
 ) -> Option<Alignment> {
     match plan {
-        AlignPlan::Full if prefer_hirschberg => Some(hirschberg(a, b, eq, scheme)),
         AlignPlan::Full => Some(needleman_wunsch(a, b, eq, scheme)),
-        AlignPlan::Hirschberg => Some(hirschberg(a, b, eq, scheme)),
         AlignPlan::Banded(w) => Some(banded_needleman_wunsch(a, b, eq, scheme, w)),
         AlignPlan::Skip => None,
     }
@@ -141,45 +107,24 @@ mod tests {
 
     #[test]
     fn cell_cap_selects_fallback() {
-        let budget = AlignmentBudget {
-            full_matrix_cells: 10_000,
-            fallback: BudgetFallback::Banded(16),
-            max_len: 1_000_000,
-        };
+        let budget = AlignmentBudget { full_matrix_cells: 10_000, band: 16, max_len: 1_000_000 };
         assert_eq!(budget.plan(99, 99), AlignPlan::Full);
         assert_eq!(budget.plan(200, 200), AlignPlan::Banded(16));
-        let budget = AlignmentBudget { fallback: BudgetFallback::Hirschberg, ..budget };
-        assert_eq!(budget.plan(200, 200), AlignPlan::Hirschberg);
-        let budget = AlignmentBudget { fallback: BudgetFallback::Skip, ..budget };
-        assert_eq!(budget.plan(200, 200), AlignPlan::Skip);
     }
 
     #[test]
     fn length_cap_wins_over_fallback() {
-        let budget = AlignmentBudget {
-            full_matrix_cells: usize::MAX,
-            fallback: BudgetFallback::Banded(64),
-            max_len: 500,
-        };
+        let budget = AlignmentBudget { full_matrix_cells: usize::MAX, band: 64, max_len: 500 };
         assert_eq!(budget.plan(501, 10), AlignPlan::Skip);
         assert_eq!(budget.plan(10, 501), AlignPlan::Skip);
         assert_eq!(budget.plan(500, 500), AlignPlan::Full);
     }
 
     #[test]
-    fn unlimited_budget_is_always_full() {
-        let budget = AlignmentBudget::unlimited();
-        assert_eq!(budget.plan(1_000_000, 1_000_000), AlignPlan::Full);
-    }
-
-    #[test]
     fn cell_product_does_not_overflow() {
-        let budget = AlignmentBudget {
-            full_matrix_cells: usize::MAX - 1,
-            fallback: BudgetFallback::Skip,
-            max_len: usize::MAX,
-        };
-        assert_eq!(budget.plan(usize::MAX - 1, usize::MAX - 1), AlignPlan::Skip);
+        let budget =
+            AlignmentBudget { full_matrix_cells: usize::MAX - 1, band: 8, max_len: usize::MAX };
+        assert_eq!(budget.plan(usize::MAX - 1, usize::MAX - 1), AlignPlan::Banded(8));
     }
 
     #[test]
@@ -187,14 +132,11 @@ mod tests {
         let a: Vec<u32> = (0..40).collect();
         let b: Vec<u32> = (1..41).collect();
         let scheme = ScoringScheme::default();
-        let full = align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Full, false)
+        let full = align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Full)
             .expect("full plan aligns");
-        let hir = align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Hirschberg, false)
-            .expect("hirschberg plan aligns");
-        let banded = align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Banded(8), false)
+        let banded = align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Banded(8))
             .expect("banded plan aligns");
-        assert_eq!(full.score, hir.score);
         assert_eq!(full.score, banded.score, "shift of 1 is inside an 8-wide band");
-        assert!(align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Skip, false).is_none());
+        assert!(align_with_plan(&a, &b, |x, y| x == y, &scheme, AlignPlan::Skip).is_none());
     }
 }

@@ -4,9 +4,9 @@
 //! (Rocha et al., CGO 2019, §III-C). The paper aligns two *linearized
 //! functions* with the Needleman-Wunsch algorithm under "a standard scoring
 //! scheme that rewards matches and equally penalizes mismatches and gaps";
-//! this crate provides that algorithm plus two alternatives the paper
-//! mentions as trade-offs: Hirschberg's linear-space variant and
-//! Smith-Waterman local alignment.
+//! this crate provides that algorithm, a banded variant for pairs too
+//! large for the full matrix, and the per-pair budget that chooses
+//! between them.
 //!
 //! The crate is IR-agnostic: alignment works over any element type with a
 //! caller-supplied equivalence relation.
@@ -29,14 +29,10 @@
 
 mod banded;
 mod budget;
-mod hirschberg;
-mod local;
 mod nw;
 
 pub use banded::banded_needleman_wunsch;
-pub use budget::{align_with_plan, AlignPlan, AlignmentBudget, BudgetFallback};
-pub use hirschberg::hirschberg;
-pub use local::{smith_waterman, LocalAlignment};
+pub use budget::{align_with_plan, AlignPlan, AlignmentBudget};
 pub use nw::needleman_wunsch;
 
 /// Weights for the alignment dynamic program.
@@ -56,13 +52,6 @@ pub struct ScoringScheme {
 impl Default for ScoringScheme {
     fn default() -> Self {
         ScoringScheme { match_score: 2, mismatch_score: -1, gap_score: -1 }
-    }
-}
-
-impl ScoringScheme {
-    /// A scheme with unit match reward and equal mismatch/gap penalties.
-    pub fn unit() -> Self {
-        ScoringScheme { match_score: 1, mismatch_score: -1, gap_score: -1 }
     }
 }
 

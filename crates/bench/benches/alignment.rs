@@ -2,7 +2,7 @@
 //! component that dominates FMSA's compile time (paper Fig. 13).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fmsa_align::{hirschberg, needleman_wunsch, smith_waterman, ScoringScheme};
+use fmsa_align::{banded_needleman_wunsch, needleman_wunsch, AlignmentBudget, ScoringScheme};
 use fmsa_core::fingerprint::Fingerprint;
 use fmsa_core::ranking::rank_candidates;
 use fmsa_core::{linearize, KeyInterner};
@@ -24,11 +24,10 @@ fn bench_alignment(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("needleman-wunsch", len), &len, |bch, _| {
             bch.iter(|| needleman_wunsch(&a, &b, |x, y| x == y, &scheme));
         });
-        group.bench_with_input(BenchmarkId::new("hirschberg", len), &len, |bch, _| {
-            bch.iter(|| hirschberg(&a, &b, |x, y| x == y, &scheme));
-        });
-        group.bench_with_input(BenchmarkId::new("smith-waterman", len), &len, |bch, _| {
-            bch.iter(|| smith_waterman(&a, &b, |x, y| x == y, &scheme));
+        // The kernel the default budget runs on pairs over its cell cap.
+        let band = AlignmentBudget::default().band;
+        group.bench_with_input(BenchmarkId::new(format!("banded-{band}"), len), &len, |bch, _| {
+            bch.iter(|| banded_needleman_wunsch(&a, &b, |x, y| x == y, &scheme, band));
         });
     }
     group.finish();

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fmsa_core::fingerprint::Fingerprint;
-use fmsa_core::search::{CandidateSearch, ExactSearch, LshConfig, LshSearch};
+use fmsa_core::search::{CandidateSearch, ExactSearch, LshSearch};
 use fmsa_ir::{FuncId, Module};
 use fmsa_workloads::{clone_swarm_module, SwarmConfig};
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ fn bench_index_build(c: &mut Criterion) {
             b.iter(|| build_index(ExactSearch::new(), &ids, &fps).len());
         });
         group.bench_with_input(BenchmarkId::new("lsh", n), &n, |b, _| {
-            b.iter(|| build_index(LshSearch::new(LshConfig::default()), &ids, &fps).len());
+            b.iter(|| build_index(LshSearch::new(), &ids, &fps).len());
         });
     }
     group.finish();
@@ -49,7 +49,7 @@ fn bench_all_queries(c: &mut Criterion) {
     for &n in &[100usize, 1000, 5000] {
         let (_m, ids, fps) = swarm_fingerprints(n);
         let exact = build_index(ExactSearch::new(), &ids, &fps);
-        let lsh = build_index(LshSearch::new(LshConfig::default()), &ids, &fps);
+        let lsh = build_index(LshSearch::new(), &ids, &fps);
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
             b.iter(|| {
                 ids.iter()
@@ -71,7 +71,7 @@ fn bench_incremental_update(c: &mut Criterion) {
     let (_m, ids, fps) = swarm_fingerprints(1000);
     let mut group = c.benchmark_group("search-update");
     group.bench_function("lsh-remove2-insert1", |b| {
-        let mut lsh = build_index(LshSearch::new(LshConfig::default()), &ids, &fps);
+        let mut lsh = build_index(LshSearch::new(), &ids, &fps);
         let (a, z) = (ids[0], ids[1]);
         b.iter(|| {
             lsh.remove(a);

@@ -1161,9 +1161,7 @@ fn ablation_params(suite: &[BenchDesc]) {
         let size_before = cm.module_size(&base);
         let run = |reuse: bool| -> f64 {
             let mut m = base.clone();
-            let cfg = Config::new()
-                .threshold(1)
-                .merge(MergeConfig { reuse_params: reuse, ..MergeConfig::default() });
+            let cfg = Config::new().threshold(1).merge(MergeConfig { reuse_params: reuse });
             fmsa::optimize(&mut m, &cfg).expect("suite module merges");
             reduction_percent(size_before, cm.module_size(&m))
         };

@@ -63,6 +63,12 @@ fn fail_error(e: &Error, context: &str) -> ExitCode {
     fail(e.stage(), e.function(), &format!("{context}: {e}"))
 }
 
+/// Prints a one-line usage error and returns exit code 2.
+fn bad_usage(message: &str) -> ExitCode {
+    eprintln!("fmsa_opt: {message}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -92,28 +98,38 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--technique" => technique = it.next().unwrap_or_default(),
-            "--threshold" => threshold = it.next().and_then(|s| s.parse().ok()).unwrap_or(1),
+            "--threshold" => match it.next().as_deref().map(str::parse) {
+                Some(Ok(n)) => threshold = n,
+                _ => return bad_usage("--threshold needs a number"),
+            },
             "--oracle" => oracle = true,
             "--arch" => {
-                arch = match it.next().as_deref() {
-                    Some("arm-thumb") => TargetArch::ArmThumb,
-                    _ => TargetArch::X86_64,
+                let name = it.next();
+                match TargetArch::ALL.into_iter().find(|a| name.as_deref() == Some(a.name())) {
+                    Some(a) => arch = a,
+                    None => {
+                        return bad_usage(&format!(
+                            "--arch needs x86-64 or arm-thumb, got {name:?}"
+                        ))
+                    }
                 }
             }
             "--canonicalize" => canonicalize = true,
             "--search" => {
                 search = match it.next().as_deref() {
-                    Some("lsh") => SearchStrategy::lsh(),
+                    Some("lsh") => SearchStrategy::Lsh,
                     Some("exact") => SearchStrategy::Exact,
-                    _ => SearchStrategy::Auto,
+                    Some("auto") => SearchStrategy::Auto,
+                    other => {
+                        return bad_usage(&format!(
+                            "--search needs exact, lsh or auto, got {other:?}"
+                        ))
+                    }
                 }
             }
             "--threads" => match it.next().as_deref().map(str::parse) {
                 Some(Ok(n)) => threads = n,
-                _ => {
-                    eprintln!("fmsa_opt: --threads needs a number (0 = available parallelism)");
-                    return ExitCode::from(2);
-                }
+                _ => return bad_usage("--threads needs a number (0 = available parallelism)"),
             },
             "--exclude" => {
                 for n in it.next().unwrap_or_default().split(',') {
@@ -125,33 +141,25 @@ fn main() -> ExitCode {
             "--stats" => stats = true,
             "--trace-out" => match it.next() {
                 Some(p) => trace_out = Some(p),
-                None => {
-                    eprintln!("fmsa_opt: --trace-out needs a path");
-                    return ExitCode::from(2);
-                }
+                None => return bad_usage("--trace-out needs a path"),
             },
             "--explain-merges" => match it.next() {
                 Some(p) => explain_merges = Some(p),
-                None => {
-                    eprintln!("fmsa_opt: --explain-merges needs a path");
-                    return ExitCode::from(2);
-                }
+                None => return bad_usage("--explain-merges needs a path"),
             },
-            "-o" => output = it.next(),
+            "-o" => match it.next() {
+                Some(p) => output = Some(p),
+                None => return bad_usage("-o needs a path"),
+            },
             other if !other.starts_with('-') && input.is_none() => input = Some(other.to_owned()),
-            other => {
-                eprintln!("fmsa_opt: unknown argument {other:?}");
-                return ExitCode::from(2);
-            }
+            other => return bad_usage(&format!("unknown argument {other:?}")),
         }
     }
     let Some(input) = input else {
-        eprintln!("fmsa_opt: no input file");
-        return ExitCode::from(2);
+        return bad_usage("no input file");
     };
     if !matches!(technique.as_str(), "identical" | "soa" | "fmsa") {
-        eprintln!("fmsa_opt: unknown technique {technique:?}");
-        return ExitCode::from(2);
+        return bad_usage(&format!("unknown technique {technique:?}"));
     }
     let bytes = match std::fs::read(&input) {
         Ok(b) => b,
@@ -256,7 +264,7 @@ fn main() -> ExitCode {
                 cfg.pipeline_options().resolved_threads(),
                 match search {
                     SearchStrategy::Exact => "exact",
-                    SearchStrategy::Lsh(_) => "lsh",
+                    SearchStrategy::Lsh => "lsh",
                     SearchStrategy::Auto => "auto (by module size)",
                 },
             )

@@ -47,10 +47,12 @@ pub fn run_identical(module: &mut Module, arch: TargetArch) -> IdenticalStats {
     let cm = CostModel::new(arch);
     let mut stats =
         IdenticalStats { size_before: cm.module_size(module), ..IdenticalStats::default() };
-    // Bucket by structural hash.
+    // Bucket by structural hash. Varargs definitions are left alone: a
+    // call rewrite maps only fixed params.
     let mut buckets: HashMap<u64, Vec<FuncId>> = HashMap::new();
     for f in module.func_ids() {
-        if module.func(f).is_declaration() {
+        let func = module.func(f);
+        if func.is_declaration() || module.types.is_varargs(func.fn_ty()) {
             continue;
         }
         buckets.entry(structural_hash(module, f)).or_default().push(f);

@@ -125,7 +125,7 @@ fn lockstep_alignment(
 pub fn run_soa(module: &mut Module, arch: TargetArch) -> SoaStats {
     let cm = CostModel::new(arch);
     let mut stats = SoaStats { size_before: cm.module_size(module), ..SoaStats::default() };
-    let config = MergeConfig { name_hint: None, ..MergeConfig::default() };
+    let config = MergeConfig::default();
     loop {
         // (Re)bucket by shape; merged functions change shape, so the loop
         // reaches a fixed point quickly.

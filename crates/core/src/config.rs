@@ -31,8 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One unified configuration for a merge run, covering everything the
 /// old [`FmsaOptions`] + [`PipelineOptions`] pair expressed, plus the
-/// policy knobs the daemon needs ([`Config::identical_prepass`],
-/// [`Config::fail_on_quarantine`]).
+/// identical-merging prepass ([`Config::identical_prepass`]).
 ///
 /// `#[non_exhaustive]` so fields can be added without a breaking change;
 /// construct it with [`Config::new`] (or `Config::default()`) and the
@@ -78,9 +77,6 @@ pub struct Config {
     /// `fmsa_opt --technique fmsa` has always done, and what the paper's
     /// evaluation assumes. Disable to measure FMSA in isolation.
     pub identical_prepass: bool,
-    /// Treat a run that quarantined any pair as an error
-    /// ([`Error::Quarantined`]) instead of a successful degraded run.
-    pub fail_on_quarantine: bool,
 }
 
 impl Default for Config {
@@ -98,7 +94,6 @@ impl Default for Config {
             threads: 1,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
-            fail_on_quarantine: false,
         }
     }
 }
@@ -187,12 +182,6 @@ impl Config {
         self
     }
 
-    /// Treat quarantined pairs as a hard error.
-    pub fn fail_on_quarantine(mut self, on: bool) -> Config {
-        self.fail_on_quarantine = on;
-        self
-    }
-
     /// The merge-policy half of this configuration as the deprecated
     /// [`FmsaOptions`] — interop with [`run_fmsa_pipeline`], which keeps
     /// its paper-era signature.
@@ -247,12 +236,6 @@ pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
     let errs = fmsa_ir::verify_module(module);
     if let Some(e) = errs.first() {
         return Err(Error::verify(true, &e.func, e.to_string()));
-    }
-    if cfg.fail_on_quarantine && !stats.quarantine.is_empty() {
-        return Err(Error::Quarantined {
-            pairs: stats.quarantine.len(),
-            summary: stats.quarantine.summary(),
-        });
     }
     Ok(stats)
 }

@@ -9,7 +9,7 @@
 //! [`enum@Error`] implementing [`std::error::Error`].
 //!
 //! Every variant keeps the machine-readable pieces (parse spans, wasm
-//! byte offsets, failing function names, quarantine counts) as fields,
+//! byte offsets, failing function names) as fields,
 //! and [`Error::stage`]/[`Error::function`] expose the same vocabulary as
 //! `fmsa_opt`'s one-line `stage=<s> [function=<f>]` contract from PR 6 —
 //! the CLI and the daemon render the *same* classification, one as a
@@ -62,15 +62,6 @@ pub enum Error {
         /// The panic message or failure description.
         message: String,
     },
-    /// The run completed but quarantined pairs, and the configuration
-    /// asked for that to be an error ([`crate::Config::fail_on_quarantine`]).
-    Quarantined {
-        /// Number of quarantined pairs.
-        pairs: usize,
-        /// The deterministic quarantine summary
-        /// ([`crate::quarantine::QuarantineLog::summary`]).
-        summary: String,
-    },
     /// An I/O failure (store persistence, input files).
     Io {
         /// The underlying `std::io` error, rendered.
@@ -112,7 +103,6 @@ impl Error {
             Error::Verify { output: false, .. } => "verify-input",
             Error::Verify { output: true, .. } => "verify-output",
             Error::Merge { .. } => "merge",
-            Error::Quarantined { .. } => "quarantine",
             Error::Io { .. } => "read",
             Error::Config { .. } => "config",
         }
@@ -160,9 +150,6 @@ impl fmt::Display for Error {
                 write!(f, "merge failed in @{name}: {message}")
             }
             Error::Merge { function: None, message } => write!(f, "merge failed: {message}"),
-            Error::Quarantined { pairs, summary } => {
-                write!(f, "{pairs} pair(s) quarantined: {summary}")
-            }
             Error::Io { message } => write!(f, "{message}"),
             Error::Config { message } => write!(f, "{message}"),
         }
@@ -195,7 +182,6 @@ mod tests {
             (Error::verify(false, "f", "m"), "verify-input"),
             (Error::verify(true, "f", "m"), "verify-output"),
             (Error::Merge { function: None, message: "m".into() }, "merge"),
-            (Error::Quarantined { pairs: 1, summary: "s".into() }, "quarantine"),
             (Error::Io { message: "m".into() }, "read"),
             (Error::config("m"), "config"),
         ];

@@ -95,7 +95,7 @@ pub use merge::{merge_pair, MergeConfig, MergeError, MergeInfo};
 #[allow(deprecated)]
 pub use pipeline::{run_fmsa_pipeline, PipelineOptions};
 pub use quarantine::{QuarantineEntry, QuarantineLog, QuarantineStage};
-pub use search::{CandidateSearch, ExactSearch, LshConfig, LshSearch, SearchStrategy};
+pub use search::{CandidateSearch, ExactSearch, LshSearch, SearchStrategy};
 pub use session::{MergeOutcome, MergeSession, RequestStats, SessionTotals};
 pub use store::{
     scan_store, CompactStats, ContentHash, FsyncPolicy, FunctionStore, IngestStats, RecoveryStats,

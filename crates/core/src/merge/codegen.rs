@@ -49,8 +49,6 @@ pub struct CodegenInput {
     pub ret: RetInfo,
     /// Symbol name for the merged function.
     pub name: String,
-    /// Reorder commutative operands to minimize selects.
-    pub reorder_commutative: bool,
 }
 
 /// What pass 1 creates a block for; the kind is also the block's name.
@@ -316,7 +314,6 @@ struct Codegen {
     params: ParamMerge,
     ret: RetInfo,
     func_id: Option<Value>,
-    reorder_commutative: bool,
     selector_blocks: HashMap<(BlockId, BlockId), BlockId>,
     /// CSE cache for operand selects: clones are fixed up in creation
     /// (= block-position) order, so a select created for an earlier
@@ -347,7 +344,6 @@ pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, Merg
         params: input.params,
         ret: input.ret,
         func_id,
-        reorder_commutative: input.reorder_commutative,
         selector_blocks: HashMap::new(),
         select_cache: HashMap::new(),
     };
@@ -551,7 +547,7 @@ impl Codegen {
         // Commutative operand reordering (§III-E): swap the second
         // function's operands when that increases matches.
         let commutative = opcode.is_commutative() || (opcode == Opcode::ICmp && pred_commutes);
-        if self.reorder_commutative && commutative && ops1.len() == 2 && ops2.len() == 2 {
+        if commutative && ops1.len() == 2 && ops2.len() == 2 {
             let score = |a: &Value, b: &Value, x: &Value, y: &Value| {
                 let m1 = self.resolve(true, *a).ok() == self.resolve(false, *x).ok();
                 let m2 = self.resolve(true, *b).ok() == self.resolve(false, *y).ok();

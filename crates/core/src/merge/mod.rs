@@ -14,50 +14,22 @@ pub use params::{merge_params, ParamMerge};
 
 use crate::equivalence::KeyInterner;
 use crate::linearize::{linearize, Entry};
-use fmsa_align::{hirschberg, needleman_wunsch, Alignment, ScoringScheme, Step};
+use fmsa_align::{needleman_wunsch, Alignment, ScoringScheme, Step};
 use fmsa_ir::{FuncId, Module, TyId, Type};
 use std::error::Error;
 use std::fmt;
 
-/// Which global-alignment algorithm drives the merge. The paper uses
-/// Needleman-Wunsch but notes "other algorithms could also be used with
-/// different performance and memory usage trade-offs" (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AlignAlgo {
-    /// Full-matrix Needleman-Wunsch: `O(nm)` time *and* space.
-    #[default]
-    NeedlemanWunsch,
-    /// Hirschberg's divide-and-conquer: `O(nm)` time, `O(n+m)` space —
-    /// relevant for the multi-thousand-instruction functions of Table I.
-    Hirschberg,
-}
-
 /// Tunables for one merge.
 #[derive(Debug, Clone)]
 pub struct MergeConfig {
-    /// Alignment scoring scheme (§III-C: "rewards matches and equally
-    /// penalizes mismatches and gaps").
-    pub scoring: ScoringScheme,
-    /// Alignment algorithm.
-    pub algorithm: AlignAlgo,
     /// Reuse parameters between the two functions (§III-E; the ablation
     /// knob behind the paper's "up to 7%" claim).
     pub reuse_params: bool,
-    /// Reorder operands of commutative instructions to reduce selects.
-    pub reorder_commutative: bool,
-    /// Base name for the merged function symbol.
-    pub name_hint: Option<String>,
 }
 
 impl Default for MergeConfig {
     fn default() -> Self {
-        MergeConfig {
-            scoring: ScoringScheme::default(),
-            algorithm: AlignAlgo::default(),
-            reuse_params: true,
-            reorder_commutative: true,
-            name_hint: None,
-        }
+        MergeConfig { reuse_params: true }
     }
 }
 
@@ -189,42 +161,20 @@ pub fn merge_pair(
     let seq1 = linearize(module.func(f1));
     let seq2 = linearize(module.func(f2));
     // Step 2: sequence alignment (§III-C).
-    let alignment = align_with(module, f1, f2, &seq1, &seq2, &config.scoring, config.algorithm);
+    let alignment = align(module, f1, f2, &seq1, &seq2);
     merge_pair_aligned(module, f1, f2, seq1, seq2, alignment, config)
 }
 
 /// Computes the alignment of two already-linearized functions with
-/// Needleman-Wunsch. Exposed for the pass driver, which times this step
-/// separately (paper Fig. 13).
-pub fn align(
-    module: &Module,
-    f1: FuncId,
-    f2: FuncId,
-    seq1: &[Entry],
-    seq2: &[Entry],
-    scoring: &ScoringScheme,
-) -> Alignment {
-    align_with(module, f1, f2, seq1, seq2, scoring, AlignAlgo::NeedlemanWunsch)
-}
-
-/// [`align`] with an explicit algorithm choice. Builds both key
-/// sequences ([`crate::equivalence`]) and aligns those.
-pub fn align_with(
-    module: &Module,
-    f1: FuncId,
-    f2: FuncId,
-    seq1: &[Entry],
-    seq2: &[Entry],
-    scoring: &ScoringScheme,
-    algorithm: AlignAlgo,
-) -> Alignment {
+/// Needleman-Wunsch under the paper's scoring scheme
+/// ([`ScoringScheme::default`]). Builds both key sequences
+/// ([`crate::equivalence`]) and aligns those. Exposed for the pass
+/// driver, which times this step separately (paper Fig. 13).
+pub fn align(module: &Module, f1: FuncId, f2: FuncId, seq1: &[Entry], seq2: &[Entry]) -> Alignment {
     let interner = KeyInterner::new();
     let keys1 = interner.keys(module, f1, seq1);
     let keys2 = interner.keys(module, f2, seq2);
-    match algorithm {
-        AlignAlgo::NeedlemanWunsch => needleman_wunsch(&keys1, &keys2, |a, b| a == b, scoring),
-        AlignAlgo::Hirschberg => hirschberg(&keys1, &keys2, |a, b| a == b, scoring),
-    }
+    needleman_wunsch(&keys1, &keys2, |a, b| a == b, &ScoringScheme::default())
 }
 
 /// The parameter, return and identical-function set-up of one merge:
@@ -297,29 +247,16 @@ pub fn merge_pair_aligned(
         merge_setup(module, f1, f2, &seq1, &seq2, &alignment, config)?;
     let matches = alignment.match_count();
     let alignment_len = alignment.len();
-    let name = unique_name(module, config, f1, f2);
+    let name = unique_name(module, f1, f2);
     let merged = codegen::generate(
         module,
-        codegen::CodegenInput {
-            f1,
-            f2,
-            seq1,
-            seq2,
-            alignment,
-            params: params.clone(),
-            ret,
-            name,
-            reorder_commutative: config.reorder_commutative,
-        },
+        codegen::CodegenInput { f1, f2, seq1, seq2, alignment, params: params.clone(), ret, name },
     )?;
     Ok(MergeInfo { merged, f1, f2, has_func_id, params, ret, matches, alignment_len })
 }
 
-fn unique_name(module: &Module, config: &MergeConfig, f1: FuncId, f2: FuncId) -> String {
-    let base = match &config.name_hint {
-        Some(h) => h.clone(),
-        None => format!("__merged.{}.{}", module.func(f1).name, module.func(f2).name),
-    };
+fn unique_name(module: &Module, f1: FuncId, f2: FuncId) -> String {
+    let base = format!("__merged.{}.{}", module.func(f1).name, module.func(f2).name);
     if module.func_by_name(&base).is_none() {
         return base;
     }

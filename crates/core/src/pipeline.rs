@@ -71,7 +71,7 @@ use crate::callsites::CallSiteIndex;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
-use crate::merge::{merge_pair_aligned, AlignAlgo, MergeInfo};
+use crate::merge::{merge_pair_aligned, MergeInfo};
 use crate::pass::{FmsaOptions, FmsaStats, StepTimers};
 use crate::profitability::{delta_bound, evaluate_indexed, DeltaBound, GateAudit, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
@@ -79,7 +79,7 @@ use crate::ranking::Candidate;
 use crate::search::SearchStrategy;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
 use crate::thunks::{commit_merge_indexed, Disposition};
-use fmsa_align::{align_with_plan, Alignment};
+use fmsa_align::{align_with_plan, Alignment, ScoringScheme};
 use fmsa_ir::{FuncId, Module};
 use fmsa_target::CostModel;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -347,19 +347,6 @@ struct Prepared {
     epoch: u64,
 }
 
-/// Aligns one pair's key sequences under the options' alignment budget.
-/// Returns `None` when the budget refuses the pair.
-fn align_budgeted(keys1: &[u32], keys2: &[u32], opts: &FmsaOptions) -> Option<Alignment> {
-    align_with_plan(
-        keys1,
-        keys2,
-        |a, b| a == b,
-        &opts.merge.scoring,
-        opts.budget.plan(keys1.len(), keys2.len()),
-        opts.merge.algorithm == AlignAlgo::Hirschberg,
-    )
-}
-
 /// One pair's alignment and Δ bound, with the time each took.
 struct Gated {
     alignment: Option<Alignment>,
@@ -381,7 +368,9 @@ fn align_and_bound(
     opts: &FmsaOptions,
 ) -> Gated {
     let t0 = Instant::now();
-    let alignment = align_budgeted(&lin1.keys, &lin2.keys, opts);
+    let plan = opts.budget.plan(lin1.keys.len(), lin2.keys.len());
+    let alignment =
+        align_with_plan(&lin1.keys, &lin2.keys, |a, b| a == b, &ScoringScheme::default(), plan);
     let t1 = Instant::now();
     let bound = alignment.as_ref().and_then(|al| {
         delta_bound(module, cm, f1, f2, &lin1.entries, &lin2.entries, al, &opts.merge).ok()
@@ -389,9 +378,13 @@ fn align_and_bound(
     Gated { alignment, bound, align_time: t1 - t0, bound_time: t1.elapsed() }
 }
 
+/// Whether `f` may take part in a merge. A varargs definition may not:
+/// its callers pass arguments the merged function has no params for.
 fn eligible(module: &Module, f: FuncId, opts: &FmsaOptions) -> bool {
     let func = module.func(f);
-    !func.is_declaration() && !opts.exclude.contains(&func.name)
+    !func.is_declaration()
+        && !opts.exclude.contains(&func.name)
+        && !module.types.is_varargs(func.fn_ty())
 }
 
 /// The state the worklist starts from: fingerprints, the seeded search
@@ -1252,13 +1245,12 @@ mod tests {
 
     #[test]
     fn budget_skip_abandons_pairs() {
-        use fmsa_align::{AlignmentBudget, BudgetFallback};
+        use fmsa_align::AlignmentBudget;
         let cfg = Config::new()
             .threshold(5)
             .budget(AlignmentBudget {
-                full_matrix_cells: usize::MAX,
-                fallback: BudgetFallback::Skip,
                 max_len: 4, // every family member is longer than this
+                ..AlignmentBudget::default()
             })
             .parallel(2);
         let (_, stats) = run_family(&cfg, 4, 12);

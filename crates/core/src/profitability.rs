@@ -372,7 +372,6 @@ impl Body {
         (seq1, seq2): (&[Entry], &[Entry]),
         alignment: &Alignment,
         setup: &MergeSetup,
-        config: &MergeConfig,
     ) -> Result<Body, MergeError> {
         let ops = codegen::layout(fa, fb, seq1, seq2, alignment, setup.has_func_id)?;
         let types = &module.types;
@@ -481,16 +480,12 @@ impl Body {
                 let commutes = a.opcode.is_commutative()
                     || (a.opcode == Opcode::ICmp
                         && a.int_predicate().is_some_and(|p| p.is_commutative()));
-                let swap = config.reorder_commutative
-                    && commutes
-                    && ops1.len() == 2
-                    && ops2.len() == 2
-                    && {
-                        let same =
-                            |x: Value, y: Value| (resolve(true, x) == resolve(false, y)) as usize;
-                        same(ops1[0], ops2[1]) + same(ops1[1], ops2[0])
-                            > same(ops1[0], ops2[0]) + same(ops1[1], ops2[1])
-                    };
+                let swap = commutes && ops1.len() == 2 && ops2.len() == 2 && {
+                    let same =
+                        |x: Value, y: Value| (resolve(true, x) == resolve(false, y)) as usize;
+                    same(ops1[0], ops2[1]) + same(ops1[1], ops2[0])
+                        > same(ops1[0], ops2[0]) + same(ops1[1], ops2[1])
+                };
                 for (n, &o1) in ops1.iter().enumerate() {
                     let Some(&o2) = ops2.get(if swap { 1 - n } else { n }) else { continue };
                     let (Some(r1), Some(r2)) = (resolve(true, o1), resolve(false, o2)) else {
@@ -747,7 +742,7 @@ pub fn delta_bound(
     }
     let inputs = (cm.body_size(module, f1) + cm.body_size(module, f2)) as i64;
     let fns = (module.func(f1), module.func(f2));
-    let body = Body::resolve(module, cm, fns, (seq1, seq2), alignment, &setup, config)?;
+    let body = Body::resolve(module, cm, fns, (seq1, seq2), alignment, &setup)?;
     let cheap = body.cheap_size(cm, types);
     let mut cheap_tier = None;
     let (size_merged, charge, slots) = if !body.completes {
@@ -994,14 +989,14 @@ mod tests {
     #[test]
     fn delta_bound_bounds_real_delta() {
         use crate::linearize::linearize;
-        use crate::merge::{align_with, merge_pair_aligned};
+        use crate::merge::{align, merge_pair_aligned};
         let mut m = fmsa_ir::Module::new("m");
         let (fa, fb) = similar_pair(&mut m);
         let cfg = MergeConfig::default();
         let cm = CostModel::new(TargetArch::X86_64);
         let seq1 = linearize(m.func(fa));
         let seq2 = linearize(m.func(fb));
-        let al = align_with(&m, fa, fb, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+        let al = align(&m, fa, fb, &seq1, &seq2);
         let bound = delta_bound(&m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).expect("set-up");
         let info = merge_pair_aligned(&mut m, fa, fb, seq1, seq2, al, &cfg).expect("merges");
         let report = evaluate(&m, &cm, &info);
@@ -1018,12 +1013,12 @@ mod tests {
     /// store.
     fn assert_exact_replay(m: &mut fmsa_ir::Module, fa: FuncId, fb: FuncId) -> TypeStore {
         use crate::linearize::linearize;
-        use crate::merge::{align_with, merge_pair_aligned};
+        use crate::merge::{align, merge_pair_aligned};
         let cfg = MergeConfig::default();
         let cm = CostModel::new(TargetArch::X86_64);
         let seq1 = linearize(m.func(fa));
         let seq2 = linearize(m.func(fb));
-        let al = align_with(m, fa, fb, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+        let al = align(m, fa, fb, &seq1, &seq2);
         let bound = delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).expect("set-up");
         assert!(bound.rules_out(&m.types), "{bound:?}");
         let mut replayed = m.types.clone();
@@ -1044,7 +1039,7 @@ mod tests {
     #[test]
     fn delta_bound_rules_out_dissimilar_pair_and_replays_its_types() {
         use crate::linearize::linearize;
-        use crate::merge::align_with;
+        use crate::merge::align;
         let mut m = fmsa_ir::Module::new("m");
         let i32t = m.types.i32();
         let f64t = m.types.f64();
@@ -1066,7 +1061,7 @@ mod tests {
         let cm = CostModel::new(TargetArch::X86_64);
         let seq1 = linearize(m.func(fa));
         let seq2 = linearize(m.func(fb));
-        let al = align_with(&m, fa, fb, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+        let al = align(&m, fa, fb, &seq1, &seq2);
         let bound = delta_bound(&m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).expect("set-up");
         assert!(bound.bound <= 0, "{bound:?}");
         // The i32 side's `ret` widens to the f64 base through `i32` → `i64`
@@ -1106,7 +1101,7 @@ mod tests {
     #[test]
     fn refreshed_bound_equals_a_fresh_one_after_slot_types_appear() {
         use crate::linearize::linearize;
-        use crate::merge::align_with;
+        use crate::merge::align;
         let mut m = fmsa_ir::Module::new("m");
         let i32t = m.types.i32();
         let f64t = m.types.f64();
@@ -1125,7 +1120,7 @@ mod tests {
         }
         let (cfg, cm) = (MergeConfig::default(), CostModel::new(TargetArch::X86_64));
         let (seq1, seq2) = (linearize(m.func(fa)), linearize(m.func(fb)));
-        let al = align_with(&m, fa, fb, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+        let al = align(&m, fa, fb, &seq1, &seq2);
         let bound =
             |m: &fmsa_ir::Module| delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).unwrap();
         // `i32*` and `double*` are missing, so the dry run charges the

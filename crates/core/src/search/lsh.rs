@@ -1,14 +1,14 @@
 //! Banded LSH index over MinHash signatures.
 //!
-//! Signatures are split into `bands` bands of `rows = hashes / bands`
-//! positions each; a function lands in one bucket per band, keyed by the
-//! hash of that band's rows. Two functions collide in *some* band — and
-//! therefore shortlist each other — with probability `1 − (1 − s^rows)^bands`
-//! where `s` is their signature agreement rate. See [`super`] for the
-//! parameter trade-off discussion.
+//! Signatures of [`HASHES`] words are split into [`BANDS`] bands of
+//! `rows = HASHES / BANDS` positions each; a function lands in one bucket
+//! per band, keyed by the hash of that band's rows. Two functions collide
+//! in *some* band — and therefore shortlist each other — with probability
+//! `1 − (1 − s^rows)^bands` where `s` is their signature agreement rate.
+//! See [`super`] for the parameter trade-off discussion.
 //!
 //! The index is incremental: `insert`/`remove` touch only the function's
-//! own `bands` buckets, so the merge feedback loop maintains it in O(1)
+//! own `BANDS` buckets, so the merge feedback loop maintains it in O(1)
 //! per update instead of rebuilding a candidate pool per iteration.
 //!
 //! # Band sharding
@@ -18,7 +18,7 @@
 //! unchanged (a shortlist reads the subject's bucket in every shard and
 //! sorts the union, so shard layout is invisible to ranking), but bulk
 //! maintenance parallelizes: [`LshSearch::insert_batch`] hashes
-//! signatures on the worker pool and then fills all `bands` shards
+//! signatures on the worker pool and then fills all `BANDS` shards
 //! concurrently, one worker per shard, with no locks — each band's
 //! bucket membership order is the batch order, exactly what serial
 //! insertion would have produced. That turns the million-function index
@@ -31,43 +31,24 @@ use crate::ranking::{rank_candidates, Candidate};
 use fmsa_ir::FuncId;
 use std::collections::HashMap;
 
-/// Tuning knobs for [`LshSearch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LshConfig {
-    /// Signature length (number of MinHash permutations).
-    pub hashes: usize,
-    /// Number of bands the signature is split into. Must divide `hashes`.
-    pub bands: usize,
-    /// Per-feature occurrence cap when building signatures.
-    pub occurrence_cap: u32,
-}
+// 128 hashes in 8 bands of 16 rows, calibrated on clone-swarm modules:
+// family pairs (signature agreement ≥ 0.87 measured) collide with ≈ 0.98
+// average probability, while generator noise (agreement ~0.6) collides
+// ≈ 3.6% of the time, keeping shortlists ~30× smaller than the module.
+// The occurrence cap of 64 keeps instruction *counts* visible to the
+// signature — capping harder (e.g. 8) made every mid-sized function look
+// alike and inflated buckets enough that LSH lost to the exact scan.
+// Store logs persist the signatures: another `HASHES` or occurrence cap
+// gives new uploads signatures that no longer match the stored ones.
 
-impl Default for LshConfig {
-    fn default() -> Self {
-        // 128 hashes in 8 bands of 16 rows, calibrated on clone-swarm
-        // modules: family pairs (signature agreement ≥ 0.87 measured)
-        // collide with ≈ 0.98 average probability, while generator noise
-        // (agreement ~0.6) collides ≈ 3.6% of the time, keeping shortlists
-        // ~30× smaller than the module. The occurrence cap of 64 keeps
-        // instruction *counts* visible to the signature — capping harder
-        // (e.g. 8) made every mid-sized function look alike and inflated
-        // buckets enough that LSH lost to the exact scan.
-        LshConfig { hashes: 128, bands: 8, occurrence_cap: 64 }
-    }
-}
-
-impl LshConfig {
-    /// Rows per band.
-    pub fn rows(&self) -> usize {
-        self.hashes / self.bands
-    }
-
-    /// Probability that two functions with signature agreement `s` collide
-    /// in at least one band (the LSH S-curve).
-    pub fn collision_probability(&self, s: f64) -> f64 {
-        1.0 - (1.0 - s.powi(self.rows() as i32)).powi(self.bands as i32)
-    }
-}
+/// Signature length (number of MinHash permutations).
+pub const HASHES: usize = 128;
+/// Number of bands the signature is split into; divides [`HASHES`].
+pub const BANDS: usize = 8;
+/// Signature rows per band.
+const ROWS: usize = HASHES / BANDS;
+/// Per-feature occurrence cap when building signatures.
+const OCCURRENCE_CAP: u32 = 64;
 
 /// FNV-style key of one band's signature rows. The band index is folded
 /// into the seed so equal row values in different bands cannot alias —
@@ -85,7 +66,6 @@ fn band_key(band: usize, chunk: &[u64]) -> u64 {
 /// Near-constant-time candidate shortlisting via banded MinHash LSH.
 #[derive(Debug, Clone)]
 pub struct LshSearch {
-    cfg: LshConfig,
     hasher: MinHasher,
     /// Stored signature per indexed function (needed to find its buckets
     /// again on removal).
@@ -98,40 +78,31 @@ pub struct LshSearch {
 }
 
 impl LshSearch {
-    /// Empty index with the given parameters.
-    pub fn new(cfg: LshConfig) -> LshSearch {
-        assert!(cfg.bands > 0 && cfg.hashes.is_multiple_of(cfg.bands), "bands must divide hashes");
+    /// Empty index.
+    pub fn new() -> LshSearch {
         LshSearch {
-            cfg,
-            hasher: MinHasher::new(cfg.hashes, cfg.occurrence_cap),
+            hasher: MinHasher::new(HASHES, OCCURRENCE_CAP),
             signatures: HashMap::new(),
-            shards: vec![HashMap::new(); cfg.bands],
+            shards: vec![HashMap::new(); BANDS],
         }
     }
 
-    /// The configured parameters.
-    pub fn config(&self) -> &LshConfig {
-        &self.cfg
-    }
-
     /// `(band, key)` pairs of a signature, one per shard.
-    fn band_keys<'a>(&'a self, sig: &'a [u64]) -> impl Iterator<Item = (usize, u64)> + 'a {
-        let rows = self.cfg.rows();
-        sig.chunks_exact(rows).enumerate().map(|(band, chunk)| (band, band_key(band, chunk)))
+    fn band_keys(sig: &[u64]) -> impl Iterator<Item = (usize, u64)> + '_ {
+        sig.chunks_exact(ROWS).enumerate().map(|(band, chunk)| (band, band_key(band, chunk)))
     }
 
     /// Inserts `func` under a precomputed MinHash signature, skipping the
     /// fingerprint hashing. This is how the persistent store
     /// ([`crate::store`]) rebuilds the index from disk on restart:
     /// signatures are durable, fingerprints are not. The signature length
-    /// must match the configured `hashes`.
+    /// must be [`HASHES`].
     pub fn insert_signature(&mut self, func: FuncId, sig: Vec<u64>) {
-        assert_eq!(sig.len(), self.cfg.hashes, "signature length must match LshConfig::hashes");
+        assert_eq!(sig.len(), HASHES, "signature length must match HASHES");
         if self.signatures.contains_key(&func) {
             self.remove(func);
         }
-        let keys: Vec<(usize, u64)> = self.band_keys(&sig).collect();
-        for (band, key) in keys {
+        for (band, key) in Self::band_keys(&sig) {
             self.shards[band].entry(key).or_default().push(func);
         }
         self.signatures.insert(func, sig);
@@ -156,7 +127,7 @@ impl LshSearch {
             return Vec::new();
         };
         let mut out: Vec<FuncId> = Vec::new();
-        for (band, key) in self.band_keys(sig) {
+        for (band, key) in Self::band_keys(sig) {
             if let Some(members) = self.shards[band].get(&key) {
                 out.extend(members.iter().copied().filter(|&f| f != subject));
             }
@@ -164,6 +135,12 @@ impl LshSearch {
         out.sort_unstable();
         out.dedup();
         out
+    }
+}
+
+impl Default for LshSearch {
+    fn default() -> Self {
+        LshSearch::new()
     }
 }
 
@@ -193,7 +170,6 @@ impl CandidateSearch for LshSearch {
             }
             _ => items.iter().map(|&(func, fp)| (func, hasher.signature(fp))).collect(),
         };
-        let rows = self.cfg.rows();
         match pool {
             Some(pool) if pool.current_num_threads() > 1 && self.shards.len() > 1 => {
                 pool.scope(|s| {
@@ -201,7 +177,7 @@ impl CandidateSearch for LshSearch {
                         let sigs = &sigs;
                         s.spawn(move |_| {
                             for (func, sig) in sigs {
-                                let key = band_key(band, &sig[band * rows..(band + 1) * rows]);
+                                let key = band_key(band, &sig[band * ROWS..(band + 1) * ROWS]);
                                 shard.entry(key).or_default().push(*func);
                             }
                         });
@@ -211,7 +187,7 @@ impl CandidateSearch for LshSearch {
             _ => {
                 for (band, shard) in self.shards.iter_mut().enumerate() {
                     for (func, sig) in &sigs {
-                        let key = band_key(band, &sig[band * rows..(band + 1) * rows]);
+                        let key = band_key(band, &sig[band * ROWS..(band + 1) * ROWS]);
                         shard.entry(key).or_default().push(*func);
                     }
                 }
@@ -224,9 +200,7 @@ impl CandidateSearch for LshSearch {
         let Some(sig) = self.signatures.remove(&func) else {
             return;
         };
-        let rows = self.cfg.rows();
-        for (band, chunk) in sig.chunks_exact(rows).enumerate() {
-            let key = band_key(band, chunk);
+        for (band, key) in Self::band_keys(&sig) {
             if let Some(members) = self.shards[band].get_mut(&key) {
                 members.retain(|&f| f != func);
                 if members.is_empty() {
@@ -283,7 +257,7 @@ mod tests {
     }
 
     fn index_all(m: &Module, ids: &[FuncId]) -> (LshSearch, HashMap<FuncId, Fingerprint>) {
-        let mut idx = LshSearch::new(LshConfig::default());
+        let mut idx = LshSearch::new();
         let mut fps = HashMap::new();
         for &f in ids {
             let fp = Fingerprint::of(m, f);
@@ -322,21 +296,23 @@ mod tests {
 
     #[test]
     fn collision_probability_is_an_s_curve() {
-        let cfg = LshConfig::default();
+        // Probability that two functions with signature agreement `s`
+        // collide in at least one band.
+        let collision_probability = |s: f64| 1.0 - (1.0 - s.powi(ROWS as i32)).powi(BANDS as i32);
         // Near-duplicates (clone-family regime) are almost always caught...
-        assert!(cfg.collision_probability(0.95) > 0.95);
-        assert!(cfg.collision_probability(0.9) > 0.8);
+        assert!(collision_probability(0.95) > 0.95);
+        assert!(collision_probability(0.9) > 0.8);
         // ...while generator noise rarely collides.
-        assert!(cfg.collision_probability(0.6) < 0.05);
-        assert!(cfg.collision_probability(0.2) < 1e-6);
-        assert!(cfg.collision_probability(0.9) > cfg.collision_probability(0.5));
+        assert!(collision_probability(0.6) < 0.05);
+        assert!(collision_probability(0.2) < 1e-6);
+        assert!(collision_probability(0.9) > collision_probability(0.5));
     }
 
     #[test]
     fn query_for_unknown_subject_is_empty() {
         let mut m = Module::new("m");
         let a = chain_fn(&mut m, "a", 3, 3);
-        let idx = LshSearch::new(LshConfig::default());
+        let idx = LshSearch::new();
         let fps = HashMap::from([(a, Fingerprint::of(&m, a))]);
         assert!(idx.candidates(a, &fps[&a], &fps, 5, 0.0).is_empty());
     }

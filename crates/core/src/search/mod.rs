@@ -20,10 +20,11 @@
 //!
 //! # MinHash banding parameters and the precision/recall trade-off
 //!
-//! [`LshConfig`] splits a signature of `hashes` MinHash values into
-//! `bands` bands of `rows = hashes / bands` values. Two functions whose
-//! signatures agree on a fraction `s` of positions collide in at least one
-//! band with probability `1 − (1 − s^rows)^bands` — an S-curve in `s`:
+//! [`LshSearch`] splits a signature of [`lsh::HASHES`] MinHash values
+//! into [`lsh::BANDS`] bands of `rows = HASHES / BANDS` values. Two
+//! functions whose signatures agree on a fraction `s` of positions
+//! collide in at least one band with probability
+//! `1 − (1 − s^rows)^bands` — an S-curve in `s`:
 //!
 //! * **More rows per band** (fewer bands) sharpens the curve and pushes it
 //!   right: fewer false positives (smaller shortlists, faster pass) but
@@ -31,8 +32,8 @@
 //! * **More bands** (fewer rows) moves the curve left: near-duplicates are
 //!   virtually never missed, at the cost of more shortlist noise to score.
 //!
-//! The default (128 hashes, 8 bands × 16 rows) was calibrated on measured
-//! clone-swarm agreement distributions: family pairs sit at agreement
+//! The constants (128 hashes, 8 bands × 16 rows) were calibrated on
+//! measured clone-swarm agreement distributions: family pairs sit at agreement
 //! ≥ 0.87 and collide with ≈ 0.98 average probability, while unrelated
 //! functions from the same generator (agreement ≈ 0.6) collide only ≈ 3.6%
 //! of the time. Recall loss is concentrated on moderately-similar pairs the
@@ -40,8 +41,8 @@
 //! trade documented by the `lsh_tracks_exact_search` property test and the
 //! `candidate_search` bench.
 //!
-//! `occurrence_cap` bounds how many occurrences of one opcode/type feed
-//! the signature. It must stay high enough that instruction *counts*
+//! The occurrence cap (64) bounds how many occurrences of one opcode/type
+//! feed the signature. It must stay high enough that instruction *counts*
 //! remain visible (capping at 8 made every mid-sized function look alike
 //! and inflated buckets until LSH lost to the exact scan), while still
 //! preventing one unrolled loop from crowding out the rest of a function's
@@ -50,7 +51,7 @@
 pub mod lsh;
 pub mod minhash;
 
-pub use lsh::{LshConfig, LshSearch};
+pub use lsh::LshSearch;
 pub use minhash::MinHasher;
 
 use crate::fingerprint::Fingerprint;
@@ -171,22 +172,22 @@ pub const AUTO_SEARCH_CROSSOVER: usize = 150;
 pub enum SearchStrategy {
     /// Full pairwise ranking (the paper's algorithm; precision baseline).
     Exact,
-    /// Banded MinHash LSH shortlisting with the given parameters.
-    Lsh(LshConfig),
+    /// Banded MinHash LSH shortlisting.
+    Lsh,
     /// Selected per pass by module size: [`SearchStrategy::Exact`] below
     /// [`AUTO_SEARCH_CROSSOVER`] eligible functions,
-    /// [`SearchStrategy::Lsh`] (default parameters) at or above it. The
-    /// pipeline resolves this once, before seeding the index, so every
-    /// thread count resolves identically (part of the bit-identity
-    /// guarantee). Overridable via `fmsa_opt --search`.
+    /// [`SearchStrategy::Lsh`] at or above it. The pipeline resolves this
+    /// once, before seeding the index, so every thread count resolves
+    /// identically (part of the bit-identity guarantee). Overridable via
+    /// `fmsa_opt --search`.
     #[default]
     Auto,
 }
 
 impl SearchStrategy {
-    /// LSH with default parameters.
+    /// The same as [`SearchStrategy::Lsh`].
     pub fn lsh() -> SearchStrategy {
-        SearchStrategy::Lsh(LshConfig::default())
+        SearchStrategy::Lsh
     }
 
     /// Resolves [`SearchStrategy::Auto`] against the number of eligible
@@ -195,7 +196,7 @@ impl SearchStrategy {
         match self {
             SearchStrategy::Auto => {
                 if eligible_functions >= AUTO_SEARCH_CROSSOVER {
-                    SearchStrategy::lsh()
+                    SearchStrategy::Lsh
                 } else {
                     SearchStrategy::Exact
                 }
@@ -210,7 +211,7 @@ impl SearchStrategy {
     pub fn build(&self) -> Box<dyn CandidateSearch> {
         match self {
             SearchStrategy::Exact | SearchStrategy::Auto => Box::new(ExactSearch::new()),
-            SearchStrategy::Lsh(cfg) => Box::new(LshSearch::new(*cfg)),
+            SearchStrategy::Lsh => Box::new(LshSearch::new()),
         }
     }
 }

@@ -58,7 +58,7 @@ use crate::error::Error;
 use crate::faults::{FaultPlan, FaultSite, INJECTED_PANIC_PREFIX};
 use crate::fingerprint::Fingerprint;
 use crate::search::minhash::estimated_jaccard;
-use crate::search::{LshConfig, LshSearch};
+use crate::search::LshSearch;
 use fmsa_ir::{printer, FuncId, Module};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -355,7 +355,7 @@ impl FunctionStore {
             dir: None,
             entries: Vec::new(),
             by_hash: HashMap::new(),
-            index: LshSearch::new(LshConfig::default()),
+            index: LshSearch::new(),
             hits: 0,
             misses: 0,
             file: None,
@@ -1203,10 +1203,9 @@ mod tests {
         assert!(text.contains("@<self>"), "{text}");
     }
 
-    #[test]
-    fn canonical_text_and_hash_are_pinned() {
-        // Store logs persist these hashes: any drift in the printed text
-        // turns every stored function into a miss on its next upload.
+    /// A recursive `fact` calling a helper, with an unnamed block: the
+    /// input of the pinned-bytes tests below.
+    fn fact_module() -> (Module, FuncId) {
         let mut m = module_with(&[("fact_helper", 3)]);
         let helper = m.func_ids()[0];
         let i32t = m.types.i32();
@@ -1228,6 +1227,14 @@ mod tests {
         b.switch_to(done);
         let out = b.phi(i32t, vec![(b.const_i32(1), entry), (p, rec)]);
         b.ret(Some(out));
+        (m, f)
+    }
+
+    #[test]
+    fn canonical_text_and_hash_are_pinned() {
+        // Store logs persist these hashes: any drift in the printed text
+        // turns every stored function into a miss on its next upload.
+        let (m, f) = fact_module();
         let text = canonical_function_text(&m, f);
         let expected = r#"define internal i32 @<self>(i32 %a0) {
 entry.0:
@@ -1248,6 +1255,25 @@ bb2:
         assert_eq!(
             ContentHash::of_bytes(text.as_bytes()).to_string(),
             "32387c7edff8bb22214fbcb175b6663f"
+        );
+    }
+
+    #[test]
+    fn stored_signature_is_pinned() {
+        // Store logs persist these 128 MinHash words and a restart
+        // rebuilds the LSH index from them: any drift strands every
+        // stored function in buckets fresh uploads no longer reach.
+        let (m, f) = fact_module();
+        let mut store = FunctionStore::in_memory();
+        store.ingest_module(&m).unwrap();
+        let hash = ContentHash::of_bytes(canonical_function_text(&m, f).as_bytes());
+        let sig = store.get(hash).expect("fact is stored").signature();
+        assert_eq!(sig.len(), 128);
+        // The log's `sig=` form.
+        let words: Vec<String> = sig.iter().map(|x| format!("{x:x}")).collect();
+        assert_eq!(
+            ContentHash::of_bytes(words.join(",").as_bytes()).to_string(),
+            "e8ee77b346dd6807f09125aaa4240c50"
         );
     }
 

@@ -19,7 +19,7 @@
 
 use fmsa_align::Step as Column;
 use fmsa_core::linearize::{linearize, Entry};
-use fmsa_core::merge::{align_with, merge_pair_aligned, MergeConfig};
+use fmsa_core::merge::{align, merge_pair_aligned, MergeConfig};
 use fmsa_core::profitability::{delta_bound, evaluate, BodyCharge};
 use fmsa_ir::{
     cfg, FuncBuilder, FuncId, IntPredicate, LandingPadClause, Linkage, Module, Opcode, TyId, Type,
@@ -398,13 +398,13 @@ struct Seen {
 
 /// Checks the bound (and, for a ruled-out pair, the type replay) on one
 /// generated pair; returns what the pair exercised.
-fn check(seed: u64, reorder_commutative: bool) -> Result<Seen, TestCaseError> {
+fn check(seed: u64) -> Result<Seen, TestCaseError> {
     let Pair { m, f1, f2, dead, .. } = pair_module(seed);
-    let cfg = MergeConfig { reorder_commutative, ..MergeConfig::default() };
+    let cfg = MergeConfig::default();
     let mut seen = Seen::default();
     let mut seq1 = linearize(m.func(f1));
     let seq2 = linearize(m.func(f2));
-    let mut al = align_with(&m, f1, f2, &seq1, &seq2, &cfg.scoring, cfg.algorithm);
+    let mut al = align(&m, f1, f2, &seq1, &seq2);
     if dead {
         // The dead blocks join the first side's last divergent region,
         // whose chain stays unreachable in the merged body.
@@ -463,8 +463,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
 
     #[test]
-    fn bound_never_falls_below_the_real_delta(seed in 0u64..u64::MAX, reorder in 0u8..2) {
-        check(seed, reorder == 1)?;
+    fn bound_never_falls_below_the_real_delta(seed in 0u64..u64::MAX) {
+        check(seed)?;
     }
 }
 
@@ -500,7 +500,7 @@ fn bound_holds_across_the_generated_shapes() {
     let mut tally = [0usize; 22];
     let (mut dry_built, mut exact) = (0usize, 0usize);
     for seed in 0..800u64 {
-        let seen = check(seed, true).unwrap_or_else(|e| panic!("{e:?}"));
+        let seen = check(seed).unwrap_or_else(|e| panic!("{e:?}"));
         let Pair { s1, s2, dead, .. } = pair_module(seed);
         let sides = [&s1, &s2];
         let diamonds: Vec<&Diamond> = sides.iter().filter_map(|s| s.diamond.as_ref()).collect();

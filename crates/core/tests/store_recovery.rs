@@ -11,7 +11,7 @@
 
 use fmsa_core::search::minhash::estimated_jaccard;
 use fmsa_core::store::STORE_FILE;
-use fmsa_core::{FunctionStore, LshConfig, LshSearch};
+use fmsa_core::{FunctionStore, LshSearch};
 use fmsa_ir::{FuncBuilder, FuncId, Module, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -144,7 +144,7 @@ fn check_recovery(raw: &[u8], ctx: &str) -> Result<(), TestCaseError> {
     // (c) the rebuilt LSH index equals a fresh one over the recovered
     // entries: every stored entry's similar-set must match what a fresh
     // index over the same signatures produces.
-    let mut fresh = LshSearch::new(LshConfig::default());
+    let mut fresh = LshSearch::new();
     let entries: Vec<_> = store.entries().collect();
     for (i, e) in entries.iter().enumerate() {
         fresh.insert_signature(FuncId::from_index(i), e.signature().to_vec());

@@ -133,10 +133,18 @@ fn parse_header(module: &mut Module, line: &str, lineno: usize, col0: usize) -> 
     let params_col = after_col + paren + 1;
     let mut param_tys = Vec::new();
     let mut param_names = Vec::new();
+    let mut varargs = false;
     for (off, part) in split_top_level(params_str) {
         let part_col = trimmed_start(params_col + off, &part);
         let part = part.trim();
         if part.is_empty() {
+            continue;
+        }
+        if varargs {
+            return Err(err_at(lineno, part_col + 1, "... must be the last parameter"));
+        }
+        if part == "..." {
+            varargs = true;
             continue;
         }
         let pct =
@@ -145,7 +153,11 @@ fn parse_header(module: &mut Module, line: &str, lineno: usize, col0: usize) -> 
         param_tys.push(parse_type(module, &mut tcur)?);
         param_names.push(part[pct + 1..].trim().to_owned());
     }
-    let fn_ty = module.types.func(ret_ty, param_tys);
+    let fn_ty = if varargs {
+        module.types.varargs_func(ret_ty, param_tys)
+    } else {
+        module.types.func(ret_ty, param_tys)
+    };
     Ok(Header { name, fn_ty, linkage, param_names })
 }
 
@@ -974,6 +986,18 @@ entry.0:
             })
             .collect();
         assert_eq!(allocated, ["i32 (i8*, ...)*", "void (...)*"]);
+    }
+
+    #[test]
+    fn varargs_headers_end_in_dots() {
+        let text = "declare i32 @printf(i8* %a0, ...)\n\ndeclare void @trace(...)\n";
+        let m = parse_module(text).expect("parses");
+        assert_eq!(print_module(&m), format!("; module parsed\n\n{text}"));
+        let ty = |name| m.types.display(m.func(m.func_by_name(name).expect("exists")).fn_ty());
+        assert_eq!(ty("printf"), "i32 (i8*, ...)");
+        assert_eq!(ty("trace"), "void (...)");
+        let e = parse_module("declare void @f(..., i32 %a0)\n").expect_err("dots not last");
+        assert_eq!((e.line, e.column), (1, 22), "{e}");
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl Writer<'_> {
             self.ty(p.ty);
             let _ = write!(self.out, " %{}", p.name);
         }
+        // `...` after the fixed params, as `TypeStore::display_into`
+        // prints the function's type.
+        if self.m.types.is_varargs(f.fn_ty()) {
+            self.out.push_str(if f.params().is_empty() { "..." } else { ", ..." });
+        }
         if f.is_declaration() {
             self.out.push_str(")\n");
             return;

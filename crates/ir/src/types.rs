@@ -327,6 +327,12 @@ impl TypeStore {
         }
     }
 
+    /// Whether `fn_ty` is a function type that takes arguments after its
+    /// fixed params.
+    pub fn is_varargs(&self, fn_ty: TyId) -> bool {
+        matches!(self.get(fn_ty), Type::Func { varargs: true, .. })
+    }
+
     /// Size of `ty` in bits when stored in a register, following a 64-bit
     /// data layout (pointers are 64 bits). Returns `None` for types without
     /// a size (`void`, `label`, function types).

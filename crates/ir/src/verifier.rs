@@ -432,13 +432,17 @@ impl<'a> Verifier<'a> {
                             fail(self, "call result type must match callee return type".into());
                         }
                         let args = &inst.operands[1..arg_end];
-                        if args.len() != params.len() {
+                        // A varargs callee takes extra arguments after
+                        // its fixed params.
+                        let varargs = ts.is_varargs(fn_ty);
+                        if args.len() < params.len() || (!varargs && args.len() > params.len()) {
                             fail(
                                 self,
                                 format!(
-                                    "call passes {} args, callee expects {}",
+                                    "call passes {} args, callee expects {}{}",
                                     args.len(),
-                                    params.len()
+                                    params.len(),
+                                    if varargs { " or more" } else { "" }
                                 ),
                             );
                         } else {

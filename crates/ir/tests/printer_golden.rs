@@ -147,7 +147,7 @@ fn golden_module() -> Module {
 const GOLDEN: &str = concat!(
     r#"; module golden
 
-declare i32 @printf(i8* %a0)
+declare i32 @printf(i8* %a0, ...)
 
 declare internal void @sink(i32 %a0)
 

@@ -129,7 +129,7 @@ fn main() -> ExitCode {
                     let mode = value("--search")?;
                     let strategy = match mode.as_str() {
                         "exact" => fmsa::core::SearchStrategy::Exact,
-                        "lsh" => fmsa::core::SearchStrategy::Lsh(Default::default()),
+                        "lsh" => fmsa::core::SearchStrategy::Lsh,
                         "auto" => fmsa::core::SearchStrategy::Auto,
                         other => return Err(format!("unknown search mode {other:?}")),
                     };

@@ -5,7 +5,7 @@
 //! crates for details:
 //!
 //! * [`ir`] — the LLVM-like IR substrate
-//! * [`align`] — Needleman-Wunsch / Hirschberg / Smith-Waterman
+//! * [`align`] — Needleman-Wunsch and banded alignment
 //! * [`target`] — TTI-style code-size cost models (x86-64, ARM Thumb)
 //! * [`interp`] — IR interpreter (correctness oracle + Fig. 14 runtime)
 //! * [`core`] — the FMSA merger, exploration framework, and baselines

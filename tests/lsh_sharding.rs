@@ -6,7 +6,8 @@
 
 use fmsa::core::fingerprint::Fingerprint;
 use fmsa::core::ranking::{rank_candidates, Candidate};
-use fmsa::core::search::{CandidateSearch, LshConfig, LshSearch};
+use fmsa::core::search::lsh::{BANDS, HASHES};
+use fmsa::core::search::{CandidateSearch, LshSearch};
 use fmsa::core::store::{canonical_function_text, ContentHash, FunctionStore};
 use fmsa::ir::{FuncBuilder, FuncId, Module, Value};
 use proptest::prelude::*;
@@ -25,8 +26,8 @@ struct FlatLsh {
 }
 
 impl FlatLsh {
-    fn new(cfg: LshConfig) -> FlatLsh {
-        FlatLsh { rows: cfg.rows(), ..FlatLsh::default() }
+    fn new() -> FlatLsh {
+        FlatLsh { rows: HASHES / BANDS, ..FlatLsh::default() }
     }
 
     fn insert(&mut self, func: FuncId, sig: Vec<u64>) {
@@ -114,9 +115,8 @@ proptest! {
     ) {
         let (m, ids) = shape_pool(seed, 16);
         let fps = fingerprints(&m, &ids);
-        let cfg = LshConfig::default();
-        let mut sharded = LshSearch::new(cfg);
-        let mut flat = FlatLsh::new(cfg);
+        let mut sharded = LshSearch::new();
+        let mut flat = FlatLsh::new();
         for &v in &ops {
             let (op, k) = (v % 3, v / 3);
             let f = ids[k];
@@ -156,12 +156,12 @@ proptest! {
     fn batch_insert_matches_serial_insert(seed in 0u64..1_000, count in 2usize..24) {
         let (m, ids) = shape_pool(seed, count);
         let fps = fingerprints(&m, &ids);
-        let mut serial = LshSearch::new(LshConfig::default());
+        let mut serial = LshSearch::new();
         for &f in &ids {
             serial.insert(f, &fps[&f]);
         }
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-        let mut batched = LshSearch::new(LshConfig::default());
+        let mut batched = LshSearch::new();
         let items: Vec<(FuncId, &Fingerprint)> = ids.iter().map(|&f| (f, &fps[&f])).collect();
         batched.insert_batch(&items, Some(&pool));
         prop_assert_eq!(serial.len(), batched.len());

@@ -7,7 +7,7 @@
 #[path = "support/paper_loop.rs"]
 mod paper_loop;
 
-use fmsa::align::{AlignmentBudget, BudgetFallback};
+use fmsa::align::AlignmentBudget;
 use fmsa::core::pipeline::run_fmsa_pipeline;
 use fmsa::core::SearchStrategy;
 use fmsa::ir::printer::print_module;
@@ -313,7 +313,7 @@ fn length_cap_triggers_on_adversarially_long_functions() {
         .threshold(5)
         .budget(AlignmentBudget {
             full_matrix_cells: usize::MAX,
-            fallback: BudgetFallback::Banded(16),
+            band: 16,
             max_len: 1_000, // both functions exceed this
         })
         .parallel(2);
@@ -344,7 +344,7 @@ fn banded_fallback_still_merges_clone_families() {
         .threshold(5)
         .budget(AlignmentBudget {
             full_matrix_cells: 2_000, // far below the ~100²+ matrices here
-            fallback: BudgetFallback::Banded(32),
+            band: 32,
             max_len: usize::MAX,
         })
         .parallel(2);

@@ -6,7 +6,7 @@
 
 use fmsa::core::fingerprint::Fingerprint;
 use fmsa::core::linearize;
-use fmsa::core::merge::{align_with, merge_pair_aligned, MergeInfo};
+use fmsa::core::merge::{align, merge_pair_aligned, MergeInfo};
 use fmsa::core::profitability::evaluate;
 use fmsa::core::thunks::commit_merge;
 use fmsa::core::SearchStrategy;
@@ -65,15 +65,7 @@ pub fn paper_loop(module: &mut Module, cfg: &Config) -> PaperStats {
             stats.attempted += 1;
             let seq1 = linearize(module.func(f1));
             let seq2 = linearize(module.func(cand.func));
-            let alignment = align_with(
-                module,
-                f1,
-                cand.func,
-                &seq1,
-                &seq2,
-                &cfg.merge.scoring,
-                cfg.merge.algorithm,
-            );
+            let alignment = align(module, f1, cand.func, &seq1, &seq2);
             let Ok(info) =
                 merge_pair_aligned(module, f1, cand.func, seq1, seq2, alignment, &cfg.merge)
             else {
