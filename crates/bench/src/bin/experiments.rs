@@ -52,11 +52,11 @@
 
 use fmsa::Config;
 use fmsa_bench::harness::{
-    mean, pipeline_json_fields, rank_cdf, run_benchmark, run_runtime_experiment, BenchResult, Json,
-    Report, RunPlan,
+    fig13_rows, mean, pipeline_json_fields, rank_cdf, run_benchmark, run_runtime_experiment,
+    BenchResult, Json, Report, RunPlan,
 };
 use fmsa_core::merge::MergeConfig;
-use fmsa_core::pipeline::run_fmsa_pipeline;
+use fmsa_core::pipeline;
 use fmsa_target::{reduction_percent, CostModel, TargetArch};
 use fmsa_workloads::{mibench_suite, spec_suite, BenchDesc};
 
@@ -104,7 +104,7 @@ fn main() {
     println!(
         "experiments {cmd}: threads={} available, alignment=needleman-wunsch, \
          search per section header / JSON record{}{}",
-        Config::new().parallel(0).pipeline_options().resolved_threads(),
+        Config::new().parallel(0).resolved_threads(),
         if fast { ", --fast" } else { "" },
         if oracle { ", --oracle" } else { "" },
     );
@@ -366,18 +366,19 @@ fn fig12(suite: &[BenchDesc]) {
 
 fn fig13(suite: &[BenchDesc]) {
     println!("\n== Fig. 13: compile-time breakdown of FMSA (t=1), % of pass time ==");
+    let names = fig13_rows(&Default::default()).map(|(name, _)| name);
     println!(
         "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "benchmark", "fingerp", "ranking", "linear", "align", "codegen", "updates"
+        "benchmark", names[0], names[1], names[2], names[3], names[4], names[5]
     );
     let plan = RunPlan { thresholds: vec![1], oracle: false, ..RunPlan::default() };
     let mut sums = [0.0f64; 6];
     for desc in suite {
         let r = run_benchmark(desc, &plan);
-        let Some(timers) = r.fmsa.first().and_then(|(_, v)| v.timers) else { continue };
-        let total = timers.total().as_secs_f64().max(1e-12);
-        let rows = timers.rows();
-        let pct: Vec<f64> = rows.iter().map(|(_, s)| s / total * 100.0).collect();
+        let Some(p) = r.fmsa.first().and_then(|(_, v)| v.pipeline) else { continue };
+        let rows = fig13_rows(&p).map(|(_, d)| d.as_secs_f64());
+        let total = rows.iter().sum::<f64>().max(1e-12);
+        let pct: Vec<f64> = rows.iter().map(|s| s / total * 100.0).collect();
         for (s, p) in sums.iter_mut().zip(&pct) {
             *s += p;
         }
@@ -448,14 +449,15 @@ fn search_scalability(fast: bool, report: &mut Report) {
         let base = clone_swarm_module(&SwarmConfig::with_functions(n));
         let mut rank_times = Vec::new();
         let mut reductions = Vec::new();
-        for (label, strategy) in [("exact", SearchStrategy::Exact), ("lsh", SearchStrategy::lsh())]
-        {
+        for (label, strategy) in [("exact", SearchStrategy::Exact), ("lsh", SearchStrategy::Lsh)] {
             let mut m = base.clone();
             let cfg = Config::new().threshold(5).search(strategy).identical_prepass(false);
             let t0 = std::time::Instant::now();
             let stats = fmsa::optimize(&mut m, &cfg).expect("swarm merges");
             let total = t0.elapsed();
-            rank_times.push(stats.timers.ranking.as_secs_f64());
+            let p = stats.pipeline.expect("pipeline stats");
+            let rank_search = p.seed + p.query_cpu;
+            rank_times.push(rank_search.as_secs_f64());
             reductions.push(stats.reduction_percent());
             let speedup = if rank_times.len() == 2 {
                 format!("{:8.1}x", rank_times[0] / rank_times[1].max(1e-12))
@@ -468,7 +470,7 @@ fn search_scalability(fast: bool, report: &mut Report) {
                 label,
                 stats.merges,
                 stats.reduction_percent(),
-                stats.timers.ranking,
+                rank_search,
                 total,
                 speedup
             );
@@ -480,7 +482,7 @@ fn search_scalability(fast: bool, report: &mut Report) {
                 ("alignment", Json::S("needleman-wunsch".into())),
                 ("merges", Json::I(stats.merges as i64)),
                 ("reduction_percent", Json::F(stats.reduction_percent())),
-                ("rank_search_s", Json::F(stats.timers.ranking.as_secs_f64())),
+                ("rank_search_s", Json::F(rank_search.as_secs_f64())),
                 ("wall_s", Json::F(total.as_secs_f64())),
             ]);
         }
@@ -494,7 +496,7 @@ fn search_scalability(fast: bool, report: &mut Report) {
             ));
         }
     }
-    println!("(rank+search = index seeding + per-iteration candidate queries)");
+    println!("(rank+search = the seed stage + candidate-query CPU)");
 }
 
 // ---------------------------------------------------------------- pipeline
@@ -503,7 +505,7 @@ fn merge_parallel(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
-    let auto = Config::new().parallel(0).pipeline_options().resolved_threads();
+    let auto = Config::new().parallel(0).resolved_threads();
     println!("\n== Merge pipeline across thread counts (t=5, lsh search) ==");
     println!(
         "{:>6} {:>7} {:>10} {:>8} {:>11} {:>10} {:>8}",
@@ -512,7 +514,7 @@ fn merge_parallel(fast: bool, report: &mut Report) {
     let sizes: &[usize] = if fast { &[100, 1000] } else { &[100, 1000, 5000] };
     for &n in sizes {
         let base = clone_swarm_module(&SwarmConfig::with_functions(n));
-        let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+        let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
         // threads=1 (the reference) runs without a prepare stage;
         // threads=2 adds the parallel schedule and prepare (alignment + Δ
         // bound) stages; threads=4 runs them on more workers (CI runs
@@ -527,7 +529,7 @@ fn merge_parallel(fast: bool, report: &mut Report) {
             let mut m_par = base.clone();
             let pcfg = cfg.clone().parallel(threads);
             let t0 = std::time::Instant::now();
-            let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let par = pipeline::run(&mut m_par, &pcfg);
             let t_par = t0.elapsed().as_secs_f64();
             let text = print_module(&m_par);
             let (ref_text, t_one, r_one) =
@@ -633,8 +635,8 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     let chunk = chunk.unwrap_or(if fast { 2_000 } else { 10_000 });
     let seed = 0x5ca1_e001u64;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let auto = Config::new().parallel(0).pipeline_options().resolved_threads();
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let auto = Config::new().parallel(0).resolved_threads();
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
     println!(
         "\n== Million-function scale: streamed corpus of {total} functions in \
          chunks of {chunk} (t=5, lsh search, {cores} cores) =="
@@ -653,7 +655,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     for spec in stream_chunks(total, chunk, seed) {
         let mut m = spec.materialize();
         funcs_in += m.func_count();
-        let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let stats = pipeline::run(&mut m, &pcfg);
         funcs_out += m.func_count();
         merges += stats.merges;
         if let Some(p) = stats.pipeline {
@@ -731,7 +733,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
             .iter()
             .map(|base| {
                 let mut m = base.clone();
-                run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+                pipeline::run(&mut m, &pcfg);
                 print_module(&m)
             })
             .collect();
@@ -848,7 +850,7 @@ fn wasm_frontend(fast: bool, report: &mut Report) {
             let mut m = base.clone();
             let pcfg = cfg.clone().parallel(threads);
             let t0 = std::time::Instant::now();
-            let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let stats = pipeline::run(&mut m, &pcfg);
             let wall = t0.elapsed();
             let text = print_module(&m);
             let identical = match &first {
@@ -920,7 +922,7 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
     use fmsa_interp::batch::wire_targets;
     use fmsa_interp::{run_differential_batch, BatchConfig};
     use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
-    let threads = Config::new().parallel(0).pipeline_options().resolved_threads();
+    let threads = Config::new().parallel(0).resolved_threads();
     let n = if fast { 48 } else { 96 };
     println!("\n== Differential fuzz farm: original vs merged wasm corpus ==");
     println!(
@@ -948,7 +950,7 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
         };
         let mut post = pre.clone();
         let cfg = Config::new().threshold(5).search(SearchStrategy::Auto).parallel(threads);
-        let stats = run_fmsa_pipeline(&mut post, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let stats = pipeline::run(&mut post, &cfg);
         if stats.merges == 0 {
             report.fail(format!("fuzz memory={with_memory}: corpus did not merge"));
             continue;
@@ -1056,14 +1058,14 @@ fn fault_matrix(fast: bool, report: &mut Report) {
         "plan", "threads", "wall", "merges", "quar", "panics", "verify", "identical", "summary="
     );
     let base = clone_swarm_module(&SwarmConfig::with_functions(n));
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
     let (label, faults) = ("injected", FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL));
     let mut reference: Option<(String, String)> = None;
     for threads in [1usize, 2, 4] {
         let mut m = base.clone();
         let pcfg = cfg.clone().parallel(threads).faults(faults);
         let t0 = std::time::Instant::now();
-        let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let stats = pipeline::run(&mut m, &pcfg);
         let wall = t0.elapsed();
         let errs = fmsa_ir::verify_module(&m);
         if !errs.is_empty() {
@@ -1701,7 +1703,7 @@ fn obs(fast: bool, report: &mut Report) {
 
     let n = if fast { 1_000 } else { 5_000 };
     println!("\n== Flight recorder: overhead, identity, trace, decisions, /metrics (n={n}) ==");
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
     let base = clone_swarm_module(&SwarmConfig::with_functions(n));
 
     // Tracing is process-global; remember the caller's state (a global
@@ -1724,7 +1726,7 @@ fn obs(fast: bool, report: &mut Report) {
     let time_run = || {
         let mut m = base.clone();
         let t0 = std::time::Instant::now();
-        let st = run_fmsa_pipeline(&mut m, &one_cfg.fmsa_options(), &one_cfg.pipeline_options());
+        let st = pipeline::run(&mut m, &one_cfg);
         (t0.elapsed().as_secs_f64(), st)
     };
     let _ = time_run(); // warm-up: page cache, allocator, branch predictors
@@ -1779,7 +1781,7 @@ fn obs(fast: bool, report: &mut Report) {
         for threads in [1usize, 2, 4, 8] {
             let pcfg = cfg.clone().parallel(threads);
             let mut m = base.clone();
-            let st = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let st = pipeline::run(&mut m, &pcfg);
             let tracing = if traced { "on" } else { "off" };
             let text = print_module(&m);
             let identical = *reference_text.get_or_insert_with(|| text.clone()) == text;
@@ -1875,7 +1877,7 @@ fn obs(fast: bool, report: &mut Report) {
     let par_stats = {
         let pcfg = cfg.clone().parallel(4);
         let mut m = base.clone();
-        run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options())
+        pipeline::run(&mut m, &pcfg)
     };
     let one_stats = one_stats.expect("overhead loop ran");
     let one_ok = reconcile("threads=1", &one_stats, report);

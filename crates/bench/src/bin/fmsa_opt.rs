@@ -261,7 +261,7 @@ fn main() -> ExitCode {
         // one thread.
         let (nthreads, search_name) = if technique == "fmsa" {
             (
-                cfg.pipeline_options().resolved_threads(),
+                cfg.resolved_threads(),
                 match search {
                     SearchStrategy::Exact => "exact",
                     SearchStrategy::Lsh => "lsh",

@@ -4,7 +4,6 @@
 //! this module.
 
 use fmsa_core::baselines::{run_identical, run_soa};
-use fmsa_core::pass::StepTimers;
 use fmsa_core::pipeline::{PipelineStats, StatValue};
 use fmsa_core::Config;
 use fmsa_ir::Module;
@@ -22,8 +21,8 @@ pub struct TechniqueResult {
     pub reduction: f64,
     /// Wall-clock time of the merging phase.
     pub time: Duration,
-    /// FMSA per-step timers, when applicable.
-    pub timers: Option<StepTimers>,
+    /// FMSA's pipeline clocks and counters, when applicable.
+    pub pipeline: Option<PipelineStats>,
     /// Rank positions of committed merges (Fig. 8 data), when applicable.
     pub rank_positions: Vec<usize>,
 }
@@ -122,7 +121,7 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
             merges: stats.merges,
             reduction: reduction_percent(size_before, cm.module_size(&m)),
             time: t0.elapsed(),
-            timers: None,
+            pipeline: None,
             rank_positions: Vec::new(),
         }
     };
@@ -136,7 +135,7 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
             merges: stats.merges,
             reduction: reduction_percent(size_before, cm.module_size(&m)),
             time: t0.elapsed(),
-            timers: None,
+            pipeline: None,
             rank_positions: Vec::new(),
         }
     };
@@ -153,7 +152,7 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
                 merges: stats.merges,
                 reduction: reduction_percent(size_before, cm.module_size(&m)),
                 time: t0.elapsed(),
-                timers: Some(stats.timers),
+                pipeline: stats.pipeline,
                 rank_positions: stats.rank_positions,
             },
         ));
@@ -168,7 +167,7 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
             merges: stats.merges,
             reduction: reduction_percent(size_before, cm.module_size(&m)),
             time: t0.elapsed(),
-            timers: Some(stats.timers),
+            pipeline: stats.pipeline,
             rank_positions: stats.rank_positions,
         }
     });
@@ -393,6 +392,21 @@ pub fn pipeline_stats_text(p: &PipelineStats, per_line: usize) -> Vec<String> {
         lines.push(line);
     }
     lines
+}
+
+/// The six rows of the paper's Fig. 13 compile-time breakdown, each from
+/// its [`PipelineStats`] source (`docs/pipeline.md` tabulates the
+/// mapping): index seeding, candidate queries, linearization, alignment
+/// with the Δ bound, code generation, and the call-graph update.
+pub fn fig13_rows(p: &PipelineStats) -> [(&'static str, Duration); 6] {
+    [
+        ("seed", p.seed),
+        ("query", p.query_cpu),
+        ("linear", p.linearize_cpu),
+        ("align", p.align_cpu + p.bound_cpu),
+        ("codegen", p.commit_codegen),
+        ("rewrite", p.rewrite),
+    ]
 }
 
 /// Arithmetic mean, used for the summary rows of Figs. 10-12.

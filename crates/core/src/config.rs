@@ -1,27 +1,20 @@
-//! The unified run configuration and the `optimize` entry point.
+//! The run configuration and the [`optimize`] entry point.
 //!
-//! Historically a run was configured by two structs: [`FmsaOptions`]
-//! (what to merge and how) and [`PipelineOptions`] (how to parallelize
-//! it), with every caller — `fmsa_opt`, `experiments`, all tests —
-//! constructing both by hand. Both are folded into one
-//! `#[non_exhaustive]` builder-style [`Config`] and one fallible entry
-//! point [`optimize`], which is what the merge daemon (`fmsa-serve`)
-//! and the CLI sit on. The old structs survive as deprecated shims that
-//! [`Config::fmsa_options`] and [`Config::pipeline_options`] produce for
-//! [`run_fmsa_pipeline`].
+//! [`Config`] is the one options type: a `#[non_exhaustive]`
+//! builder-style struct that the merge pipeline ([`crate::pipeline::run`])
+//! reads directly, and that the merge daemon (`fmsa-serve`), the CLI and
+//! the experiment harness all build. [`optimize`] wraps the pipeline in
+//! input verification, the optional identical-merging prepass, a panic
+//! boundary and output re-verification.
 //!
-//! Every run goes through the merge pipeline ([`crate::pipeline`]);
-//! [`Config::threads`] only sets its worker count. Output is
+//! [`Config::threads`] only sets the pipeline's worker count. Output is
 //! bit-identical at every thread count, so the choice is pure
 //! performance policy.
 
 use crate::error::Error;
 use crate::faults::FaultPlan;
 use crate::merge::MergeConfig;
-#[allow(deprecated)]
-use crate::pass::{FmsaOptions, FmsaStats};
-#[allow(deprecated)]
-use crate::pipeline::{run_fmsa_pipeline, PipelineOptions};
+use crate::pass::FmsaStats;
 use crate::quarantine::panic_message;
 use crate::search::SearchStrategy;
 use fmsa_ir::Module;
@@ -29,9 +22,9 @@ use fmsa_target::TargetArch;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One unified configuration for a merge run, covering everything the
-/// old [`FmsaOptions`] + [`PipelineOptions`] pair expressed, plus the
-/// identical-merging prepass ([`Config::identical_prepass`]).
+/// The configuration of a merge run: what to merge and how, how many
+/// pipeline workers, fault injection, and the identical-merging prepass
+/// ([`Config::identical_prepass`]).
 ///
 /// `#[non_exhaustive]` so fields can be added without a breaking change;
 /// construct it with [`Config::new`] (or `Config::default()`) and the
@@ -182,29 +175,14 @@ impl Config {
         self
     }
 
-    /// The merge-policy half of this configuration as the deprecated
-    /// [`FmsaOptions`] — interop with [`run_fmsa_pipeline`], which keeps
-    /// its paper-era signature.
-    #[allow(deprecated)]
-    pub fn fmsa_options(&self) -> FmsaOptions {
-        FmsaOptions {
-            threshold: self.threshold,
-            oracle: self.oracle,
-            arch: self.arch,
-            merge: self.merge.clone(),
-            exclude: self.exclude.clone(),
-            min_similarity: self.min_similarity,
-            canonicalize: self.canonicalize,
-            search: self.search,
-            budget: self.budget,
+    /// The worker count this configuration resolves to on this machine
+    /// (`threads == 0` means available parallelism).
+    pub fn resolved_threads(&self) -> usize {
+        if self.threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            self.threads
         }
-    }
-
-    /// The parallelism half of this configuration as the deprecated
-    /// [`PipelineOptions`].
-    #[allow(deprecated)]
-    pub fn pipeline_options(&self) -> PipelineOptions {
-        PipelineOptions { threads: self.threads, faults: self.faults }
     }
 }
 
@@ -225,7 +203,7 @@ pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
         if cfg.identical_prepass {
             crate::baselines::run_identical(module, cfg.arch);
         }
-        run_fmsa_pipeline(module, &cfg.fmsa_options(), &cfg.pipeline_options())
+        crate::pipeline::run(module, cfg)
     }));
     let stats = match ran {
         Ok(stats) => stats,

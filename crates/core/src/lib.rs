@@ -23,8 +23,9 @@
 //! * [`profitability`] — the Δ cost model over the target TTI (§IV-A)
 //! * [`thunks`] — call-graph update: thunks, call-site rewriting, deletion
 //! * [`pipeline`] — the optimization driver (§IV, Fig. 7), greedy or
-//!   oracle, as a schedule/prepare/commit pipeline on a worker pool
-//! * [`pass`] — a run's statistics and per-step timers (Fig. 13)
+//!   oracle, as a schedule/prepare/commit pipeline on a worker pool,
+//!   with the stage clocks behind the compile-time breakdown (Fig. 13)
+//! * [`pass`] — a run's statistics
 //! * [`baselines`] — LLVM-style identical merging and the SOA structural
 //!   merging of von Koch et al. (§V-A)
 //! * [`config`] / [`error`] — the unified public API: one builder-style
@@ -92,8 +93,6 @@ pub use error::Error;
 pub use faults::{silence_injected_panics, FaultPlan, FaultSite};
 pub use linearize::{linearize, Entry, KeyAudit, LinearizationCache, Linearized};
 pub use merge::{merge_pair, MergeConfig, MergeError, MergeInfo};
-#[allow(deprecated)]
-pub use pipeline::{run_fmsa_pipeline, PipelineOptions};
 pub use quarantine::{QuarantineEntry, QuarantineLog, QuarantineStage};
 pub use search::{CandidateSearch, ExactSearch, LshSearch, SearchStrategy};
 pub use session::{MergeOutcome, MergeSession, RequestStats, SessionTotals};

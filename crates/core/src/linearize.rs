@@ -187,10 +187,9 @@ impl LinearizationCache {
     }
 }
 
-/// The record of a key audit
-/// ([`crate::pipeline::run_fmsa_pipeline_key_audited`]): at every commit
-/// attempt, the cached linearization and keys of both functions are
-/// compared with fresh ones.
+/// The record of a key audit ([`crate::pipeline::run_key_audited`]): at
+/// every commit attempt, the cached linearization and keys of both
+/// functions are compared with fresh ones.
 #[derive(Debug, Clone, Default)]
 pub struct KeyAudit {
     /// Cached functions checked (two per attempt).

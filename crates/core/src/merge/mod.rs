@@ -42,6 +42,9 @@ pub enum MergeError {
     SameFunction,
     /// Return types cannot be merged (differing aggregate returns).
     IncompatibleReturns,
+    /// One of the functions is varargs: its callers may pass arguments
+    /// that the merged function has no params for.
+    Varargs,
     /// Code generation produced IR that failed verification (returned
     /// rather than panicking so the pass can skip the pair; this indicates
     /// a bug and is asserted against in tests).
@@ -56,6 +59,7 @@ impl fmt::Display for MergeError {
             MergeError::IncompatibleReturns => {
                 write!(f, "return types cannot be merged")
             }
+            MergeError::Varargs => write!(f, "cannot merge a varargs function"),
             MergeError::InvalidCodegen(msg) => write!(f, "merged function invalid: {msg}"),
         }
     }
@@ -198,6 +202,7 @@ pub struct MergeSetup {
 ///
 /// # Errors
 ///
+/// [`MergeError::Varargs`] when either function is varargs, and
 /// [`MergeError::IncompatibleReturns`] (see [`compute_ret_info`]).
 pub fn merge_setup(
     module: &Module,
@@ -208,6 +213,9 @@ pub fn merge_setup(
     alignment: &Alignment,
     config: &MergeConfig,
 ) -> Result<MergeSetup, MergeError> {
+    if [f1, f2].into_iter().any(|f| module.types.is_varargs(module.func(f).fn_ty())) {
+        return Err(MergeError::Varargs);
+    }
     let ret = compute_ret_info(
         &module.types,
         module.func(f1).ret_ty(&module.types),

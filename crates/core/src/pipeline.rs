@@ -24,7 +24,7 @@
 //!    pool, inserted sequentially).
 //! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
 //!    pair, a worker aligns the two cached key sequences (under the
-//!    [`fmsa_align::AlignmentBudget`] of [`FmsaOptions::budget`]) and
+//!    [`fmsa_align::AlignmentBudget`] of [`Config::budget`]) and
 //!    computes the sound pre-codegen bound on Δ
 //!    ([`crate::profitability::delta_bound`]). Workers only read the
 //!    module; every result is advisory. One thread runs no prepare
@@ -58,21 +58,22 @@
 //! result blindly. The root package's tests keep a plain copy of the
 //! paper's loop as the reference they compare against.
 //!
-//! Oracle mode ([`FmsaOptions::oracle`]) takes every live function as a
+//! Oracle mode ([`Config::oracle`]) takes every live function as a
 //! candidate (exact search) and has the commit stage evaluate them all
 //! before it commits the one with the largest Δ, through the same commit
 //! path.
-
-// This module *implements* the deprecated option surfaces; the
-// replacement ([`crate::Config`]) converts into them.
-#![allow(deprecated)]
+//!
+//! [`run`] is the pipeline alone; [`crate::optimize`] wraps it in input
+//! verification, the identical-merging prepass, a panic boundary and
+//! output re-verification. Both read one [`Config`].
 
 use crate::callsites::CallSiteIndex;
+use crate::config::Config;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
 use crate::merge::{merge_pair_aligned, MergeInfo};
-use crate::pass::{FmsaOptions, FmsaStats, StepTimers};
+use crate::pass::FmsaStats;
 use crate::profitability::{delta_bound, evaluate_indexed, DeltaBound, GateAudit, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
 use crate::ranking::Candidate;
@@ -86,39 +87,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Options of the pipeline driver, on top of [`FmsaOptions`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use `fmsa_core::Config` (and `fmsa_core::optimize`); \
-            `Config::pipeline_options()` converts for this driver"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineOptions {
-    /// Worker threads for the schedule and prepare stages; `0` selects
-    /// the machine's available parallelism. `1` runs without a prepare
-    /// stage: the commit stage aligns and bounds every attempt inline —
-    /// the fastest configuration on a single core.
-    pub threads: usize,
-    /// Deterministic fault injection (testing and the `experiments
-    /// faults` harness). Disabled by default; when active, the plan
-    /// forces panics and verifier rejections at its enabled sites and
-    /// the pipeline must quarantine — see [`crate::faults`] and
-    /// `docs/robustness.md`.
-    pub faults: FaultPlan,
-}
-
-impl PipelineOptions {
-    /// The worker count this configuration resolves to on this machine
-    /// (`threads == 0` means available parallelism).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
-    }
-}
 
 /// Telemetry of one pipeline run (reported by the bench harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -143,13 +111,11 @@ pub struct PipelineStats {
     pub gate_missed: usize,
     /// Attempts abandoned by the alignment budget's length cap.
     pub budget_skipped: usize,
-    /// Always zero: no stage builds merged bodies ahead of commit. Kept
-    /// only because the repository benchmark (`perfbench/`) reads it;
-    /// not part of [`PipelineStats::fields`].
-    pub spec_built: usize,
-    /// Always zero; kept only because `perfbench/` reads it (see
-    /// [`PipelineStats::spec_built`]).
-    pub spec_committed: usize,
+    /// Wall-clock of everything the run does before its first generation:
+    /// the module size walk, the worker pool, canonicalization,
+    /// fingerprints, seeding the candidate index, and building the
+    /// call-site index.
+    pub seed: Duration,
     /// Wall-clock of the schedule stage — the sum of
     /// [`PipelineStats::schedule_query`] and
     /// [`PipelineStats::schedule_prefill`], kept as the stage total.
@@ -166,6 +132,15 @@ pub struct PipelineStats {
     /// phases. `schedule_cpu / schedule` is the stage's effective
     /// parallelism; at one thread the two are equal minus loop overhead.
     pub schedule_cpu: Duration,
+    /// CPU time spent in candidate queries: in the schedule stage's
+    /// workers (part of [`PipelineStats::schedule_cpu`]) and in the commit
+    /// stage's re-queries after a generation's first commit.
+    pub query_cpu: Duration,
+    /// CPU time spent linearizing and building key sequences: in the
+    /// schedule stage's pre-fill workers (part of
+    /// [`PipelineStats::schedule_cpu`]) and in the commit stage's cache
+    /// lookups (every miss at one thread).
+    pub linearize_cpu: Duration,
     /// Wall-clock of the parallel prepare stage (alignment + Δ bound).
     pub prepare: Duration,
     /// Summed per-task compute time inside the prepare stage (the CPU
@@ -178,17 +153,11 @@ pub struct PipelineStats {
     /// CPU time spent computing the Δ bound of aligned pairs, on the same
     /// paths as [`PipelineStats::align_cpu`].
     pub bound_cpu: Duration,
-    /// Always zero; kept only because `perfbench/` reads it (see
-    /// [`PipelineStats::spec_built`]).
-    pub spec_codegen: Duration,
     /// Wall-clock of the sequential commit stage.
     pub commit: Duration,
     /// Of [`PipelineStats::commit`], time spent producing merged bodies:
     /// codegen, verification and exact profitability.
     pub commit_codegen: Duration,
-    /// Always zero; kept only because `perfbench/` reads it (see
-    /// [`PipelineStats::spec_built`]).
-    pub transplant: Duration,
     /// Of [`PipelineStats::commit`], the call-graph update (call-site
     /// rewriting + thunking), run inline for each accepted merge
     /// ([`crate::thunks::commit_merge_indexed`]).
@@ -205,12 +174,18 @@ pub struct PipelineStats {
     /// commit stage's inline retry is caught twice at `threads > 1` and
     /// once at `threads == 1`.
     pub panics_caught: usize,
-    /// Differential mismatches attributed to this run by an external
-    /// driver (the fuzz farm); the pipeline itself never sets it.
-    pub mismatches: usize,
-    /// Always zero: the commit stage hands no call-graph update to the
-    /// worker pool. Kept only because `perfbench/` reads it (see
-    /// [`PipelineStats::spec_built`]).
+    /// Always zero: no stage builds merged bodies ahead of commit. This
+    /// field and the four below are kept because `perfbench/` compiles
+    /// against them; ROADMAP 1(c) deletes them. None is in
+    /// [`PipelineStats::fields`].
+    pub spec_built: usize,
+    /// Always zero (see [`PipelineStats::spec_built`]).
+    pub spec_committed: usize,
+    /// Always zero (see [`PipelineStats::spec_built`]).
+    pub spec_codegen: Duration,
+    /// Always zero (see [`PipelineStats::spec_built`]).
+    pub transplant: Duration,
+    /// Always zero (see [`PipelineStats::spec_built`]).
     pub commit_barriers: usize,
 }
 
@@ -233,10 +208,13 @@ impl PipelineStats {
         self.gate_skipped += other.gate_skipped;
         self.gate_missed += other.gate_missed;
         self.budget_skipped += other.budget_skipped;
+        self.seed += other.seed;
         self.schedule += other.schedule;
         self.schedule_query += other.schedule_query;
         self.schedule_prefill += other.schedule_prefill;
         self.schedule_cpu += other.schedule_cpu;
+        self.query_cpu += other.query_cpu;
+        self.linearize_cpu += other.linearize_cpu;
         self.prepare += other.prepare;
         self.prepare_cpu += other.prepare_cpu;
         self.align_cpu += other.align_cpu;
@@ -248,7 +226,6 @@ impl PipelineStats {
         self.quarantined_codegen += other.quarantined_codegen;
         self.quarantined_verify += other.quarantined_verify;
         self.panics_caught += other.panics_caught;
-        self.mismatches += other.mismatches;
     }
 
     /// The canonical `(name, value)` serialization of every counter and
@@ -266,10 +243,13 @@ impl PipelineStats {
             ("gate_skipped", Count(self.gate_skipped as u64)),
             ("gate_missed", Count(self.gate_missed as u64)),
             ("budget_skipped", Count(self.budget_skipped as u64)),
+            ("seed_s", Secs(self.seed.as_secs_f64())),
             ("schedule_s", Secs(self.schedule.as_secs_f64())),
             ("schedule_query_s", Secs(self.schedule_query.as_secs_f64())),
             ("schedule_prefill_s", Secs(self.schedule_prefill.as_secs_f64())),
             ("schedule_cpu_s", Secs(self.schedule_cpu.as_secs_f64())),
+            ("query_cpu_s", Secs(self.query_cpu.as_secs_f64())),
+            ("linearize_cpu_s", Secs(self.linearize_cpu.as_secs_f64())),
             ("prepare_s", Secs(self.prepare.as_secs_f64())),
             ("prepare_cpu_s", Secs(self.prepare_cpu.as_secs_f64())),
             ("align_cpu_s", Secs(self.align_cpu.as_secs_f64())),
@@ -365,25 +345,28 @@ fn align_and_bound(
     f2: FuncId,
     lin1: &Linearized,
     lin2: &Linearized,
-    opts: &FmsaOptions,
+    cfg: &Config,
 ) -> Gated {
     let t0 = Instant::now();
-    let plan = opts.budget.plan(lin1.keys.len(), lin2.keys.len());
+    let plan = cfg.budget.plan(lin1.keys.len(), lin2.keys.len());
     let alignment =
         align_with_plan(&lin1.keys, &lin2.keys, |a, b| a == b, &ScoringScheme::default(), plan);
     let t1 = Instant::now();
     let bound = alignment.as_ref().and_then(|al| {
-        delta_bound(module, cm, f1, f2, &lin1.entries, &lin2.entries, al, &opts.merge).ok()
+        delta_bound(module, cm, f1, f2, &lin1.entries, &lin2.entries, al, &cfg.merge).ok()
     });
     Gated { alignment, bound, align_time: t1 - t0, bound_time: t1.elapsed() }
 }
 
 /// Whether `f` may take part in a merge. A varargs definition may not:
 /// its callers pass arguments the merged function has no params for.
-fn eligible(module: &Module, f: FuncId, opts: &FmsaOptions) -> bool {
+/// [`crate::merge::merge_setup`] refuses such a pair as well; filtering
+/// here keeps it out of the search index, so it takes no candidate slot
+/// and no attempt.
+fn eligible(module: &Module, f: FuncId, cfg: &Config) -> bool {
     let func = module.func(f);
     !func.is_declaration()
-        && !opts.exclude.contains(&func.name)
+        && !cfg.exclude.contains(&func.name)
         && !module.types.is_varargs(func.fn_ty())
 }
 
@@ -404,29 +387,21 @@ struct SeededPass {
 /// (quiescent) module, and the sharded batch insert preserves serial
 /// bucket order, so the seeded state is bit-identical either way. At the
 /// million-function scale these two loops are the entire startup cost.
-fn seed_pass(
-    module: &mut Module,
-    opts: &FmsaOptions,
-    timers: &mut StepTimers,
-    pool: Option<&rayon::ThreadPool>,
-) -> SeededPass {
+fn seed_pass(module: &mut Module, cfg: &Config, pool: Option<&rayon::ThreadPool>) -> SeededPass {
     // Optional future-work extension: canonical intra-block instruction
     // order, so reordered clones linearize identically.
-    if opts.canonicalize {
-        let t0 = Instant::now();
+    if cfg.canonicalize {
         for f in module.func_ids() {
-            if eligible(module, f, opts) {
+            if eligible(module, f, cfg) {
                 fmsa_ir::passes::canonicalize_block_order(module.func_mut(f));
             }
         }
-        timers.linearization += t0.elapsed();
     }
     // Fingerprint every eligible function (cached; §IV) and seed the
     // candidate-search index. The index is maintained incrementally through
     // the feedback loop — no per-iteration pool is ever rebuilt.
-    let t0 = Instant::now();
     let available: Vec<FuncId> =
-        module.func_ids().into_iter().filter(|&f| eligible(module, f, opts)).collect();
+        module.func_ids().into_iter().filter(|&f| eligible(module, f, cfg)).collect();
     let fingerprints: HashMap<FuncId, Fingerprint> = match pool {
         Some(pool) if pool.current_num_threads() > 1 && available.len() > 1 => {
             let module = &*module;
@@ -434,90 +409,79 @@ fn seed_pass(
         }
         _ => available.iter().map(|&f| (f, Fingerprint::of(module, f))).collect(),
     };
-    timers.fingerprinting += t0.elapsed();
-    let t0 = Instant::now();
     // The oracle's "best possible candidate" claim requires an exhaustive
     // scan: shortlisting would silently turn its upper bound into a guess,
-    // so oracle mode always searches exactly regardless of `opts.search`.
+    // so oracle mode always searches exactly regardless of `cfg.search`.
     // `Auto` resolves here, against the eligible-function count.
     let strategy =
-        if opts.oracle { SearchStrategy::Exact } else { opts.search.resolve(available.len()) };
+        if cfg.oracle { SearchStrategy::Exact } else { cfg.search.resolve(available.len()) };
     let mut index = strategy.build();
     let items: Vec<(FuncId, &Fingerprint)> =
         available.iter().map(|&f| (f, &fingerprints[&f])).collect();
     index.insert_batch(&items, pool);
-    timers.ranking += t0.elapsed();
     let worklist: VecDeque<FuncId> = available.iter().copied().collect();
     let live: HashSet<FuncId> = available.into_iter().collect();
     SeededPass { fingerprints, index, worklist, live }
 }
 
-/// Runs the FMSA optimization over `module` with the merge pipeline.
-/// Produces a module bit-identical to the paper's loop for any
-/// `pipe.threads` (see the module docs for why): alignments and Δ bounds
-/// are computed on a worker pool, functions are linearized once per
-/// generation instead of once per attempt, and profitability queries hit
-/// an incremental call-site index instead of rescanning the module.
-pub fn run_fmsa_pipeline(
-    module: &mut Module,
-    opts: &FmsaOptions,
-    pipe: &PipelineOptions,
-) -> FmsaStats {
-    run_pipeline(module, opts, pipe, None, None)
+/// Runs the FMSA optimization over `module` with the merge pipeline,
+/// under `cfg`. Produces a module bit-identical to the paper's loop for
+/// any [`Config::threads`] (see the module docs for why): alignments and
+/// Δ bounds are computed on a worker pool, functions are linearized once
+/// per generation instead of once per attempt, and profitability queries
+/// hit an incremental call-site index instead of rescanning the module.
+///
+/// This is the pipeline alone: unlike [`crate::optimize`], it neither
+/// verifies its input nor runs the identical-merging prepass
+/// ([`Config::identical_prepass`] is not read here), and a panic outside
+/// the pipeline's own fault boundaries unwinds to the caller.
+pub fn run(module: &mut Module, cfg: &Config) -> FmsaStats {
+    run_pipeline(module, cfg, None, None)
 }
 
-/// [`run_fmsa_pipeline`] that also checks the Δ gate against real builds:
-/// every attempt's bound is compared with the real Δ of its build, and
-/// every gate-skipped attempt is additionally built (and discarded) in
-/// place, so its real Δ and the type store it leaves can be compared
-/// with the bound and the skip's type replay. The module ends exactly as
-/// [`run_fmsa_pipeline`] leaves it; the audit costs the builds the gate
-/// saves. For tests and soundness experiments.
-pub fn run_fmsa_pipeline_audited(
-    module: &mut Module,
-    opts: &FmsaOptions,
-    pipe: &PipelineOptions,
-) -> (FmsaStats, GateAudit) {
+/// [`run`] that also checks the Δ gate against real builds: every
+/// attempt's bound is compared with the real Δ of its build, and every
+/// gate-skipped attempt is additionally built (and discarded) in place,
+/// so its real Δ and the type store it leaves can be compared with the
+/// bound and the skip's type replay. The module ends exactly as [`run`]
+/// leaves it; the audit costs the builds the gate saves. For tests and
+/// soundness experiments.
+pub fn run_audited(module: &mut Module, cfg: &Config) -> (FmsaStats, GateAudit) {
     let mut audit = GateAudit::default();
-    let stats = run_pipeline(module, opts, pipe, Some(&mut audit), None);
+    let stats = run_pipeline(module, cfg, Some(&mut audit), None);
     (stats, audit)
 }
 
-/// [`run_fmsa_pipeline`] that also checks the linearization cache: at
-/// every commit attempt, the cached linearization and key sequence of
-/// both functions are compared with freshly computed ones, so a cache
-/// entry a mutation should have invalidated cannot go unnoticed. The
-/// module ends exactly as [`run_fmsa_pipeline`] leaves it. For tests.
-pub fn run_fmsa_pipeline_key_audited(
-    module: &mut Module,
-    opts: &FmsaOptions,
-    pipe: &PipelineOptions,
-) -> (FmsaStats, KeyAudit) {
+/// [`run`] that also checks the linearization cache: at every commit
+/// attempt, the cached linearization and key sequence of both functions
+/// are compared with freshly computed ones, so a cache entry a mutation
+/// should have invalidated cannot go unnoticed. The module ends exactly
+/// as [`run`] leaves it. For tests.
+pub fn run_key_audited(module: &mut Module, cfg: &Config) -> (FmsaStats, KeyAudit) {
     let mut audit = KeyAudit::default();
-    let stats = run_pipeline(module, opts, pipe, None, Some(&mut audit));
+    let stats = run_pipeline(module, cfg, None, Some(&mut audit));
     (stats, audit)
 }
 
 fn run_pipeline(
     module: &mut Module,
-    opts: &FmsaOptions,
-    pipe: &PipelineOptions,
+    cfg: &Config,
     mut audit: Option<&mut GateAudit>,
     mut key_audit: Option<&mut KeyAudit>,
 ) -> FmsaStats {
     let _pass_span = trace::span("fmsa", "pass");
-    let threads = pipe.resolved_threads();
-    let faults = pipe.faults;
+    let t_seed = Instant::now();
+    let threads = cfg.resolved_threads();
+    let faults = cfg.faults;
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool");
-    let cm = CostModel::new(opts.arch);
+    let cm = CostModel::new(cfg.arch);
     let mut stats = FmsaStats { size_before: cm.module_size(module), ..FmsaStats::default() };
-    let mut pstats = PipelineStats { threads, ..PipelineStats::default() };
 
     let SeededPass { mut fingerprints, mut index, mut worklist, mut live } =
-        seed_pass(module, opts, &mut stats.timers, (threads > 1).then_some(&pool));
+        seed_pass(module, cfg, (threads > 1).then_some(&pool));
 
     // Oracle mode explores every candidate of every subject.
-    let threshold = if opts.oracle { usize::MAX } else { opts.threshold };
+    let threshold = if cfg.oracle { usize::MAX } else { cfg.threshold };
 
     // The linearization cache, the incremental call-site index, and
     // per-function mutation generations used to re-validate prepared
@@ -527,6 +491,7 @@ fn run_pipeline(
     let mut gens: HashMap<FuncId, u64> = HashMap::new();
     let mut epoch: u64 = 0;
     let gen_of = |gens: &HashMap<FuncId, u64>, f: FuncId| gens.get(&f).copied().unwrap_or(0);
+    let mut pstats = PipelineStats { threads, seed: t_seed.elapsed(), ..PipelineStats::default() };
 
     while !worklist.is_empty() {
         pstats.generations += 1;
@@ -534,7 +499,7 @@ fn run_pipeline(
             vec![("gen", pstats.generations.to_string())]
         });
         // ---------------------------------------------------- schedule
-        let cap = if opts.oracle {
+        let cap = if cfg.oracle {
             (ORACLE_GENERATION_PAIRS / live.len().max(1)).clamp(1, GENERATION_SUBJECTS)
         } else {
             GENERATION_SUBJECTS
@@ -565,15 +530,16 @@ fn run_pipeline(
                 let _s = trace::span("fmsa", "query");
                 let t = Instant::now();
                 let cands =
-                    shared_index.candidates(f, &fps[&f], fps, threshold, opts.min_similarity);
+                    shared_index.candidates(f, &fps[&f], fps, threshold, cfg.min_similarity);
                 query_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 (f, cands)
             });
-            pstats.schedule_cpu += Duration::from_nanos(query_cpu.into_inner());
+            let query_cpu = Duration::from_nanos(query_cpu.into_inner());
+            pstats.schedule_cpu += query_cpu;
+            pstats.query_cpu += query_cpu;
             out
         };
         let dt = t0.elapsed();
-        stats.timers.ranking += dt;
         pstats.schedule += dt;
         pstats.schedule_query += dt;
         drop(sched_span);
@@ -597,9 +563,10 @@ fn run_pipeline(
                 lin_funcs.push(f1);
                 lin_funcs.push(f2);
             }
-            pstats.schedule_cpu += lin_cache.prefill(module, &lin_funcs, &pool);
+            let prefill_cpu = lin_cache.prefill(module, &lin_funcs, &pool);
+            pstats.schedule_cpu += prefill_cpu;
+            pstats.linearize_cpu += prefill_cpu;
             let dt = t0.elapsed();
-            stats.timers.linearization += dt;
             pstats.schedule += dt;
             pstats.schedule_prefill += dt;
             let t0 = Instant::now();
@@ -622,13 +589,12 @@ fn run_pipeline(
                     if faults.fires(FaultSite::Align, n1, n2) {
                         panic!("injected fault: align {n1} {n2}");
                     }
-                    align_and_bound(shared, &cm, f1, f2, lin1, lin2, opts)
+                    align_and_bound(shared, &cm, f1, f2, lin1, lin2, cfg)
                 }))
                 .ok();
                 job_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 r
             });
-            stats.timers.alignment += t0.elapsed();
             pstats.prepare += t0.elapsed();
             pstats.prepare_cpu += Duration::from_nanos(job_cpu.into_inner());
             for ((f1, f2), result) in jobs.into_iter().zip(results) {
@@ -671,9 +637,9 @@ fn run_pipeline(
                     &fingerprints[&f1],
                     &fingerprints,
                     threshold,
-                    opts.min_similarity,
+                    cfg.min_similarity,
                 );
-                stats.timers.ranking += t0.elapsed();
+                pstats.query_cpu += t0.elapsed();
                 c
             } else {
                 scheduled_cands
@@ -691,7 +657,7 @@ fn run_pipeline(
                 let t0 = Instant::now();
                 let lin1 = lin_cache.get(module, f1);
                 let lin2 = lin_cache.get(module, cand.func);
-                stats.timers.linearization += t0.elapsed();
+                pstats.linearize_cpu += t0.elapsed();
                 if let Some(a) = key_audit.as_deref_mut() {
                     a.check(&lin_cache, module, f1);
                     a.check(&lin_cache, module, cand.func);
@@ -731,7 +697,6 @@ fn run_pipeline(
                         if threads > 1 {
                             pstats.recomputed += 1;
                         }
-                        let t0 = Instant::now();
                         // Fault boundary: this inline recompute is the
                         // authoritative alignment (it also runs for pairs
                         // whose prepare worker panicked), so a panic here
@@ -741,9 +706,8 @@ fn run_pipeline(
                             if faults.fires(FaultSite::Align, &n1, &n2) {
                                 panic!("injected fault: align {n1} {n2}");
                             }
-                            align_and_bound(module, &cm, f1, cand.func, &lin1, &lin2, opts)
+                            align_and_bound(module, &cm, f1, cand.func, &lin1, &lin2, cfg)
                         }));
-                        stats.timers.alignment += t0.elapsed();
                         match recomputed {
                             Ok(gated) => {
                                 pstats.align_cpu += gated.align_time;
@@ -796,7 +760,7 @@ fn run_pipeline(
                             seq2,
                             &alignment,
                             b,
-                            &opts.merge,
+                            &cfg.merge,
                         );
                     }
                     b.replay_skip(&mut module.types);
@@ -822,7 +786,7 @@ fn run_pipeline(
                             seq1.to_vec(),
                             seq2.to_vec(),
                             alignment,
-                            &opts.merge,
+                            &cfg.merge,
                         )
                     }));
                     let info = match built {
@@ -889,7 +853,6 @@ fn run_pipeline(
                     }
                     Ok((info, report))
                 };
-                stats.timers.codegen += t0.elapsed();
                 pstats.commit_codegen += t0.elapsed();
                 match outcome {
                     Ok((info, report)) if report.is_profitable() => {
@@ -909,7 +872,7 @@ fn run_pipeline(
                             module.remove_function(info.merged);
                             recs.push(rec(align_score, Some(delta), DecisionOutcome::Unprofitable));
                         }
-                        if !opts.oracle {
+                        if !cfg.oracle {
                             break;
                         }
                     }
@@ -951,7 +914,6 @@ fn run_pipeline(
                         break 'commit;
                     }
                 };
-                stats.timers.update_calls += t0.elapsed();
                 pstats.rewrite += t0.elapsed();
                 stats.merges += 1;
                 stats.rank_positions.push(rank);
@@ -997,7 +959,6 @@ fn run_pipeline(
                 // Feedback loop: rewritten callers re-enter the index with
                 // fresh fingerprints, the merged function joins the next
                 // generation's worklist.
-                let t0 = Instant::now();
                 for g in commit.touched {
                     if live.contains(&g) && module.is_live(g) {
                         let fp = Fingerprint::of(module, g);
@@ -1008,7 +969,6 @@ fn run_pipeline(
                 let merged_fp = Fingerprint::of(module, info.merged);
                 index.insert(info.merged, &merged_fp);
                 fingerprints.insert(info.merged, merged_fp);
-                stats.timers.fingerprinting += t0.elapsed();
                 live.insert(info.merged);
                 worklist.push_back(info.merged);
                 dirty = true;
@@ -1026,14 +986,102 @@ fn run_pipeline(
     stats
 }
 
+// ---------------------------------------------------------------- compat
+// The options shims of the old two-struct entry point. Each item in this
+// block is kept because `perfbench/` compiles against it; ROADMAP 1(c)
+// deletes it, with `SearchStrategy::lsh()`, the `Option` around
+// `FmsaStats::pipeline` and the five always-zero `PipelineStats` fields.
+
+/// The merge-policy half of a [`Config`], as [`run_fmsa_pipeline`] takes
+/// it. Kept because `perfbench/` compiles against it; ROADMAP 1(c)
+/// deletes it.
+#[deprecated(since = "0.7.0", note = "use `fmsa_core::Config` and `pipeline::run`")]
+#[derive(Debug, Clone)]
+pub struct FmsaOptions(Config);
+
+/// The worker-count and fault-plan half of a [`Config`], as
+/// [`run_fmsa_pipeline`] takes it. Kept because `perfbench/` compiles
+/// against it; ROADMAP 1(c) deletes it.
+#[deprecated(since = "0.7.0", note = "use `fmsa_core::Config` and `pipeline::run`")]
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineOptions {
+    threads: usize,
+    faults: FaultPlan,
+}
+
+#[allow(deprecated)]
+impl Config {
+    /// This configuration as [`run_fmsa_pipeline`]'s first options
+    /// argument. Kept because `perfbench/` compiles against it; ROADMAP
+    /// 1(c) deletes it.
+    pub fn fmsa_options(&self) -> FmsaOptions {
+        FmsaOptions(self.clone())
+    }
+
+    /// This configuration's worker count and fault plan as
+    /// [`run_fmsa_pipeline`]'s second options argument. Kept because
+    /// `perfbench/` compiles against it; ROADMAP 1(c) deletes it.
+    pub fn pipeline_options(&self) -> PipelineOptions {
+        PipelineOptions { threads: self.threads, faults: self.faults }
+    }
+}
+
+/// [`run`] under the [`Config`] that `opts` and `pipe` were taken from.
+/// Kept because `perfbench/` compiles against it; ROADMAP 1(c) deletes
+/// it.
+#[allow(deprecated)]
+pub fn run_fmsa_pipeline(
+    module: &mut Module,
+    opts: &FmsaOptions,
+    pipe: &PipelineOptions,
+) -> FmsaStats {
+    run(module, &Config { threads: pipe.threads, faults: pipe.faults, ..opts.0.clone() })
+}
+
+#[cfg(test)]
+mod compat_tests {
+    use super::*;
+    use fmsa_ir::printer::print_module;
+
+    /// The shim runs what [`run`] runs, at one and two threads: the same
+    /// module text, merges, attempts and pipeline counters. It stands in
+    /// for `perfbench/`'s traced pass, the shim's one caller.
+    #[test]
+    fn run_fmsa_pipeline_matches_run() {
+        let counters = |stats: &FmsaStats| {
+            let p = stats.pipeline.expect("pipeline stats");
+            let counts: Vec<(&str, u64)> = p
+                .fields()
+                .into_iter()
+                .filter_map(|(name, v)| match v {
+                    StatValue::Count(c) => Some((name, c)),
+                    StatValue::Secs(_) => None,
+                })
+                .collect();
+            (stats.merges, stats.attempted, counts)
+        };
+        for threads in [1, 2] {
+            let cfg = Config::new().threshold(5).exclude(["fam1"]).parallel(threads);
+            let (mut shim, mut direct) = (Module::new("m"), Module::new("m"));
+            super::tests::clone_family(&mut shim, 6, 12);
+            super::tests::clone_family(&mut direct, 6, 12);
+            let via_shim =
+                run_fmsa_pipeline(&mut shim, &cfg.fmsa_options(), &cfg.pipeline_options());
+            let via_run = run(&mut direct, &cfg);
+            assert_eq!(print_module(&shim), print_module(&direct), "threads={threads}");
+            assert_eq!(counters(&via_shim), counters(&via_run), "threads={threads}");
+            assert!(via_run.merges > 0, "threads={threads}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Config;
     use fmsa_ir::printer::print_module;
     use fmsa_ir::{FuncBuilder, Value};
 
-    fn clone_family(m: &mut Module, count: usize, body_len: usize) -> Vec<FuncId> {
+    pub(super) fn clone_family(m: &mut Module, count: usize, body_len: usize) -> Vec<FuncId> {
         let i32t = m.types.i32();
         let fn_ty = m.types.func(i32t, vec![i32t, i32t]);
         let mut out = Vec::new();
@@ -1059,7 +1107,7 @@ mod tests {
     fn run_family(cfg: &Config, count: usize, body_len: usize) -> (Module, FmsaStats) {
         let mut m = Module::new("m");
         clone_family(&mut m, count, body_len);
-        let stats = run_fmsa_pipeline(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let stats = run(&mut m, cfg);
         (m, stats)
     }
 
@@ -1102,7 +1150,7 @@ mod tests {
 
     #[test]
     fn lsh_search_merges_clone_families_too() {
-        let cfg = Config::new().threshold(10).search(SearchStrategy::lsh());
+        let cfg = Config::new().threshold(10).search(SearchStrategy::Lsh);
         let (m, stats) = run_family(&cfg, 4, 12);
         assert!(stats.merges >= 2, "{stats:?}");
         assert!(stats.size_after < stats.size_before, "{stats:?}");
@@ -1114,7 +1162,7 @@ mod tests {
         // The incremental index must contain functions created mid-pass:
         // 4 clones merge pairwise, and the two merged functions must find
         // each other through the index for the third merge.
-        let cfg = Config::new().threshold(10).search(SearchStrategy::lsh());
+        let cfg = Config::new().threshold(10).search(SearchStrategy::Lsh);
         let (_, stats) = run_family(&cfg, 4, 12);
         assert_eq!(stats.merges, 3, "{stats:?}");
     }
@@ -1122,7 +1170,7 @@ mod tests {
     #[test]
     fn exact_and_lsh_agree_on_small_families() {
         let (_, exact) = run_family(&Config::new().threshold(5), 6, 10);
-        let (_, lsh) = run_family(&Config::new().threshold(5).search(SearchStrategy::lsh()), 6, 10);
+        let (_, lsh) = run_family(&Config::new().threshold(5).search(SearchStrategy::Lsh), 6, 10);
         assert_eq!(exact.merges, lsh.merges, "exact={exact:?} lsh={lsh:?}");
         assert_eq!(exact.size_after, lsh.size_after);
     }
@@ -1132,17 +1180,34 @@ mod tests {
         // oracle + Lsh must behave exactly like oracle + Exact: the upper
         // bound is only meaningful over an exhaustive scan.
         let (_, exact) = run_family(&Config::new().oracle(true), 5, 10);
-        let (_, lsh) = run_family(&Config::new().oracle(true).search(SearchStrategy::lsh()), 5, 10);
+        let (_, lsh) = run_family(&Config::new().oracle(true).search(SearchStrategy::Lsh), 5, 10);
         assert_eq!(exact.merges, lsh.merges);
         assert_eq!(exact.size_after, lsh.size_after);
         assert_eq!(exact.rank_positions, lsh.rank_positions);
     }
 
+    /// The clocks behind the paper's Fig. 13 rows all tick, and the
+    /// four disjoint wall-clock regions fit in the call's wall time.
     #[test]
-    fn timers_accumulate() {
-        let (_, stats) = run_family(&Config::new(), 4, 20);
-        assert!(stats.timers.total() > Duration::ZERO);
-        assert!(stats.timers.alignment > Duration::ZERO);
+    fn stage_clocks_cover_the_fig13_rows() {
+        for threads in [1, 2] {
+            let mut m = Module::new("m");
+            clone_family(&mut m, 6, 20);
+            let t0 = Instant::now();
+            let stats = run(&mut m, &Config::new().threshold(5).parallel(threads));
+            let wall = t0.elapsed();
+            let p = stats.pipeline.expect("pipeline stats");
+            for (name, clock) in [
+                ("seed", p.seed),
+                ("query_cpu", p.query_cpu),
+                ("linearize_cpu", p.linearize_cpu),
+                ("align_cpu", p.align_cpu),
+            ] {
+                assert!(clock > Duration::ZERO, "{name} at {threads} threads: {p:?}");
+            }
+            let stages = p.seed + p.schedule + p.prepare + p.commit;
+            assert!(stages <= wall, "{stages:?} > {wall:?} at {threads} threads: {p:?}");
+        }
     }
 
     /// Every thread count in `threads` reproduces the one-thread run on a
@@ -1168,7 +1233,7 @@ mod tests {
 
     #[test]
     fn lsh_pipeline_is_thread_invariant() {
-        assert_thread_invariant(&Config::new().threshold(5).search(SearchStrategy::lsh()), &[4]);
+        assert_thread_invariant(&Config::new().threshold(5).search(SearchStrategy::Lsh), &[4]);
     }
 
     #[test]

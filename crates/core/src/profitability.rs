@@ -775,10 +775,10 @@ pub fn delta_bound(
 }
 
 /// A check of the Δ gate against real builds, filled in by
-/// [`crate::pipeline::run_fmsa_pipeline_audited`]: every attempt's bound
-/// is compared with the real Δ of its build, and every gate-skipped
-/// attempt is built and discarded in place so that the type store its
-/// replay leaves can be compared with the real one.
+/// [`crate::pipeline::run_audited`]: every attempt's bound is compared
+/// with the real Δ of its build, and every gate-skipped attempt is built
+/// and discarded in place so that the type store its replay leaves can
+/// be compared with the real one.
 #[derive(Debug, Clone, Default)]
 pub struct GateAudit {
     /// Attempts whose bound was compared with the Δ of a real build.

@@ -185,7 +185,8 @@ pub enum SearchStrategy {
 }
 
 impl SearchStrategy {
-    /// The same as [`SearchStrategy::Lsh`].
+    /// The same as [`SearchStrategy::Lsh`]. Kept because `perfbench/`
+    /// compiles against it; ROADMAP 1(c) deletes it.
     pub fn lsh() -> SearchStrategy {
         SearchStrategy::Lsh
     }
@@ -259,10 +260,10 @@ mod tests {
     #[test]
     fn auto_resolves_by_module_size() {
         assert_eq!(SearchStrategy::Auto.resolve(AUTO_SEARCH_CROSSOVER - 1), SearchStrategy::Exact);
-        assert_eq!(SearchStrategy::Auto.resolve(AUTO_SEARCH_CROSSOVER), SearchStrategy::lsh());
+        assert_eq!(SearchStrategy::Auto.resolve(AUTO_SEARCH_CROSSOVER), SearchStrategy::Lsh);
         // Concrete strategies never flip, whatever the module size.
         assert_eq!(SearchStrategy::Exact.resolve(1_000_000), SearchStrategy::Exact);
-        assert_eq!(SearchStrategy::lsh().resolve(0), SearchStrategy::lsh());
+        assert_eq!(SearchStrategy::Lsh.resolve(0), SearchStrategy::Lsh);
     }
 
     #[test]
@@ -271,7 +272,7 @@ mod tests {
         let mut m = Module::new("m");
         let a = fn_with_adds(&mut m, "a", 5);
         let fp = Fingerprint::of(&m, a);
-        for strategy in [SearchStrategy::Exact, SearchStrategy::lsh()] {
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Lsh] {
             let mut idx = strategy.build();
             assert!(idx.is_empty());
             idx.insert(a, &fp);

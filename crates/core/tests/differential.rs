@@ -451,7 +451,7 @@ fn recursive_functions_merge() {
 }
 
 #[test]
-fn fmsa_options_end_to_end_equivalence() {
+fn optimize_end_to_end_equivalence() {
     // Whole-pass check: run the FMSA driver over a module of callers and
     // callees, then compare observable behaviour of the entry point.
     use fmsa_core::Config;

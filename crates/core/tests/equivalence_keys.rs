@@ -15,7 +15,7 @@ mod support;
 
 use fmsa_core::equivalence::{EquivCtx, KeyInterner};
 use fmsa_core::linearize::{linearize, Entry};
-use fmsa_core::pipeline::{run_fmsa_pipeline, run_fmsa_pipeline_key_audited};
+use fmsa_core::pipeline;
 use fmsa_core::{Config, SearchStrategy};
 use fmsa_ir::printer::print_module;
 use fmsa_ir::{
@@ -167,13 +167,12 @@ fn audit_keys(base: &Module, cfg: Config) -> usize {
     let mut merges = 0;
     for threads in [1usize, 2] {
         let cfg = cfg.clone().parallel(threads);
-        let (opts, pipe) = (cfg.fmsa_options(), cfg.pipeline_options());
         let mut audited = base.clone();
-        let (stats, audit) = run_fmsa_pipeline_key_audited(&mut audited, &opts, &pipe);
+        let (stats, audit) = pipeline::run_key_audited(&mut audited, &cfg);
         assert!(audit.is_clean(), "{:?}", &audit.mismatches[..audit.mismatches.len().min(5)]);
         assert_eq!(audit.checked, 2 * stats.attempted, "two functions per attempt");
         let mut plain = base.clone();
-        run_fmsa_pipeline(&mut plain, &opts, &pipe);
+        pipeline::run(&mut plain, &cfg);
         assert_eq!(print_module(&audited), print_module(&plain), "audit changed the output");
         merges += stats.merges;
     }
@@ -187,7 +186,7 @@ fn audit_keys(base: &Module, cfg: Config) -> usize {
 #[test]
 fn cached_keys_stay_fresh_through_a_pipeline_run() {
     let swarm = clone_swarm_module(&SwarmConfig::with_functions(400));
-    assert!(audit_keys(&swarm, Config::new().threshold(5).search(SearchStrategy::lsh())) > 0);
+    assert!(audit_keys(&swarm, Config::new().threshold(5).search(SearchStrategy::Lsh)) > 0);
     let mut merges = 0;
     for d in spec_suite().into_iter().filter(|d| d.paper_fns <= 300) {
         merges += audit_keys(&d.build(), Config::new().threshold(5));

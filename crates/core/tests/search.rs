@@ -29,7 +29,7 @@ proptest! {
     fn lsh_tracks_exact_search(seed in 0u64..10_000, functions in 24usize..64) {
         let m = swarm(seed, functions);
         let (exact, _) = run(&m, SearchStrategy::Exact);
-        let (lsh, _) = run(&m, SearchStrategy::lsh());
+        let (lsh, _) = run(&m, SearchStrategy::Lsh);
 
         // The LSH shortlist must find at least half of the merges the
         // exhaustive scan commits (on clone swarms it typically finds all
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn both_strategies_are_deterministic(seed in 0u64..10_000) {
         let m = swarm(seed, 32);
-        for strategy in [SearchStrategy::Exact, SearchStrategy::lsh()] {
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Lsh] {
             let (s1, out1) = run(&m, strategy);
             let (s2, out2) = run(&m, strategy);
             prop_assert_eq!(s1.merges, s2.merges, "merges differ for {:?}", strategy);

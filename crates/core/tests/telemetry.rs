@@ -9,7 +9,7 @@
 //! the buffers holds [`RECORDER`] for its whole body.
 
 use fmsa_core::pass::FmsaStats;
-use fmsa_core::pipeline::run_fmsa_pipeline;
+use fmsa_core::pipeline;
 use fmsa_core::telemetry::{trace, DecisionOutcome};
 use fmsa_core::Config;
 use fmsa_core::SearchStrategy;
@@ -28,13 +28,13 @@ fn swarm(functions: usize, seed: u64) -> fmsa_ir::Module {
 }
 
 fn cfg() -> Config {
-    Config::new().threshold(5).search(SearchStrategy::lsh())
+    Config::new().threshold(5).search(SearchStrategy::Lsh)
 }
 
 /// Runs the pipeline over `m` under `cfg()` at `threads` workers.
 fn run(m: &mut fmsa_ir::Module, threads: usize) -> FmsaStats {
     let pcfg = cfg().parallel(threads);
-    run_fmsa_pipeline(m, &pcfg.fmsa_options(), &pcfg.pipeline_options())
+    pipeline::run(m, &pcfg)
 }
 
 /// Emits a deterministic span tree described by `shape`: entry `i`

@@ -325,6 +325,7 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         "fmsa_uptime_seconds",
         "fmsa_pipeline_gate_skipped",
         "fmsa_pipeline_gate_missed",
+        "fmsa_pipeline_seed_s",
     ] {
         assert!(body.contains(family), "missing family {family} in:\n{body}");
     }

@@ -5,7 +5,7 @@
 //! cargo run --release --example wasm_quickstart [n_functions]
 //! ```
 
-use fmsa::core::pipeline::run_fmsa_pipeline;
+use fmsa::core::pipeline;
 use fmsa::workloads::{wasm_fixture_bytes, WasmFixtureConfig};
 use fmsa::Config;
 
@@ -18,7 +18,7 @@ fn main() {
     assert!(fmsa::ir::verify_module(&module).is_empty());
     println!("lowered: {} functions, {} instructions", module.func_count(), module.total_insts());
     let merge = Config::new().threshold(5).parallel(0);
-    let stats = run_fmsa_pipeline(&mut module, &merge.fmsa_options(), &merge.pipeline_options());
+    let stats = pipeline::run(&mut module, &merge);
     println!(
         "merges: {} (attempted {}), size {} -> {} ({:.2}% reduction)",
         stats.merges,

@@ -1,7 +1,7 @@
 //! The pre-codegen Δ gate on whole inputs: every attempt the pipeline
 //! makes on a 1000-function LSH swarm, the suite modules, a lowered wasm
 //! corpus and the benchmark's 96-function daemon uploads is audited
-//! against a real build (`run_fmsa_pipeline_audited`):
+//! against a real build (`pipeline::run_audited`):
 //!
 //! * soundness — no attempt's real Δ exceeds its bound, including the
 //!   gate-skipped ones, which the audit builds and discards in place;
@@ -18,7 +18,7 @@
 mod paper_loop;
 
 use fmsa::core::pass::FmsaStats;
-use fmsa::core::pipeline::{run_fmsa_pipeline, run_fmsa_pipeline_audited};
+use fmsa::core::pipeline;
 use fmsa::core::profitability::GateAudit;
 use fmsa::core::SearchStrategy;
 use fmsa::ir::printer::print_module;
@@ -29,10 +29,10 @@ use fmsa_workloads::WasmFixtureConfig;
 
 fn audit(base: &Module, cfg: &Config) -> (FmsaStats, GateAudit) {
     let mut m = base.clone();
-    let out = run_fmsa_pipeline_audited(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let out = pipeline::run_audited(&mut m, cfg);
     // The audit's extra builds must not change the result.
     let mut plain = base.clone();
-    run_fmsa_pipeline(&mut plain, &cfg.fmsa_options(), &cfg.pipeline_options());
+    pipeline::run(&mut plain, cfg);
     assert_eq!(print_module(&m), print_module(&plain), "{}: audit changed the output", base.name);
     out
 }
@@ -65,7 +65,7 @@ fn assert_clean(label: &str, stats: &FmsaStats, audit: &GateAudit) {
 #[test]
 fn gate_bound_and_replay_hold_on_lsh_swarm() {
     let base = clone_swarm_module(&SwarmConfig::with_functions(1000));
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh()).parallel(1);
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh).parallel(1);
     let (stats, audit) = audit(&base, &cfg);
     assert_clean("swarm", &stats, &audit);
     // The gate must carry its weight here, and its skips must include
@@ -126,7 +126,7 @@ fn gate_bound_and_replay_hold_on_serve_corpora() {
 fn gated_pipeline_is_bit_identical_where_skips_intern_types() {
     let base =
         clone_swarm_module(&SwarmConfig { functions: 300, seed: 7, ..SwarmConfig::default() });
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
     let (stats, audit) = audit(&base, &cfg.clone().parallel(1));
     assert_clean("swarm-300", &stats, &audit);
     assert!(audit.replays_interning > 0, "skips must replay new types here: {audit:?}");
@@ -136,7 +136,7 @@ fn gated_pipeline_is_bit_identical_where_skips_intern_types() {
     for threads in [1usize, 2, 4, 8] {
         let pcfg = cfg.clone().parallel(threads);
         let mut m = base.clone();
-        let par = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let par = pipeline::run(&mut m, &pcfg);
         assert_eq!(seq_text, print_module(&m), "module text at {threads} threads");
         assert_eq!((seq.merges, seq.attempted), (par.merges, par.attempted));
         let p = par.pipeline.expect("pipeline stats");

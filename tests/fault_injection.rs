@@ -8,7 +8,7 @@
 //! 5000-function swarm runs under `--ignored` (and in release mode via
 //! `experiments faults`).
 
-use fmsa_core::pipeline::run_fmsa_pipeline;
+use fmsa_core::pipeline;
 use fmsa_core::quarantine::QuarantineStage;
 use fmsa_core::Config;
 use fmsa_core::{silence_injected_panics, FaultPlan, FaultSite, SearchStrategy};
@@ -17,7 +17,7 @@ use fmsa_ir::verify_module;
 use fmsa_workloads::{clone_swarm_module, SwarmConfig};
 
 fn swarm_cfg() -> Config {
-    Config::new().threshold(5).search(SearchStrategy::lsh())
+    Config::new().threshold(5).search(SearchStrategy::Lsh)
 }
 
 /// The full matrix for one swarm size: run the injected plan at 1/2/4
@@ -31,7 +31,7 @@ fn check_injected_plan(functions: usize) {
     for threads in [1usize, 2, 4] {
         let mut m = base.clone();
         let cfg = swarm_cfg().parallel(threads).faults(plan);
-        let stats = run_fmsa_pipeline(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let stats = pipeline::run(&mut m, &cfg);
         let errs = verify_module(&m);
         assert!(errs.is_empty(), "faulted run verifies at {threads} threads: {errs:?}");
         assert!(stats.merges > 0, "the swarm still merges around the faults");

@@ -8,7 +8,7 @@
 mod paper_loop;
 
 use fmsa::align::AlignmentBudget;
-use fmsa::core::pipeline::run_fmsa_pipeline;
+use fmsa::core::pipeline;
 use fmsa::core::SearchStrategy;
 use fmsa::ir::printer::print_module;
 use fmsa::ir::Module;
@@ -22,7 +22,7 @@ fn run_both(base: &Module, cfg: &Config) -> (String, String) {
     let mut m_seq = base.clone();
     paper_loop(&mut m_seq, cfg);
     let mut m_par = base.clone();
-    run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+    pipeline::run(&mut m_par, cfg);
     (print_module(&m_seq), print_module(&m_par))
 }
 
@@ -44,7 +44,7 @@ proptest! {
         let clone_fraction = clone_percent as f64 / 100.0;
         let cfg = SwarmConfig { functions, family_size, clone_fraction, target_size, seed };
         let base = clone_swarm_module(&cfg);
-        let cfg = Config::new().threshold(5).search(SearchStrategy::lsh()).parallel(threads);
+        let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh).parallel(threads);
         let (seq, par) = run_both(&base, &cfg);
         prop_assert_eq!(seq, par);
     }
@@ -55,11 +55,11 @@ proptest! {
     fn pipeline_is_deterministic_for_fixed_seed(seed in 0u64..1_000) {
         let cfg = SwarmConfig { functions: 40, seed, ..SwarmConfig::default() };
         let base = clone_swarm_module(&cfg);
-        let cfg = Config::new().threshold(5).search(SearchStrategy::lsh()).parallel(4);
+        let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh).parallel(4);
         let mut runs = Vec::new();
         for _ in 0..2 {
             let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+            pipeline::run(&mut m, &cfg);
             runs.push(print_module(&m));
         }
         prop_assert_eq!(&runs[0], &runs[1]);
@@ -129,7 +129,7 @@ proptest! {
         let mut m_seq = base.clone();
         let seq = paper_loop(&mut m_seq, &cfg);
         let mut m_par = base.clone();
-        let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let par = pipeline::run(&mut m_par, &cfg);
         prop_assert_eq!(print_module(&m_seq), print_module(&m_par));
         prop_assert_eq!(seq.merges, par.merges);
     }
@@ -148,7 +148,7 @@ fn caller_overlap_matches_serial_at_any_thread_count() {
     for threads in [1usize, 2, 4, 8] {
         let cfg = Config::new().threshold(5).parallel(threads);
         let mut m_par = base.clone();
-        let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let par = pipeline::run(&mut m_par, &cfg);
         assert_eq!(seq_text, print_module(&m_par), "module text at {threads} threads");
         assert_eq!(seq.merges, par.merges, "merges at {threads} threads");
         assert!(fmsa::ir::verify_module(&m_par).is_empty());
@@ -168,12 +168,12 @@ fn stress_shared_candidates_exercise_conflict_revalidation() {
         seed: 0xfeed_beef,
     };
     let base = clone_swarm_module(&cfg);
-    let cfg = Config::new().threshold(8).search(SearchStrategy::lsh()).parallel(4);
+    let cfg = Config::new().threshold(8).search(SearchStrategy::Lsh).parallel(4);
     let mut m_seq = base.clone();
     let seq = paper_loop(&mut m_seq, &cfg);
     assert!(seq.merges > 10, "stress module must merge heavily: {}", seq.merges);
     let mut m_par = base.clone();
-    let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let par = pipeline::run(&mut m_par, &cfg);
     assert_eq!(print_module(&m_seq), print_module(&m_par));
     let p = par.pipeline.expect("pipeline stats");
     assert!(p.recomputed > 0, "shared candidates must invalidate prepared attempts: {p:?}");
@@ -194,7 +194,7 @@ fn stress_swarm_is_identical_across_thread_counts() {
         seed: 0x5bec_c0de,
     };
     let base = clone_swarm_module(&cfg);
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
     let mut m_seq = base.clone();
     let seq = paper_loop(&mut m_seq, &cfg);
     let seq_text = print_module(&m_seq);
@@ -202,7 +202,7 @@ fn stress_swarm_is_identical_across_thread_counts() {
     for threads in [1usize, 2, 4, 8] {
         let mut m_par = base.clone();
         let pcfg = cfg.clone().parallel(threads);
-        let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let par = pipeline::run(&mut m_par, &pcfg);
         assert_eq!(seq.merges, par.merges, "merge count at {threads} threads");
         assert_eq!(
             seq.rank_positions, par.rank_positions,
@@ -225,12 +225,12 @@ fn decision_log_and_commit_counters_are_thread_invariant() {
     let base = clone_swarm_module(&SwarmConfig::with_functions(600));
     assert!(base.func_ids().len() > 2 * GENERATION_SUBJECTS);
     let faults = FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL);
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh()).faults(faults);
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh).faults(faults);
     let mut reference: Option<(String, String, Vec<usize>)> = None;
     for threads in [1usize, 2, 4, 8] {
         let mut m = base.clone();
         let pcfg = cfg.clone().parallel(threads);
-        let st = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let st = pipeline::run(&mut m, &pcfg);
         let p = st.pipeline.expect("pipeline stats");
         let counters = vec![
             p.generations,
@@ -318,13 +318,13 @@ fn length_cap_triggers_on_adversarially_long_functions() {
         })
         .parallel(2);
     let mut merged = m.clone();
-    let stats = run_fmsa_pipeline(&mut merged, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let stats = pipeline::run(&mut merged, &cfg);
     assert_eq!(stats.merges, 0, "capped pairs must not merge");
     assert!(stats.pipeline.expect("stats").budget_skipped > 0);
     // Without the cap the same pair merges fine.
     let cfg = Config::new().threshold(5).parallel(2);
     let mut merged = m.clone();
-    let stats = run_fmsa_pipeline(&mut merged, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let stats = pipeline::run(&mut merged, &cfg);
     assert_eq!(stats.merges, 1);
 }
 
@@ -349,10 +349,10 @@ fn banded_fallback_still_merges_clone_families() {
         })
         .parallel(2);
     let mut m_banded = base.clone();
-    let banded = run_fmsa_pipeline(&mut m_banded, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let banded = pipeline::run(&mut m_banded, &cfg);
     let mut m_full = base.clone();
     let cfg = Config::new().threshold(5);
-    let full = run_fmsa_pipeline(&mut m_full, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let full = pipeline::run(&mut m_full, &cfg);
     assert!(banded.merges > 0);
     assert_eq!(banded.merges, full.merges, "banded must not lose clone-family merges");
     assert!(fmsa::ir::verify_module(&m_banded).is_empty());
@@ -455,7 +455,7 @@ fn assert_matches_paper_loop(label: &str, base: &Module, cfg: &Config, threads: 
     for &t in threads {
         let pcfg = cfg.clone().parallel(t);
         let mut m = base.clone();
-        let par = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let par = pipeline::run(&mut m, &pcfg);
         assert!(seq_text == print_module(&m), "{label}: module text at {t} threads");
         assert_eq!(
             (seq.merges, seq.attempted, &seq.rank_positions),
@@ -470,7 +470,7 @@ fn assert_matches_paper_loop(label: &str, base: &Module, cfg: &Config, threads: 
 #[test]
 fn pipeline_matches_paper_loop_on_a_clone_family() {
     let base = clone_family(6, 12);
-    for search in [SearchStrategy::Exact, SearchStrategy::lsh()] {
+    for search in [SearchStrategy::Exact, SearchStrategy::Lsh] {
         let cfg = Config::new().threshold(5).search(search);
         assert_matches_paper_loop(&format!("{search:?}"), &base, &cfg, &[1, 2, 4, 8]);
     }
@@ -501,7 +501,7 @@ fn oracle_matches_paper_loop() {
 #[ignore = "CI-gate inputs: run with --release -- --ignored"]
 fn pipeline_matches_paper_loop_on_ci_gate_inputs() {
     use fmsa::workloads::stream_chunks;
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
+    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
     for n in [100, 1_000] {
         let base = clone_swarm_module(&SwarmConfig::with_functions(n));
         assert_matches_paper_loop(&format!("{n}-fn swarm"), &base, &cfg, &[1]);

@@ -3,9 +3,12 @@
 //! type store prints its type; the parser reads it back as a varargs
 //! type; the verifier takes extra arguments only for a varargs callee.
 
+use fmsa::core::baselines::run_soa;
+use fmsa::core::{merge_pair, MergeConfig, MergeError};
 use fmsa::ir::parser::parse_module;
 use fmsa::ir::printer::print_module;
 use fmsa::ir::{verify_module, FuncBuilder, FuncId, Linkage, Module, Value};
+use fmsa::target::TargetArch;
 use fmsa::Config;
 
 /// `declare i32 @printf(i8*, ...)` and `declare void @trace(...)`, with
@@ -149,5 +152,27 @@ fn varargs_definitions_optimize_to_a_valid_module() {
         let text = print_module(&merged);
         assert_eq!(text, print_module(&m), "k = {ka}, {kb}");
         assert_eq!(print_module(&parse_module(&text).expect("output parses")), text);
+    }
+}
+
+#[test]
+fn merge_pair_refuses_varargs_definitions() {
+    let mut m = varargs_definitions_module(100, 200);
+    let before = print_module(&m);
+    let (a, b) = (m.func_by_name("log_a").expect("log_a"), m.func_by_name("log_b").expect("log_b"));
+    for (f1, f2) in [(a, b), (b, a)] {
+        let got = merge_pair(&mut m, f1, f2, &MergeConfig::default()).map(|info| info.merged);
+        assert_eq!(got, Err(MergeError::Varargs));
+        assert_eq!(print_module(&m), before, "a refused pair leaves the module as it was");
+    }
+}
+
+#[test]
+fn soa_leaves_varargs_definitions_unmerged() {
+    for (ka, kb) in [(100, 200), (100, 100)] {
+        let mut m = varargs_definitions_module(ka, kb);
+        let stats = run_soa(&mut m, TargetArch::X86_64);
+        assert_eq!(stats.merges, 0, "k = {ka}, {kb}");
+        assert_eq!(verify_module(&m), vec![], "k = {ka}, {kb}");
     }
 }

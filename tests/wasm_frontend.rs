@@ -3,14 +3,14 @@
 //! 1. **Round-trip property** — `wasm_fixtures` emit → `fmsa-wasm` decode
 //!    → lower → verifier-clean module, across seeds/shapes/memory modes.
 //! 2. **Pipeline bit-identity** — merging a lowered wasm corpus through
-//!    `run_fmsa_pipeline` produces byte-identical output at 1/2/4
+//!    `pipeline::run` produces byte-identical output at 1/2/4
 //!    threads, with a measurable size reduction.
 //! 3. **Interpreter differential** — the `fmsa_interp::batch` driver runs
 //!    coverage-seeded input pairs over every exported function and finds
 //!    zero mismatches (and zero panics) between the original and merged
 //!    module.
 
-use fmsa_core::pipeline::run_fmsa_pipeline;
+use fmsa_core::pipeline;
 use fmsa_core::Config;
 use fmsa_interp::batch::wire_targets;
 use fmsa_interp::{run_differential_batch, BatchConfig};
@@ -59,7 +59,7 @@ fn pipeline_output_identical_across_threads_on_wasm_input() {
     for threads in [1usize, 2, 4] {
         let mut m = base.clone();
         let pcfg = cfg.clone().parallel(threads);
-        let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let stats = pipeline::run(&mut m, &pcfg);
         let errs = verify_module(&m);
         assert!(errs.is_empty(), "merged wasm module verifies at {threads} threads: {errs:?}");
         outputs.push(print_module(&m));
@@ -83,7 +83,7 @@ fn merged_wasm_is_differentially_equal_under_the_interpreter() {
 
     let mut post = pre.clone();
     let mcfg = Config::new().threshold(5).parallel(2);
-    let stats = run_fmsa_pipeline(&mut post, &mcfg.fmsa_options(), &mcfg.pipeline_options());
+    let stats = pipeline::run(&mut post, &mcfg);
     assert!(stats.merges > 0, "corpus must merge");
     assert!(stats.quarantine.is_empty(), "a clean run quarantines nothing");
 
