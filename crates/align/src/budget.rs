@@ -1,57 +1,44 @@
-//! Alignment budgets: keeping one pathological pair from stalling the
+//! The alignment budget: keeping one pathological pair from stalling the
 //! merge pipeline.
 //!
 //! The full Needleman-Wunsch program is quadratic in time *and* space
 //! (one direction byte per cell, plus scores linear in the lengths), so
 //! one pair of multi-thousand-entry functions can dominate a whole pass
 //! (and, in the parallel pipeline, pin a worker while its whole
-//! generation waits on the commit barrier). An [`AlignmentBudget`] bounds
-//! the per-pair cost up front, from the sequence lengths alone:
+//! generation waits on the commit barrier). [`plan`] bounds the per-pair
+//! cost up front, from the sequence lengths alone:
 //!
-//! * pairs whose DP matrix fits in [`AlignmentBudget::full_matrix_cells`]
-//!   are aligned exactly with [`crate::needleman_wunsch`];
-//! * larger pairs use banded NW of half-width [`AlignmentBudget::band`]
-//!   (linear-ish time and space, possibly suboptimal — see
-//!   [`crate::banded_needleman_wunsch`] for why suboptimality is
-//!   conservative for merge profitability);
-//! * pairs where either side exceeds [`AlignmentBudget::max_len`] are
-//!   skipped outright ([`AlignPlan::Skip`]) and the candidate is treated
-//!   as unprofitable.
+//! * pairs whose DP matrix fits in [`FULL_MATRIX_CELLS`] are aligned
+//!   exactly with [`crate::needleman_wunsch`];
+//! * larger pairs are aligned by the same kernel over a band of
+//!   half-width [`BAND`] (`O((n+m)·BAND)` time and space, possibly
+//!   suboptimal — see [`crate::banded_needleman_wunsch`] for why
+//!   suboptimality is conservative for merge profitability);
+//! * pairs where either side exceeds [`MAX_LEN`] are skipped outright
+//!   ([`AlignPlan::Skip`]) and the candidate is treated as unprofitable.
+//!
+//! The budget is a fixed policy, not an option: which pairs fall back
+//! decides the output, so moving a constant is an output change. None of
+//! them triggers at paper scale (the suite tops out well below 5 000
+//! linearized entries), which keeps the pipeline bit-identical to the
+//! paper's unbudgeted loop.
 
 use crate::{banded_needleman_wunsch, needleman_wunsch, Alignment, ScoringScheme};
 
-/// Per-pair cost bounds for one alignment, decided from lengths alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlignmentBudget {
-    /// Maximum `(n+1)·(m+1)` DP cells for a full-matrix alignment. Each
-    /// cell costs one direction byte ([`crate::needleman_wunsch`] keeps
-    /// scores in three diagonal buffers), so the cap is also the pair's
-    /// quadratic memory in bytes.
-    pub full_matrix_cells: usize,
-    /// Half-width of the banded NW that aligns pairs over the cell
-    /// budget: bounded time and space, score may be below the
-    /// full-matrix optimum.
-    pub band: usize,
-    /// Hard cap: if either sequence is longer than this, the pair is
-    /// skipped.
-    pub max_len: usize,
-}
+/// Maximum `(n+1)·(m+1)` DP cells for a full-matrix alignment. Each cell
+/// costs one direction byte, so the cap also bounds a pair's quadratic
+/// memory to 25 MB. It was sized when a cell cost 9 bytes (an `i64`
+/// score and a direction) and stays where it is because moving it would
+/// move fallbacks, and with them the output.
+pub const FULL_MATRIX_CELLS: usize = 25_000_000;
 
-impl Default for AlignmentBudget {
-    /// The default budget never triggers on paper-scale functions (the
-    /// suite tops out well below 5 000 linearized entries), so pipeline
-    /// output stays bit-identical to the paper's unbudgeted loop;
-    /// adversarial inputs beyond that fall back to a 64-wide band. The
-    /// 25 M-cell cap was sized when a cell cost 9 bytes (an `i64` score
-    /// and a direction); it now bounds 25 MB of directions per pair, and
-    /// stays where it is because moving it would move fallbacks, and
-    /// with them the output.
-    fn default() -> Self {
-        AlignmentBudget { full_matrix_cells: 25_000_000, band: 64, max_len: 200_000 }
-    }
-}
+/// Half-width of the band that aligns pairs over [`FULL_MATRIX_CELLS`].
+pub const BAND: usize = 64;
 
-/// The algorithm an [`AlignmentBudget`] selected for one pair.
+/// Hard cap: a pair with either sequence longer than this is skipped.
+pub const MAX_LEN: usize = 200_000;
+
+/// The algorithm [`plan`] selected for one pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignPlan {
     /// Full-matrix Needleman-Wunsch.
@@ -62,18 +49,15 @@ pub enum AlignPlan {
     Skip,
 }
 
-impl AlignmentBudget {
-    /// Decides how to align a pair of sequences of lengths `n` and `m`.
-    pub fn plan(&self, n: usize, m: usize) -> AlignPlan {
-        if n > self.max_len || m > self.max_len {
-            return AlignPlan::Skip;
-        }
-        let cells = (n + 1).saturating_mul(m + 1);
-        if cells <= self.full_matrix_cells {
-            AlignPlan::Full
-        } else {
-            AlignPlan::Banded(self.band)
-        }
+/// Decides how to align a pair of sequences of lengths `n` and `m`.
+pub fn plan(n: usize, m: usize) -> AlignPlan {
+    if n > MAX_LEN || m > MAX_LEN {
+        return AlignPlan::Skip;
+    }
+    if (n + 1).saturating_mul(m + 1) <= FULL_MATRIX_CELLS {
+        AlignPlan::Full
+    } else {
+        AlignPlan::Banded(BAND)
     }
 }
 
@@ -98,33 +82,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_budget_never_triggers_at_paper_scale() {
-        let budget = AlignmentBudget::default();
-        for (n, m) in [(0, 0), (10, 2000), (4000, 4000), (4999, 4999)] {
-            assert_eq!(budget.plan(n, m), AlignPlan::Full, "({n}, {m})");
+    fn cell_cap_is_the_full_matrix_boundary() {
+        // 5 000 · 5 000 = 25 000 000 cells: exactly at the cap.
+        assert_eq!(plan(4_999, 4_999), AlignPlan::Full);
+        assert_eq!(plan(5_000, 5_000), AlignPlan::Banded(64));
+        for (n, m) in [(0, 0), (10, 2_000), (4_000, 4_000)] {
+            assert_eq!(plan(n, m), AlignPlan::Full, "({n}, {m})");
         }
     }
 
     #[test]
-    fn cell_cap_selects_fallback() {
-        let budget = AlignmentBudget { full_matrix_cells: 10_000, band: 16, max_len: 1_000_000 };
-        assert_eq!(budget.plan(99, 99), AlignPlan::Full);
-        assert_eq!(budget.plan(200, 200), AlignPlan::Banded(16));
-    }
-
-    #[test]
     fn length_cap_wins_over_fallback() {
-        let budget = AlignmentBudget { full_matrix_cells: usize::MAX, band: 64, max_len: 500 };
-        assert_eq!(budget.plan(501, 10), AlignPlan::Skip);
-        assert_eq!(budget.plan(10, 501), AlignPlan::Skip);
-        assert_eq!(budget.plan(500, 500), AlignPlan::Full);
+        assert_eq!(plan(200_001, 1), AlignPlan::Skip);
+        assert_eq!(plan(1, 200_001), AlignPlan::Skip);
+        assert_eq!(plan(200_000, 1), AlignPlan::Full);
+        assert_eq!(plan(200_000, 200_000), AlignPlan::Banded(64));
     }
 
     #[test]
     fn cell_product_does_not_overflow() {
-        let budget =
-            AlignmentBudget { full_matrix_cells: usize::MAX - 1, band: 8, max_len: usize::MAX };
-        assert_eq!(budget.plan(usize::MAX - 1, usize::MAX - 1), AlignPlan::Banded(8));
+        assert_eq!(plan(usize::MAX, usize::MAX), AlignPlan::Skip);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! (Rocha et al., CGO 2019, §III-C). The paper aligns two *linearized
 //! functions* with the Needleman-Wunsch algorithm under "a standard scoring
 //! scheme that rewards matches and equally penalizes mismatches and gaps";
-//! this crate provides that algorithm, a banded variant for pairs too
-//! large for the full matrix, and the per-pair budget that chooses
-//! between them.
+//! this crate provides that algorithm, over the full matrix or a band of
+//! it (one kernel), and the fixed per-pair budget ([`plan`]) that chooses.
 //!
 //! The crate is IR-agnostic: alignment works over any element type with a
 //! caller-supplied equivalence relation.
@@ -27,13 +26,11 @@
 
 #![warn(missing_docs)]
 
-mod banded;
 mod budget;
 mod nw;
 
-pub use banded::banded_needleman_wunsch;
-pub use budget::{align_with_plan, AlignPlan, AlignmentBudget};
-pub use nw::needleman_wunsch;
+pub use budget::{align_with_plan, plan, AlignPlan, BAND, FULL_MATRIX_CELLS, MAX_LEN};
+pub use nw::{banded_needleman_wunsch, needleman_wunsch};
 
 /// Weights for the alignment dynamic program.
 ///

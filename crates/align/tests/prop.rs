@@ -1,8 +1,8 @@
 //! Property-based tests for the alignment algorithms.
 
 use fmsa_align::{
-    banded_needleman_wunsch, needleman_wunsch, AlignPlan, Alignment, AlignmentBudget,
-    ScoringScheme, Step,
+    banded_needleman_wunsch, needleman_wunsch, plan, AlignPlan, Alignment, ScoringScheme, Step,
+    BAND, FULL_MATRIX_CELLS, MAX_LEN,
 };
 use proptest::prelude::*;
 
@@ -77,6 +77,99 @@ fn reference_nw<T>(
     Alignment { steps, score: score[n * w + m] }
 }
 
+/// The row-major banded kernel the anti-diagonal one replaced, kept
+/// verbatim as the oracle: an `i64` score and a direction per cell of the
+/// band, filled row by row, out-of-band neighbours read as a sentinel far
+/// below any score. The library's banded kernel must reproduce it step
+/// for step.
+fn reference_banded_nw<T>(
+    a: &[T],
+    b: &[T],
+    eq: impl Fn(&T, &T) -> bool,
+    scheme: &ScoringScheme,
+    band: usize,
+) -> Alignment {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Dir {
+        Diag,
+        Up,
+        Left,
+        None,
+    }
+
+    const NEG: i64 = i64::MIN / 4;
+
+    let n = a.len();
+    let m = b.len();
+    // Offsets d = j - i covered by the band.
+    let lo = -((band + n.saturating_sub(m)) as i64);
+    let hi = (band + m.saturating_sub(n)) as i64;
+    let width = (hi - lo + 1) as usize;
+    // score[i * width + k] is cell (i, j) with k = j - i - lo.
+    let mut score = vec![NEG; (n + 1) * width];
+    let mut dir = vec![Dir::None; (n + 1) * width];
+    let cell = |i: usize, j: usize| -> Option<usize> {
+        let d = j as i64 - i as i64;
+        (d >= lo && d <= hi).then(|| i * width + (d - lo) as usize)
+    };
+    for j in 0..=m {
+        let Some(c) = cell(0, j) else { break };
+        score[c] = j as i64 * scheme.gap_score;
+        dir[c] = if j == 0 { Dir::None } else { Dir::Left };
+    }
+    for i in 1..=n {
+        if let Some(c) = cell(i, 0) {
+            score[c] = i as i64 * scheme.gap_score;
+            dir[c] = Dir::Up;
+        }
+        let j_min = 1.max(i as i64 + lo) as usize;
+        let j_max = (m as i64).min(i as i64 + hi) as usize;
+        for j in j_min..=j_max {
+            let c = cell(i, j).expect("in band");
+            let matched = eq(&a[i - 1], &b[j - 1]);
+            let sub = if matched { scheme.match_score } else { scheme.mismatch_score };
+            let diag = cell(i - 1, j - 1).map_or(NEG, |p| score[p]).saturating_add(sub);
+            let up = cell(i - 1, j).map_or(NEG, |p| score[p]).saturating_add(scheme.gap_score);
+            let left = cell(i, j - 1).map_or(NEG, |p| score[p]).saturating_add(scheme.gap_score);
+            let (best, d) = if diag >= up && diag >= left {
+                (diag, Dir::Diag)
+            } else if up >= left {
+                (up, Dir::Up)
+            } else {
+                (left, Dir::Left)
+            };
+            score[c] = best;
+            dir[c] = d;
+        }
+    }
+    // Traceback from (n, m); the corner is always in the band because the
+    // band is widened by the length difference.
+    let end = cell(n, m).expect("corner in band");
+    let mut steps = Vec::with_capacity(n.max(m));
+    let (mut i, mut j) = (n, m);
+    while i > 0 || j > 0 {
+        let c = cell(i, j).expect("traceback stays in band");
+        match dir[c] {
+            Dir::Diag if i > 0 && j > 0 => {
+                let matched = eq(&a[i - 1], &b[j - 1]);
+                steps.push(Step::Both { i: i - 1, j: j - 1, matched });
+                i -= 1;
+                j -= 1;
+            }
+            Dir::Up | Dir::Diag if i > 0 => {
+                steps.push(Step::Left(i - 1));
+                i -= 1;
+            }
+            _ => {
+                steps.push(Step::Right(j - 1));
+                j -= 1;
+            }
+        }
+    }
+    steps.reverse();
+    Alignment { steps, score: score[end] }
+}
+
 /// Asserts the library kernel reproduces the reference kernel exactly.
 fn assert_matches_reference(a: &[u8], b: &[u8], scheme: &ScoringScheme) {
     let got = needleman_wunsch(a, b, |x, y| x == y, scheme);
@@ -85,10 +178,32 @@ fn assert_matches_reference(a: &[u8], b: &[u8], scheme: &ScoringScheme) {
     assert_eq!(got.steps, want.steps, "steps, {a:?} vs {b:?} under {scheme:?}");
 }
 
+/// Asserts the library's banded kernel reproduces the reference banded
+/// kernel exactly.
+fn assert_banded_matches_reference(a: &[u8], b: &[u8], scheme: &ScoringScheme, band: usize) {
+    let got = banded_needleman_wunsch(a, b, |x, y| x == y, scheme, band);
+    let want = reference_banded_nw(a, b, |x, y| x == y, scheme, band);
+    assert_eq!(got.score, want.score, "score, band {band}, {a:?} vs {b:?} under {scheme:?}");
+    assert_eq!(got.steps, want.steps, "steps, band {band}, {a:?} vs {b:?} under {scheme:?}");
+}
+
 /// Largest weight magnitude for which an `n × m` program still runs on
 /// `i32` lanes: `(n + m + 1) · w ≤ i32::MAX`.
 fn i32_weight_limit(n: usize, m: usize) -> i64 {
     i32::MAX as i64 / (n + m + 1) as i64
+}
+
+/// The same for a banded program, whose out-of-band sentinel takes two
+/// more weights: `(n + m + 3) · w ≤ i32::MAX`.
+fn banded_i32_weight_limit(n: usize, m: usize) -> i64 {
+    i32::MAX as i64 / (n + m + 3) as i64
+}
+
+/// A scheme whose three weights have magnitude `w`, signed by the low
+/// three bits of `signs`.
+fn signed_scheme(w: i64, signs: u8) -> ScoringScheme {
+    let sign = |bit: u8| if signs & (1 << bit) != 0 { w } else { -w };
+    ScoringScheme { match_score: sign(0), mismatch_score: sign(1), gap_score: sign(2) }
 }
 
 fn tie_heavy_seq() -> impl Strategy<Value = Vec<u8>> {
@@ -194,73 +309,101 @@ proptest! {
     }
 
     #[test]
-    fn budget_plan_is_total_and_consistent(n in 0usize..10_000, m in 0usize..10_000) {
-        // Every length pair gets exactly one plan, and shrinking a budget
-        // never upgrades a pair from fallback to full.
-        let tight = AlignmentBudget { full_matrix_cells: 100_000, band: 8, max_len: 5_000 };
-        let loose = AlignmentBudget { full_matrix_cells: 10_000_000, ..tight };
-        let pt = tight.plan(n, m);
-        let pl = loose.plan(n, m);
-        if pt == AlignPlan::Full {
-            prop_assert_eq!(pl, AlignPlan::Full);
-        }
-        if n > tight.max_len || m > tight.max_len {
-            prop_assert_eq!(pt, AlignPlan::Skip);
-            prop_assert_eq!(pl, AlignPlan::Skip);
-        }
+    fn budget_plan_is_total_and_consistent(
+        n in 0usize..2 * MAX_LEN + 2,
+        m in 0usize..2 * MAX_LEN + 2,
+        dn in 0usize..6_000,
+    ) {
+        // Every length pair gets exactly the plan its lengths call for,
+        // the plan does not depend on the order of the pair, and
+        // shortening a side never downgrades it.
+        let p = plan(n, m);
+        let want = if n > MAX_LEN || m > MAX_LEN {
+            AlignPlan::Skip
+        } else if (n + 1) * (m + 1) <= FULL_MATRIX_CELLS {
+            AlignPlan::Full
+        } else {
+            AlignPlan::Banded(BAND)
+        };
+        prop_assert_eq!(p, want);
+        prop_assert_eq!(plan(m, n), p);
+        let rank = |p| match p {
+            AlignPlan::Full => 0,
+            AlignPlan::Banded(_) => 1,
+            AlignPlan::Skip => 2,
+        };
+        prop_assert!(rank(plan(n.saturating_sub(dn), m)) <= rank(p));
     }
 }
 
 proptest! {
     #[test]
-    fn kernel_matches_reference_on_tie_heavy_inputs(a in tie_heavy_seq(), b in tie_heavy_seq()) {
-        assert_matches_reference(&a, &b, &ScoringScheme::default());
+    fn kernel_matches_reference_on_tie_heavy_inputs(
+        a in tie_heavy_seq(),
+        b in tie_heavy_seq(),
+        band in 0usize..16,
+    ) {
         let unit = ScoringScheme { match_score: 1, mismatch_score: -1, gap_score: -1 };
-        assert_matches_reference(&a, &b, &unit);
+        for scheme in [ScoringScheme::default(), unit] {
+            assert_matches_reference(&a, &b, &scheme);
+            assert_banded_matches_reference(&a, &b, &scheme, band);
+        }
     }
 
     #[test]
-    fn kernel_matches_reference_on_medium_inputs(a in medium_seq(), b in medium_seq()) {
+    fn kernel_matches_reference_on_medium_inputs(
+        a in medium_seq(),
+        b in medium_seq(),
+        band in 0usize..16,
+    ) {
         assert_matches_reference(&a, &b, &ScoringScheme::default());
+        assert_banded_matches_reference(&a, &b, &ScoringScheme::default(), band);
     }
 
     #[test]
     fn kernel_matches_reference_on_lopsided_inputs(
         long in prop::collection::vec(0u8..3, 60..240),
         short in prop::collection::vec(0u8..3, 0..5),
+        band in 0usize..16,
     ) {
+        // |n - m| is wider than the band: the band is widened by it.
         let scheme = ScoringScheme::default();
         assert_matches_reference(&long, &short, &scheme);
         assert_matches_reference(&short, &long, &scheme);
+        assert_banded_matches_reference(&long, &short, &scheme, band);
+        assert_banded_matches_reference(&short, &long, &scheme, band);
     }
 
     #[test]
     fn kernel_matches_reference_under_any_scheme(
         a in medium_seq(),
         b in medium_seq(),
+        band in 0usize..16,
         scheme in any_scheme(),
     ) {
         assert_matches_reference(&a, &b, &scheme);
+        assert_banded_matches_reference(&a, &b, &scheme, band);
+        // Covering bands, exactly and beyond.
+        assert_banded_matches_reference(&a, &b, &scheme, a.len().max(b.len()));
+        assert_banded_matches_reference(&a, &b, &scheme, a.len() + b.len() + band);
     }
 
     #[test]
     fn kernel_matches_reference_at_the_lane_switch(
         a in prop::collection::vec(0u8..3, 0..24),
         b in prop::collection::vec(0u8..3, 0..24),
+        band in 0usize..16,
         over in 0i64..2,
         signs in 0u8..8,
     ) {
         // `over == 0` is the largest weight the i32 lanes take for this
         // pair, `over == 1` the smallest that needs i64 lanes; the signs
-        // vary which of the three weights carries the extreme.
-        let w = i32_weight_limit(a.len(), b.len()) + over;
-        let sign = |bit: u8| if signs & (1 << bit) != 0 { w } else { -w };
-        let scheme = ScoringScheme {
-            match_score: sign(0),
-            mismatch_score: sign(1),
-            gap_score: sign(2),
-        };
-        assert_matches_reference(&a, &b, &scheme);
+        // vary which of the three weights carries the extreme. A band's
+        // lanes switch two weights earlier than the full program's.
+        let (n, m) = (a.len(), b.len());
+        assert_matches_reference(&a, &b, &signed_scheme(i32_weight_limit(n, m) + over, signs));
+        let w = banded_i32_weight_limit(n, m) + over;
+        assert_banded_matches_reference(&a, &b, &signed_scheme(w, signs), band);
     }
 }
 
@@ -269,6 +412,9 @@ fn kernel_matches_reference_on_empty_inputs() {
     let scheme = ScoringScheme::default();
     for (a, b) in [(&[][..], &[][..]), (&[1u8, 2, 3][..], &[][..]), (&[][..], &[4u8, 5][..])] {
         assert_matches_reference(a, b, &scheme);
+        for band in [0, 1, 64] {
+            assert_banded_matches_reference(a, b, &scheme, band);
+        }
     }
     let al = needleman_wunsch::<u8>(&[], &[], |x, y| x == y, &scheme);
     assert!(al.is_empty());

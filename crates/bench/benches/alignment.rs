@@ -2,7 +2,7 @@
 //! component that dominates FMSA's compile time (paper Fig. 13).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fmsa_align::{banded_needleman_wunsch, needleman_wunsch, AlignmentBudget, ScoringScheme};
+use fmsa_align::{banded_needleman_wunsch, needleman_wunsch, plan, AlignPlan, ScoringScheme, BAND};
 use fmsa_core::fingerprint::Fingerprint;
 use fmsa_core::ranking::rank_candidates;
 use fmsa_core::{linearize, KeyInterner};
@@ -18,16 +18,18 @@ fn random_seq(seed: u64, len: usize, alphabet: u8) -> Vec<u8> {
 fn bench_alignment(c: &mut Criterion) {
     let scheme = ScoringScheme::default();
     let mut group = c.benchmark_group("alignment");
-    for &len in &[64usize, 256, 1024] {
+    for &len in &[64usize, 256, 1024, 8192] {
         let a = random_seq(1, len, 12);
         let b = random_seq(2, len, 12);
-        group.bench_with_input(BenchmarkId::new("needleman-wunsch", len), &len, |bch, _| {
-            bch.iter(|| needleman_wunsch(&a, &b, |x, y| x == y, &scheme));
-        });
-        // The kernel the default budget runs on pairs over its cell cap.
-        let band = AlignmentBudget::default().band;
-        group.bench_with_input(BenchmarkId::new(format!("banded-{band}"), len), &len, |bch, _| {
-            bch.iter(|| banded_needleman_wunsch(&a, &b, |x, y| x == y, &scheme, band));
+        // At 8 192 the budget only ever bands: no full-matrix row there.
+        if plan(len, len) == AlignPlan::Full {
+            group.bench_with_input(BenchmarkId::new("needleman-wunsch", len), &len, |bch, _| {
+                bch.iter(|| needleman_wunsch(&a, &b, |x, y| x == y, &scheme));
+            });
+        }
+        // The band the budget runs on pairs over its cell cap.
+        group.bench_with_input(BenchmarkId::new(format!("banded-{BAND}"), len), &len, |bch, _| {
+            bch.iter(|| banded_needleman_wunsch(&a, &b, |x, y| x == y, &scheme, BAND));
         });
     }
     group.finish();

@@ -3,6 +3,7 @@
 //! paper's evaluation (§V). The `experiments` binary is a thin CLI over
 //! this module.
 
+use fmsa::telemetry::json_escape;
 use fmsa_core::baselines::{run_identical, run_soa};
 use fmsa_core::pipeline::{PipelineStats, StatValue};
 use fmsa_core::Config;
@@ -271,20 +272,6 @@ pub enum Json {
     I(i64),
     /// A boolean value.
     B(bool),
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders one flat JSON object from field/value pairs.

@@ -24,7 +24,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The configuration of a merge run: what to merge and how, how many
 /// pipeline workers, fault injection, and the identical-merging prepass
-/// ([`Config::identical_prepass`]).
+/// ([`Config::identical_prepass`]). The per-pair alignment budget is not
+/// an option: it is a fixed policy ([`fmsa_align::plan`]), because which
+/// pairs fall back decides the output.
 ///
 /// `#[non_exhaustive]` so fields can be added without a breaking change;
 /// construct it with [`Config::new`] (or `Config::default()`) and the
@@ -58,8 +60,6 @@ pub struct Config {
     pub canonicalize: bool,
     /// Candidate search strategy (exact, LSH, or auto by module size).
     pub search: SearchStrategy,
-    /// Per-pair alignment cost bounds.
-    pub budget: fmsa_align::AlignmentBudget,
     /// Worker threads of the merge pipeline: `1` (the default) runs it
     /// without a prepare stage, `0` means available parallelism. Output
     /// is bit-identical at every count.
@@ -83,7 +83,6 @@ impl Default for Config {
             min_similarity: 0.0,
             canonicalize: false,
             search: SearchStrategy::Auto,
-            budget: fmsa_align::AlignmentBudget::default(),
             threads: 1,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
@@ -147,12 +146,6 @@ impl Config {
     /// Sets the candidate search strategy.
     pub fn search(mut self, search: SearchStrategy) -> Config {
         self.search = search;
-        self
-    }
-
-    /// Sets the alignment budget.
-    pub fn budget(mut self, budget: fmsa_align::AlignmentBudget) -> Config {
-        self.budget = budget;
         self
     }
 

@@ -321,13 +321,14 @@ struct Codegen {
     select_cache: HashMap<(BlockId, Value, Value), Value>,
 }
 
-/// Generates the merged function, returning its id. On any failure the
-/// partially built function is removed from the module.
+/// Generates the merged function and verifies it, returning its id. On
+/// any failure the partially built function is removed from the module.
 ///
 /// # Errors
 ///
-/// [`MergeError::InvalidCodegen`] if the produced function fails
-/// verification (a bug guard, asserted against by tests).
+/// [`MergeError::InvalidCodegen`] if the layout or an operand cannot be
+/// built, and [`MergeError::Unverified`] if the verifier rejects the
+/// built body (a bug guard: the pipeline quarantines the pair).
 pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, MergeError> {
     let f1c = module.func(input.f1).clone();
     let f2c = module.func(input.f2).clone();
@@ -357,11 +358,9 @@ pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, Merg
                 fix_dominance(module, mf);
                 passes::thread_trivial_blocks(module.func_mut(mf));
                 passes::remove_unreachable_blocks(module.func_mut(mf));
-                let errs = fmsa_ir::verify_function(module, mf);
-                if errs.is_empty() {
-                    Ok(())
-                } else {
-                    Err(MergeError::InvalidCodegen(format!("{}", errs[0])))
+                match fmsa_ir::verify_function(module, mf).first() {
+                    None => Ok(()),
+                    Some(e) => Err(MergeError::Unverified(e.to_string())),
                 }
             });
     match result {
@@ -949,5 +948,62 @@ fn fix_dominance(module: &mut Module, mf: FuncId) {
             }
         };
         module.func_mut(mf).inst_mut(u).operands[k] = loaded;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::linearize::linearize;
+    use crate::merge::{align, merge_setup, MergeConfig};
+    use fmsa_ir::FuncBuilder;
+
+    #[test]
+    fn a_verifier_rejection_is_unverified_and_removes_the_body() {
+        // `f` adds where `g` multiplies, so the merged body branches on
+        // its identifier, which this input declares as an `i32`.
+        let mut m = Module::new("m");
+        let i32t = m.types.i32();
+        let fn_ty = m.types.func(i32t, vec![i32t]);
+        let mut fs = Vec::new();
+        for name in ["f", "g"] {
+            let f = m.create_function(name, fn_ty);
+            let mut b = FuncBuilder::new(&mut m, f);
+            let e = b.block("entry");
+            b.switch_to(e);
+            let v = if name == "f" {
+                b.add(Value::Param(0), b.const_i32(1))
+            } else {
+                b.mul(Value::Param(0), b.const_i32(3))
+            };
+            b.ret(Some(v));
+            fs.push(f);
+        }
+        let (f1, f2) = (fs[0], fs[1]);
+        let (seq1, seq2) = (linearize(m.func(f1)), linearize(m.func(f2)));
+        let alignment = align(&m, f1, f2, &seq1, &seq2);
+        let setup =
+            merge_setup(&m, f1, f2, &seq1, &seq2, &alignment, &MergeConfig::default()).unwrap();
+        assert!(setup.params.has_func_id);
+        let mut params = setup.params;
+        params.merged_tys[0] = i32t;
+        let live = m.func_ids();
+        let input = CodegenInput {
+            f1,
+            f2,
+            seq1,
+            seq2,
+            alignment,
+            params,
+            ret: setup.ret,
+            name: "merged".into(),
+        };
+        match generate(&mut m, input) {
+            Err(MergeError::Unverified(reason)) => {
+                assert!(reason.contains("condbr expects (i1, label, label)"), "{reason}");
+            }
+            other => panic!("expected a verifier rejection, got {other:?}"),
+        }
+        assert_eq!(m.func_ids(), live, "the rejected body is removed");
     }
 }

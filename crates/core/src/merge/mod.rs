@@ -45,10 +45,14 @@ pub enum MergeError {
     /// One of the functions is varargs: its callers may pass arguments
     /// that the merged function has no params for.
     Varargs,
-    /// Code generation produced IR that failed verification (returned
-    /// rather than panicking so the pass can skip the pair; this indicates
-    /// a bug and is asserted against in tests).
+    /// Code generation refused the pair: the block layout or an operand
+    /// could not be built (returned rather than panicking so the pass can
+    /// skip the pair).
     InvalidCodegen(String),
+    /// The verifier rejected the built body, which is removed again;
+    /// carries the first verifier error. This indicates a codegen bug, so
+    /// the pipeline quarantines the pair.
+    Unverified(String),
 }
 
 impl fmt::Display for MergeError {
@@ -61,6 +65,7 @@ impl fmt::Display for MergeError {
             }
             MergeError::Varargs => write!(f, "cannot merge a varargs function"),
             MergeError::InvalidCodegen(msg) => write!(f, "merged function invalid: {msg}"),
+            MergeError::Unverified(msg) => write!(f, "merged function failed verification: {msg}"),
         }
     }
 }

@@ -24,7 +24,7 @@
 //!    pool, inserted sequentially).
 //! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
 //!    pair, a worker aligns the two cached key sequences (under the
-//!    [`fmsa_align::AlignmentBudget`] of [`Config::budget`]) and
+//!    fixed alignment budget, [`fmsa_align::plan`]) and
 //!    computes the sound pre-codegen bound on Δ
 //!    ([`crate::profitability::delta_bound`]). Workers only read the
 //!    module; every result is advisory. One thread runs no prepare
@@ -52,7 +52,7 @@
 //! exactly — same candidate order, same greedy first-profitable rule,
 //! same profitability values — the optimized module is **bit-identical
 //! to the paper's loop at any thread count** (as long as the alignment
-//! budget never triggers, which the default budget guarantees at paper
+//! budget never triggers, which its constants guarantee at paper
 //! scale). Parallelism only moves *where* alignments are computed;
 //! staleness is handled by re-validation, never by accepting a prepared
 //! result blindly. The root package's tests keep a plain copy of the
@@ -72,7 +72,7 @@ use crate::config::Config;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
-use crate::merge::{merge_pair_aligned, MergeInfo};
+use crate::merge::{merge_pair_aligned, MergeError, MergeInfo};
 use crate::pass::FmsaStats;
 use crate::profitability::{delta_bound, evaluate_indexed, DeltaBound, GateAudit, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
@@ -80,7 +80,7 @@ use crate::ranking::Candidate;
 use crate::search::SearchStrategy;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
 use crate::thunks::{commit_merge_indexed, Disposition};
-use fmsa_align::{align_with_plan, Alignment, ScoringScheme};
+use fmsa_align::{align_with_plan, plan, Alignment, ScoringScheme};
 use fmsa_ir::{FuncId, Module};
 use fmsa_target::CostModel;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -348,7 +348,7 @@ fn align_and_bound(
     cfg: &Config,
 ) -> Gated {
     let t0 = Instant::now();
-    let plan = cfg.budget.plan(lin1.keys.len(), lin2.keys.len());
+    let plan = plan(lin1.keys.len(), lin2.keys.len());
     let alignment =
         align_with_plan(&lin1.keys, &lin2.keys, |a, b| a == b, &ScoringScheme::default(), plan);
     let t1 = Instant::now();
@@ -789,8 +789,22 @@ fn run_pipeline(
                             &cfg.merge,
                         )
                     }));
-                    let info = match built {
-                        Ok(Ok(info)) => info,
+                    // Never commit an unverified merged body: `generate`
+                    // removes a body the verifier rejects (a real bug in
+                    // codegen), and an injected verifier fault removes it
+                    // here. Such a pair is quarantined, as a panic's is.
+                    let built = match built {
+                        Ok(Ok(info)) if !faults.fires(FaultSite::Verify, &n1, &n2) => Ok(info),
+                        Ok(Ok(info)) => {
+                            module.remove_function(info.merged);
+                            Err((
+                                QuarantineStage::Verify,
+                                format!("injected fault: verify {n1} {n2}"),
+                            ))
+                        }
+                        Ok(Err(MergeError::Unverified(reason))) => {
+                            Err((QuarantineStage::Verify, reason))
+                        }
                         Ok(Err(_)) => {
                             break 'attempt Err(rec(align_score, None, DecisionOutcome::Failed));
                         }
@@ -805,14 +819,17 @@ fn run_pipeline(
                                 }
                             }
                             pstats.panics_caught += 1;
-                            if stats.quarantine.push(
-                                QuarantineStage::Codegen,
-                                &n1,
-                                &n2,
-                                panic_message(payload.as_ref()),
-                                faults.seed,
-                            ) {
-                                pstats.quarantined_codegen += 1;
+                            Err((QuarantineStage::Codegen, panic_message(payload.as_ref())))
+                        }
+                    };
+                    let info = match built {
+                        Ok(info) => info,
+                        Err((stage, reason)) => {
+                            if stats.quarantine.push(stage, &n1, &n2, reason, faults.seed) {
+                                match stage {
+                                    QuarantineStage::Codegen => pstats.quarantined_codegen += 1,
+                                    _ => pstats.quarantined_verify += 1,
+                                }
                             }
                             break 'attempt Err(rec(
                                 align_score,
@@ -821,29 +838,6 @@ fn run_pipeline(
                             ));
                         }
                     };
-                    // Never commit an unverified merged body: a rejection
-                    // here is a real bug in codegen (or an injected
-                    // verifier fault), so the pair is quarantined.
-                    let verify_inject = faults.fires(FaultSite::Verify, &n1, &n2);
-                    let errs = fmsa_ir::verify_function(module, info.merged);
-                    if verify_inject || !errs.is_empty() {
-                        let reason = if verify_inject {
-                            format!("injected fault: verify {n1} {n2}")
-                        } else {
-                            errs[0].to_string()
-                        };
-                        module.remove_function(info.merged);
-                        if stats.quarantine.push(
-                            QuarantineStage::Verify,
-                            &n1,
-                            &n2,
-                            reason,
-                            faults.seed,
-                        ) {
-                            pstats.quarantined_verify += 1;
-                        }
-                        break 'attempt Err(rec(align_score, None, DecisionOutcome::Quarantined));
-                    }
                     // An oracle's best-so-far body is still in the module:
                     // its calls count, as the paper's loop counts them.
                     let pending = best.as_ref().map(|b| b.1.merged);
@@ -1306,20 +1300,5 @@ mod tests {
         }
         let (_, summary, _) = baseline.expect("ran");
         assert!(!summary.is_empty(), "this plan must quarantine something");
-    }
-
-    #[test]
-    fn budget_skip_abandons_pairs() {
-        use fmsa_align::AlignmentBudget;
-        let cfg = Config::new()
-            .threshold(5)
-            .budget(AlignmentBudget {
-                max_len: 4, // every family member is longer than this
-                ..AlignmentBudget::default()
-            })
-            .parallel(2);
-        let (_, stats) = run_family(&cfg, 4, 12);
-        assert_eq!(stats.merges, 0);
-        assert!(stats.pipeline.expect("stats").budget_skipped > 0);
     }
 }

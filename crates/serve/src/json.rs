@@ -1,23 +1,9 @@
-//! A tiny JSON writer — the daemon's response bodies are flat objects
-//! and short arrays, so a composable escaper beats a serializer
-//! dependency (the workspace is dependency-free by policy).
+//! A tiny JSON writer over the telemetry escaper
+//! ([`fmsa::telemetry::json_escape`]) — the daemon's response bodies are
+//! flat objects and short arrays, so composing strings beats a
+//! serializer dependency (the workspace is dependency-free by policy).
 
-/// Escapes `s` as the contents of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use fmsa::telemetry::json_escape;
 
 /// One JSON value, rendered.
 #[derive(Debug, Clone)]
@@ -26,7 +12,7 @@ pub struct Json(pub String);
 impl Json {
     /// A string value.
     pub fn s(v: &str) -> Json {
-        Json(format!("\"{}\"", escape(v)))
+        Json(format!("\"{}\"", json_escape(v)))
     }
 
     /// An integer value.
@@ -57,7 +43,7 @@ impl Json {
     /// An object from key/value pairs.
     pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
         let inner: Vec<String> =
-            pairs.into_iter().map(|(k, v)| format!("\"{}\":{}", escape(k), v.0)).collect();
+            pairs.into_iter().map(|(k, v)| format!("\"{}\":{}", json_escape(k), v.0)).collect();
         Json(format!("{{{}}}", inner.join(",")))
     }
 }
@@ -68,7 +54,7 @@ mod tests {
 
     #[test]
     fn escapes_control_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(Json::s("a\"b\\c\nd\u{1}").0, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 #[path = "support/paper_loop.rs"]
 mod paper_loop;
 
-use fmsa::align::AlignmentBudget;
 use fmsa::core::pipeline;
 use fmsa::core::SearchStrategy;
 use fmsa::ir::printer::print_module;
@@ -269,19 +268,18 @@ fn pipeline_matches_sequential_on_suite_modules() {
     }
 }
 
-/// The default budget must never trigger at paper scale — that is what
+/// The alignment budget must never trigger at paper scale — that is what
 /// keeps the pipeline bit-identical to the paper's (budget-less) loop on
 /// every evaluated workload.
 #[test]
 fn default_budget_is_invisible_on_suite_modules() {
     use fmsa::core::linearize;
-    let budget = AlignmentBudget::default();
     for d in spec_suite() {
         let m = d.build();
         for f in m.func_ids() {
             let n = linearize(m.func(f)).len();
             assert_eq!(
-                budget.plan(n, n),
+                fmsa::align::plan(n, n),
                 fmsa::align::AlignPlan::Full,
                 "{}: function of {n} entries hit the default budget",
                 d.name
@@ -290,76 +288,94 @@ fn default_budget_is_invisible_on_suite_modules() {
     }
 }
 
-/// Adversarially long functions trip the length cap: the pair is
-/// abandoned instead of stalling a worker on a huge DP matrix.
-#[test]
-fn length_cap_triggers_on_adversarially_long_functions() {
+/// Two functions of `len` instructions each, the second differing from
+/// the first in every `every`-th constant (`every == 0`: identical).
+fn long_pair(len: usize, every: usize) -> Module {
     use fmsa::ir::{FuncBuilder, Value};
     let mut m = Module::new("adversarial");
     let i32t = m.types.i32();
     let fn_ty = m.types.func(i32t, vec![i32t]);
-    for name in ["huge_a", "huge_b"] {
+    for (side, name) in ["huge_a", "huge_b"].into_iter().enumerate() {
         let f = m.create_function(name, fn_ty);
         let mut b = FuncBuilder::new(&mut m, f);
         let e = b.block("entry");
         b.switch_to(e);
         let mut v = Value::Param(0);
-        for k in 0..3_000 {
-            v = b.add(v, b.const_i32(k % 7));
+        for k in 0..len {
+            let differs = side == 1 && every > 0 && k % every == 0;
+            v = b.add(v, b.const_i32((k % 7) as i32 + if differs { 100 } else { 0 }));
         }
         b.ret(Some(v));
     }
-    let cfg = Config::new()
-        .threshold(5)
-        .budget(AlignmentBudget {
-            full_matrix_cells: usize::MAX,
-            band: 16,
-            max_len: 1_000, // both functions exceed this
-        })
-        .parallel(2);
-    let mut merged = m.clone();
+    m
+}
+
+/// Functions longer than `fmsa::align::MAX_LEN` trip the length cap: the
+/// pair is abandoned instead of stalling a worker on a huge DP matrix.
+/// The same shape under the cap merges, through the band.
+#[test]
+fn length_cap_triggers_on_adversarially_long_functions() {
+    use fmsa::align::{plan, AlignPlan, MAX_LEN};
+    let cfg = Config::new().threshold(5).parallel(2);
+    // Linearized, each function holds more entries than adds: its `ret`
+    // and its entry label too.
+    let over = MAX_LEN + 1;
+    assert_eq!(plan(over, over), AlignPlan::Skip);
+    let mut merged = long_pair(over, 0);
     let stats = pipeline::run(&mut merged, &cfg);
     assert_eq!(stats.merges, 0, "capped pairs must not merge");
-    assert!(stats.pipeline.expect("stats").budget_skipped > 0);
-    // Without the cap the same pair merges fine.
-    let cfg = Config::new().threshold(5).parallel(2);
-    let mut merged = m.clone();
+    assert_eq!(stats.pipeline.expect("stats").budget_skipped, 2);
+    // Without the cap the same shape merges.
+    let under = 5_100;
+    assert!(matches!(plan(under, under), AlignPlan::Banded(_)));
+    let mut merged = long_pair(under, 0);
     let stats = pipeline::run(&mut merged, &cfg);
     assert_eq!(stats.merges, 1);
+    assert_eq!(stats.pipeline.expect("stats").budget_skipped, 0);
 }
 
 /// Over the cell budget, the banded fallback still merges near-identical
-/// clones: their alignment hugs the diagonal, so the band loses nothing.
+/// clones: their alignment hugs the diagonal, so the band aligns them as
+/// the full matrix does, and the pipeline's one merge is the one the
+/// paper's unbudgeted loop makes, at every thread count.
 #[test]
 fn banded_fallback_still_merges_clone_families() {
-    let cfg = SwarmConfig {
-        functions: 12,
-        family_size: 2,
-        clone_fraction: 1.0,
-        target_size: 120,
-        seed: 0x0dd_ba11,
+    use fmsa::align::{
+        banded_needleman_wunsch, needleman_wunsch, plan, AlignPlan, ScoringScheme, BAND,
+        FULL_MATRIX_CELLS,
     };
-    let base = clone_swarm_module(&cfg);
-    let cfg = Config::new()
-        .threshold(5)
-        .budget(AlignmentBudget {
-            full_matrix_cells: 2_000, // far below the ~100²+ matrices here
-            band: 32,
-            max_len: usize::MAX,
-        })
-        .parallel(2);
-    let mut m_banded = base.clone();
-    let banded = pipeline::run(&mut m_banded, &cfg);
-    let mut m_full = base.clone();
+    use fmsa::core::{linearize, KeyInterner};
+    let len = 5_100;
+    assert!(len * len > FULL_MATRIX_CELLS);
+    assert!(matches!(plan(len, len), AlignPlan::Banded(_)));
+    let base = long_pair(len, 97);
+    // The band loses nothing: on the two key sequences it gives the full
+    // matrix's (26 M cells) score and steps.
+    let interner = KeyInterner::new();
+    let keys: Vec<Vec<u32>> = base
+        .func_ids()
+        .into_iter()
+        .map(|f| interner.keys(&base, f, &linearize(base.func(f))))
+        .collect();
+    let scheme = ScoringScheme::default();
+    let full = needleman_wunsch(&keys[0], &keys[1], |x, y| x == y, &scheme);
+    let banded = banded_needleman_wunsch(&keys[0], &keys[1], |x, y| x == y, &scheme, BAND);
+    assert_eq!(banded.score, full.score);
+    assert_eq!(banded.steps, full.steps);
     let cfg = Config::new().threshold(5);
-    let full = pipeline::run(&mut m_full, &cfg);
-    assert!(banded.merges > 0);
-    assert_eq!(banded.merges, full.merges, "banded must not lose clone-family merges");
-    assert!(fmsa::ir::verify_module(&m_banded).is_empty());
-    // The banded run's reduction stays within the CI parity budget (10%)
-    // of the exact run.
-    let (rb, rf) = (banded.reduction_percent(), full.reduction_percent());
-    assert!((rf - rb).abs() <= 0.10 * rf.abs().max(1e-9), "banded {rb:.3}% vs full {rf:.3}%");
+    let mut m_seq = base.clone();
+    assert_eq!(paper_loop(&mut m_seq, &cfg).merges, 1);
+    let want = print_module(&m_seq);
+    for threads in [1, 2] {
+        let mut m = base.clone();
+        let stats = pipeline::run(&mut m, &cfg.clone().parallel(threads));
+        assert_eq!(stats.merges, 1, "at {threads} threads");
+        assert!(fmsa::ir::verify_module(&m).is_empty());
+        assert!(
+            print_module(&m) == want,
+            "at {threads} threads the merge is not the full matrix's"
+        );
+    }
 }
 
 /// On the seed suite modules, the pre-codegen Δ bound computed from a
