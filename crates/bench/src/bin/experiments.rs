@@ -1378,9 +1378,12 @@ fn chaos_mix(cycle: u64, salt: u64) -> u64 {
 /// bit flip) after every kill. Gates, per the robustness contract:
 /// zero panics anywhere, the reopened store always equals an
 /// independent [`fmsa_core::scan_store`] of the mutated log (no
-/// checksum-valid durable entry lost), the recovered daemon re-serves
-/// the warm corpus byte-identically, and a compaction killed at the
-/// rename leaves the old log authoritative (never a hybrid).
+/// checksum-valid durable entry lost) — or, when a flip turned the
+/// header into another format version, the open is refused and the log
+/// keeps every byte (the harness then deletes it, as an operator would
+/// move it aside, so the next cycle can start) — the recovered daemon
+/// re-serves the warm corpus byte-identically, and a compaction killed
+/// at the rename leaves the old log authoritative (never a hybrid).
 fn chaos(fast: bool, report: &mut Report) {
     use fmsa::ContentHash;
     use fmsa_core::store::{scan_store, FunctionStore, StoreOptions, STORE_FILE};
@@ -1453,6 +1456,7 @@ fn chaos(fast: bool, report: &mut Report) {
     let mut uploads_ok = 0u64;
     let mut uploads_faulted = 0u64;
     let mut skipped_total = 0u64;
+    let mut refused_logs = 0u64;
     let mut latencies: Vec<Duration> = Vec::new();
 
     for cycle in 0..cycles {
@@ -1538,10 +1542,25 @@ fn chaos(fast: bool, report: &mut Report) {
             break;
         }
 
-        // Gate: recovery == independent scan; open never panics.
+        // Gate: recovery == independent scan, or a refused open of a log
+        // whose header names another version; open never panics.
         let expected = scan_store(&mutated);
         skipped_total += expected.skipped_records as u64;
         match std::panic::catch_unwind(|| FunctionStore::open(&store_dir)) {
+            Ok(Ok(_)) if expected.refused() => report.fail(format!(
+                "chaos: cycle {cycle}: opened a log of another format version ({:?})",
+                expected.version
+            )),
+            Ok(Err(_)) if expected.refused() => {
+                refused_logs += 1;
+                if std::fs::read(&path).ok().as_deref() != Some(&mutated[..]) {
+                    report.fail(format!("chaos: cycle {cycle}: a refused open changed the log"));
+                }
+                if let Err(e) = std::fs::remove_file(&path) {
+                    report.fail(format!("chaos: cycle {cycle}: cannot delete refused log: {e}"));
+                    break;
+                }
+            }
             Ok(Ok(store)) => {
                 let got: Vec<(ContentHash, u64)> =
                     store.entries().map(|e| (e.hash, e.seen)).collect();
@@ -1667,6 +1686,7 @@ fn chaos(fast: bool, report: &mut Report) {
         ("uploads_ok", Json::I(uploads_ok as i64)),
         ("uploads_faulted", Json::I(uploads_faulted as i64)),
         ("corrupt_records_skipped", Json::I(skipped_total as i64)),
+        ("refused_logs", Json::I(refused_logs as i64)),
         ("p50_ms", Json::F(p50)),
         ("p95_ms", Json::F(p95)),
         ("max_ms", Json::F(max)),

@@ -85,14 +85,6 @@ pub struct RetInfo {
     pub ty2: TyId,
 }
 
-impl RetInfo {
-    /// Whether side `first`'s return values need conversion to the base.
-    pub fn needs_cast(&self, first: bool) -> bool {
-        let ty = if first { self.ty1 } else { self.ty2 };
-        ty != self.base
-    }
-}
-
 /// Everything the pass needs to commit (or discard) a completed merge.
 #[derive(Debug, Clone)]
 pub struct MergeInfo {

@@ -18,8 +18,7 @@
 //! 1. **Schedule** (parallel): pop a batch of live subjects, query the
 //!    [`crate::search::CandidateSearch`] index for each one's top
 //!    candidates — concurrently over the generation's subjects, against
-//!    a shared read-only index — snapshot the per-function mutation
-//!    generation of every pair, and pre-fill the [`LinearizationCache`]
+//!    a shared read-only index — and pre-fill the [`LinearizationCache`]
 //!    (misses linearized, and their §III-D keys built, on the worker
 //!    pool, inserted sequentially).
 //! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
@@ -30,8 +29,8 @@
 //!    module; every result is advisory. One thread runs no prepare
 //!    stage: the commit stage aligns and bounds every attempt inline.
 //! 3. **Commit** (sequential): subjects are visited in the paper's
-//!    worklist order. Each prepared attempt is re-validated — if either
-//!    function mutated since it was scheduled, or an earlier commit
+//!    worklist order. Each prepared attempt is re-validated — if an
+//!    earlier commit of the generation changed either function, or
 //!    dirtied the candidate index, the stale part is recomputed inline.
 //!    The Δ bound gates every attempt: a pair it rules out skips codegen
 //!    and only replays the type interning the build would have left. The
@@ -40,9 +39,15 @@
 //!    ([`crate::profitability::evaluate_indexed`]). An accepted merge is
 //!    committed on the spot ([`crate::thunks::commit_merge_indexed`]):
 //!    the §III-A call-graph update rewrites only the callers the
-//!    call-site index names, then the merge feeds back into the search
-//!    index, the linearization cache, the call-site index, and the next
+//!    call-site index names. Every function the commit changed — both
+//!    originals and each rewritten caller — then goes through one
+//!    bookkeeping step (linearization, call-site entry, fingerprint), and
+//!    the merged function joins the search index and the next
 //!    generation's worklist.
+//!
+//! The candidate index is the pass's one record of which functions are
+//! live and what their fingerprints are: a function is a subject or a
+//! candidate only while the index holds it.
 //!
 //! A generation holds at most [`GENERATION_SUBJECTS`] subjects, at every
 //! thread count, so generation boundaries — and with them every commit
@@ -312,22 +317,9 @@ pub const GENERATION_SUBJECTS: usize = 256;
 /// decision-neutral and thread-invariant as the subject cap.
 const ORACLE_GENERATION_PAIRS: usize = 4096;
 
-/// One attempt aligned and bounded by the prepare stage.
-struct Prepared {
-    /// `None` when the alignment budget skipped the pair.
-    alignment: Option<Alignment>,
-    /// The pre-codegen Δ bound; `None` when the pair was not aligned or
-    /// its merge set-up fails (the build then fails the same way).
-    bound: Option<DeltaBound>,
-    /// Mutation generations of `(f1, f2)` at schedule time.
-    gens: (u64, u64),
-    /// Global invalidation epoch at schedule time (bumped when a failed
-    /// commit leaves the module in a state the per-function generations
-    /// cannot describe).
-    epoch: u64,
-}
-
-/// One pair's alignment and Δ bound, with the time each took.
+/// One pair's alignment and Δ bound, with the time each took. The
+/// prepare stage keeps it until the commit stage consumes it or its
+/// generation ends.
 struct Gated {
     alignment: Option<Alignment>,
     bound: Option<DeltaBound>,
@@ -358,36 +350,38 @@ fn align_and_bound(
     Gated { alignment, bound, align_time: t1 - t0, bound_time: t1.elapsed() }
 }
 
-/// Whether `f` may take part in a merge. A varargs definition may not:
-/// its callers pass arguments the merged function has no params for.
+/// Whether `f` may take part in a merge: it is a definition, `cfg` does
+/// not exclude it, and it is not varargs — a varargs definition's
+/// callers pass arguments the merged function has no params for.
 /// [`crate::merge::merge_setup`] refuses such a pair as well; filtering
 /// here keeps it out of the search index, so it takes no candidate slot
-/// and no attempt.
-fn eligible(module: &Module, f: FuncId, cfg: &Config) -> bool {
+/// and no attempt. The paper-loop reference the tests keep applies this
+/// same rule.
+pub fn eligible(module: &Module, f: FuncId, cfg: &Config) -> bool {
     let func = module.func(f);
     !func.is_declaration()
         && !cfg.exclude.contains(&func.name)
         && !module.types.is_varargs(func.fn_ty())
 }
 
-/// The state the worklist starts from: fingerprints, the seeded search
-/// index, and the initial worklist/live set.
+/// The state the worklist starts from: the seeded search index, which
+/// holds every live function with its fingerprint, and the initial
+/// worklist.
 struct SeededPass {
-    fingerprints: HashMap<FuncId, Fingerprint>,
     index: Box<dyn crate::search::CandidateSearch>,
     worklist: VecDeque<FuncId>,
-    live: HashSet<FuncId>,
 }
 
 /// Canonicalizes (when asked), fingerprints every eligible function and
 /// seeds the candidate-search index.
 ///
-/// With a `pool`, fingerprinting and index seeding run on the workers —
-/// `Fingerprint::of` and `MinHasher::signature` are pure functions of the
-/// (quiescent) module, and the sharded batch insert preserves serial
-/// bucket order, so the seeded state is bit-identical either way. At the
-/// million-function scale these two loops are the entire startup cost.
-fn seed_pass(module: &mut Module, cfg: &Config, pool: Option<&rayon::ThreadPool>) -> SeededPass {
+/// Fingerprinting and index seeding run on `pool` — `Fingerprint::of`
+/// and `MinHasher::signature` are pure functions of the (quiescent)
+/// module, and the sharded batch insert preserves serial bucket order,
+/// so the seeded state is bit-identical at every thread count (a
+/// one-thread pool runs them inline). At the million-function scale
+/// these two loops are the entire startup cost.
+fn seed_pass(module: &mut Module, cfg: &Config, pool: &rayon::ThreadPool) -> SeededPass {
     // Optional future-work extension: canonical intra-block instruction
     // order, so reordered clones linearize identically.
     if cfg.canonicalize {
@@ -402,13 +396,8 @@ fn seed_pass(module: &mut Module, cfg: &Config, pool: Option<&rayon::ThreadPool>
     // the feedback loop — no per-iteration pool is ever rebuilt.
     let available: Vec<FuncId> =
         module.func_ids().into_iter().filter(|&f| eligible(module, f, cfg)).collect();
-    let fingerprints: HashMap<FuncId, Fingerprint> = match pool {
-        Some(pool) if pool.current_num_threads() > 1 && available.len() > 1 => {
-            let module = &*module;
-            pool.par_map(&available, |_, &f| (f, Fingerprint::of(module, f))).into_iter().collect()
-        }
-        _ => available.iter().map(|&f| (f, Fingerprint::of(module, f))).collect(),
-    };
+    let module = &*module;
+    let items = pool.par_map(&available, |_, &f| (f, Fingerprint::of(module, f)));
     // The oracle's "best possible candidate" claim requires an exhaustive
     // scan: shortlisting would silently turn its upper bound into a guess,
     // so oracle mode always searches exactly regardless of `cfg.search`.
@@ -416,12 +405,8 @@ fn seed_pass(module: &mut Module, cfg: &Config, pool: Option<&rayon::ThreadPool>
     let strategy =
         if cfg.oracle { SearchStrategy::Exact } else { cfg.search.resolve(available.len()) };
     let mut index = strategy.build();
-    let items: Vec<(FuncId, &Fingerprint)> =
-        available.iter().map(|&f| (f, &fingerprints[&f])).collect();
-    index.insert_batch(&items, pool);
-    let worklist: VecDeque<FuncId> = available.iter().copied().collect();
-    let live: HashSet<FuncId> = available.into_iter().collect();
-    SeededPass { fingerprints, index, worklist, live }
+    index.insert_batch(items, pool);
+    SeededPass { index, worklist: available.into() }
 }
 
 /// Runs the FMSA optimization over `module` with the merge pipeline,
@@ -477,20 +462,13 @@ fn run_pipeline(
     let cm = CostModel::new(cfg.arch);
     let mut stats = FmsaStats { size_before: cm.module_size(module), ..FmsaStats::default() };
 
-    let SeededPass { mut fingerprints, mut index, mut worklist, mut live } =
-        seed_pass(module, cfg, (threads > 1).then_some(&pool));
+    let SeededPass { mut index, mut worklist } = seed_pass(module, cfg, &pool);
 
     // Oracle mode explores every candidate of every subject.
     let threshold = if cfg.oracle { usize::MAX } else { cfg.threshold };
 
-    // The linearization cache, the incremental call-site index, and
-    // per-function mutation generations used to re-validate prepared
-    // work.
     let mut lin_cache = LinearizationCache::new();
     let mut call_sites = CallSiteIndex::build(module);
-    let mut gens: HashMap<FuncId, u64> = HashMap::new();
-    let mut epoch: u64 = 0;
-    let gen_of = |gens: &HashMap<FuncId, u64>, f: FuncId| gens.get(&f).copied().unwrap_or(0);
     let mut pstats = PipelineStats { threads, seed: t_seed.elapsed(), ..PipelineStats::default() };
 
     while !worklist.is_empty() {
@@ -500,7 +478,7 @@ fn run_pipeline(
         });
         // ---------------------------------------------------- schedule
         let cap = if cfg.oracle {
-            (ORACLE_GENERATION_PAIRS / live.len().max(1)).clamp(1, GENERATION_SUBJECTS)
+            (ORACLE_GENERATION_PAIRS / index.len().max(1)).clamp(1, GENERATION_SUBJECTS)
         } else {
             GENERATION_SUBJECTS
         };
@@ -508,7 +486,7 @@ fn run_pipeline(
         let mut subjects = Vec::with_capacity(take);
         for _ in 0..take {
             let f = worklist.pop_front().expect("worklist non-empty");
-            if live.contains(&f) && module.is_live(f) {
+            if index.contains(f) && module.is_live(f) {
                 subjects.push(f);
             }
         }
@@ -518,19 +496,17 @@ fn run_pipeline(
         let sched_span = trace::span("fmsa", "schedule");
         let t0 = Instant::now();
         let scheduled: Vec<(FuncId, Vec<Candidate>)> = {
-            // Queries only read the index and the fingerprint map
-            // (`CandidateSearch` is `Send + Sync` for exactly this), and
-            // `par_map` returns results in input order, so parallel
-            // scheduling is candidate-for-candidate identical to the
-            // serial loop. At one thread `par_map` runs inline.
+            // Queries only read the index (`CandidateSearch` is
+            // `Send + Sync` for exactly this), and `par_map` returns
+            // results in input order, so parallel scheduling is
+            // candidate-for-candidate identical to the serial loop. At one
+            // thread `par_map` runs inline.
             let shared_index: &dyn crate::search::CandidateSearch = index.as_ref();
-            let fps = &fingerprints;
             let query_cpu = AtomicU64::new(0);
             let out = pool.par_map(&subjects, |_, &f| {
                 let _s = trace::span("fmsa", "query");
                 let t = Instant::now();
-                let cands =
-                    shared_index.candidates(f, &fps[&f], fps, threshold, cfg.min_similarity);
+                let cands = shared_index.candidates(f, threshold, cfg.min_similarity);
                 query_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 (f, cands)
             });
@@ -545,7 +521,11 @@ fn run_pipeline(
         drop(sched_span);
 
         // ----------------------------------------------------- prepare
-        let mut prepared: HashMap<(FuncId, FuncId), Prepared> = HashMap::new();
+        // Prepared pairs live for this generation only: a pair is reused
+        // while no commit of the generation has changed either function
+        // (`changed`, filled by the commit stage).
+        let mut prepared: HashMap<(FuncId, FuncId), Gated> = HashMap::new();
+        let mut changed: HashSet<FuncId> = HashSet::new();
         if threads > 1 {
             let _prep_span = trace::span("fmsa", "prepare");
             let mut jobs: Vec<(FuncId, FuncId)> = Vec::new();
@@ -605,16 +585,7 @@ fn run_pipeline(
                 pstats.prepared += 1;
                 pstats.align_cpu += gated.align_time;
                 pstats.bound_cpu += gated.bound_time;
-                let gens_pair = (gen_of(&gens, f1), gen_of(&gens, f2));
-                prepared.insert(
-                    (f1, f2),
-                    Prepared {
-                        alignment: gated.alignment,
-                        bound: gated.bound,
-                        gens: gens_pair,
-                        epoch,
-                    },
-                );
+                prepared.insert((f1, f2), gated);
             }
         }
 
@@ -627,18 +598,12 @@ fn run_pipeline(
         let t_commit = Instant::now();
         let mut dirty = false;
         for (f1, scheduled_cands) in scheduled {
-            if !live.contains(&f1) || !module.is_live(f1) {
+            if !index.contains(f1) || !module.is_live(f1) {
                 continue;
             }
             let cands = if dirty {
                 let t0 = Instant::now();
-                let c = index.candidates(
-                    f1,
-                    &fingerprints[&f1],
-                    &fingerprints,
-                    threshold,
-                    cfg.min_similarity,
-                );
+                let c = index.candidates(f1, threshold, cfg.min_similarity);
                 pstats.query_cpu += t0.elapsed();
                 c
             } else {
@@ -663,7 +628,6 @@ fn run_pipeline(
                     a.check(&lin_cache, module, cand.func);
                 }
                 let (seq1, seq2) = (&lin1.entries, &lin2.entries);
-                let gens_now = (gen_of(&gens, f1), gen_of(&gens, cand.func));
                 // Names key the fault plan and the quarantine log: they
                 // are stable across thread counts, unlike ids-at-commit.
                 let n1 = module.func(f1).name.clone();
@@ -685,13 +649,14 @@ fn run_pipeline(
                     delta_bound: None,
                     outcome,
                 };
+                let fresh = !changed.contains(&f1) && !changed.contains(&cand.func);
                 let (alignment, bound) = match prepared.remove(&(f1, cand.func)) {
-                    Some(mut p) if p.gens == gens_now && p.epoch == epoch => {
+                    Some(Gated { alignment, mut bound, .. }) if fresh => {
                         pstats.reused += 1;
-                        if let Some(b) = p.bound.as_mut() {
+                        if let Some(b) = bound.as_mut() {
                             b.refresh(&module.types);
                         }
-                        (p.alignment, p.bound)
+                        (alignment, bound)
                     }
                     _ => {
                         if threads > 1 {
@@ -895,15 +860,15 @@ fn run_pipeline(
                     Err(_) => {
                         // Should not happen (guarded by tests). Drop the
                         // merge and abandon this subject. The failed
-                        // commit may have partially rewritten call sites,
-                        // a state the per-function generations cannot
-                        // describe, so resynchronize the caches with the
-                        // module and invalidate all prepared work.
+                        // commit may have partially rewritten call sites
+                        // the commit result does not name, so
+                        // resynchronize the caches with the module and
+                        // drop all prepared work.
                         module.remove_function(info.merged);
                         recs[win].outcome = DecisionOutcome::Failed;
                         call_sites = CallSiteIndex::build(module);
                         lin_cache = LinearizationCache::new();
-                        epoch += 1;
+                        prepared.clear();
                         dirty = true;
                         break 'commit;
                     }
@@ -917,53 +882,28 @@ fn run_pipeline(
                         Disposition::Thunk => stats.thunks += 1,
                     }
                 }
-                // Retire the originals from the merge pool.
-                live.remove(&f1);
-                live.remove(&info.f2);
-                fingerprints.remove(&f1);
-                fingerprints.remove(&info.f2);
+                // Retire the originals from the merge pool, then bring
+                // every function the commit changed up to date: its
+                // linearization, prepared pairs and call-site entry, and,
+                // while it is still in the pool, its fingerprint.
                 index.remove(f1);
                 index.remove(info.f2);
-                // Maintain the pipeline caches: mutated functions get new
-                // generations and fresh call-site entries, deleted ones
-                // leave every structure.
-                for (func, disposition) in [(f1, commit.first), (info.f2, commit.second)] {
-                    lin_cache.invalidate(func);
-                    match disposition {
-                        Disposition::Deleted => {
-                            call_sites.remove(func);
-                            gens.remove(&func);
-                        }
-                        Disposition::Thunk => {
-                            call_sites.refresh(module, func);
-                            *gens.entry(func).or_insert(0) += 1;
-                        }
-                    }
-                }
-                for &g in &commit.touched {
+                for g in [f1, info.f2].into_iter().chain(commit.touched) {
                     lin_cache.invalidate(g);
-                    *gens.entry(g).or_insert(0) += 1;
-                    if module.is_live(g) {
-                        call_sites.refresh(module, g);
-                    } else {
+                    changed.insert(g);
+                    if !module.is_live(g) {
                         call_sites.remove(g);
+                        continue;
+                    }
+                    call_sites.refresh(module, g);
+                    if index.contains(g) {
+                        index.insert(g, Fingerprint::of(module, g));
                     }
                 }
+                // Feedback loop: the merged function joins the pool and
+                // the next generation's worklist.
                 call_sites.refresh(module, info.merged);
-                // Feedback loop: rewritten callers re-enter the index with
-                // fresh fingerprints, the merged function joins the next
-                // generation's worklist.
-                for g in commit.touched {
-                    if live.contains(&g) && module.is_live(g) {
-                        let fp = Fingerprint::of(module, g);
-                        index.insert(g, &fp);
-                        fingerprints.insert(g, fp);
-                    }
-                }
-                let merged_fp = Fingerprint::of(module, info.merged);
-                index.insert(info.merged, &merged_fp);
-                fingerprints.insert(info.merged, merged_fp);
-                live.insert(info.merged);
+                index.insert(info.merged, Fingerprint::of(module, info.merged));
                 worklist.push_back(info.merged);
                 dirty = true;
             }
@@ -1258,6 +1198,10 @@ mod tests {
         assert!(p.generations >= 1);
         assert!(p.prepared > 0);
         assert!(p.reused > 0);
+        // Every attempt either reuses its prepared pair or recomputes it:
+        // a pair one of this generation's commits changed is stale.
+        assert!(p.recomputed > 0, "{p:?}");
+        assert_eq!(p.reused + p.recomputed, stats.attempted, "{p:?}");
         assert!(p.rewrite > Duration::ZERO, "commits must book rewrite time: {p:?}");
         assert!(p.rewrite <= p.commit, "{p:?}");
         assert!(fmsa_ir::verify_module(&m).is_empty());

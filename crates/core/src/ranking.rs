@@ -48,8 +48,8 @@ impl PartialOrd for Candidate {
 /// `subject`'s fingerprint and returns the top `threshold` candidates,
 /// most similar first.
 ///
-/// `pool` yields *borrowed* fingerprints — callers rank straight over
-/// their live fingerprint map without cloning an entry.
+/// `pool` yields *borrowed* fingerprints — a candidate index ranks
+/// straight over the fingerprints it holds without cloning an entry.
 ///
 /// `min_similarity` prunes hopeless candidates early (a similarity of 0
 /// means no opcode or no type overlap at all).

@@ -18,11 +18,13 @@
 //! unchanged (a shortlist reads the subject's bucket in every shard and
 //! sorts the union, so shard layout is invisible to ranking), but bulk
 //! maintenance parallelizes: [`LshSearch::insert_batch`] hashes
-//! signatures on the worker pool and then fills all `BANDS` shards
-//! concurrently, one worker per shard, with no locks — each band's
-//! bucket membership order is the batch order, exactly what serial
-//! insertion would have produced. That turns the million-function index
-//! seed from the pass's largest serial cost into a parallel one.
+//! signatures with the pool's `par_map` and then fills all `BANDS`
+//! shards in one pool scope, one job per shard, with no locks — each
+//! band's bucket membership order is the batch order, exactly what serial
+//! insertion would have produced. A one-thread pool runs both steps on
+//! the calling thread, so there is one code path at every thread count.
+//! That turns the million-function index seed from the pass's largest
+//! serial cost into a parallel one.
 
 use super::minhash::MinHasher;
 use super::CandidateSearch;
@@ -70,6 +72,10 @@ pub struct LshSearch {
     /// Stored signature per indexed function (needed to find its buckets
     /// again on removal).
     signatures: HashMap<FuncId, Vec<u64>>,
+    /// Fingerprint of every function added by `insert`/`insert_batch`,
+    /// what queries rank with. Functions added by
+    /// [`LshSearch::insert_signature`] have none and are never candidates.
+    fingerprints: HashMap<FuncId, Fingerprint>,
     /// One bucket map per band: `shards[band][band_key] → members`.
     /// Vectors stay tiny for healthy parameters; membership order is
     /// irrelevant because queries sort the shortlist. Disjoint by
@@ -83,6 +89,7 @@ impl LshSearch {
         LshSearch {
             hasher: MinHasher::new(HASHES, OCCURRENCE_CAP),
             signatures: HashMap::new(),
+            fingerprints: HashMap::new(),
             shards: vec![HashMap::new(); BANDS],
         }
     }
@@ -96,12 +103,12 @@ impl LshSearch {
     /// fingerprint hashing. This is how the persistent store
     /// ([`crate::store`]) rebuilds the index from disk on restart:
     /// signatures are durable, fingerprints are not. The signature length
-    /// must be [`HASHES`].
+    /// must be [`HASHES`]. Such an entry has no fingerprint: it is
+    /// shortlisted, but never returned by
+    /// [`CandidateSearch::candidates`].
     pub fn insert_signature(&mut self, func: FuncId, sig: Vec<u64>) {
         assert_eq!(sig.len(), HASHES, "signature length must match HASHES");
-        if self.signatures.contains_key(&func) {
-            self.remove(func);
-        }
+        self.remove(func);
         for (band, key) in Self::band_keys(&sig) {
             self.shards[band].entry(key).or_default().push(func);
         }
@@ -145,58 +152,43 @@ impl Default for LshSearch {
 }
 
 impl CandidateSearch for LshSearch {
-    fn insert(&mut self, func: FuncId, fp: &Fingerprint) {
-        self.insert_signature(func, self.hasher.signature(fp));
+    fn insert(&mut self, func: FuncId, fp: Fingerprint) {
+        self.insert_signature(func, self.hasher.signature(&fp));
+        self.fingerprints.insert(func, fp);
     }
 
     /// Parallel bulk insert: signatures are hashed on the pool
     /// (`MinHasher` is pure, so contents match the serial path), then
-    /// every band shard is filled by its own worker — shards are
-    /// disjoint maps, so no synchronization is needed, and each band's
-    /// bucket membership order is the batch order, identical to what
+    /// every band shard is filled by its own job — shards are disjoint
+    /// maps, so no synchronization is needed, and each band's bucket
+    /// membership order is the batch order, identical to what
     /// one-at-a-time insertion would produce.
-    fn insert_batch(&mut self, items: &[(FuncId, &Fingerprint)], pool: Option<&rayon::ThreadPool>) {
-        // Refresh semantics first (rare in batch callers; the seed and
-        // store-rebuild paths only ever batch fresh functions).
-        for &(func, _) in items {
-            if self.signatures.contains_key(&func) {
-                self.remove(func);
-            }
+    fn insert_batch(&mut self, items: Vec<(FuncId, Fingerprint)>, pool: &rayon::ThreadPool) {
+        // Refresh semantics first (rare in batch callers; the seed path
+        // only ever batches fresh functions).
+        for &(func, _) in &items {
+            self.remove(func);
         }
         let hasher = &self.hasher;
-        let sigs: Vec<(FuncId, Vec<u64>)> = match pool {
-            Some(pool) if pool.current_num_threads() > 1 && items.len() > 1 => {
-                pool.par_map(items, |_, &(func, fp)| (func, hasher.signature(fp)))
-            }
-            _ => items.iter().map(|&(func, fp)| (func, hasher.signature(fp))).collect(),
-        };
-        match pool {
-            Some(pool) if pool.current_num_threads() > 1 && self.shards.len() > 1 => {
-                pool.scope(|s| {
-                    for (band, shard) in self.shards.iter_mut().enumerate() {
-                        let sigs = &sigs;
-                        s.spawn(move |_| {
-                            for (func, sig) in sigs {
-                                let key = band_key(band, &sig[band * ROWS..(band + 1) * ROWS]);
-                                shard.entry(key).or_default().push(*func);
-                            }
-                        });
-                    }
-                });
-            }
-            _ => {
-                for (band, shard) in self.shards.iter_mut().enumerate() {
-                    for (func, sig) in &sigs {
+        let sigs: Vec<(FuncId, Vec<u64>)> =
+            pool.par_map(&items, |_, (func, fp)| (*func, hasher.signature(fp)));
+        pool.scope(|s| {
+            for (band, shard) in self.shards.iter_mut().enumerate() {
+                let sigs = &sigs;
+                s.spawn(move |_| {
+                    for (func, sig) in sigs {
                         let key = band_key(band, &sig[band * ROWS..(band + 1) * ROWS]);
                         shard.entry(key).or_default().push(*func);
                     }
-                }
+                });
             }
-        }
+        });
         self.signatures.extend(sigs);
+        self.fingerprints.extend(items);
     }
 
     fn remove(&mut self, func: FuncId) {
+        self.fingerprints.remove(&func);
         let Some(sig) = self.signatures.remove(&func) else {
             return;
         };
@@ -210,19 +202,20 @@ impl CandidateSearch for LshSearch {
         }
     }
 
-    fn candidates(
-        &self,
-        subject: FuncId,
-        subject_fp: &Fingerprint,
-        fingerprints: &HashMap<FuncId, Fingerprint>,
-        threshold: usize,
-        min_similarity: f64,
-    ) -> Vec<Candidate> {
-        let shortlist = self.shortlist(subject);
+    fn contains(&self, func: FuncId) -> bool {
+        self.signatures.contains_key(&func)
+    }
+
+    fn candidates(&self, subject: FuncId, threshold: usize, min_similarity: f64) -> Vec<Candidate> {
+        let Some(subject_fp) = self.fingerprints.get(&subject) else {
+            return Vec::new();
+        };
         rank_candidates(
             subject,
             subject_fp,
-            shortlist.into_iter().filter_map(|f| fingerprints.get(&f).map(|fp| (f, fp))),
+            self.shortlist(subject)
+                .into_iter()
+                .filter_map(|f| self.fingerprints.get(&f).map(|fp| (f, fp))),
             threshold,
             min_similarity,
         )
@@ -256,15 +249,12 @@ mod tests {
         f
     }
 
-    fn index_all(m: &Module, ids: &[FuncId]) -> (LshSearch, HashMap<FuncId, Fingerprint>) {
+    fn index_all(m: &Module, ids: &[FuncId]) -> LshSearch {
         let mut idx = LshSearch::new();
-        let mut fps = HashMap::new();
         for &f in ids {
-            let fp = Fingerprint::of(m, f);
-            idx.insert(f, &fp);
-            fps.insert(f, fp);
+            idx.insert(f, Fingerprint::of(m, f));
         }
-        (idx, fps)
+        idx
     }
 
     #[test]
@@ -273,10 +263,23 @@ mod tests {
         let a = chain_fn(&mut m, "a", 12, 3);
         let b = chain_fn(&mut m, "b", 12, 3);
         let far = chain_fn(&mut m, "far", 1, 14);
-        let (idx, fps) = index_all(&m, &[a, b, far]);
+        let idx = index_all(&m, &[a, b, far]);
         assert!(idx.shortlist(a).contains(&b));
-        let top = idx.candidates(a, &fps[&a], &fps, 5, 0.0);
+        let top = idx.candidates(a, 5, 0.0);
         assert_eq!(top[0].func, b);
+    }
+
+    #[test]
+    fn signature_only_entries_are_never_candidates() {
+        let mut m = Module::new("m");
+        let a = chain_fn(&mut m, "a", 12, 3);
+        let b = chain_fn(&mut m, "b", 12, 3);
+        let mut idx = index_all(&m, &[a]);
+        idx.insert_signature(b, idx.signature_for(&Fingerprint::of(&m, b)));
+        assert!(idx.contains(b));
+        assert_eq!(idx.shortlist(a), [b], "the twin shares every bucket");
+        assert!(idx.candidates(a, 5, 0.0).is_empty());
+        assert!(idx.candidates(b, 5, 0.0).is_empty());
     }
 
     #[test]
@@ -284,7 +287,7 @@ mod tests {
         let mut m = Module::new("m");
         let a = chain_fn(&mut m, "a", 12, 3);
         let b = chain_fn(&mut m, "b", 12, 3);
-        let (mut idx, _) = index_all(&m, &[a, b]);
+        let mut idx = index_all(&m, &[a, b]);
         assert_eq!(idx.len(), 2);
         idx.remove(b);
         assert_eq!(idx.len(), 1);
@@ -313,7 +316,7 @@ mod tests {
         let mut m = Module::new("m");
         let a = chain_fn(&mut m, "a", 3, 3);
         let idx = LshSearch::new();
-        let fps = HashMap::from([(a, Fingerprint::of(&m, a))]);
-        assert!(idx.candidates(a, &fps[&a], &fps, 5, 0.0).is_empty());
+        assert!(!idx.contains(a));
+        assert!(idx.candidates(a, 5, 0.0).is_empty());
     }
 }

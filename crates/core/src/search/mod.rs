@@ -17,6 +17,9 @@
 //! Both implementations are *incremental*: the merge feedback loop removes
 //! merged originals, inserts the merged function, and re-inserts
 //! re-fingerprinted callers, so no per-iteration pool is ever rebuilt.
+//! The index keeps the fingerprint of every function it holds, so it is
+//! the merge pass's only record of which functions are still live and
+//! what they look like.
 //!
 //! # MinHash banding parameters and the precision/recall trade-off
 //!
@@ -57,10 +60,11 @@ pub use minhash::MinHasher;
 use crate::fingerprint::Fingerprint;
 use crate::ranking::{rank_candidates, Candidate};
 use fmsa_ir::FuncId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-/// A maintained index over the live merge-eligible functions, queried for
-/// the top merge candidates of one subject function.
+/// A maintained index over the live merge-eligible functions and their
+/// fingerprints, queried for the top merge candidates of one subject
+/// function.
 ///
 /// `Send + Sync` is part of the contract: the pipeline's schedule stage
 /// runs candidate queries for a whole generation concurrently against a
@@ -68,19 +72,20 @@ use std::collections::{BTreeSet, HashMap};
 /// concurrent shared-reference calls (it takes `&self`, so this is the
 /// usual no-interior-mutability requirement, not a locking one).
 pub trait CandidateSearch: Send + Sync {
-    /// Adds (or refreshes) `func` with fingerprint `fp`.
+    /// Adds (or refreshes) `func` with fingerprint `fp`, which the index
+    /// keeps.
     ///
     /// Implementations must tolerate re-insertion of an already-indexed
     /// function (callers refresh fingerprints after call-site rewrites).
-    fn insert(&mut self, func: FuncId, fp: &Fingerprint);
+    fn insert(&mut self, func: FuncId, fp: Fingerprint);
 
-    /// Bulk-adds `items`, optionally using `pool` for parallel index
-    /// construction. Must be observably identical to inserting the items
-    /// one by one in slice order; the default does exactly that.
-    /// [`LshSearch`] overrides it with sharded parallel seeding.
-    fn insert_batch(&mut self, items: &[(FuncId, &Fingerprint)], pool: Option<&rayon::ThreadPool>) {
+    /// Bulk-adds `items`, using `pool` where the index build can run in
+    /// parallel. Must be observably identical to inserting the items one
+    /// by one in order; the default does exactly that. [`LshSearch`]
+    /// overrides it with sharded parallel seeding.
+    fn insert_batch(&mut self, items: Vec<(FuncId, Fingerprint)>, pool: &rayon::ThreadPool) {
         let _ = pool;
-        for &(func, fp) in items {
+        for (func, fp) in items {
             self.insert(func, fp);
         }
     }
@@ -88,17 +93,14 @@ pub trait CandidateSearch: Send + Sync {
     /// Removes `func` from the index; no-op when absent.
     fn remove(&mut self, func: FuncId);
 
+    /// Whether `func` is indexed.
+    fn contains(&self, func: FuncId) -> bool;
+
     /// Top `threshold` candidates for `subject`, most similar first,
-    /// scored with the exact fingerprint similarity over `fingerprints`.
-    /// `subject` itself is never returned.
-    fn candidates(
-        &self,
-        subject: FuncId,
-        subject_fp: &Fingerprint,
-        fingerprints: &HashMap<FuncId, Fingerprint>,
-        threshold: usize,
-        min_similarity: f64,
-    ) -> Vec<Candidate>;
+    /// scored with the exact fingerprint similarity over the fingerprints
+    /// the index holds. `subject` itself is never returned; a subject
+    /// without a fingerprint in the index has no candidates.
+    fn candidates(&self, subject: FuncId, threshold: usize, min_similarity: f64) -> Vec<Candidate>;
 
     /// Number of indexed functions.
     fn len(&self) -> usize;
@@ -115,7 +117,7 @@ pub trait CandidateSearch: Send + Sync {
 pub struct ExactSearch {
     /// Ordered so iteration (and therefore tie-breaking input order) is
     /// deterministic.
-    live: BTreeSet<FuncId>,
+    fingerprints: BTreeMap<FuncId, Fingerprint>,
 }
 
 impl ExactSearch {
@@ -126,33 +128,33 @@ impl ExactSearch {
 }
 
 impl CandidateSearch for ExactSearch {
-    fn insert(&mut self, func: FuncId, _fp: &Fingerprint) {
-        self.live.insert(func);
+    fn insert(&mut self, func: FuncId, fp: Fingerprint) {
+        self.fingerprints.insert(func, fp);
     }
 
     fn remove(&mut self, func: FuncId) {
-        self.live.remove(&func);
+        self.fingerprints.remove(&func);
     }
 
-    fn candidates(
-        &self,
-        subject: FuncId,
-        subject_fp: &Fingerprint,
-        fingerprints: &HashMap<FuncId, Fingerprint>,
-        threshold: usize,
-        min_similarity: f64,
-    ) -> Vec<Candidate> {
+    fn contains(&self, func: FuncId) -> bool {
+        self.fingerprints.contains_key(&func)
+    }
+
+    fn candidates(&self, subject: FuncId, threshold: usize, min_similarity: f64) -> Vec<Candidate> {
+        let Some(subject_fp) = self.fingerprints.get(&subject) else {
+            return Vec::new();
+        };
         rank_candidates(
             subject,
             subject_fp,
-            self.live.iter().filter_map(|&f| fingerprints.get(&f).map(|fp| (f, fp))),
+            self.fingerprints.iter().map(|(&f, fp)| (f, fp)),
             threshold,
             min_similarity,
         )
     }
 
     fn len(&self) -> usize {
-        self.live.len()
+        self.fingerprints.len()
     }
 }
 
@@ -243,18 +245,22 @@ mod tests {
         let subject = fn_with_adds(&mut m, "s", 10);
         let ids: Vec<FuncId> =
             (0..8).map(|k| fn_with_adds(&mut m, &format!("f{k}"), 2 + k)).collect();
-        let mut fps: HashMap<FuncId, Fingerprint> = HashMap::new();
+        let pool: Vec<(FuncId, Fingerprint)> =
+            ids.iter().chain([subject].iter()).map(|&f| (f, Fingerprint::of(&m, f))).collect();
         let mut idx = ExactSearch::new();
-        for &f in ids.iter().chain([subject].iter()) {
-            let fp = Fingerprint::of(&m, f);
-            idx.insert(f, &fp);
-            fps.insert(f, fp);
+        for (f, fp) in &pool {
+            idx.insert(*f, fp.clone());
         }
-        let via_index = idx.candidates(subject, &fps[&subject], &fps, 3, 0.0);
+        let via_index = idx.candidates(subject, 3, 0.0);
+        let subject_fp = Fingerprint::of(&m, subject);
         let direct =
-            rank_candidates(subject, &fps[&subject], fps.iter().map(|(&f, fp)| (f, fp)), 3, 0.0);
+            rank_candidates(subject, &subject_fp, pool.iter().map(|(f, fp)| (*f, fp)), 3, 0.0);
         assert_eq!(via_index, direct);
         assert_eq!(idx.len(), 9);
+        assert!(idx.contains(subject));
+        idx.remove(subject);
+        assert!(!idx.contains(subject));
+        assert!(idx.candidates(subject, 3, 0.0).is_empty(), "an unindexed subject has none");
     }
 
     #[test]
@@ -275,7 +281,7 @@ mod tests {
         for strategy in [SearchStrategy::Exact, SearchStrategy::Lsh] {
             let mut idx = strategy.build();
             assert!(idx.is_empty());
-            idx.insert(a, &fp);
+            idx.insert(a, fp.clone());
             assert_eq!(idx.len(), 1);
             idx.remove(a);
             assert!(idx.is_empty());

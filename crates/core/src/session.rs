@@ -21,7 +21,7 @@ use crate::config::{optimize, Config};
 use crate::error::Error;
 use crate::pipeline::PipelineStats;
 use crate::store::{CompactStats, ContentHash, FunctionStore, StoreOptions};
-use crate::telemetry::{trace, DecisionLog, DecisionRecord};
+use crate::telemetry::{trace, DecisionLog};
 use fmsa_ir::{printer, Module};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -176,11 +176,6 @@ impl MergeSession {
     /// are only made when a merge actually runs.
     pub fn decisions(&self) -> &DecisionLog {
         &self.decisions
-    }
-
-    /// The `n` most recent merge decision records, oldest first.
-    pub fn recent_decisions(&self, n: usize) -> Vec<&DecisionRecord> {
-        self.decisions.recent(n)
     }
 
     /// Serves a request straight from the response cache, if `key` (a

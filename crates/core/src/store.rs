@@ -18,10 +18,11 @@
 //! ([`FunctionStore::similar`]) runs over this whole-store index, not
 //! over any single upload.
 //!
-//! # Persistence format (v2)
+//! # Persistence format
 //!
 //! `<dir>/functions.store` is an append-only write-ahead log of
-//! checksummed, length-framed records:
+//! checksummed, length-framed records, in the one format this build
+//! reads and writes ([`FORMAT_VERSION`]):
 //!
 //! ```text
 //! fmsa-store v2
@@ -41,10 +42,11 @@
 //! Recovery ([`FunctionStore::open`]) scans to the last record whose
 //! frame parses and whose checksum matches — the longest valid prefix —
 //! then truncates the log there so later appends land on a clean tail.
-//! Whatever was dropped is reported in [`RecoveryStats`]. A legacy
-//! `fmsa-store v1` log (no checksums) still loads, read-only; the first
-//! compaction — explicit, automatic, or forced by the first append —
-//! rewrites it as v2.
+//! Whatever was dropped is reported in [`RecoveryStats`]. A log whose
+//! first line reads `fmsa-store v<N>` with another `N` belongs to
+//! another format version: `open` refuses it with an error naming `N`
+//! and leaves the file byte for byte as it was. A torn or garbled header
+//! recovers nothing, and the log is truncated like any damaged tail.
 //!
 //! Durability is governed by [`FsyncPolicy`]; compaction
 //! ([`FunctionStore::compact`]) rewrites the live records to
@@ -72,10 +74,28 @@ pub const STORE_FILE: &str = "functions.store";
 /// Compaction scratch file; renamed over [`STORE_FILE`] on success,
 /// deleted on failure, ignored (and removed) if found at open time.
 pub const STORE_TMP_FILE: &str = "functions.store.tmp";
-/// First line of a v1 store file.
-const STORE_HEADER_V1: &str = "fmsa-store v1";
-/// First line of a v2 store file.
-const STORE_HEADER_V2: &str = "fmsa-store v2";
+/// The log format this build reads and writes; the number on the log's
+/// first line, `fmsa-store v2`.
+pub const FORMAT_VERSION: u32 = 2;
+/// The first line of a log, up to its format version.
+const HEADER_PREFIX: &str = "fmsa-store v";
+
+/// The first line of a log this build writes, newline included.
+fn header() -> String {
+    format!("{HEADER_PREFIX}{FORMAT_VERSION}\n")
+}
+
+/// The format version a log's first line (up to its first newline, or
+/// the end of the file) names, or `None` when that line is not
+/// `fmsa-store v<N>`: an empty, torn or garbled header.
+fn header_version(raw: &[u8]) -> Option<u32> {
+    let line = raw.split(|&b| b == b'\n').next().unwrap_or_default();
+    let digits = std::str::from_utf8(line).ok()?.strip_prefix(HEADER_PREFIX)?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
 
 /// 128-bit content hash of a canonicalized function body (two
 /// differently-seeded FNV-1a-64 lanes — not cryptographic, but
@@ -112,7 +132,7 @@ impl fmt::Display for ContentHash {
 }
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) over `bytes` — the per-record
-/// checksum of the v2 store format. Public so recovery tooling and the
+/// checksum of the store format. Public so recovery tooling and the
 /// corruption property tests can frame records independently.
 pub fn crc32(bytes: &[u8]) -> u32 {
     use std::sync::OnceLock;
@@ -135,7 +155,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Frames one payload as a v2 record: `R <len> <crc32:08x>\n<payload>\n`.
+/// Frames one payload as a record: `R <len> <crc32:08x>\n<payload>\n`.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = format!("R {} {:08x}\n", payload.len(), crc32(payload)).into_bytes();
     out.extend_from_slice(payload);
@@ -230,9 +250,6 @@ pub struct RecoveryStats {
     pub skipped_records: usize,
     /// Bytes past the valid prefix, dropped (and truncated) at open.
     pub bytes_dropped: u64,
-    /// Whether the log was a legacy v1 file (loads read-only; the first
-    /// compaction migrates it to v2).
-    pub from_v1: bool,
 }
 
 /// What one [`FunctionStore::compact`] call did.
@@ -336,7 +353,6 @@ pub struct FunctionStore {
     misses: u64,
     // --- persistence state (all zero/inert for in-memory stores) ---
     file: Option<File>,
-    format_v1: bool,
     opts: StoreOptions,
     last_sync: Instant,
     dirty: bool,
@@ -359,7 +375,6 @@ impl FunctionStore {
             hits: 0,
             misses: 0,
             file: None,
-            format_v1: false,
             opts: StoreOptions::default(),
             last_sync: Instant::now(),
             dirty: false,
@@ -385,18 +400,33 @@ impl FunctionStore {
     /// [`FunctionStore::recovery`]); a stale compaction scratch file is
     /// removed — the rename that would have published it never happened,
     /// so the old log is authoritative.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and a log whose header names another format version
+    /// than [`FORMAT_VERSION`]: such a log is left untouched.
     pub fn open_with(dir: impl Into<PathBuf>, opts: StoreOptions) -> Result<FunctionStore, Error> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        let path = dir.join(STORE_FILE);
+        let raw = if path.exists() { Some(std::fs::read(&path)?) } else { None };
+        let foreign = raw.as_deref().and_then(header_version).filter(|&v| v != FORMAT_VERSION);
+        if let Some(version) = foreign {
+            return Err(Error::Io {
+                message: format!(
+                    "{} is a format v{version} store log; this build reads only \
+                     v{FORMAT_VERSION} and leaves the file as it is",
+                    path.display()
+                ),
+            });
+        }
         let _ = std::fs::remove_file(dir.join(STORE_TMP_FILE));
         let mut store = FunctionStore::in_memory();
         store.opts = opts;
-        store.dir = Some(dir.clone());
-        let path = dir.join(STORE_FILE);
-        if path.exists() {
-            let raw = std::fs::read(&path)?;
+        store.dir = Some(dir);
+        if let Some(raw) = raw {
             let valid_len = store.load(&raw);
-            if !store.format_v1 && valid_len < raw.len() {
+            if valid_len < raw.len() {
                 // Truncate to the valid prefix so later appends land on
                 // a clean tail instead of hiding behind corrupt bytes.
                 let f = std::fs::OpenOptions::new().write(true).open(&path)?;
@@ -456,7 +486,7 @@ impl FunctionStore {
     }
 
     /// Bytes in the log that compaction would reclaim (`seen` bump
-    /// records, dropped tails of a v1 log).
+    /// records and repeated entries).
     pub fn dead_bytes(&self) -> u64 {
         self.dead_bytes
     }
@@ -479,16 +509,6 @@ impl FunctionStore {
     /// failures propagate to the caller instead).
     pub fn compact_failures(&self) -> u64 {
         self.compact_failures
-    }
-
-    /// The log format version this store is currently reading/writing:
-    /// 1 only for a legacy log that has not yet been compacted.
-    pub fn format_version(&self) -> u32 {
-        if self.format_v1 {
-            1
-        } else {
-            2
-        }
     }
 
     /// Replaces the store's fault-injection plan (only the `store-*`
@@ -573,13 +593,6 @@ impl FunctionStore {
         Ok((stats, hashes))
     }
 
-    /// Records `n` hits without re-hashing anything — used by the
-    /// session's whole-response cache, where a byte-identical re-upload
-    /// is known to consist entirely of stored functions.
-    pub fn note_replayed_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
     /// Durably bumps `seen` for already-stored entries — the
     /// response-cache replay path, whose uploads never reach
     /// [`FunctionStore::ingest_module`] and previously left repeat
@@ -632,14 +645,13 @@ impl FunctionStore {
     /// Rewrites the log to exactly the live entries (current `seen`
     /// counts folded in, bump records dropped) via
     /// `functions.store.tmp` + atomic rename. A crash or injected fault
-    /// at any point leaves either the old or the new log. Also the v1 →
-    /// v2 migration path: the compacted log is always v2.
+    /// at any point leaves either the old or the new log.
     pub fn compact(&mut self) -> Result<CompactStats, Error> {
         let Some(dir) = self.dir.clone() else {
             return Ok(CompactStats::default());
         };
         let bytes_before = self.total_bytes;
-        let mut buf = format!("{STORE_HEADER_V2}\n").into_bytes();
+        let mut buf = header().into_bytes();
         for e in &self.entries {
             buf.extend_from_slice(&frame(&entry_payload(e)));
         }
@@ -654,7 +666,6 @@ impl FunctionStore {
             let _ = d.sync_all();
         }
         self.file = Some(std::fs::OpenOptions::new().append(true).open(&path)?);
-        self.format_v1 = false;
         self.total_bytes = buf.len() as u64;
         self.dead_bytes = 0;
         self.dirty = false;
@@ -696,11 +707,10 @@ impl FunctionStore {
     /// Logs and applies one batch of records: `entries`, then one `seen`
     /// bump per distinct hash in `repeats` (first-repeat order), framed
     /// into one buffer and written once; then the fsync the policy asks
-    /// for and any due auto-compaction. A v1 log is migrated to v2 first
-    /// (via compaction). Each record advances the op counter and
-    /// consults the `StoreWrite` fault site in order: a fault at record k
-    /// writes and applies records 1..k−1, then returns the error —
-    /// exactly what appending one record at a time would leave.
+    /// for and any due auto-compaction. Each record advances the op
+    /// counter and consults the `StoreWrite` fault site in order: a fault
+    /// at record k writes and applies records 1..k−1, then returns the
+    /// error — exactly what appending one record at a time would leave.
     /// Write-ahead: memory changes only after the write succeeds. An
     /// error carries how many of `entries` were applied.
     fn commit_batch(
@@ -719,11 +729,6 @@ impl FunctionStore {
         let mut landed = records;
         let mut fault = None;
         if self.dir.is_some() && records > 0 {
-            if self.format_v1 {
-                // A v1 log is read-only; the first write forces the
-                // migration compaction that rewrites it as v2.
-                self.compact().map_err(|e| (0, e))?;
-            }
             let mut buf = Vec::new();
             let mut dead = 0u64;
             for k in 0..records {
@@ -774,7 +779,7 @@ impl FunctionStore {
                 !path.exists() || std::fs::metadata(&path).map(|m| m.len() == 0).unwrap_or(true);
             let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&path)?;
             if fresh {
-                let header = format!("{STORE_HEADER_V2}\n");
+                let header = header();
                 file.write_all(header.as_bytes())?;
                 self.total_bytes = header.len() as u64;
             }
@@ -853,81 +858,56 @@ impl FunctionStore {
         Ok(())
     }
 
-    /// Loads entries from a raw store file (v1 or v2), returning the
-    /// byte length of the valid prefix.
+    /// Loads entries from a raw store file, returning the byte length of
+    /// the valid prefix (0 for an empty, torn or garbled header).
     fn load(&mut self, raw: &[u8]) -> usize {
-        let scan = scan_store(raw);
-        self.recovery = RecoveryStats {
-            entries: 0,
-            seen_records: scan.seen_records,
-            skipped_records: scan.skipped_records,
-            bytes_dropped: (raw.len() - scan.valid_len) as u64,
-            from_v1: scan.version == 1,
-        };
-        self.format_v1 = scan.version == 1;
-        match scan.version {
-            1 => {
-                let text = std::str::from_utf8(raw).unwrap_or("");
-                let mut cursor = text
-                    .strip_prefix(STORE_HEADER_V1)
-                    .and_then(|r| r.strip_prefix('\n'))
-                    .unwrap_or("");
-                while let Some((entry, rest)) = parse_v1_record(cursor) {
-                    cursor = rest;
+        let (records, valid_len, skipped_records) = walk(raw);
+        let mut seen_records = 0;
+        for (payload, size) in records {
+            match payload {
+                Payload::Entry(entry) => {
                     if !self.by_hash.contains_key(&entry.hash.0) {
                         self.insert_entry(entry);
+                    } else {
+                        self.dead_bytes += size as u64;
                     }
                 }
-                // The whole v1 file (valid prefix included) is dead
-                // weight: the migration compaction rewrites all of it.
-                self.total_bytes = raw.len() as u64;
-                self.dead_bytes = (raw.len() - scan.valid_len) as u64;
-            }
-            2 => {
-                for (payload, size) in walk_v2(raw).0 {
-                    match payload {
-                        V2Payload::Entry(entry) => {
-                            if !self.by_hash.contains_key(&entry.hash.0) {
-                                self.insert_entry(entry);
-                            } else {
-                                self.dead_bytes += size as u64;
-                            }
-                        }
-                        V2Payload::Seen(hash, delta) => {
-                            if let Some(&i) = self.by_hash.get(&hash.0) {
-                                self.entries[i].seen += delta;
-                            }
-                            self.dead_bytes += size as u64;
-                        }
+                Payload::Seen(hash, delta) => {
+                    seen_records += 1;
+                    if let Some(&i) = self.by_hash.get(&hash.0) {
+                        self.entries[i].seen += delta;
                     }
+                    self.dead_bytes += size as u64;
                 }
-                self.total_bytes = scan.valid_len as u64;
-            }
-            _ => {
-                // Unrecognized header: recover nothing; the file is
-                // truncated to zero and rewritten as v2 on first append.
-                self.total_bytes = 0;
             }
         }
-        self.recovery.entries = self.entries.len();
-        scan.valid_len
+        self.total_bytes = valid_len as u64;
+        self.recovery = RecoveryStats {
+            entries: self.entries.len(),
+            seen_records,
+            skipped_records,
+            bytes_dropped: (raw.len() - valid_len) as u64,
+        };
+        valid_len
     }
 }
 
-/// One record payload of a v2 log.
-enum V2Payload {
+/// One record payload of a log.
+enum Payload {
     Entry(StoreEntry),
     Seen(ContentHash, u64),
 }
 
-/// Walks the framed records of a v2 log (header included in the valid
+/// Walks the framed records of a log (header included in the valid
 /// prefix), stopping at the first frame that fails to parse or
 /// checksum. Returns the records with their framed byte sizes, the
-/// valid prefix length, and how many frame headers follow it.
-fn walk_v2(raw: &[u8]) -> (Vec<(V2Payload, usize)>, usize, usize) {
-    let header = format!("{STORE_HEADER_V2}\n").into_bytes();
-    if !raw.starts_with(&header) {
-        return (Vec::new(), 0, count_skipped(raw));
+/// valid prefix length, and how many frame headers follow it. A log
+/// without this build's header has no valid prefix, and counts as one
+/// skipped record unless it is empty.
+fn walk(raw: &[u8]) -> (Vec<(Payload, usize)>, usize, usize) {
+    let header = header();
+    if !raw.starts_with(header.as_bytes()) {
+        return (Vec::new(), 0, usize::from(!raw.is_empty()));
     }
     let mut records = Vec::new();
     let mut pos = header.len();
@@ -936,7 +916,7 @@ fn walk_v2(raw: &[u8]) -> (Vec<(V2Payload, usize)>, usize, usize) {
         if rest.is_empty() {
             break;
         }
-        let Some(parsed) = parse_v2_frame(rest) else { break };
+        let Some(parsed) = parse_frame(rest) else { break };
         let (payload, size) = parsed;
         records.push((payload, size));
         pos += size;
@@ -947,7 +927,7 @@ fn walk_v2(raw: &[u8]) -> (Vec<(V2Payload, usize)>, usize, usize) {
 
 /// Parses one frame off the front of `rest`: `R <len> <crc>\n<payload>\n`
 /// with a matching checksum and a well-formed payload.
-fn parse_v2_frame(rest: &[u8]) -> Option<(V2Payload, usize)> {
+fn parse_frame(rest: &[u8]) -> Option<(Payload, usize)> {
     let nl = rest.iter().position(|&b| b == b'\n')?;
     let line = std::str::from_utf8(&rest[..nl]).ok()?;
     let fields = line.strip_prefix("R ")?;
@@ -965,17 +945,17 @@ fn parse_v2_frame(rest: &[u8]) -> Option<(V2Payload, usize)> {
     if crc32(payload) != crc {
         return None;
     }
-    let payload = parse_v2_payload(std::str::from_utf8(payload).ok()?)?;
+    let payload = parse_payload(std::str::from_utf8(payload).ok()?)?;
     Some((payload, body_start + len + 1))
 }
 
 /// Parses a checksum-valid payload into an entry or a seen bump.
-fn parse_v2_payload(payload: &str) -> Option<V2Payload> {
+fn parse_payload(payload: &str) -> Option<Payload> {
     if let Some(fields) = payload.strip_prefix("seen ") {
         let (hash_s, delta_s) = fields.split_once(' ')?;
         let hash = ContentHash::from_hex(hash_s)?;
         let delta: u64 = delta_s.strip_prefix('+')?.parse().ok()?;
-        return Some(V2Payload::Seen(hash, delta));
+        return Some(Payload::Seen(hash, delta));
     }
     let (header, text) = payload.split_once('\n')?;
     let fields = header.strip_prefix("fn ")?;
@@ -995,7 +975,7 @@ fn parse_v2_payload(payload: &str) -> Option<V2Payload> {
     if text.len() != len || ContentHash::of_bytes(text.as_bytes()) != hash {
         return None;
     }
-    Some(V2Payload::Entry(StoreEntry { hash, name, seen, text: text.to_owned(), signature }))
+    Some(Payload::Entry(StoreEntry { hash, name, seen, text: text.to_owned(), signature }))
 }
 
 /// The payload of an entry record (framing added by [`frame`]).
@@ -1039,12 +1019,12 @@ fn count_skipped(remainder: &[u8]) -> usize {
 /// simulated crash.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreScan {
-    /// Detected format version (0 = unrecognized/empty, 1, or 2).
-    pub version: u32,
+    /// The format version the log's first line names (`fmsa-store v<N>`),
+    /// or `None` for an empty, torn or garbled header.
+    pub version: Option<u32>,
     /// Recovered `(hash, seen)` pairs, bump records folded in.
     pub entries: Vec<(ContentHash, u64)>,
-    /// Byte length of the checksum-valid prefix (v2) or parsed prefix
-    /// (v1).
+    /// Byte length of the checksum-valid prefix.
     pub valid_len: usize,
     /// Frame headers (or one torn record) past the valid prefix.
     pub skipped_records: usize,
@@ -1052,95 +1032,40 @@ pub struct StoreScan {
     pub seen_records: usize,
 }
 
-/// Scans raw store-file bytes; see [`StoreScan`].
-pub fn scan_store(raw: &[u8]) -> StoreScan {
-    let v2_header = format!("{STORE_HEADER_V2}\n");
-    if raw.starts_with(v2_header.as_bytes()) {
-        let (records, valid_len, skipped) = walk_v2(raw);
-        let mut entries: Vec<(ContentHash, u64)> = Vec::new();
-        let mut seen_records = 0;
-        for (payload, _) in records {
-            match payload {
-                V2Payload::Entry(e) => {
-                    if !entries.iter().any(|(h, _)| *h == e.hash) {
-                        entries.push((e.hash, e.seen));
-                    }
-                }
-                V2Payload::Seen(hash, delta) => {
-                    seen_records += 1;
-                    if let Some((_, n)) = entries.iter_mut().find(|(h, _)| *h == hash) {
-                        *n += delta;
-                    }
-                }
-            }
-        }
-        return StoreScan {
-            version: 2,
-            entries,
-            valid_len,
-            skipped_records: skipped,
-            seen_records,
-        };
-    }
-    let v1_header = format!("{STORE_HEADER_V1}\n");
-    if raw.starts_with(v1_header.as_bytes()) {
-        let text = std::str::from_utf8(raw).unwrap_or("");
-        let mut entries: Vec<(ContentHash, u64)> = Vec::new();
-        let mut cursor = &text[v1_header.len().min(text.len())..];
-        while let Some((entry, rest)) = parse_v1_record(cursor) {
-            cursor = rest;
-            if !entries.iter().any(|(h, _)| *h == entry.hash) {
-                entries.push((entry.hash, entry.seen));
-            }
-        }
-        let valid_len = raw.len() - cursor.len();
-        let skipped = if cursor.is_empty() { 0 } else { 1 };
-        return StoreScan {
-            version: 1,
-            entries,
-            valid_len,
-            skipped_records: skipped,
-            seen_records: 0,
-        };
-    }
-    StoreScan {
-        version: 0,
-        entries: Vec::new(),
-        valid_len: 0,
-        skipped_records: if raw.is_empty() { 0 } else { 1 },
-        seen_records: 0,
+impl StoreScan {
+    /// Whether [`FunctionStore::open`] refuses this log, leaving it as it
+    /// is: its header names another format version than
+    /// [`FORMAT_VERSION`]. A refused log recovers nothing.
+    pub fn refused(&self) -> bool {
+        self.version.is_some_and(|v| v != FORMAT_VERSION)
     }
 }
 
-/// Parses one legacy v1 record off the front of `cursor`; `None` on a
-/// malformed or truncated record.
-fn parse_v1_record(cursor: &str) -> Option<(StoreEntry, &str)> {
-    let (header, body) = cursor.split_once('\n')?;
-    let fields = header.strip_prefix("fn ")?;
-    let (hash_s, fields) = fields.split_once(' ')?;
-    let hash = ContentHash::from_hex(hash_s)?;
-    let (seen_s, fields) = fields.split_once(' ')?;
-    let seen: u64 = seen_s.strip_prefix("seen=")?.parse().ok()?;
-    let (len_s, fields) = fields.split_once(' ')?;
-    let len: usize = len_s.strip_prefix("len=")?.parse().ok()?;
-    let (sig_s, name_s) = fields.split_once(' ')?;
-    let sig_s = sig_s.strip_prefix("sig=")?;
-    let name = name_s.strip_prefix("name=")?.to_owned();
-    let mut signature = Vec::new();
-    for part in sig_s.split(',') {
-        signature.push(u64::from_str_radix(part, 16).ok()?);
+/// Scans raw store-file bytes; see [`StoreScan`].
+pub fn scan_store(raw: &[u8]) -> StoreScan {
+    let version = header_version(raw);
+    if version.is_some_and(|v| v != FORMAT_VERSION) {
+        return StoreScan { version, ..StoreScan::default() };
     }
-    if body.len() < len + 1 || !body.is_char_boundary(len) {
-        return None; // torn tail
+    let (records, valid_len, skipped_records) = walk(raw);
+    let mut entries: Vec<(ContentHash, u64)> = Vec::new();
+    let mut seen_records = 0;
+    for (payload, _) in records {
+        match payload {
+            Payload::Entry(e) => {
+                if !entries.iter().any(|(h, _)| *h == e.hash) {
+                    entries.push((e.hash, e.seen));
+                }
+            }
+            Payload::Seen(hash, delta) => {
+                seen_records += 1;
+                if let Some((_, n)) = entries.iter_mut().find(|(h, _)| *h == hash) {
+                    *n += delta;
+                }
+            }
+        }
     }
-    let text = body[..len].to_owned();
-    let rest = body[len..].strip_prefix('\n')?;
-    // The stored hash must match the stored text — a mismatch means the
-    // record (not just the tail) is corrupt, so stop here too.
-    if ContentHash::of_bytes(text.as_bytes()) != hash {
-        return None;
-    }
-    Some((StoreEntry { hash, name, seen, text, signature }, rest))
+    StoreScan { version, entries, valid_len, skipped_records, seen_records }
 }
 
 #[cfg(test)]
@@ -1307,7 +1232,6 @@ bb2:
         assert_eq!(store.hits(), 0, "counters are per-run");
         assert_eq!(store.recovery().entries, 2);
         assert_eq!(store.recovery().skipped_records, 0);
-        assert_eq!(store.format_version(), 2);
         let s = store.ingest_module(&m).unwrap();
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 0);
@@ -1395,50 +1319,43 @@ bb2:
     }
 
     #[test]
-    fn v1_store_loads_and_migrates_through_compaction() {
-        let dir = temp_dir("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Build entries via an in-memory store, then write them in the
-        // legacy v1 format by hand.
+    fn logs_of_another_format_version_are_refused_untouched() {
+        // Each log holds two entries under the header of another version:
+        // v1 (unframed records, the format before this one), v3 (a later
+        // format) and v0. `open` names the version and leaves every byte.
         let m = module_with(&[("a", 1), ("c", 9)]);
         let mut mem = FunctionStore::in_memory();
         mem.ingest_module(&m).unwrap();
-        let mut v1 = format!("{STORE_HEADER_V1}\n");
-        for e in mem.entries() {
-            let sig: Vec<String> = e.signature.iter().map(|x| format!("{x:x}")).collect();
-            v1.push_str(&format!(
-                "fn {} seen=2 len={} sig={} name={}\n",
-                e.hash,
-                e.text.len(),
-                sig.join(","),
-                e.name
-            ));
-            v1.push_str(&e.text);
-            v1.push('\n');
+        for version in [0, 1, 3] {
+            let dir = temp_dir("foreign");
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut log = format!("fmsa-store v{version}\n").into_bytes();
+            for e in mem.entries() {
+                log.extend_from_slice(&entry_payload(e));
+                log.push(b'\n');
+            }
+            let path = dir.join(STORE_FILE);
+            std::fs::write(&path, &log).unwrap();
+            let err = FunctionStore::open(&dir).unwrap_err();
+            assert!(err.to_string().contains(&format!("format v{version} store log")), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), log, "the v{version} log is left as it was");
+            let scan = scan_store(&log);
+            assert!(scan.refused() && scan.entries.is_empty(), "{scan:?}");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::write(dir.join(STORE_FILE), v1.as_bytes()).unwrap();
-
-        let mut store = FunctionStore::open(&dir).unwrap();
-        assert_eq!(store.format_version(), 1);
-        assert!(store.recovery().from_v1);
-        assert_eq!(store.len(), 2);
-        for e in store.entries() {
-            assert_eq!(e.seen, 2);
+        // A torn or garbled header names no version: nothing is
+        // recovered, and the log is truncated.
+        for torn in [&b"fmsa-store v"[..], b"fmsa-store v2", b"fmsa-stire v2\nR 1 0\nx\n"] {
+            let dir = temp_dir("torn-header");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(STORE_FILE), torn).unwrap();
+            assert!(!scan_store(torn).refused());
+            let store = FunctionStore::open(&dir).unwrap();
+            assert!(store.is_empty());
+            assert_eq!(store.recovery().skipped_records, 1);
+            assert_eq!(std::fs::read(dir.join(STORE_FILE)).unwrap(), b"");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // An ingest forces the migration compaction, then appends v2.
-        store.ingest_module(&m).unwrap();
-        assert_eq!(store.format_version(), 2);
-        assert!(store.compactions() >= 1);
-        drop(store);
-        let raw = std::fs::read(dir.join(STORE_FILE)).unwrap();
-        assert!(raw.starts_with(format!("{STORE_HEADER_V2}\n").as_bytes()));
-        let store = FunctionStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 2);
-        assert!(!store.recovery().from_v1);
-        for e in store.entries() {
-            assert_eq!(e.seen, 3, "historical v1 count + migrated bump");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A `StoreWrite` plan whose first fault among store ops
@@ -1556,7 +1473,7 @@ bb2:
             seen(b, 2),
             seen(a, 1),
         ];
-        let mut expected = format!("{STORE_HEADER_V2}\n").into_bytes();
+        let mut expected = header().into_bytes();
         for record in &records {
             expected.extend_from_slice(&frame(record));
         }

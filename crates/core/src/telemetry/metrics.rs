@@ -1,6 +1,6 @@
 //! A named metrics registry: counters, gauges, and log-bucketed
 //! histograms, with one snapshot API rendered as Prometheus text
-//! exposition or JSON.
+//! exposition.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones
 //! around atomics — registration takes the registry lock once, updates
@@ -450,58 +450,6 @@ impl Snapshot {
             }
         }
         out
-    }
-
-    /// Renders the snapshot as a JSON object keyed by
-    /// `name{labels}` → value (histograms expand to
-    /// `name_sum` / `name_count` plus a bucket array).
-    pub fn render_json(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for fam in &self.families {
-            for s in &fam.series {
-                let key = format!("{}{}", fam.name, labels_text(&s.labels, None));
-                match &s.value {
-                    SeriesValue::Counter(v) => {
-                        parts.push(format!("\"{}\":{}", super::json_escape(&key), v));
-                    }
-                    SeriesValue::Gauge(v) => {
-                        parts.push(format!(
-                            "\"{}\":{}",
-                            super::json_escape(&key),
-                            super::json_f64(*v)
-                        ));
-                    }
-                    SeriesValue::Histogram { buckets, sum, count } => {
-                        parts.push(format!("\"{}_count\":{}", super::json_escape(&key), count));
-                        parts.push(format!(
-                            "\"{}_sum\":{}",
-                            super::json_escape(&key),
-                            super::json_f64(*sum)
-                        ));
-                        let b: Vec<String> = buckets
-                            .iter()
-                            .map(|(bound, cum)| {
-                                format!(
-                                    "[{},{}]",
-                                    if bound.is_infinite() {
-                                        "null".to_string()
-                                    } else {
-                                        super::json_f64(*bound)
-                                    },
-                                    cum
-                                )
-                            })
-                            .collect();
-                        parts.push(format!(
-                            "\"{}_buckets\":[{}]",
-                            super::json_escape(&key),
-                            b.join(",")
-                        ));
-                    }
-                }
-            }
-        }
-        format!("{{{}}}", parts.join(","))
     }
 }
 

@@ -105,11 +105,6 @@ impl<'m> FuncBuilder<'m> {
         Value::ConstInt { ty: self.module.types.i64(), bits: v as u64 }
     }
 
-    /// An `i1` (boolean) constant.
-    pub fn const_bool(&self, v: bool) -> Value {
-        Value::ConstInt { ty: self.module.types.i1(), bits: v as u64 }
-    }
-
     /// An integer constant of arbitrary width.
     pub fn const_int(&mut self, bits_width: u32, v: u64) -> Value {
         let ty = self.module.types.int(bits_width);

@@ -2,8 +2,11 @@
 //!
 //! The FMSA paper assumes "the input functions have all their φ-functions
 //! demoted to memory operations" (§III) — [`demote_phis`] is that pass
-//! (LLVM's `reg2mem`). The small clean-up passes here are used by the
-//! merging pipeline and by the workload generators.
+//! (LLVM's `reg2mem`). Merge codegen cleans every merged body with
+//! [`thread_trivial_blocks`] and [`remove_unreachable_blocks`], and the
+//! merge pass's optional canonicalization runs
+//! [`canonicalize_block_order`]; only tests call [`demote_phis`] and
+//! [`dce`].
 
 use crate::cfg;
 use crate::function::Function;
@@ -55,12 +58,6 @@ pub fn demote_phis(module: &mut Module, func: FuncId) -> usize {
         f.remove_inst(*phi);
     }
     phis.len()
-}
-
-/// Demotes φ-nodes in every function of the module. Returns the total
-/// number demoted.
-pub fn demote_phis_module(module: &mut Module) -> usize {
-    module.func_ids().into_iter().map(|f| demote_phis(module, f)).sum()
 }
 
 /// Removes blocks unreachable from the entry. Returns how many were
@@ -289,17 +286,6 @@ pub fn canonicalize_block_order(func: &mut Function) -> usize {
 /// Runs [`canonicalize_block_order`] on every function of the module.
 pub fn canonicalize_module(module: &mut Module) -> usize {
     module.func_ids().into_iter().map(|f| canonicalize_block_order(module.func_mut(f))).sum()
-}
-
-/// Runs [`remove_unreachable_blocks`] then [`dce`] on every function.
-pub fn cleanup_module(module: &mut Module) {
-    for id in module.func_ids() {
-        let f = module.func_mut(id);
-        if !f.is_declaration() {
-            remove_unreachable_blocks(f);
-            dce(f);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -815,7 +815,7 @@ fn stats_json(ctx: &Ctx) -> String {
                 ("misses", Json::i(store.misses() as i128)),
                 ("hit_rate", Json::f(store.hit_rate())),
                 ("persistent", Json::b(store.dir().is_some())),
-                ("format_version", Json::i(store.format_version() as i128)),
+                ("format_version", Json::i(fmsa::core::store::FORMAT_VERSION as i128)),
                 ("fsync", Json::s(&store.fsync_policy().to_string())),
                 ("total_bytes", Json::i(store.total_bytes() as i128)),
                 ("dead_bytes", Json::i(store.dead_bytes() as i128)),
@@ -829,7 +829,6 @@ fn stats_json(ctx: &Ctx) -> String {
                         ("seen_records", Json::i(recovery.seen_records as i128)),
                         ("skipped_records", Json::i(recovery.skipped_records as i128)),
                         ("bytes_dropped", Json::i(recovery.bytes_dropped as i128)),
-                        ("from_v1", Json::b(recovery.from_v1)),
                     ]),
                 ),
             ]),
@@ -942,7 +941,7 @@ fn render_metrics(ctx: &Ctx) -> String {
             )
             .set(log.count(outcome) as f64);
         }
-        let store_format = store.format_version().to_string();
+        let store_format = fmsa::core::store::FORMAT_VERSION.to_string();
         m.gauge_with(
             "fmsa_build_info",
             "Build metadata carried in labels; value is always 1.",

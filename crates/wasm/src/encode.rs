@@ -259,11 +259,6 @@ impl CodeWriter {
         self.bytes.push(0xb2);
     }
 
-    /// `i32.trunc_f64_s`.
-    pub fn i32_trunc_f64_s(&mut self) {
-        self.bytes.push(0xaa);
-    }
-
     /// `f64.promote_f32`.
     pub fn f64_promote_f32(&mut self) {
         self.bytes.push(0xbb);

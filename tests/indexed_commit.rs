@@ -116,7 +116,7 @@ proptest! {
     /// bit-identical to the full-scan `commit_merge`, for any module
     /// shape.
     #[test]
-    fn partitioned_rewrite_matches_serial_commit(seed in 0u64..10_000) {
+    fn indexed_commit_matches_full_scan_commit(seed in 0u64..10_000) {
         let (base, pairs) = caller_heavy_module(seed, 4, 6, true);
         let config = MergeConfig::default();
         let mut serial = base.clone();

@@ -122,7 +122,7 @@ proptest! {
             let f = ids[k];
             match op {
                 0 => {
-                    sharded.insert(f, &fps[&f]);
+                    sharded.insert(f, fps[&f].clone());
                     flat.insert(f, sharded.signature_of(f).expect("just inserted").to_vec());
                 }
                 1 => {
@@ -131,7 +131,7 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(sharded.shortlist(f), flat.shortlist(f));
-                    let got: Vec<Candidate> = sharded.candidates(f, &fps[&f], &fps, 5, 0.0);
+                    let got: Vec<Candidate> = sharded.candidates(f, 5, 0.0);
                     let want: Vec<Candidate> = rank_candidates(
                         f,
                         &fps[&f],
@@ -149,28 +149,28 @@ proptest! {
         }
     }
 
-    /// Parallel batch insertion (signatures hashed on the pool, one
-    /// worker per band shard) is indistinguishable from serial
-    /// one-at-a-time insertion.
+    /// Batch insertion (signatures hashed on the pool, one job per band
+    /// shard) is indistinguishable from serial one-at-a-time insertion,
+    /// on a four-thread pool and on a one-thread pool, which runs every
+    /// job on the calling thread.
     #[test]
     fn batch_insert_matches_serial_insert(seed in 0u64..1_000, count in 2usize..24) {
         let (m, ids) = shape_pool(seed, count);
         let fps = fingerprints(&m, &ids);
         let mut serial = LshSearch::new();
         for &f in &ids {
-            serial.insert(f, &fps[&f]);
+            serial.insert(f, fps[&f].clone());
         }
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-        let mut batched = LshSearch::new();
-        let items: Vec<(FuncId, &Fingerprint)> = ids.iter().map(|&f| (f, &fps[&f])).collect();
-        batched.insert_batch(&items, Some(&pool));
-        prop_assert_eq!(serial.len(), batched.len());
-        for &f in &ids {
-            prop_assert_eq!(serial.signature_of(f), batched.signature_of(f));
-            prop_assert_eq!(serial.shortlist(f), batched.shortlist(f));
-            let a: Vec<Candidate> = serial.candidates(f, &fps[&f], &fps, 5, 0.0);
-            let b: Vec<Candidate> = batched.candidates(f, &fps[&f], &fps, 5, 0.0);
-            prop_assert_eq!(a, b);
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let mut batched = LshSearch::new();
+            batched.insert_batch(ids.iter().map(|&f| (f, fps[&f].clone())).collect(), &pool);
+            prop_assert_eq!(serial.len(), batched.len());
+            for &f in &ids {
+                prop_assert_eq!(serial.signature_of(f), batched.signature_of(f));
+                prop_assert_eq!(serial.shortlist(f), batched.shortlist(f));
+                prop_assert_eq!(serial.candidates(f, 5, 0.0), batched.candidates(f, 5, 0.0));
+            }
         }
     }
 }

@@ -441,12 +441,20 @@ fn banded_estimate_within_error_bound_on_suite_modules() {
 /// `count` near-clones differing in one constant each: pairwise merges
 /// produce merged functions that merge again (the feedback loop).
 fn clone_family(count: usize, body_len: usize) -> Module {
+    clone_family_with_varargs(count, body_len, &[])
+}
+
+/// [`clone_family`] whose members `varargs` have the varargs type
+/// `i32 (i32, i32, ...)`: the same bodies, but never eligible to merge.
+fn clone_family_with_varargs(count: usize, body_len: usize, varargs: &[usize]) -> Module {
     use fmsa::ir::{FuncBuilder, Value};
     let mut m = Module::new("m");
     let i32t = m.types.i32();
     let fn_ty = m.types.func(i32t, vec![i32t, i32t]);
     for k in 0..count {
-        let f = m.create_function(format!("fam{k}"), fn_ty);
+        let ty =
+            if varargs.contains(&k) { m.types.varargs_func(i32t, vec![i32t, i32t]) } else { fn_ty };
+        let f = m.create_function(format!("fam{k}"), ty);
         let mut b = FuncBuilder::new(&mut m, f);
         let e = b.block("entry");
         b.switch_to(e);
@@ -489,6 +497,21 @@ fn pipeline_matches_paper_loop_on_a_clone_family() {
     for search in [SearchStrategy::Exact, SearchStrategy::Lsh] {
         let cfg = Config::new().threshold(5).search(search);
         assert_matches_paper_loop(&format!("{search:?}"), &base, &cfg, &[1, 2, 4, 8]);
+    }
+}
+
+/// The pipeline and the paper's loop share one eligibility rule: a
+/// varargs definition (`fam2` here) is never a subject or a candidate,
+/// under exact and LSH search, at thresholds 1 and 5.
+#[test]
+fn pipeline_matches_paper_loop_with_a_varargs_member() {
+    let base = clone_family_with_varargs(6, 12, &[2]);
+    for search in [SearchStrategy::Exact, SearchStrategy::Lsh] {
+        for threshold in [1, 5] {
+            let cfg = Config::new().threshold(threshold).search(search);
+            let label = format!("{search:?} t={threshold}");
+            assert_matches_paper_loop(&label, &base, &cfg, &[1, 2, 4]);
+        }
     }
 }
 

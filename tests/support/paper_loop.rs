@@ -2,18 +2,21 @@
 //! reference the merge pipeline is compared against. Greedy mode commits
 //! the first profitable candidate of each subject; oracle mode builds
 //! every candidate and commits the one with the largest Δ. No timers,
-//! spans, decision log or fault handling — only the public API.
+//! spans, decision log, fault handling or caches — only the public API.
+//! It shares the candidate index type and the eligibility rule
+//! (`pipeline::eligible`) with the pipeline, nothing else.
 
 use fmsa::core::fingerprint::Fingerprint;
 use fmsa::core::linearize;
 use fmsa::core::merge::{align, merge_pair_aligned, MergeInfo};
+use fmsa::core::pipeline::eligible;
 use fmsa::core::profitability::evaluate;
 use fmsa::core::thunks::commit_merge;
 use fmsa::core::SearchStrategy;
 use fmsa::ir::{FuncId, Module};
 use fmsa::target::CostModel;
 use fmsa::Config;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What the loop did: committed merges, attempts, and the 1-based rank
 /// of each committed merge's partner.
@@ -29,37 +32,31 @@ pub struct PaperStats {
 pub fn paper_loop(module: &mut Module, cfg: &Config) -> PaperStats {
     let cm = CostModel::new(cfg.arch);
     let mut stats = PaperStats::default();
-    let eligible = |m: &Module, f: FuncId| {
-        !m.func(f).is_declaration() && !cfg.exclude.contains(&m.func(f).name)
-    };
     if cfg.canonicalize {
         for f in module.func_ids() {
-            if eligible(module, f) {
+            if eligible(module, f, cfg) {
                 fmsa::ir::passes::canonicalize_block_order(module.func_mut(f));
             }
         }
     }
     let available: Vec<FuncId> =
-        module.func_ids().into_iter().filter(|&f| eligible(module, f)).collect();
-    let mut fingerprints: HashMap<FuncId, Fingerprint> =
-        available.iter().map(|&f| (f, Fingerprint::of(module, f))).collect();
+        module.func_ids().into_iter().filter(|&f| eligible(module, f, cfg)).collect();
     // The oracle's upper bound needs an exhaustive scan.
     let strategy =
         if cfg.oracle { SearchStrategy::Exact } else { cfg.search.resolve(available.len()) };
+    // The index holds the live functions and their fingerprints.
     let mut index = strategy.build();
     for &f in &available {
-        index.insert(f, &fingerprints[&f]);
+        index.insert(f, Fingerprint::of(module, f));
     }
-    let mut worklist: VecDeque<FuncId> = available.iter().copied().collect();
-    let mut live: HashSet<FuncId> = available.into_iter().collect();
+    let mut worklist: VecDeque<FuncId> = available.into();
     let threshold = if cfg.oracle { usize::MAX } else { cfg.threshold };
 
     while let Some(f1) = worklist.pop_front() {
-        if !live.contains(&f1) || !module.is_live(f1) {
+        if !index.contains(f1) || !module.is_live(f1) {
             continue;
         }
-        let candidates =
-            index.candidates(f1, &fingerprints[&f1], &fingerprints, threshold, cfg.min_similarity);
+        let candidates = index.candidates(f1, threshold, cfg.min_similarity);
         let mut best: Option<(usize, MergeInfo, i64)> = None;
         for (pos, cand) in candidates.iter().enumerate() {
             stats.attempted += 1;
@@ -94,22 +91,14 @@ pub fn paper_loop(module: &mut Module, cfg: &Config) -> PaperStats {
         // The originals leave the pool; rewritten callers get fresh
         // fingerprints, and the merged function joins the worklist (the
         // feedback loop).
-        for f in [f1, info.f2] {
-            live.remove(&f);
-            fingerprints.remove(&f);
-            index.remove(f);
-        }
+        index.remove(f1);
+        index.remove(info.f2);
         for g in commit.touched {
-            if live.contains(&g) && module.is_live(g) {
-                let fp = Fingerprint::of(module, g);
-                index.insert(g, &fp);
-                fingerprints.insert(g, fp);
+            if index.contains(g) && module.is_live(g) {
+                index.insert(g, Fingerprint::of(module, g));
             }
         }
-        let merged_fp = Fingerprint::of(module, info.merged);
-        index.insert(info.merged, &merged_fp);
-        fingerprints.insert(info.merged, merged_fp);
-        live.insert(info.merged);
+        index.insert(info.merged, Fingerprint::of(module, info.merged));
         worklist.push_back(info.merged);
     }
     stats
