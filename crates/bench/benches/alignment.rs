@@ -4,8 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fmsa_align::{banded_needleman_wunsch, needleman_wunsch, plan, AlignPlan, ScoringScheme, BAND};
 use fmsa_core::fingerprint::Fingerprint;
+use fmsa_core::profitability::delta_bound;
 use fmsa_core::ranking::rank_candidates;
-use fmsa_core::{linearize, KeyInterner};
+use fmsa_core::{linearize, Entry, KeyInterner, MergeConfig};
+use fmsa_ir::{FuncId, Module};
+use fmsa_target::{CostModel, TargetArch};
 use fmsa_workloads::{clone_swarm_module, SwarmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,40 +51,89 @@ fn bench_alignment_similar_inputs(c: &mut Criterion) {
     });
 }
 
-/// Key sequences of a clone swarm, paired the way the pass pairs them:
-/// each function with its top-ranked candidate.
-fn swarm_key_pairs(functions: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
+/// One ranked pair of a clone swarm: both functions with their
+/// linearizations and §III-D key sequences.
+struct SwarmPair {
+    funcs: (FuncId, FuncId),
+    entries: (Vec<Entry>, Vec<Entry>),
+    keys: (Vec<u32>, Vec<u32>),
+}
+
+/// A clone swarm and its pairs, paired the way the pass pairs them: each
+/// function with its top-ranked candidate.
+fn swarm_pairs(functions: usize) -> (Module, Vec<SwarmPair>) {
     let m = clone_swarm_module(&SwarmConfig::with_functions(functions));
     let interner = KeyInterner::new();
     let ids = m.func_ids();
     let fps: Vec<_> = ids.iter().map(|&f| (f, Fingerprint::of(&m, f))).collect();
-    let keys = |f| interner.keys(&m, f, &linearize(m.func(f)));
-    fps.iter()
+    let lin = |f| {
+        let entries = linearize(m.func(f));
+        let keys = interner.keys(&m, f, &entries);
+        (entries, keys)
+    };
+    let pairs = fps
+        .iter()
         .filter_map(|(f1, fp1)| {
             let others = fps.iter().filter(|(f, _)| f != f1).map(|(f, fp)| (*f, fp));
             let best = rank_candidates(*f1, fp1, others, 1, 0.0).into_iter().next()?;
-            Some((keys(*f1), keys(best.func)))
+            let ((e1, k1), (e2, k2)) = (lin(*f1), lin(best.func));
+            Some(SwarmPair { funcs: (*f1, best.func), entries: (e1, e2), keys: (k1, k2) })
         })
-        .collect()
+        .collect();
+    (m, pairs)
 }
 
 fn bench_swarm_keys(c: &mut Criterion) {
     // What the merge pass aligns: interned §III-D keys of real functions.
     let scheme = ScoringScheme::default();
-    let pairs = swarm_key_pairs(300);
-    let cells: usize = pairs.iter().map(|(a, b)| (a.len() + 1) * (b.len() + 1)).sum();
+    let (_, pairs) = swarm_pairs(300);
+    let cells: usize = pairs.iter().map(|p| (p.keys.0.len() + 1) * (p.keys.1.len() + 1)).sum();
     let mut group = c.benchmark_group("alignment-swarm-keys");
     group.throughput(Throughput::Elements(cells as u64));
     group.bench_function(format!("needleman-wunsch/{}-pairs", pairs.len()), |bch| {
         bch.iter(|| {
             pairs
                 .iter()
-                .map(|(a, b)| needleman_wunsch(a, b, |x, y| x == y, &scheme).score)
+                .map(|p| needleman_wunsch(&p.keys.0, &p.keys.1, |x, y| x == y, &scheme).score)
                 .sum::<i64>()
         });
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_alignment, bench_alignment_similar_inputs, bench_swarm_keys);
+fn bench_delta_bound(c: &mut Criterion) {
+    // The Δ bound of the same pairs under their alignments, per pair
+    // (`ns/elem`), to read next to the alignment's cost.
+    let scheme = ScoringScheme::default();
+    let (m, pairs) = swarm_pairs(300);
+    let cm = CostModel::new(TargetArch::X86_64);
+    let config = MergeConfig::default();
+    let aligned: Vec<_> = pairs
+        .iter()
+        .map(|p| (p, needleman_wunsch(&p.keys.0, &p.keys.1, |x, y| x == y, &scheme)))
+        .collect();
+    let mut group = c.benchmark_group("delta-bound");
+    group.throughput(Throughput::Elements(aligned.len() as u64));
+    group.bench_function(format!("{}-pairs", aligned.len()), |bch| {
+        bch.iter(|| {
+            aligned
+                .iter()
+                .filter_map(|(p, al)| {
+                    let (f1, f2) = p.funcs;
+                    let (e1, e2) = (&p.entries.0, &p.entries.1);
+                    delta_bound(&m, &cm, f1, f2, e1, e2, al, &config).ok().map(|b| b.bound)
+                })
+                .sum::<i64>()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_alignment,
+    bench_alignment_similar_inputs,
+    bench_swarm_keys,
+    bench_delta_bound
+);
 criterion_main!(benches);

@@ -23,31 +23,33 @@
 //! index; [`crate::profitability::evaluate_indexed`] accounts for its
 //! outgoing calls (and those of an oracle's pending best) separately so
 //! the combined counts match a direct scan of the module mid-evaluation.
+//!
+//! Every map here is keyed by program-assigned `FuncId`s and hashes with
+//! [`fmsa_ir::IdHashMap`], and the body scans walk
+//! [`Function::iter_insts`] without collecting instruction ids.
 
-use fmsa_ir::{FuncId, Function, Module, Opcode, Value};
-use std::collections::HashMap;
+use fmsa_ir::{FuncId, Function, IdHashMap, Module, Opcode, Value};
 
 /// Per-callee direct call-site counts, maintained incrementally.
 #[derive(Debug, Clone, Default)]
 pub struct CallSiteIndex {
     /// callee → total direct call/invoke sites across live functions.
-    counts: HashMap<FuncId, usize>,
+    counts: IdHashMap<FuncId, usize>,
     /// caller → its per-callee site counts (the contribution currently
     /// folded into `counts`, so refreshes can diff).
-    outgoing: HashMap<FuncId, HashMap<FuncId, usize>>,
+    outgoing: IdHashMap<FuncId, IdHashMap<FuncId, usize>>,
     /// callee → the callers currently contributing sites — the reverse
     /// edges a commit rewrites over
     /// ([`crate::thunks::commit_merge_indexed`]). Kept in lockstep with
     /// `outgoing`; the value is the same per-caller count.
-    incoming: HashMap<FuncId, HashMap<FuncId, usize>>,
+    incoming: IdHashMap<FuncId, IdHashMap<FuncId, usize>>,
 }
 
 /// Scans one function body for direct call/invoke sites, per callee —
 /// the per-function slice of [`crate::thunks::count_call_sites`].
-pub fn outgoing_calls(func: &Function) -> HashMap<FuncId, usize> {
-    let mut out: HashMap<FuncId, usize> = HashMap::new();
-    for iid in func.inst_ids() {
-        let inst = func.inst(iid);
+pub fn outgoing_calls(func: &Function) -> IdHashMap<FuncId, usize> {
+    let mut out: IdHashMap<FuncId, usize> = IdHashMap::default();
+    for (_, inst) in func.iter_insts() {
         if matches!(inst.opcode, Opcode::Call | Opcode::Invoke) {
             if let Some(&Value::Func(callee)) = inst.operands.first() {
                 *out.entry(callee).or_insert(0) += 1;

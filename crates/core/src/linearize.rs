@@ -6,8 +6,7 @@
 //! ordering of successor basic blocks."
 
 use crate::equivalence::{entry_key, KeyInterner};
-use fmsa_ir::{cfg, BlockId, FuncId, Function, InstId, Module};
-use std::collections::HashMap;
+use fmsa_ir::{cfg, BlockId, FuncId, Function, IdHashMap, IdHashSet, InstId, Module};
 use std::sync::Arc;
 
 /// One element of a linearized function: the alphabet of the sequence
@@ -87,10 +86,13 @@ impl Linearized {
 ///
 /// Entries are `Arc`s so the read-only parallel prepare stage can share
 /// them across workers without cloning; the cache itself is filled
-/// sequentially (it hands out shared references once populated).
+/// sequentially (it hands out shared references once populated). It is
+/// keyed by program-assigned `FuncId`s, so it hashes with
+/// [`fmsa_ir::IdHashMap`]; the interner's keys hold module content and
+/// keep the standard hasher.
 #[derive(Debug, Default)]
 pub struct LinearizationCache {
-    map: HashMap<FuncId, Linearized>,
+    map: IdHashMap<FuncId, Linearized>,
     interner: KeyInterner,
 }
 
@@ -127,7 +129,7 @@ impl LinearizationCache {
         pool: &rayon::ThreadPool,
     ) -> std::time::Duration {
         let mut misses: Vec<FuncId> = Vec::new();
-        let mut seen: std::collections::HashSet<FuncId> = std::collections::HashSet::new();
+        let mut seen: IdHashSet<FuncId> = IdHashSet::default();
         for &f in funcs {
             if !self.map.contains_key(&f) && seen.insert(f) {
                 misses.push(f);

@@ -86,9 +86,9 @@ use crate::search::SearchStrategy;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
 use crate::thunks::{commit_merge_indexed, Disposition};
 use fmsa_align::{align_with_plan, plan, Alignment, ScoringScheme};
-use fmsa_ir::{FuncId, Module};
+use fmsa_ir::{FuncId, IdHashMap, IdHashSet, Module};
 use fmsa_target::CostModel;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -524,12 +524,12 @@ fn run_pipeline(
         // Prepared pairs live for this generation only: a pair is reused
         // while no commit of the generation has changed either function
         // (`changed`, filled by the commit stage).
-        let mut prepared: HashMap<(FuncId, FuncId), Gated> = HashMap::new();
-        let mut changed: HashSet<FuncId> = HashSet::new();
+        let mut prepared: IdHashMap<(FuncId, FuncId), Gated> = IdHashMap::default();
+        let mut changed: IdHashSet<FuncId> = IdHashSet::default();
         if threads > 1 {
             let _prep_span = trace::span("fmsa", "prepare");
             let mut jobs: Vec<(FuncId, FuncId)> = Vec::new();
-            let mut seen: HashSet<(FuncId, FuncId)> = HashSet::new();
+            let mut seen: IdHashSet<(FuncId, FuncId)> = IdHashSet::default();
             for (f1, cands) in &scheduled {
                 for c in cands {
                     if seen.insert((*f1, c.func)) {

@@ -19,7 +19,7 @@ use crate::merge::{merge_setup, MergeConfig, MergeError, MergeInfo, MergeSetup};
 use crate::thunks::{can_delete, count_call_sites};
 use fmsa_align::Alignment;
 use fmsa_ir::cfg::DomTree;
-use fmsa_ir::{FuncId, Function, Inst, Module, Opcode, TyId, Type, TypeStore, Value};
+use fmsa_ir::{FuncId, Function, IdHashMap, Inst, Module, Opcode, TyId, Type, TypeStore, Value};
 use fmsa_target::CostModel;
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ pub fn evaluate_indexed(
 ) -> ProfitReport {
     let merged_out = outgoing_calls(module.func(info.merged));
     let pending_out = pending.map(|p| outgoing_calls(module.func(p))).unwrap_or_default();
-    let calls = |out: &HashMap<FuncId, usize>, f| out.get(&f).copied().unwrap_or(0);
+    let calls = |out: &IdHashMap<FuncId, usize>, f| out.get(&f).copied().unwrap_or(0);
     evaluate_counted(module, cm, info, &|f| {
         sites.count(f) + calls(&merged_out, f) + calls(&pending_out, f)
     })
@@ -378,12 +378,14 @@ impl Body {
         let void = types.void();
         let cost_of = |op: Opcode| cm.inst_cost(&Inst::new(op, void, Vec::new()));
         let condbr = cost_of(Opcode::CondBr);
+        // Most layout ops are clones, and most clones use another clone:
+        // sizing from the layout spares the per-clone vectors their growth.
         let mut body = Body {
             blocks: Vec::new(),
             edges: Vec::new(),
-            clone_block: Vec::new(),
-            clone_ty: Vec::new(),
-            uses: Vec::new(),
+            clone_block: Vec::with_capacity(ops.len()),
+            clone_ty: Vec::with_capacity(ops.len()),
+            uses: Vec::with_capacity(ops.len()),
             invokes: Vec::new(),
             selects: Vec::new(),
             pairs: HashMap::new(),

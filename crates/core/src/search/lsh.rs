@@ -25,12 +25,17 @@
 //! the calling thread, so there is one code path at every thread count.
 //! That turns the million-function index seed from the pass's largest
 //! serial cost into a parallel one.
+//!
+//! The per-function maps (signatures, fingerprints) are keyed by
+//! program-assigned `FuncId`s and use [`fmsa_ir::IdHashMap`]. The band
+//! shards are keyed by hashes of signature rows, which derive from
+//! module content, and keep the standard `RandomState`.
 
 use super::minhash::MinHasher;
 use super::CandidateSearch;
 use crate::fingerprint::Fingerprint;
 use crate::ranking::{rank_candidates, Candidate};
-use fmsa_ir::FuncId;
+use fmsa_ir::{FuncId, IdHashMap};
 use std::collections::HashMap;
 
 // 128 hashes in 8 bands of 16 rows, calibrated on clone-swarm modules:
@@ -71,11 +76,11 @@ pub struct LshSearch {
     hasher: MinHasher,
     /// Stored signature per indexed function (needed to find its buckets
     /// again on removal).
-    signatures: HashMap<FuncId, Vec<u64>>,
+    signatures: IdHashMap<FuncId, Vec<u64>>,
     /// Fingerprint of every function added by `insert`/`insert_batch`,
     /// what queries rank with. Functions added by
     /// [`LshSearch::insert_signature`] have none and are never candidates.
-    fingerprints: HashMap<FuncId, Fingerprint>,
+    fingerprints: IdHashMap<FuncId, Fingerprint>,
     /// One bucket map per band: `shards[band][band_key] → members`.
     /// Vectors stay tiny for healthy parameters; membership order is
     /// irrelevant because queries sort the shortlist. Disjoint by
@@ -88,8 +93,8 @@ impl LshSearch {
     pub fn new() -> LshSearch {
         LshSearch {
             hasher: MinHasher::new(HASHES, OCCURRENCE_CAP),
-            signatures: HashMap::new(),
-            fingerprints: HashMap::new(),
+            signatures: IdHashMap::default(),
+            fingerprints: IdHashMap::default(),
             shards: vec![HashMap::new(); BANDS],
         }
     }

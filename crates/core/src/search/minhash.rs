@@ -11,7 +11,21 @@
 //! Each permutation is simulated by re-mixing a per-feature base hash with
 //! a per-permutation seed (the standard "one hash function, k seeds"
 //! construction), so a signature costs `O(features × hashes)` multiplies
-//! and no allocation beyond the signature itself.
+//! and no allocation beyond the feature bases and the signature.
+//!
+//! # Kernels
+//!
+//! The per-seed reduction is one loop (`min_lanes`), compiled three
+//! times: for the baseline target, for AVX2, and for AVX-512F/DQ/VL,
+//! whose 64-bit lane multiplies the baseline x86-64 target cannot use.
+//! [`MinHasher::new`] picks the fastest copy the host supports once,
+//! with `is_x86_feature_detected!`; the portable copy is the reference
+//! and the path on other hosts and architectures. Every copy computes
+//! the same integers, which the parity tests check kernel by kernel
+//! against the naive double loop. The module's one `unsafe` block is the
+//! call into the chosen copy: a `#[target_feature]` function may only
+//! run where its features exist, and a SIMD kernel is only created after
+//! detection found them.
 
 use crate::fingerprint::Fingerprint;
 
@@ -27,11 +41,13 @@ pub struct MinHasher {
     /// Per-key occurrence cap when expanding the multiset.
     pub occurrence_cap: u32,
     seeds: Vec<u64>,
+    /// The lane loop this host runs, chosen once by [`Kernel::detect`].
+    kernel: Kernel,
 }
 
 /// splitmix64-style finalizer: the avalanche stage used to both derive
 /// per-permutation seeds and mix features.
-#[inline]
+#[inline(always)]
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -42,58 +58,140 @@ fn mix(mut z: u64) -> u64 {
 const TAG_OPCODE: u64 = 0x01 << 56;
 const TAG_TYPE: u64 = 0x02 << 56;
 
+/// Width of one seed-lane chunk in [`min_lanes`]: small enough that the
+/// running minima live in registers, and one 512-bit vector of `u64`s.
+const LANES: usize = 8;
+
+/// The signature's inner loop: `sig[k] = min over bases of
+/// mix(base ^ seeds[k])`.
+///
+/// Structured for the cache, not the formula: the seed dimension is
+/// processed in fixed-width chunks of [`LANES`] slots, each chunk
+/// streaming over all bases with a register-resident block of running
+/// minima and a branch-free `min`. Every [`Kernel`] runs this one source;
+/// they differ only in the instruction set it is compiled for.
+#[inline(always)]
+fn min_lanes(bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+    let mut slot_chunks = sig.chunks_exact_mut(LANES);
+    let mut seed_chunks = seeds.chunks_exact(LANES);
+    for (slots, seeds) in (&mut slot_chunks).zip(&mut seed_chunks) {
+        let mut minima = [u64::MAX; LANES];
+        for &base in bases {
+            for lane in 0..LANES {
+                let h = mix(base ^ seeds[lane]);
+                minima[lane] = minima[lane].min(h);
+            }
+        }
+        slots.copy_from_slice(&minima);
+    }
+    // Signature lengths that are not a multiple of LANES finish with a
+    // scalar tail.
+    for (slot, &seed) in slot_chunks.into_remainder().iter_mut().zip(seed_chunks.remainder()) {
+        let mut min = u64::MAX;
+        for &base in bases {
+            min = min.min(mix(base ^ seed));
+        }
+        *slot = min;
+    }
+}
+
+/// [`min_lanes`] compiled for AVX2 (four `u64` lanes per vector; the
+/// 64-bit multiplies are emulated).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn min_lanes_avx2(bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+    min_lanes(bases, seeds, sig);
+}
+
+/// [`min_lanes`] compiled for AVX-512 (eight `u64` lanes per vector, with
+/// AVX-512DQ's 64-bit multiply and AVX-512F's unsigned 64-bit `min`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn min_lanes_avx512(bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+    min_lanes(bases, seeds, sig);
+}
+
+/// Which compiled copy of [`min_lanes`] a [`MinHasher`] runs. All compute
+/// the same integers; only their speed differs. A SIMD variant is only
+/// ever created by [`Kernel::supported`], after it checked the host's
+/// features, which is what makes [`Kernel::run`] sound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The reference: the path on other hosts and architectures.
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// Every kernel this host can run, fastest first; the portable loop
+    /// is always there, last.
+    fn supported() -> Vec<Kernel> {
+        let mut kernels = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+            {
+                kernels.push(Kernel::Avx512);
+            }
+            if is_x86_feature_detected!("avx2") {
+                kernels.push(Kernel::Avx2);
+            }
+        }
+        kernels.push(Kernel::Portable);
+        kernels
+    }
+
+    /// The fastest kernel this host can run.
+    fn detect() -> Kernel {
+        Kernel::supported()[0]
+    }
+
+    fn run(self, bases: &[u64], seeds: &[u64], sig: &mut [u64]) {
+        let kernel: unsafe fn(&[u64], &[u64], &mut [u64]) = match self {
+            Kernel::Portable => min_lanes,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => min_lanes_avx2,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => min_lanes_avx512,
+        };
+        // SAFETY: `Kernel::supported` is the only place a SIMD variant is
+        // made, and it makes `Avx2` only after `is_x86_feature_detected!`
+        // found avx2, and `Avx512` only after it found avx512f, avx512dq
+        // and avx512vl, on this host. The portable loop needs nothing.
+        unsafe { kernel(bases, seeds, sig) }
+    }
+}
+
 impl MinHasher {
-    /// Builder with the given signature length and occurrence cap.
+    /// Builder with the given signature length and occurrence cap, running
+    /// the fastest kernel this host supports.
     pub fn new(hashes: usize, occurrence_cap: u32) -> MinHasher {
         assert!(hashes > 0, "signature needs at least one hash");
         assert!(occurrence_cap > 0, "occurrence cap must be positive");
         let seeds =
             (0..hashes as u64).map(|i| mix(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1))).collect();
-        MinHasher { hashes, occurrence_cap, seeds }
+        MinHasher { hashes, occurrence_cap, seeds, kernel: Kernel::detect() }
     }
-
-    /// Width of one seed-lane chunk in [`MinHasher::signature`]: small
-    /// enough that the running minima live in registers, wide enough for
-    /// the compiler to auto-vectorize the branch-free inner loop.
-    const LANES: usize = 8;
 
     /// Computes the MinHash signature of `fp`'s feature multiset.
     ///
-    /// Structured for the cache, not the formula: the per-occurrence
-    /// feature bases (`mix(feature | occ << 40)`) are materialized once
-    /// up front — hoisting the base `mix` out of the seed loop — and the
-    /// seed dimension is then processed in fixed-width chunks of
-    /// `Self::LANES` slots, each chunk streaming over all bases with a
-    /// register-resident block of running minima and a branch-free
-    /// `min`. The multiset of `(base, seed)` pairs hashed is exactly the
-    /// naive double loop's, and `min` is order-independent, so the
-    /// signature is bit-identical to the reference form (see the parity
-    /// test) — which matters because signatures persist in the
+    /// The per-occurrence feature bases (`mix(feature | occ << 40)`) are
+    /// materialized once up front — hoisting the base `mix` out of the
+    /// seed loop — and the chosen kernel reduces them per seed. The
+    /// multiset of `(base, seed)` pairs hashed is exactly the naive
+    /// double loop's, and `min` is order-independent, so the signature is
+    /// bit-identical to the reference form on every kernel (see the
+    /// parity tests) — which matters because signatures persist in the
     /// `FunctionStore` and feed LSH bucketing.
     pub fn signature(&self, fp: &Fingerprint) -> Vec<u64> {
         let bases = self.feature_bases(fp);
         let mut sig = vec![u64::MAX; self.hashes];
-        let mut slot_chunks = sig.chunks_exact_mut(Self::LANES);
-        let mut seed_chunks = self.seeds.chunks_exact(Self::LANES);
-        for (slots, seeds) in (&mut slot_chunks).zip(&mut seed_chunks) {
-            let mut minima = [u64::MAX; Self::LANES];
-            for &base in &bases {
-                for lane in 0..Self::LANES {
-                    let h = mix(base ^ seeds[lane]);
-                    minima[lane] = minima[lane].min(h);
-                }
-            }
-            slots.copy_from_slice(&minima);
-        }
-        // Signature lengths that are not a multiple of LANES finish with
-        // a scalar tail.
-        for (slot, &seed) in slot_chunks.into_remainder().iter_mut().zip(seed_chunks.remainder()) {
-            let mut min = u64::MAX;
-            for &base in &bases {
-                min = min.min(mix(base ^ seed));
-            }
-            *slot = min;
-        }
+        self.kernel.run(&bases, &self.seeds, &mut sig);
         sig
     }
 
@@ -134,7 +232,8 @@ pub fn estimated_jaccard(a: &[u64], b: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmsa_ir::{FuncBuilder, Module, Value};
+    use fmsa_ir::{FuncBuilder, Module, Opcode, TyId, Value};
+    use proptest::prelude::*;
 
     fn chain_fn(m: &mut Module, name: &str, adds: usize, muls: usize) -> Fingerprint {
         let i32t = m.types.i32();
@@ -222,6 +321,19 @@ mod tests {
         sig
     }
 
+    /// Every kernel this host supports, called directly (not through the
+    /// choice `MinHasher::new` made), against the reference loop.
+    fn assert_kernels_match_reference(h: &MinHasher, fp: &Fingerprint) {
+        let want = reference_signature(h, fp);
+        assert_eq!(h.signature(fp), want, "hashes={} cap={}", h.hashes, h.occurrence_cap);
+        let bases = h.feature_bases(fp);
+        for kernel in Kernel::supported() {
+            let mut sig = vec![u64::MAX; h.hashes];
+            kernel.run(&bases, &h.seeds, &mut sig);
+            assert_eq!(sig, want, "{kernel:?} hashes={} cap={}", h.hashes, h.occurrence_cap);
+        }
+    }
+
     #[test]
     fn lane_chunked_signature_matches_reference() {
         let mut m = Module::new("m");
@@ -232,17 +344,44 @@ mod tests {
             chain_fn(&mut m, "d", 1, 0),
         ];
         // Lengths off the LANES grid (tail loop), on it, and below it.
-        for hashes in [1, 7, 8, 16, 128, 130] {
+        for hashes in [1, 7, 8, 9, 16, 128, 130] {
             for cap in [1, 4, 64] {
                 let h = MinHasher::new(hashes, cap);
                 for fp in &fps {
-                    assert_eq!(
-                        h.signature(fp),
-                        reference_signature(&h, fp),
-                        "hashes={hashes} cap={cap}"
-                    );
+                    assert_kernels_match_reference(&h, fp);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn new_runs_the_fastest_supported_kernel() {
+        let kernels = Kernel::supported();
+        assert_eq!(MinHasher::new(8, 4).kernel, kernels[0]);
+        assert_eq!(kernels.last(), Some(&Kernel::Portable));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert!(kernels.contains(&Kernel::Avx2));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Random multisets with 0–12 types and counts on both sides of
+        /// the occurrence cap, at the index's own length and cap.
+        #[test]
+        fn every_kernel_matches_reference_on_random_fingerprints(
+            ops in prop::collection::vec(0u32..100, Opcode::COUNT..Opcode::COUNT + 1),
+            types in prop::collection::vec((0usize..40, 1u32..100), 0..13),
+            shape in 0usize..3,
+        ) {
+            let opcode_freq: [u32; Opcode::COUNT] = ops.as_slice().try_into().expect("COUNT");
+            let types: Vec<(TyId, u32)> =
+                types.iter().map(|&(k, n)| (TyId::from_index(k), n)).collect();
+            let fp = Fingerprint::from_parts(opcode_freq, &types);
+            let (hashes, cap) = [(128, 64), (130, 4), (9, 1)][shape];
+            assert_kernels_match_reference(&MinHasher::new(hashes, cap), &fp);
         }
     }
 

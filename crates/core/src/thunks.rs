@@ -85,8 +85,7 @@ pub fn count_call_sites(module: &Module, func: FuncId) -> usize {
     let mut n = 0;
     for g in module.func_ids() {
         let gf = module.func(g);
-        for iid in gf.inst_ids() {
-            let inst = gf.inst(iid);
+        for (_, inst) in gf.iter_insts() {
             if matches!(inst.opcode, Opcode::Call | Opcode::Invoke)
                 && inst.operands.first() == Some(&Value::Func(func))
             {
@@ -131,13 +130,12 @@ pub(crate) fn rewrite_calls_in(
         }
         let f = module.func(g);
         let call_sites: Vec<InstId> = f
-            .inst_ids()
-            .into_iter()
-            .filter(|&i| {
-                let inst = f.inst(i);
+            .iter_insts()
+            .filter(|(_, inst)| {
                 matches!(inst.opcode, Opcode::Call | Opcode::Invoke)
                     && inst.operands.first() == Some(&Value::Func(from))
             })
+            .map(|(i, _)| i)
             .collect();
         if call_sites.is_empty() {
             continue;
@@ -189,9 +187,9 @@ fn rewrite_one_call(
         // Snapshot the users of the call result *before* building the cast
         // chain, so the chain's own reference to the call is not rewritten.
         let users: Vec<InstId> = f
-            .inst_ids()
-            .into_iter()
-            .filter(|&u| u != c && f.inst(u).operands.contains(&Value::Inst(c)))
+            .iter_insts()
+            .filter(|&(u, inst)| u != c && inst.operands.contains(&Value::Inst(c)))
+            .map(|(u, _)| u)
             .collect();
         let insert_point = if is_invoke {
             // Result conversion must happen on the normal path.

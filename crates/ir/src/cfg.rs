@@ -3,19 +3,19 @@
 //! (§III-B).
 
 use crate::function::Function;
+use crate::idhash::IdHashMap;
 use crate::value::BlockId;
-use std::collections::HashMap;
 
 /// Predecessor map of a function's CFG.
 #[derive(Debug, Clone, Default)]
 pub struct Predecessors {
-    map: HashMap<BlockId, Vec<BlockId>>,
+    map: IdHashMap<BlockId, Vec<BlockId>>,
 }
 
 impl Predecessors {
     /// Computes predecessors of every live block of `f`.
     pub fn compute(f: &Function) -> Predecessors {
-        let mut map: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let mut map: IdHashMap<BlockId, Vec<BlockId>> = IdHashMap::default();
         for b in f.block_ids() {
             map.entry(b).or_default();
         }

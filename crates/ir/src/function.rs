@@ -248,11 +248,16 @@ impl Function {
 
     /// Ids of live instructions, in layout/block order.
     pub fn inst_ids(&self) -> Vec<InstId> {
-        let mut out = Vec::new();
-        for b in &self.layout {
-            out.extend(self.block(*b).insts.iter().copied());
-        }
-        out
+        self.iter_insts().map(|(id, _)| id).collect()
+    }
+
+    /// Live instructions with their ids, in [`Function::inst_ids`] order,
+    /// without allocating: the walk for per-function and per-pair hot
+    /// paths (fingerprints, body sizes, call-site scans).
+    pub fn iter_insts(&self) -> impl Iterator<Item = (InstId, &Inst)> + '_ {
+        self.layout
+            .iter()
+            .flat_map(move |&b| self.block(b).insts.iter().map(move |&i| (i, self.inst(i))))
     }
 
     /// Number of live instructions (the paper's "function size").
@@ -393,6 +398,39 @@ mod tests {
         f.remove_inst(add);
         assert!(!f.is_live_inst(add));
         assert_eq!(f.inst_count(), 1);
+    }
+
+    #[test]
+    fn iter_insts_walks_blocks_in_layout_order() {
+        let (ts, mut f) = sample();
+        let b0 = f.add_block("b0");
+        let b1 = f.add_block("b1");
+        let b2 = f.add_block("b2");
+        let add = |f: &mut Function, b| {
+            f.append_inst(
+                b,
+                Inst::new(Opcode::Add, ts.i32(), vec![Value::Param(0), Value::Param(1)]),
+            )
+        };
+        // Arena order differs from layout order: b2's first instruction
+        // comes first in the arena, and b1 moves behind b2.
+        let x = add(&mut f, b2);
+        let mid = add(&mut f, b0);
+        let y = add(&mut f, b0);
+        let br0 = f.append_inst(b0, Inst::new(Opcode::Br, ts.void(), vec![Value::Block(b2)]));
+        let z = add(&mut f, b1);
+        let ret = f.append_inst(b1, Inst::new(Opcode::Ret, ts.void(), vec![Value::Param(0)]));
+        let br2 = f.append_inst(b2, Inst::new(Opcode::Br, ts.void(), vec![Value::Block(b1)]));
+        f.move_block_to_end(b1);
+        let walk = |f: &Function| {
+            assert!(f.iter_insts().all(|(i, inst)| std::ptr::eq(inst, f.inst(i))));
+            let ids: Vec<InstId> = f.iter_insts().map(|(i, _)| i).collect();
+            assert_eq!(ids, f.inst_ids());
+            ids
+        };
+        assert_eq!(walk(&f), vec![mid, y, br0, x, br2, z, ret]);
+        f.remove_inst(mid);
+        assert_eq!(walk(&f), vec![y, br0, x, br2, z, ret]);
     }
 
     #[test]

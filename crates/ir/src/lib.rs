@@ -37,6 +37,7 @@
 pub mod builder;
 pub mod cfg;
 pub mod function;
+pub mod idhash;
 pub mod inst;
 pub mod module;
 pub mod parser;
@@ -48,6 +49,7 @@ pub mod verifier;
 
 pub use builder::FuncBuilder;
 pub use function::{Block, Function, Linkage, Param};
+pub use idhash::{IdHashMap, IdHashSet, IdHasher};
 pub use inst::{ExtraData, FloatPredicate, Inst, IntPredicate, LandingPadClause, Opcode};
 pub use module::Module;
 pub use types::{TyId, Type, TypeStore};

@@ -214,7 +214,7 @@ impl CostModel {
     }
 
     fn func_body_size(&self, func: &Function) -> u64 {
-        func.inst_ids().iter().map(|&i| self.inst_cost(func.inst(i))).sum()
+        func.iter_insts().map(|(_, inst)| self.inst_cost(inst)).sum()
     }
 
     /// Code-size of the whole module: body sizes plus per-symbol overhead
