@@ -21,7 +21,7 @@
 //! `i1` parameter and leaves the original shape class.
 
 use crate::linearize::{linearize, Entry};
-use crate::merge::{merge_pair_aligned, MergeConfig};
+use crate::merge::{discard, merge_pair_aligned, MergeConfig};
 use crate::profitability::evaluate;
 use crate::thunks::commit_merge;
 use fmsa_align::{Alignment, Step};
@@ -159,10 +159,12 @@ pub fn run_soa(module: &mut Module, arch: TargetArch) -> SoaStats {
                     };
                     let report = evaluate(module, &cm, &info);
                     if !report.is_profitable() {
-                        module.remove_function(info.merged);
+                        discard(module, &info);
                         continue;
                     }
                     if commit_merge(module, &info).is_err() {
+                        // The failed commit may have rewritten callers
+                        // with new cast types: the merge's types stay.
                         module.remove_function(info.merged);
                         continue;
                     }

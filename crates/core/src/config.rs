@@ -188,10 +188,22 @@ impl Config {
 /// function. Panics from merge codegen (or `FMSA_FAULTS` injection)
 /// surface as [`Error::Merge`], never as an unwinding stack.
 pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
-    let errs = fmsa_ir::verify_module(module);
-    if let Some(e) = errs.first() {
-        return Err(Error::verify(false, &e.func, e.to_string()));
+    check_input(module)?;
+    optimize_checked(module, cfg)
+}
+
+/// [`optimize`]'s input check: the first verifier error of `module`, as
+/// a `verify-input` error.
+pub(crate) fn check_input(module: &Module) -> Result<(), Error> {
+    match fmsa_ir::verify_module(module).first() {
+        Some(e) => Err(Error::verify(false, &e.func, e.to_string())),
+        None => Ok(()),
     }
+}
+
+/// [`optimize`] after its input check, for a caller that has run
+/// [`check_input`] on this same module already.
+pub(crate) fn optimize_checked(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
     let ran = catch_unwind(AssertUnwindSafe(|| {
         if cfg.identical_prepass {
             crate::baselines::run_identical(module, cfg.arch);

@@ -322,7 +322,8 @@ struct Codegen {
 }
 
 /// Generates the merged function and verifies it, returning its id. On
-/// any failure the partially built function is removed from the module.
+/// any failure the partially built function is removed from the module,
+/// and so is every type it interned.
 ///
 /// # Errors
 ///
@@ -332,6 +333,7 @@ struct Codegen {
 pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, MergeError> {
     let f1c = module.func(input.f1).clone();
     let f2c = module.func(input.f2).clone();
+    let types_mark = module.types.len();
     let fn_ty = module.types.func(input.ret.base, input.params.merged_tys.clone());
     let mf = module.create_function(input.name.clone(), fn_ty);
     let func_id = input.params.has_func_id.then_some(Value::Param(0));
@@ -367,6 +369,7 @@ pub fn generate(module: &mut Module, input: CodegenInput) -> Result<FuncId, Merg
         Ok(()) => Ok(mf),
         Err(e) => {
             module.remove_function(mf);
+            module.types.truncate(types_mark);
             Err(e)
         }
     }
@@ -732,8 +735,9 @@ fn cast_chain(
 }
 
 /// Classifies the `have -> want` return-value conversion [`cast_chain`]
-/// builds. A `Chain` interns `int(from)` and then `int(to)` — the
-/// pre-codegen Δ bound replays exactly that for the merges it skips.
+/// builds. A `Chain` widens through one `zext` when `from < to`, which
+/// the pre-codegen Δ bound charges; a rejection is a build that cannot
+/// complete, which the bound never rules out.
 ///
 /// # Errors
 ///
@@ -760,10 +764,10 @@ pub(crate) fn classify_cast_widen(
 
 /// How a result conversion is built: the return casts of [`cast_chain`]
 /// and the `base -> want` call-site/thunk casts. One classification is
-/// shared by planning ([`prepare_cast_tys`], the Δ bound's type replay)
-/// and execution ([`cast_chain`], [`cast_back_in`]), so the set of
-/// container types a plan interns can never drift from what the cast
-/// later builds.
+/// shared by planning ([`prepare_cast_tys`], the Δ bound) and execution
+/// ([`cast_chain`], [`cast_back_in`]), so neither the container types a
+/// plan interns nor the instructions the bound charges can drift from
+/// what the cast later builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CastShape {
     /// `base == want`: no instruction at all.
@@ -959,7 +963,7 @@ mod tests {
     use fmsa_ir::FuncBuilder;
 
     #[test]
-    fn a_verifier_rejection_is_unverified_and_removes_the_body() {
+    fn a_verifier_rejection_is_unverified_and_removes_the_body_and_its_types() {
         // `f` adds where `g` multiplies, so the merged body branches on
         // its identifier, which this input declares as an `i32`.
         let mut m = Module::new("m");
@@ -987,7 +991,7 @@ mod tests {
         assert!(setup.params.has_func_id);
         let mut params = setup.params;
         params.merged_tys[0] = i32t;
-        let live = m.func_ids();
+        let (live, types) = (m.func_ids(), m.types.len());
         let input = CodegenInput {
             f1,
             f2,
@@ -1005,5 +1009,7 @@ mod tests {
             other => panic!("expected a verifier rejection, got {other:?}"),
         }
         assert_eq!(m.func_ids(), live, "the rejected body is removed");
+        // Its signature `i32 (i32, i32)` was new, and is dropped with it.
+        assert_eq!(m.types.len(), types, "the rejected body's types are dropped");
     }
 }

@@ -5,7 +5,7 @@
 //! then generate the merged body in two passes. The merged function is
 //! *added* to the module; committing it (thunks, call-graph update,
 //! deleting the originals) is the pass driver's job so that unprofitable
-//! merges can simply be discarded.
+//! merges can simply be discarded ([`discard`]), leaving no trace.
 
 pub mod codegen;
 pub mod params;
@@ -105,6 +105,9 @@ pub struct MergeInfo {
     pub matches: usize,
     /// Total alignment length (diagnostics).
     pub alignment_len: usize,
+    /// Length of the module's type store before the build: what
+    /// [`discard`] truncates it back to.
+    pub types_before: usize,
 }
 
 /// Computes the merged return type.
@@ -253,11 +256,29 @@ pub fn merge_pair_aligned(
     let matches = alignment.match_count();
     let alignment_len = alignment.len();
     let name = unique_name(module, f1, f2);
+    let types_before = module.types.len();
     let merged = codegen::generate(
         module,
         codegen::CodegenInput { f1, f2, seq1, seq2, alignment, params: params.clone(), ret, name },
     )?;
-    Ok(MergeInfo { merged, f1, f2, has_func_id, params, ret, matches, alignment_len })
+    Ok(MergeInfo { merged, f1, f2, has_func_id, params, ret, matches, alignment_len, types_before })
+}
+
+/// Discards a built merge that is not committed: removes the merged
+/// function and drops every type its build interned, so the module is
+/// as the build found it. Type ids feed the MinHash fingerprints, so
+/// type numbering then depends only on the input and on committed
+/// merges, and a merge the pre-codegen Δ gate never builds leaves the
+/// module exactly as building and discarding it would.
+///
+/// Only the latest build may be discarded this way. A removal that must
+/// keep its types calls `Module::remove_function` alone: an oracle's
+/// best merge that a later, larger-Δ build displaces (the new best may
+/// use types the old one interned), and a merge whose commit failed
+/// (the commit may already have rewritten callers with new cast types).
+pub fn discard(module: &mut Module, info: &MergeInfo) {
+    module.remove_function(info.merged);
+    module.types.truncate(info.types_before);
 }
 
 fn unique_name(module: &Module, f1: FuncId, f2: FuncId) -> String {

@@ -32,18 +32,19 @@
 //!    worklist order. Each prepared attempt is re-validated — if an
 //!    earlier commit of the generation changed either function, or
 //!    dirtied the candidate index, the stale part is recomputed inline.
-//!    The Δ bound gates every attempt: a pair it rules out skips codegen
-//!    and only replays the type interning the build would have left. The
-//!    rest are built in place ([`crate::merge::merge_pair_aligned`]),
-//!    verified, and evaluated exactly
-//!    ([`crate::profitability::evaluate_indexed`]). An accepted merge is
-//!    committed on the spot ([`crate::thunks::commit_merge_indexed`]):
-//!    the §III-A call-graph update rewrites only the callers the
-//!    call-site index names. Every function the commit changed — both
-//!    originals and each rewritten caller — then goes through one
-//!    bookkeeping step (linearization, call-site entry, fingerprint), and
-//!    the merged function joins the search index and the next
-//!    generation's worklist.
+//!    The Δ bound gates every attempt: a pair it rules out skips codegen,
+//!    which leaves the module exactly as building and discarding it
+//!    would ([`crate::merge::discard`]). The rest are built in place
+//!    ([`crate::merge::merge_pair_aligned`]), verified, and evaluated
+//!    exactly ([`crate::profitability::evaluate_indexed`]). An accepted
+//!    merge is committed on the spot
+//!    ([`crate::thunks::commit_merge_indexed`]): the §III-A call-graph
+//!    update rewrites only the callers the call-site index names. Every
+//!    build that is not kept is discarded with its types. Every function
+//!    the commit changed — both originals and each rewritten caller —
+//!    then goes through one bookkeeping step (linearization, call-site
+//!    entry, fingerprint), and the merged function joins the search
+//!    index and the next generation's worklist.
 //!
 //! The candidate index is the pass's one record of which functions are
 //! live and what their fingerprints are: a function is a subject or a
@@ -77,7 +78,7 @@ use crate::config::Config;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{KeyAudit, LinearizationCache, Linearized};
-use crate::merge::{merge_pair_aligned, MergeError, MergeInfo};
+use crate::merge::{discard, merge_pair_aligned, MergeError, MergeInfo};
 use crate::pass::FmsaStats;
 use crate::profitability::{delta_bound, evaluate_indexed, DeltaBound, GateAudit, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
@@ -427,10 +428,13 @@ pub fn run(module: &mut Module, cfg: &Config) -> FmsaStats {
 /// [`run`] that also checks the Δ gate against real builds: every
 /// attempt's bound is compared with the real Δ of its build, and every
 /// gate-skipped attempt is additionally built (and discarded) in place,
-/// so its real Δ and the type store it leaves can be compared with the
-/// bound and the skip's type replay. The module ends exactly as [`run`]
-/// leaves it; the audit costs the builds the gate saves. For tests and
-/// soundness experiments.
+/// so its real Δ can be compared with the bound. Every attempt must
+/// leave each type it found at its id, and one that keeps nothing — a
+/// skip, or a build that fails, is quarantined, is unprofitable or
+/// loses to the oracle's best — must leave the type store exactly as it
+/// found it. The module ends exactly as [`run`] leaves it; the audit
+/// costs the builds the gate saves and a copy of the type store per
+/// built attempt. For tests and soundness experiments.
 pub fn run_audited(module: &mut Module, cfg: &Config) -> (FmsaStats, GateAudit) {
     let mut audit = GateAudit::default();
     let stats = run_pipeline(module, cfg, Some(&mut audit), None);
@@ -651,11 +655,8 @@ fn run_pipeline(
                 };
                 let fresh = !changed.contains(&f1) && !changed.contains(&cand.func);
                 let (alignment, bound) = match prepared.remove(&(f1, cand.func)) {
-                    Some(Gated { alignment, mut bound, .. }) if fresh => {
+                    Some(Gated { alignment, bound, .. }) if fresh => {
                         pstats.reused += 1;
-                        if let Some(b) = bound.as_mut() {
-                            b.refresh(&module.types);
-                        }
                         (alignment, bound)
                     }
                     _ => {
@@ -708,12 +709,12 @@ fn run_pipeline(
                     delta_bound: bound.as_ref().map(|b| b.bound),
                     ..rec_ungated(align_score, delta, outcome)
                 };
-                if let Some(b) = bound.as_ref().filter(|b| b.rules_out(&module.types)) {
+                if let Some(b) = bound.as_ref().filter(|b| b.rules_out()) {
                     // Sound gate: the bound proves the real Δ would be
                     // ≤ 0, so the paper's loop would have generated and
                     // discarded this merge (and the oracle could not
-                    // pick it). Skip codegen, replaying the types the
-                    // discarded build would have left behind.
+                    // pick it). A discard leaves nothing behind, so
+                    // skipping codegen changes nothing else.
                     if let Some(a) = audit.as_deref_mut() {
                         a.check_skip(
                             module,
@@ -728,18 +729,21 @@ fn run_pipeline(
                             &cfg.merge,
                         );
                     }
-                    b.replay_skip(&mut module.types);
                     pstats.gate_skipped += 1;
                     recs.push(rec(align_score, None, DecisionOutcome::GateSkipped));
                     continue;
                 }
                 let t0 = Instant::now();
+                // The store before the build, for the audit: the attempt
+                // must keep every type in it, and add none unless it
+                // keeps its build.
+                let types_before = audit.is_some().then(|| module.types.clone());
                 // Codegen behind a fault boundary: this path runs
                 // identically at every thread count, so its panics (and
                 // verifier rejections of its output) decide quarantine.
                 // `Err` carries the record of an attempt that ends here.
                 let outcome: Result<(MergeInfo, ProfitReport), DecisionRecord> = 'attempt: {
-                    let arena_mark = module.func_arena_len();
+                    let (arena_mark, types_mark) = (module.func_arena_len(), module.types.len());
                     let built = catch_unwind(AssertUnwindSafe(|| {
                         if faults.fires(FaultSite::Codegen, &n1, &n2) {
                             panic!("injected fault: codegen {n1} {n2}");
@@ -755,13 +759,13 @@ fn run_pipeline(
                         )
                     }));
                     // Never commit an unverified merged body: `generate`
-                    // removes a body the verifier rejects (a real bug in
-                    // codegen), and an injected verifier fault removes it
-                    // here. Such a pair is quarantined, as a panic's is.
+                    // discards a body the verifier rejects (a real bug in
+                    // codegen), and an injected verifier fault discards
+                    // it here. Such a pair is quarantined, as a panic's is.
                     let built = match built {
                         Ok(Ok(info)) if !faults.fires(FaultSite::Verify, &n1, &n2) => Ok(info),
                         Ok(Ok(info)) => {
-                            module.remove_function(info.merged);
+                            discard(module, &info);
                             Err((
                                 QuarantineStage::Verify,
                                 format!("injected fault: verify {n1} {n2}"),
@@ -775,14 +779,15 @@ fn run_pipeline(
                         }
                         Err(payload) => {
                             // A panic mid-codegen can leave partially
-                            // built functions behind; sweep everything
-                            // created since the snapshot.
+                            // built functions and their types behind;
+                            // sweep everything created since the marks.
                             for idx in arena_mark..module.func_arena_len() {
                                 let id = FuncId::from_index(idx);
                                 if module.is_live(id) {
                                     module.remove_function(id);
                                 }
                             }
+                            module.types.truncate(types_mark);
                             pstats.panics_caught += 1;
                             Err((QuarantineStage::Codegen, panic_message(payload.as_ref())))
                         }
@@ -813,38 +818,47 @@ fn run_pipeline(
                     Ok((info, report))
                 };
                 pstats.commit_codegen += t0.elapsed();
-                match outcome {
-                    Ok((info, report)) if report.is_profitable() => {
-                        // Greedy: the first profitable candidate wins.
-                        // Oracle: a strictly larger Δ displaces the best
-                        // so far, whose body is discarded and whose record
-                        // flips to unprofitable.
-                        let delta = report.delta;
-                        if best.as_ref().is_none_or(|b| delta > b.2) {
-                            if let Some((_, old, _, i)) = best.take() {
-                                module.remove_function(old.merged);
-                                recs[i].outcome = DecisionOutcome::Unprofitable;
-                            }
-                            best = Some((pos + 1, info, delta, recs.len()));
-                            recs.push(rec(align_score, Some(delta), DecisionOutcome::Merged));
-                        } else {
-                            module.remove_function(info.merged);
-                            recs.push(rec(align_score, Some(delta), DecisionOutcome::Unprofitable));
+                // Greedy: the first profitable candidate wins. Oracle: a
+                // strictly larger Δ displaces the best so far, whose
+                // record flips to unprofitable. Its body is removed but
+                // its types stay: the new best may use them.
+                let kept = match outcome {
+                    Ok((info, report))
+                        if report.is_profitable()
+                            && best.as_ref().is_none_or(|b| report.delta > b.2) =>
+                    {
+                        if let Some((_, old, _, i)) = best.take() {
+                            module.remove_function(old.merged);
+                            recs[i].outcome = DecisionOutcome::Unprofitable;
                         }
-                        if !cfg.oracle {
-                            break;
-                        }
+                        best = Some((pos + 1, info, report.delta, recs.len()));
+                        recs.push(rec(align_score, Some(report.delta), DecisionOutcome::Merged));
+                        true
                     }
                     Ok((info, report)) => {
-                        module.remove_function(info.merged);
-                        pstats.gate_missed += 1;
+                        // An oracle runner-up, or an unprofitable build
+                        // the gate let through.
+                        discard(module, &info);
+                        if !report.is_profitable() {
+                            pstats.gate_missed += 1;
+                        }
                         recs.push(rec(
                             align_score,
                             Some(report.delta),
                             DecisionOutcome::Unprofitable,
                         ));
+                        false
                     }
-                    Err(r) => recs.push(r),
+                    Err(r) => {
+                        recs.push(r);
+                        false
+                    }
+                };
+                if let (Some(a), Some(before)) = (audit.as_deref_mut(), &types_before) {
+                    a.check_store(module, f1, cand.func, before, kept);
+                }
+                if kept && !cfg.oracle {
+                    break;
                 }
             }
 
@@ -861,9 +875,10 @@ fn run_pipeline(
                         // Should not happen (guarded by tests). Drop the
                         // merge and abandon this subject. The failed
                         // commit may have partially rewritten call sites
-                        // the commit result does not name, so
-                        // resynchronize the caches with the module and
-                        // drop all prepared work.
+                        // the commit result does not name, with new cast
+                        // types, so the merge's types stay; resynchronize
+                        // the caches with the module and drop all
+                        // prepared work.
                         module.remove_function(info.merged);
                         recs[win].outcome = DecisionOutcome::Failed;
                         call_sites = CallSiteIndex::build(module);
@@ -1218,6 +1233,115 @@ mod tests {
         assert!(p.schedule_prefill > Duration::ZERO, "{p:?}");
         assert!(p.schedule_cpu > Duration::ZERO, "{p:?}");
         assert!(p.prepare_cpu > Duration::ZERO, "{p:?}");
+    }
+
+    /// A function of the clone-family shape: `v = (v + c) * p1` for each
+    /// constant `c` of `consts`.
+    fn chain(m: &mut Module, name: &str, consts: &[i32]) -> FuncId {
+        let i32t = m.types.i32();
+        let fn_ty = m.types.func(i32t, vec![i32t, i32t]);
+        let f = m.create_function(name, fn_ty);
+        let mut b = FuncBuilder::new(m, f);
+        let e = b.block("entry");
+        b.switch_to(e);
+        let mut v = Value::Param(0);
+        for &c in consts {
+            v = b.add(v, b.const_i32(c));
+            v = b.mul(v, Value::Param(1));
+        }
+        b.ret(Some(v));
+        f
+    }
+
+    /// Whether some subject's log holds a profitable build that a later,
+    /// larger-Δ build displaced, and one that lost to the subject's best.
+    fn oracle_losers(stats: &FmsaStats) -> (bool, bool) {
+        use crate::telemetry::DecisionOutcome as O;
+        let recs: Vec<&DecisionRecord> = stats.decisions.records().collect();
+        let lost =
+            |r: &&DecisionRecord| r.outcome == O::Unprofitable && r.delta.is_some_and(|d| d > 0);
+        let (mut displaced, mut runner_up) = (false, false);
+        for attempts in recs.chunk_by(|a, b| a.subject == b.subject) {
+            let Some(won) = attempts.iter().position(|r| r.outcome == O::Merged) else {
+                continue;
+            };
+            displaced |= attempts[..won].iter().any(lost);
+            runner_up |= attempts[won + 1..].iter().any(lost);
+        }
+        (displaced, runner_up)
+    }
+
+    /// Every path that throws a built merge away leaves the type store
+    /// as the attempt found it (the audit's store check), at one and two
+    /// threads: an unprofitable build, an injected codegen panic and
+    /// verify fault, and an oracle runner-up. A best the oracle displaces
+    /// keeps its types, which the new best may use.
+    #[test]
+    fn every_discard_leaves_the_type_store_as_it_found_it() {
+        crate::faults::silence_injected_panics();
+        let base: Vec<i32> = (0..12).collect();
+        let with = |diffs: &[usize]| {
+            let mut c = base.clone();
+            for &k in diffs {
+                c[k] += 100;
+            }
+            c
+        };
+        // Two clones with 40 call sites each, which would all pass the
+        // identifier a merge adds. The bound charges deletable sides
+        // nothing for call sites, so the gate lets these builds through.
+        let mut calls = Module::new("calls");
+        let sides = [chain(&mut calls, "p", &base), chain(&mut calls, "q", &with(&[5]))];
+        let i32t = calls.types.i32();
+        let caller_ty = calls.types.func(i32t, vec![i32t]);
+        let caller = calls.create_function("caller", caller_ty);
+        let mut b = FuncBuilder::new(&mut calls, caller);
+        let e = b.block("entry");
+        b.switch_to(e);
+        let mut v = Value::Param(0);
+        for _ in 0..40 {
+            for f in sides {
+                v = b.call(f, vec![v, Value::Param(0)]);
+            }
+        }
+        b.ret(Some(v));
+        let mut family = Module::new("family");
+        clone_family(&mut family, 6, 12);
+        let faults = FaultPlan::new(0xD15C, 300_000, &[FaultSite::Codegen, FaultSite::Verify]);
+        // `o0`'s candidates tie on similarity, so they come in id order:
+        // `o1` (three selects) is its first best, `o2` (one) displaces
+        // it, and `o3` (two) loses to `o2`.
+        let mut oracle = Module::new("oracle");
+        for (name, diffs) in [("o0", &[][..]), ("o1", &[1, 2, 3]), ("o2", &[1]), ("o3", &[1, 2])] {
+            chain(&mut oracle, name, &with(diffs));
+        }
+        for threads in [1, 2] {
+            let runs = [
+                (&calls, Config::new().threshold(5)),
+                (&family, Config::new().threshold(5).faults(faults)),
+                (&oracle, Config::new().oracle(true)),
+            ];
+            let mut seen = [false; 5];
+            for (m, cfg) in runs {
+                let mut m = m.clone();
+                let (stats, audit) = run_audited(&mut m, &cfg.parallel(threads));
+                assert!(audit.is_clean(), "{} at {threads} threads: {audit:?}", m.name);
+                assert!(fmsa_ir::verify_module(&m).is_empty(), "{} at {threads} threads", m.name);
+                let p = stats.pipeline.expect("pipeline stats");
+                let (displaced, runner_up) = oracle_losers(&stats);
+                for (hit, now) in seen.iter_mut().zip([
+                    p.gate_missed > 0,
+                    p.quarantined_codegen > 0,
+                    p.quarantined_verify > 0,
+                    runner_up,
+                    displaced,
+                ]) {
+                    *hit |= now;
+                }
+            }
+            // Unprofitable, codegen panic, verify fault, runner-up, displaced.
+            assert_eq!(seen, [true; 5], "discard paths reached at {threads} threads");
+        }
     }
 
     #[test]

@@ -136,8 +136,9 @@ fn thunk_epsilon(cm: &CostModel, merged_params: u64, ret_cast: u64) -> u64 {
 }
 
 /// A sound upper bound on the Δ of merging two functions, computed
-/// before code generation ([`delta_bound`]), together with the type-store
-/// effects a skipped build has to reproduce.
+/// before code generation ([`delta_bound`]). It depends only on the two
+/// functions: a bound prepared ahead of the commit stage is the bound
+/// the commit stage would compute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaBound {
     /// The bound: [`evaluate`] of the built merge is never larger.
@@ -149,13 +150,9 @@ pub struct DeltaBound {
     pub epsilon: u64,
     /// How the merged body was charged.
     pub charge: BodyCharge,
-    /// What building and discarding the body interns, or `None` when the
-    /// build could fail part-way and so intern less.
-    replay: Option<TypeReplay>,
-    /// The cheap-tier size and slot pointees of a pair the cheap terms
-    /// already rule out but that took the dry run because a slot pointer
-    /// type was missing; see [`DeltaBound::refresh`].
-    cheap_tier: Option<(u64, Vec<TyId>)>,
+    /// Whether the build runs to completion: every operand resolves, and
+    /// pass 2 can build every select, selector and return cast.
+    completes: bool,
 }
 
 /// How [`delta_bound`] charged the merged body.
@@ -172,86 +169,14 @@ pub enum BodyCharge {
     Fallback,
 }
 
-/// The types a build-and-discard leaves in the store, in interning order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TypeReplay {
-    /// The merged signature `func(ret.base, merged_tys)`, interned first.
-    ret: TyId,
-    params: Vec<TyId>,
-    /// The return casts' integer containers `int(from)`, `int(to)`.
-    ret_casts: Vec<(u32, u32)>,
-    /// The demotion slots' pointer types, interned last.
-    slots: Slots,
-}
-
-/// The stack-slot pointer types `ptr(T)` register demotion interns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Slots {
-    /// Exactly these pointees, in demotion order (the dry run knows
-    /// which values codegen demotes).
-    Exact(Vec<TyId>),
-    /// Some subset of these pointees (every cloned value's type): a skip
-    /// can only replay the build when all their pointer types exist.
-    AnyOf(Vec<TyId>),
-}
-
-/// Whether every pointee's pointer type is already interned: the build
-/// can then intern no new slot type.
-fn slot_ptrs_exist(types: &TypeStore, pointees: &[TyId]) -> bool {
-    pointees.iter().all(|&t| types.lookup(&Type::Ptr { pointee: t }).is_some())
-}
-
 impl DeltaBound {
     /// Whether the gate may skip code generation: Δ ≤ 0 is proven, and
-    /// [`DeltaBound::replay_skip`] leaves `types` exactly as the build
-    /// would. Without a dry run that needs every demotion-slot pointer
-    /// type the build could intern to exist already.
-    pub fn rules_out(&self, types: &TypeStore) -> bool {
-        self.bound <= 0
-            && self.replay.as_ref().is_some_and(|r| match &r.slots {
-                Slots::Exact(_) => true,
-                Slots::AnyOf(pointees) => slot_ptrs_exist(types, pointees),
-            })
-    }
-
-    /// Brings a bound computed against an earlier state of `types` up to
-    /// date, for functions that have not changed since: [`delta_bound`]
-    /// charges the cheap tier instead of the dry run once every slot
-    /// pointer type exists, and the store only grows. The pipeline
-    /// refreshes the bounds its prepare stage computed, so the commit
-    /// stage gates on — and logs — exactly the bound an inline
-    /// computation would give, at every thread count.
-    pub fn refresh(&mut self, types: &TypeStore) {
-        if !self.cheap_tier.as_ref().is_some_and(|(_, p)| slot_ptrs_exist(types, p)) {
-            return;
-        }
-        let (cheap, pointees) = self.cheap_tier.take().expect("checked above");
-        self.bound += self.size_merged as i64 - cheap as i64;
-        self.size_merged = cheap;
-        self.charge = BodyCharge::Cheap;
-        if let Some(r) = &mut self.replay {
-            r.slots = Slots::AnyOf(pointees);
-        }
-    }
-
-    /// Interns what building and discarding the merged body would have
-    /// left behind: the merged signature, the return-cast containers,
-    /// then the demotion slots' pointer types. Type ids feed the MinHash
-    /// fingerprints, so a skipped build must evolve the store exactly
-    /// like a real one. Call only when [`DeltaBound::rules_out`] holds
-    /// for `types`.
-    pub fn replay_skip(&self, types: &mut TypeStore) {
-        let Some(r) = &self.replay else { return };
-        types.func(r.ret, r.params.clone());
-        for &(from, to) in &r.ret_casts {
-            types.int(from);
-            types.int(to);
-        }
-        if let Slots::Exact(pointees) = &r.slots {
-            for &t in pointees {
-                types.ptr(t);
-            }
-        }
+    /// the build would complete, so it would end as an unprofitable
+    /// discard that leaves the module as it was ([`crate::merge::discard`]).
+    /// A build that fails keeps its own outcome in the decision log and
+    /// the quarantine.
+    pub fn rules_out(&self) -> bool {
+        self.bound <= 0 && self.completes
     }
 }
 
@@ -336,8 +261,6 @@ struct Body {
     edges: Vec<u32>,
     /// Each clone's block.
     clone_block: Vec<u32>,
-    /// Each clone's type (the first side's, for a matched column).
-    clone_ty: Vec<TyId>,
     /// `(def, user block)` for every clone operand resolving to a clone.
     uses: Vec<(u32, u32)>,
     /// `(invoke clone, normal destination)`, in clone order: demotion
@@ -353,8 +276,6 @@ struct Body {
     fid_branches: u64,
     /// Cost of the pass-1 clones, without `br`s.
     clone_cost: u64,
-    /// Return-cast integer containers, in interning order.
-    ret_casts: Vec<(u32, u32)>,
     /// Every operand resolves, and pass 2 can build every select,
     /// selector and return cast: the build runs to completion.
     completes: bool,
@@ -384,7 +305,6 @@ impl Body {
             blocks: Vec::new(),
             edges: Vec::new(),
             clone_block: Vec::with_capacity(ops.len()),
-            clone_ty: Vec::with_capacity(ops.len()),
             uses: Vec::with_capacity(ops.len()),
             invokes: Vec::new(),
             selects: Vec::new(),
@@ -392,7 +312,6 @@ impl Body {
             selectors: HashMap::new(),
             fid_branches: 0,
             clone_cost: 0,
-            ret_casts: Vec::new(),
             completes: true,
             unmodeled: false,
         };
@@ -423,7 +342,6 @@ impl Body {
                     }
                     let (_, inst) = source(i1, i2);
                     body.clone_block.push(block);
-                    body.clone_ty.push(inst.ty);
                     body.unmodeled |= inst.opcode == Opcode::Phi;
                     let facts = &mut body.blocks[block as usize];
                     facts.landing |= facts.items == 0 && inst.opcode == Opcode::LandingPad;
@@ -544,15 +462,9 @@ impl Body {
                     let f = if first { fa } else { fb };
                     let Some(&v) = inst.operands.first() else { continue };
                     match classify_cast_widen(types, f.value_ty(v, types), setup.ret.base) {
-                        Ok(CastShape::Chain { from, to }) => {
-                            let pair = (from as u32, to as u32);
-                            if !body.ret_casts.contains(&pair) {
-                                body.ret_casts.push(pair);
-                            }
-                            // `cast_chain` widens through one `zext`.
-                            if from < to {
-                                body.blocks[block as usize].cost += cost_of(Opcode::ZExt);
-                            }
+                        // `cast_chain` widens through one `zext`.
+                        Ok(CastShape::Chain { from, to }) if from < to => {
+                            body.blocks[block as usize].cost += cost_of(Opcode::ZExt);
                         }
                         Ok(_) => {}
                         Err(_) => body.completes = false,
@@ -607,24 +519,9 @@ impl Body {
             + select * self.pairs.len() as u64
     }
 
-    /// The type of every cloned value but `void`, each once: the
-    /// pointees demotion could make a slot for.
-    fn pointees(&self, types: &TypeStore) -> Vec<TyId> {
-        let void = types.void();
-        let mut pointees: Vec<TyId> = Vec::new();
-        for &t in &self.clone_ty {
-            // Few distinct types, each cloned many times in a row.
-            if t != void && pointees.last() != Some(&t) && !pointees.contains(&t) {
-                pointees.push(t);
-            }
-        }
-        pointees
-    }
-
     /// The dry run: lower bound on the merged body's size after register
-    /// demotion, trivial-block threading and unreachable-block removal,
-    /// plus the pointees of the demotion slots in creation order.
-    fn dry_run(&self, cm: &CostModel, types: &TypeStore) -> (u64, Vec<TyId>) {
+    /// demotion, trivial-block threading and unreachable-block removal.
+    fn dry_run(&self, cm: &CostModel, types: &TypeStore) -> u64 {
         let void = types.void();
         let cost_of = |op: Opcode| cm.inst_cost(&Inst::new(op, void, Vec::new()));
         // The same tree `cfg::Dominators` gives `fix_dominance`.
@@ -649,10 +546,9 @@ impl Body {
         // One slot and one store per demoted def; the store follows the
         // def, or opens an invoke's normal destination.
         let mut stored = vec![false; self.blocks.len()];
-        let mut slots: Vec<TyId> = Vec::new();
-        let mut stores = 0u64;
+        let (mut slots, mut stores) = (0u64, 0u64);
         for (d, _) in demoted.iter().enumerate().filter(|(_, &x)| x) {
-            slots.push(self.clone_ty[d]);
+            slots += 1;
             let at = match self.invokes.binary_search_by_key(&(d as u32), |&(k, _)| k) {
                 Ok(n) => self.invokes[n].1,
                 Err(_) => self.clone_block[d],
@@ -666,7 +562,7 @@ impl Body {
             self.selects.iter().copied().filter(|&(b, _)| dom.reachable(b as usize)).collect();
         selects.sort_unstable();
         selects.dedup();
-        let mut size = cost_of(Opcode::Alloca) * slots.len() as u64
+        let mut size = cost_of(Opcode::Alloca) * slots
             + cost_of(Opcode::Store) * stores
             + cost_of(Opcode::Load) * loads.len() as u64
             + cost_of(Opcode::Select) * selects.len() as u64;
@@ -680,7 +576,7 @@ impl Body {
                 size += cost_of(Opcode::Br);
             }
         }
-        (size, slots)
+        size
     }
 }
 
@@ -700,21 +596,20 @@ impl Body {
 /// * one `select` per distinct mismatched operand pair of the matched
 ///   instructions, after codegen's own commutative swap.
 ///
-/// When those cannot rule the pair out (or a demotion slot's pointer
-/// type is missing from the store), a dry run of the merged CFG replaces
-/// them: with pass 2's edges and selector blocks it computes reachability
-/// and dominators exactly as `fix_dominance` does, and charges only the
-/// blocks that stay reachable — their clones, `condbr`s and
-/// `unreachable`s, the `br` of the entry and of every block threading
-/// keeps, one `select` per distinct (block, operand pair), and one
-/// `alloca`, `store` and per-(def, user block) `load` for every value
-/// codegen demotes. Knowing that set exactly, a skip replays the
-/// demotion slots' pointer types too.
+/// When those cannot rule the pair out, a dry run of the merged CFG
+/// replaces them: with pass 2's edges and selector blocks it computes
+/// reachability and dominators exactly as `fix_dominance` does, and
+/// charges only the blocks that stay reachable — their clones, `condbr`s
+/// and `unreachable`s, the `br` of the entry and of every block threading
+/// keeps, one `select` per distinct (block, operand pair), the `zext` of
+/// every widening return cast, and one `alloca`, `store` and per-(def,
+/// user block) `load` for every value codegen demotes.
 ///
 /// ε is charged the exact thunk δ of each side [`can_delete`] rejects;
 /// deletable sides pay a call-site term ≥ 0 and are charged nothing.
-/// Linkage and address-taken never change during a pass, so a bound
-/// computed while preparing a pair stays valid when it is committed.
+/// Linkage and address-taken never change during a pass, and the bound
+/// reads nothing else of the module but the two functions, so a bound
+/// computed while preparing a pair stays exact when it is committed.
 ///
 /// # Errors
 ///
@@ -746,60 +641,43 @@ pub fn delta_bound(
     let fns = (module.func(f1), module.func(f2));
     let body = Body::resolve(module, cm, fns, (seq1, seq2), alignment, &setup)?;
     let cheap = body.cheap_size(cm, types);
-    let mut cheap_tier = None;
-    let (size_merged, charge, slots) = if !body.completes {
-        (cheap, BodyCharge::Fallback, None)
-    } else if body.unmodeled {
-        (cheap, BodyCharge::Fallback, Some(Slots::AnyOf(body.pointees(types))))
+    let (size_merged, charge) = if !body.completes || body.unmodeled {
+        (cheap, BodyCharge::Fallback)
+    } else if inputs - (cheap + epsilon) as i64 <= 0 {
+        (cheap, BodyCharge::Cheap)
     } else {
-        // The dry run is only needed when the cheap terms cannot rule the
-        // pair out, or a slot pointer type is missing from the store.
-        let pointees = (inputs - (cheap + epsilon) as i64 <= 0).then(|| body.pointees(types));
-        match pointees {
-            Some(pointees) if slot_ptrs_exist(types, &pointees) => {
-                (cheap, BodyCharge::Cheap, Some(Slots::AnyOf(pointees)))
-            }
-            pointees => {
-                let (size, slots) = body.dry_run(cm, types);
-                cheap_tier = pointees.map(|p| (cheap, p));
-                (size, BodyCharge::DryRun, Some(Slots::Exact(slots)))
-            }
-        }
+        (body.dry_run(cm, types), BodyCharge::DryRun)
     };
-    let replay = slots.map(|slots| TypeReplay {
-        ret: setup.ret.base,
-        params: setup.params.merged_tys.clone(),
-        ret_casts: body.ret_casts.clone(),
-        slots,
-    });
     let bound = inputs - (size_merged + epsilon) as i64;
-    Ok(DeltaBound { bound, size_merged, epsilon, charge, replay, cheap_tier })
+    Ok(DeltaBound { bound, size_merged, epsilon, charge, completes: body.completes })
 }
 
 /// A check of the Δ gate against real builds, filled in by
 /// [`crate::pipeline::run_audited`]: every attempt's bound is compared
 /// with the real Δ of its build, and every gate-skipped attempt is built
-/// and discarded in place so that the type store its replay leaves can
-/// be compared with the real one.
+/// and discarded in place for the comparison. Every audited attempt
+/// must leave each type it found at its id, and one that keeps nothing
+/// must leave the type store exactly as it found it.
 #[derive(Debug, Clone, Default)]
 pub struct GateAudit {
     /// Attempts whose bound was compared with the Δ of a real build.
     pub checked: usize,
     /// Gate-skipped attempts, each built and discarded for the audit.
     pub skipped: usize,
-    /// Gate-skipped attempts whose replay interned at least one new type.
-    pub replays_interning: usize,
+    /// Gate-skipped attempts whose audit build interned new types, which
+    /// its discard dropped again.
+    pub discards_dropping_types: usize,
     /// Attempts whose real Δ exceeded the bound (`subject/candidate: …`).
     pub violations: Vec<String>,
-    /// Skipped attempts whose replay left a different type store than
-    /// the build and discard did.
-    pub replay_mismatches: Vec<String>,
+    /// Attempts that moved or dropped a type the store held before
+    /// them, or that kept nothing but left a type they interned.
+    pub store_mismatches: Vec<String>,
 }
 
 impl GateAudit {
-    /// Whether no attempt broke the bound and every replay was exact.
+    /// Whether no attempt broke the bound or changed the store.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.replay_mismatches.is_empty()
+        self.violations.is_empty() && self.store_mismatches.is_empty()
     }
 
     /// Compares `bound` with the real Δ of the `(f1, f2)` build.
@@ -822,9 +700,38 @@ impl GateAudit {
         }
     }
 
+    /// Checks the type store an attempt at `(f1, f2)` left against
+    /// `before`, the one it found: the same `Type` at every id of
+    /// `before`, and no more types unless the attempt `kept` its build.
+    pub(crate) fn check_store(
+        &mut self,
+        module: &Module,
+        f1: FuncId,
+        f2: FuncId,
+        before: &TypeStore,
+        kept: bool,
+    ) {
+        let types = &module.types;
+        let len_ok = if kept { types.len() >= before.len() } else { types.len() == before.len() };
+        let same = len_ok
+            && (0..before.len()).all(|k| {
+                let id = TyId::from_index(k);
+                before.get(id) == types.get(id)
+            });
+        if !same {
+            self.store_mismatches.push(format!(
+                "{}/{}: {} types before the attempt, {} after",
+                module.func(f1).name,
+                module.func(f2).name,
+                before.len(),
+                types.len()
+            ));
+        }
+    }
+
     /// Builds and discards a gate-skipped merge in place, exactly as the
-    /// paper's loop would, checking its Δ against `bound` and the
-    /// store it leaves against [`DeltaBound::replay_skip`].
+    /// paper's loop would, checking its Δ against `bound` and that the
+    /// discard leaves the store as the skip does: unchanged.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn check_skip(
         &mut self,
@@ -840,11 +747,7 @@ impl GateAudit {
         config: &MergeConfig,
     ) {
         self.skipped += 1;
-        let mut replayed = module.types.clone();
-        bound.replay_skip(&mut replayed);
-        if replayed.len() > module.types.len() {
-            self.replays_interning += 1;
-        }
+        let before = module.types.clone();
         let built = crate::merge::merge_pair_aligned(
             module,
             f1,
@@ -856,24 +759,11 @@ impl GateAudit {
         );
         if let Ok(info) = built {
             let real = evaluate_indexed(module, cm, &info, sites, None).delta;
-            module.remove_function(info.merged);
+            self.discards_dropping_types += (module.types.len() > before.len()) as usize;
+            crate::merge::discard(module, &info);
             self.check_built(module, f1, f2, bound, real);
         }
-        let types = &module.types;
-        let same = replayed.len() == types.len()
-            && (0..types.len()).all(|k| {
-                let id = TyId::from_index(k);
-                replayed.get(id) == types.get(id)
-            });
-        if !same {
-            self.replay_mismatches.push(format!(
-                "{}/{}: replay left {} types, build and discard {}",
-                module.func(f1).name,
-                module.func(f2).name,
-                replayed.len(),
-                types.len()
-            ));
-        }
+        self.check_store(module, f1, f2, &before, false);
     }
 }
 
@@ -1010,135 +900,128 @@ mod tests {
         assert!(bound.bound > 0, "a near-identical pair must stay in play: {bound:?}");
     }
 
-    /// Checks that replaying `bound`'s skip leaves exactly the store that
-    /// building and discarding the merge leaves, and returns the replayed
-    /// store.
-    fn assert_exact_replay(m: &mut fmsa_ir::Module, fa: FuncId, fb: FuncId) -> TypeStore {
-        use crate::linearize::linearize;
-        use crate::merge::{align, merge_pair_aligned};
-        let cfg = MergeConfig::default();
-        let cm = CostModel::new(TargetArch::X86_64);
-        let seq1 = linearize(m.func(fa));
-        let seq2 = linearize(m.func(fb));
-        let al = align(m, fa, fb, &seq1, &seq2);
-        let bound = delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).expect("set-up");
-        assert!(bound.rules_out(&m.types), "{bound:?}");
-        let mut replayed = m.types.clone();
-        bound.replay_skip(&mut replayed);
-        let before = m.types.len();
-        let info = merge_pair_aligned(m, fa, fb, seq1, seq2, al, &cfg).expect("builds");
-        assert!(evaluate(m, &cm, &info).delta <= bound.bound);
-        m.remove_function(info.merged);
-        assert!(m.types.len() > before, "the build interns its merged signature");
-        assert_eq!(replayed.len(), m.types.len());
-        for k in 0..m.types.len() {
-            let id = fmsa_ir::TyId::from_index(k);
-            assert_eq!(replayed.get(id), m.types.get(id), "type {k}");
-        }
-        replayed
-    }
-
-    #[test]
-    fn delta_bound_rules_out_dissimilar_pair_and_replays_its_types() {
-        use crate::linearize::linearize;
-        use crate::merge::align;
-        let mut m = fmsa_ir::Module::new("m");
-        let i32t = m.types.i32();
-        let f64t = m.types.f64();
-        let fn1 = m.types.func(i32t, vec![i32t]);
-        let fn2 = m.types.func(f64t, vec![f64t]);
-        let fa = m.create_function("fa", fn1);
-        let fb = m.create_function("fb", fn2);
-        for (f, float) in [(fa, false), (fb, true)] {
-            let mut b = FuncBuilder::new(&mut m, f);
+    /// Two functions of `ty -> ty` that apply an eight-step chain to their
+    /// argument, `step(v, k)` at step `k`.
+    fn chain_pair(
+        m: &mut fmsa_ir::Module,
+        names: [&str; 2],
+        tys: [TyId; 2],
+        step: impl Fn(&mut FuncBuilder<'_>, bool, Value, i32) -> Value,
+    ) -> (FuncId, FuncId) {
+        let mut out = Vec::new();
+        for (k, (name, ty)) in names.into_iter().zip(tys).enumerate() {
+            let fn_ty = m.types.func(ty, vec![ty]);
+            let f = m.create_function(name, fn_ty);
+            let mut b = FuncBuilder::new(m, f);
             let e = b.block("entry");
             b.switch_to(e);
             let mut v = Value::Param(0);
-            for k in 0..8 {
-                v = if float { b.fdiv(v, b.const_f64(1.5)) } else { b.xor(v, b.const_i32(k)) };
+            for j in 0..8 {
+                v = step(&mut b, k == 1, v, j);
             }
             b.ret(Some(v));
+            out.push(f);
         }
-        let cfg = MergeConfig::default();
+        (out[0], out[1])
+    }
+
+    /// The bound of `(fa, fb)` under their own alignment.
+    fn bound_of(m: &fmsa_ir::Module, fa: FuncId, fb: FuncId) -> DeltaBound {
+        use crate::linearize::linearize;
+        use crate::merge::align;
         let cm = CostModel::new(TargetArch::X86_64);
-        let seq1 = linearize(m.func(fa));
-        let seq2 = linearize(m.func(fb));
-        let al = align(&m, fa, fb, &seq1, &seq2);
-        let bound = delta_bound(&m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).expect("set-up");
-        assert!(bound.bound <= 0, "{bound:?}");
-        // The i32 side's `ret` widens to the f64 base through `i32` → `i64`
-        // containers (both pre-interned by every store, like every
-        // container a scalar return cast can name — the replay keeps them
-        // anyway, so it stays exact for any future type).
-        assert_eq!(bound.replay.as_ref().map(|r| r.ret_casts.clone()), Some(vec![(32, 64)]));
-        // Demotion could intern `i32*` or `double*`, which this module
-        // lacks; the dry run knows the build demotes nothing, so the pair
-        // is ruled out anyway and its skip interns neither.
+        let (seq1, seq2) = (linearize(m.func(fa)), linearize(m.func(fb)));
+        let al = align(m, fa, fb, &seq1, &seq2);
+        delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &MergeConfig::default()).expect("set-up")
+    }
+
+    /// Checks that the bound rules `(fa, fb)` out and bounds the real Δ,
+    /// and that discarding the build leaves the type store exactly as it
+    /// was; returns the types the build interned.
+    fn assert_ruled_out_and_discarded(
+        m: &mut fmsa_ir::Module,
+        fa: FuncId,
+        fb: FuncId,
+    ) -> Vec<Type> {
+        use crate::linearize::linearize;
+        use crate::merge::{align, discard, merge_pair_aligned};
+        let cm = CostModel::new(TargetArch::X86_64);
+        let bound = bound_of(m, fa, fb);
+        assert!(bound.rules_out(), "{bound:?}");
+        let (seq1, seq2) = (linearize(m.func(fa)), linearize(m.func(fb)));
+        let al = align(m, fa, fb, &seq1, &seq2);
+        let before = m.types.clone();
+        let info =
+            merge_pair_aligned(m, fa, fb, seq1, seq2, al, &MergeConfig::default()).expect("builds");
+        assert!(evaluate(m, &cm, &info).delta <= bound.bound);
+        let interned: Vec<Type> = (before.len()..m.types.len())
+            .map(|k| m.types.get(TyId::from_index(k)).clone())
+            .collect();
+        assert!(!interned.is_empty(), "the build interns its merged signature");
+        discard(m, &info);
+        assert_eq!(m.types.len(), before.len());
+        for k in 0..m.types.len() {
+            let id = TyId::from_index(k);
+            assert_eq!(before.get(id), m.types.get(id), "type {k}");
+        }
+        interned
+    }
+
+    #[test]
+    fn delta_bound_rules_out_dissimilar_pairs_whose_discard_drops_their_types() {
+        let mut m = fmsa_ir::Module::new("m");
+        let (i32t, f64t) = (m.types.i32(), m.types.f64());
+        let (fa, fb) = chain_pair(&mut m, ["fa", "fb"], [i32t, f64t], |b, float, v, k| {
+            if float {
+                b.fdiv(v, b.const_f64(1.5))
+            } else {
+                b.xor(v, b.const_i32(k))
+            }
+        });
+        // The cheap terms already rule the pair out. The build demotes
+        // nothing, so it interns no slot pointer type either.
+        assert_eq!(bound_of(&m, fa, fb).charge, BodyCharge::Cheap);
         let (p32, p64) = (Type::Ptr { pointee: i32t }, Type::Ptr { pointee: f64t });
-        assert_eq!(bound.charge, BodyCharge::DryRun);
-        let replayed = assert_exact_replay(&mut m, fa, fb);
-        assert!(replayed.lookup(&p32).is_none() && replayed.lookup(&p64).is_none());
+        let interned = assert_ruled_out_and_discarded(&mut m, fa, fb);
+        assert!(!interned.contains(&p32) && !interned.contains(&p64), "{interned:?}");
 
         // Two unrelated chains whose results meet at the shared `ret`:
         // its select uses one value from each chain, so codegen demotes
-        // both, and the skip interns the missing `i32*` itself.
-        let fc = m.create_function("fc", fn1);
-        let fd = m.create_function("fd", fn1);
-        for (f, div) in [(fc, false), (fd, true)] {
-            let mut b = FuncBuilder::new(&mut m, f);
-            let e = b.block("entry");
-            b.switch_to(e);
-            let mut v = Value::Param(0);
-            for k in 0..8 {
-                v = if div { b.sdiv(v, b.const_i32(k + 2)) } else { b.xor(v, b.const_i32(k)) };
+        // both and interns the missing `i32*`, which the discard drops.
+        let (fc, fd) = chain_pair(&mut m, ["fc", "fd"], [i32t, i32t], |b, div, v, k| {
+            if div {
+                b.sdiv(v, b.const_i32(k + 2))
+            } else {
+                b.xor(v, b.const_i32(k))
             }
-            b.ret(Some(v));
-        }
+        });
         assert!(m.types.lookup(&p32).is_none());
-        let replayed = assert_exact_replay(&mut m, fc, fd);
-        assert!(replayed.lookup(&p32).is_some(), "the skip interns the demotion slot's type");
-        assert!(m.types.lookup(&p32).is_some());
+        let interned = assert_ruled_out_and_discarded(&mut m, fc, fd);
+        assert!(interned.contains(&p32), "the build interns the demotion slot's type");
+        assert!(m.types.lookup(&p32).is_none(), "the discard drops it");
     }
 
+    /// A bound depends only on its two functions: types that later builds
+    /// intern leave it as it was, whichever tier charged it.
     #[test]
-    fn refreshed_bound_equals_a_fresh_one_after_slot_types_appear() {
-        use crate::linearize::linearize;
-        use crate::merge::align;
+    fn delta_bound_ignores_types_interned_after_it() {
         let mut m = fmsa_ir::Module::new("m");
         let i32t = m.types.i32();
-        let f64t = m.types.f64();
-        let (fn1, fn2) = (m.types.func(i32t, vec![i32t]), m.types.func(f64t, vec![f64t]));
-        let fa = m.create_function("fa", fn1);
-        let fb = m.create_function("fb", fn2);
-        for (f, float) in [(fa, false), (fb, true)] {
-            let mut b = FuncBuilder::new(&mut m, f);
-            let e = b.block("entry");
-            b.switch_to(e);
-            let mut v = Value::Param(0);
-            for k in 0..8 {
-                v = if float { b.fdiv(v, b.const_f64(1.5)) } else { b.xor(v, b.const_i32(k)) };
+        let (fa, fb) = similar_pair(&mut m);
+        let (fc, fd) = chain_pair(&mut m, ["fc", "fd"], [i32t, i32t], |b, div, v, k| {
+            if div {
+                b.sdiv(v, b.const_i32(k + 2))
+            } else {
+                b.xor(v, b.const_i32(k))
             }
-            b.ret(Some(v));
-        }
-        let (cfg, cm) = (MergeConfig::default(), CostModel::new(TargetArch::X86_64));
-        let (seq1, seq2) = (linearize(m.func(fa)), linearize(m.func(fb)));
-        let al = align(&m, fa, fb, &seq1, &seq2);
-        let bound =
-            |m: &fmsa_ir::Module| delta_bound(m, &cm, fa, fb, &seq1, &seq2, &al, &cfg).unwrap();
-        // `i32*` and `double*` are missing, so the dry run charges the
-        // body; refreshing against the same store changes nothing.
-        let mut early = bound(&m);
-        assert_eq!(early.charge, BodyCharge::DryRun);
-        early.refresh(&m.types);
-        assert_eq!(early, bound(&m));
-        // Once an earlier build has interned them, the cheap tier applies,
-        // and the refreshed early bound is the bound computed now.
+        });
+        let early = [bound_of(&m, fa, fb), bound_of(&m, fc, fd)];
+        let charges = early.iter().map(|b| b.charge).collect::<Vec<_>>();
+        assert!(charges.contains(&BodyCharge::DryRun) && charges.contains(&BodyCharge::Cheap));
         m.types.ptr(i32t);
-        m.types.ptr(f64t);
-        let now = bound(&m);
-        assert_eq!(now.charge, BodyCharge::Cheap);
-        early.refresh(&m.types);
-        assert_eq!(early, now);
+        let slot_pair = m.types.struct_(vec![i32t, i32t]);
+        m.types.ptr(slot_pair);
+        assert_eq!([bound_of(&m, fa, fb), bound_of(&m, fc, fd)], early);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! requests: the unified [`Config`], the content-addressed
 //! [`FunctionStore`] (with its durable LSH index), a bounded
 //! whole-response cache, and running totals. Each request is one
-//! [`MergeSession::merge_module`] call: ingest the upload into the store
-//! (hit/miss accounting), run the shared [`optimize`] entry point, and
-//! print the result — so a session response is **byte-identical** to a
-//! batch `fmsa_opt` run with the same configuration, by construction.
+//! [`MergeSession::merge_module`] call: verify the upload, ingest it into
+//! the store (hit/miss accounting), run the rest of the shared
+//! [`crate::optimize`] entry point, and print the result — so a session
+//! response is **byte-identical** to a batch `fmsa_opt` run with the same
+//! configuration, by construction.
 //!
 //! The response cache is keyed by a caller-supplied [`ContentHash`]
 //! (the daemon hashes the raw upload bytes before even parsing them): a
@@ -17,7 +18,7 @@
 //! the store, so cross-request state can accelerate but never alter a
 //! response.
 
-use crate::config::{optimize, Config};
+use crate::config::{check_input, optimize_checked, Config};
 use crate::error::Error;
 use crate::pipeline::PipelineStats;
 use crate::store::{CompactStats, ContentHash, FunctionStore, StoreOptions};
@@ -205,10 +206,10 @@ impl MergeSession {
         Some(MergeOutcome { output, stats })
     }
 
-    /// Merges one uploaded module: store ingest, the shared
-    /// [`optimize`] run, and printing. Pass `key` (a hash of the raw
-    /// upload bytes) to make the response replayable via
-    /// [`MergeSession::merge_cached`].
+    /// Merges one uploaded module: input verification, store ingest, the
+    /// rest of the shared [`crate::optimize`] run, and printing. Pass
+    /// `key` (a hash of the raw upload bytes) to make the response
+    /// replayable via [`MergeSession::merge_cached`].
     pub fn merge_module(
         &mut self,
         mut module: Module,
@@ -216,14 +217,12 @@ impl MergeSession {
     ) -> Result<MergeOutcome, Error> {
         let _req_span = trace::span("session", "merge_request");
         let t0 = Instant::now();
-        // Verify before ingest: an invalid upload must be rejected
-        // without leaving its functions behind in the store.
-        let errs = {
+        // Verify before ingest, once: an invalid upload must be rejected
+        // without leaving its functions behind in the store, and the
+        // rest of `optimize` runs on the module this check passed.
+        {
             let _s = trace::span("session", "verify_input");
-            fmsa_ir::verify_module(&module)
-        };
-        if let Some(e) = errs.first() {
-            return Err(Error::verify(false, &e.func, e.to_string()));
+            check_input(&module)?;
         }
         // The ingest hashes the *uploaded* functions, before optimize
         // mutates the module: that is what a cached replay re-serves.
@@ -231,7 +230,7 @@ impl MergeSession {
             let _s = trace::span("session", "ingest");
             self.store.ingest_module_hashed(&module)?
         };
-        let mut stats = optimize(&mut module, &self.config)?;
+        let mut stats = optimize_checked(&mut module, &self.config)?;
         self.decisions.append(&mut stats.decisions);
         let output = {
             let _s = trace::span("session", "print");
@@ -273,6 +272,7 @@ impl MergeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::optimize;
     use fmsa_ir::{FuncBuilder, Value};
 
     fn clone_module(count: usize) -> Module {

@@ -208,31 +208,25 @@ impl fmt::Display for FsyncPolicy {
     }
 }
 
-/// Durability and compaction knobs for a persistent store.
+/// Dead-bytes fraction of the log at which a write of a persistent
+/// store compacts it ([`FunctionStore::compact`]).
+const COMPACT_DEAD_RATIO: f64 = 0.5;
+
+/// Log size below which a persistent store never compacts on its own.
+const COMPACT_MIN_BYTES: u64 = 16 * 1024;
+
+/// Durability and fault-injection knobs for a persistent store.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// When to fsync the log.
     pub fsync: FsyncPolicy,
     /// Deterministic I/O fault injection plan (store sites only).
     pub faults: FaultPlan,
-    /// Whether ingest triggers compaction when the dead-bytes ratio
-    /// crosses `compact_dead_ratio`.
-    pub auto_compact: bool,
-    /// Dead-bytes fraction of the log that triggers auto-compaction.
-    pub compact_dead_ratio: f64,
-    /// Minimum log size before auto-compaction considers firing.
-    pub compact_min_bytes: u64,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        StoreOptions {
-            fsync: FsyncPolicy::PerIngest,
-            faults: FaultPlan::disabled(),
-            auto_compact: true,
-            compact_dead_ratio: 0.5,
-            compact_min_bytes: 16 * 1024,
-        }
+        StoreOptions { fsync: FsyncPolicy::PerIngest, faults: FaultPlan::disabled() }
     }
 }
 
@@ -822,10 +816,9 @@ impl FunctionStore {
     }
 
     fn maybe_auto_compact(&mut self) {
-        if self.opts.auto_compact
-            && self.dir.is_some()
-            && self.total_bytes >= self.opts.compact_min_bytes
-            && self.dead_ratio() >= self.opts.compact_dead_ratio
+        if self.dir.is_some()
+            && self.total_bytes >= COMPACT_MIN_BYTES
+            && self.dead_ratio() >= COMPACT_DEAD_RATIO
             && self.compact().is_err()
         {
             // The ingest that triggered this already succeeded; a failed
@@ -1453,8 +1446,8 @@ bb2:
     #[test]
     fn batched_log_is_each_record_framed_in_order() {
         let dir = temp_dir("frames");
-        let opts = StoreOptions { auto_compact: false, ..StoreOptions::default() };
-        let mut store = FunctionStore::open_with(&dir, opts).unwrap();
+        // The log stays under `COMPACT_MIN_BYTES`, so nothing compacts it.
+        let mut store = FunctionStore::open(&dir).unwrap();
         let m = module_with(&[("a", 1), ("b", 2), ("a2", 1)]);
         let (_, hashes) = store.ingest_module_hashed(&m).unwrap();
         store.ingest_module(&m).unwrap();
@@ -1536,22 +1529,30 @@ bb2:
     #[test]
     fn auto_compaction_triggers_on_dead_ratio() {
         let dir = temp_dir("autocompact");
-        let opts = StoreOptions {
-            compact_dead_ratio: 0.05,
-            compact_min_bytes: 1,
-            ..StoreOptions::default()
-        };
+        let opts = StoreOptions { fsync: FsyncPolicy::Never, ..StoreOptions::default() };
         let mut store = FunctionStore::open_with(&dir, opts).unwrap();
         let m = module_with(&[("a", 1), ("c", 9)]);
-        for _ in 0..10 {
+        // Every re-ingest appends two seen bumps, all dead bytes, so the
+        // dead ratio passes its threshold long before the log reaches
+        // the size floor; the first compaction waits for the floor.
+        let (mut ingests, mut dead_below_floor) = (0, false);
+        while store.compactions() == 0 {
+            assert!(ingests < 2_000, "no compaction after {ingests} ingests");
+            assert!(
+                store.total_bytes() < COMPACT_MIN_BYTES || store.dead_ratio() < COMPACT_DEAD_RATIO
+            );
+            dead_below_floor |= store.dead_ratio() >= COMPACT_DEAD_RATIO;
             store.ingest_module(&m).unwrap();
+            ingests += 1;
         }
-        assert!(store.compactions() >= 1, "seen bumps must trip the dead-ratio trigger");
+        assert!(dead_below_floor, "the floor held a log past the dead ratio back");
+        assert_eq!(store.dead_bytes(), 0);
+        assert!(store.total_bytes() < COMPACT_MIN_BYTES);
         drop(store);
         let store = FunctionStore::open(&dir).unwrap();
         assert_eq!(store.len(), 2);
         for e in store.entries() {
-            assert_eq!(e.seen, 10);
+            assert_eq!(e.seen, ingests);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,8 +1,9 @@
 //! Soundness of the pre-codegen Δ bound on generated pairs: for every
 //! pair, `delta_bound` is at least the Δ that `evaluate` reports for the
-//! body `merge_pair_aligned` builds, and when the bound rules a pair out,
-//! replaying the skip leaves the type store exactly as building and
-//! discarding the body did.
+//! body `merge_pair_aligned` builds, and discarding that body
+//! (`merge::discard`), or a build that fails, leaves the type store
+//! exactly as it was — so a pair the bound rules out can skip the build
+//! without changing the store.
 //!
 //! The generator covers the shapes each term of the bound is about:
 //! external-linkage and address-taken sides (thunk ε), void vs value
@@ -19,7 +20,7 @@
 
 use fmsa_align::Step as Column;
 use fmsa_core::linearize::{linearize, Entry};
-use fmsa_core::merge::{align, merge_pair_aligned, MergeConfig};
+use fmsa_core::merge::{align, discard, merge_pair_aligned, MergeConfig};
 use fmsa_core::profitability::{delta_bound, evaluate, BodyCharge};
 use fmsa_ir::{
     cfg, FuncBuilder, FuncId, IntPredicate, LandingPadClause, Linkage, Module, Opcode, TyId, Type,
@@ -343,20 +344,12 @@ struct Pair {
     dead: bool,
 }
 
-/// Unless the module is `bare`, it holds the pointer types codegen may
-/// intern for demotion slots, so that the cheap terms can rule pairs out
-/// without a dry run.
 fn pair_module(seed: u64) -> Pair {
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let s1 = random_shape(&mut rng);
     let s2 = mutate(&s1, &mut rng);
     let dead = rng.chance(8);
     let mut m = Module::new("pair");
-    if !rng.chance(10) {
-        for t in [m.types.i1(), m.types.i32(), m.types.i64()] {
-            m.types.ptr(t);
-        }
-    }
     for (name, ty) in [("callee32", m.types.i32()), ("callee64", m.types.i64())] {
         let fn_ty = m.types.func(ty, vec![ty]);
         m.create_function(name, fn_ty);
@@ -382,8 +375,10 @@ fn pair_module(seed: u64) -> Pair {
 struct Seen {
     built: bool,
     ruled_out: bool,
-    replayed_new_types: bool,
-    replayed_slot_types: bool,
+    /// A ruled-out pair's build interned types that its discard dropped.
+    dropped_new_types: bool,
+    /// One of them was a demotion slot's pointer type.
+    dropped_slot_types: bool,
     identical: bool,
     dry_run: bool,
     fallback: bool,
@@ -396,8 +391,8 @@ struct Seen {
     exact: usize,
 }
 
-/// Checks the bound (and, for a ruled-out pair, the type replay) on one
-/// generated pair; returns what the pair exercised.
+/// Checks the bound, and that the build leaves no types behind once
+/// discarded, on one generated pair; returns what the pair exercised.
 fn check(seed: u64) -> Result<Seen, TestCaseError> {
     let Pair { m, f1, f2, dead, .. } = pair_module(seed);
     let cfg = MergeConfig::default();
@@ -440,20 +435,20 @@ fn check(seed: u64) -> Result<Seen, TestCaseError> {
                 seen.dry_built += 1;
                 seen.exact += (real.size_merged == bound.size_merged) as usize;
             }
-            built.remove_function(info.merged);
-        }
-        if bound.rules_out(&m.types) {
-            seen.ruled_out = true;
-            let mut replayed = m.types.clone();
-            bound.replay_skip(&mut replayed);
-            seen.replayed_new_types |= replayed.len() > m.types.len();
-            seen.replayed_slot_types |= (m.types.len()..replayed.len())
-                .any(|k| matches!(replayed.get(fmsa_ir::TyId::from_index(k)), Type::Ptr { .. }));
-            prop_assert_eq!(replayed.len(), built.types.len(), "seed {}: store length", seed);
-            for k in 0..replayed.len() {
-                let id = fmsa_ir::TyId::from_index(k);
-                prop_assert_eq!(replayed.get(id), built.types.get(id), "seed {}: type {}", seed, k);
+            if bound.rules_out() {
+                let interned = m.types.len()..built.types.len();
+                seen.dropped_new_types |= !interned.is_empty();
+                seen.dropped_slot_types |= interned
+                    .map(|k| built.types.get(TyId::from_index(k)))
+                    .any(|t| matches!(t, Type::Ptr { .. }));
             }
+            discard(&mut built, &info);
+        }
+        seen.ruled_out |= bound.rules_out();
+        prop_assert_eq!(built.types.len(), m.types.len(), "seed {}: store length", seed);
+        for k in 0..m.types.len() {
+            let id = TyId::from_index(k);
+            prop_assert_eq!(built.types.get(id), m.types.get(id), "seed {}: type {}", seed, k);
         }
     }
     Ok(seen)
@@ -476,7 +471,7 @@ fn bound_holds_across_the_generated_shapes() {
     let names = [
         "built",
         "ruled out",
-        "replay interned new types",
+        "discard dropped new types",
         "identical pair",
         "external side",
         "address-taken side",
@@ -488,7 +483,7 @@ fn bound_holds_across_the_generated_shapes() {
         "void vs value built",
         "dry run",
         "demotion",
-        "skip interned a demotion slot type",
+        "discard dropped a demotion slot type",
         "earlier region's value used later",
         "return cast of a demoted value",
         "demoted invoke or call",
@@ -515,7 +510,7 @@ fn bound_holds_across_the_generated_shapes() {
         let marks = [
             seen.built,
             seen.ruled_out,
-            seen.replayed_new_types,
+            seen.dropped_new_types,
             seen.identical,
             sides.iter().any(|s| s.external),
             sides.iter().any(|s| s.address_taken),
@@ -527,7 +522,7 @@ fn bound_holds_across_the_generated_shapes() {
             seen.built && s1.returns_value != s2.returns_value,
             seen.dry_run,
             demoted,
-            seen.replayed_slot_types,
+            seen.dropped_slot_types,
             demoted && s1.steps.len() != s2.steps.len() && sides.iter().any(|s| back(s)),
             demoted && sides.iter().any(|s| s.returns_value && s.ret_zext && !s.wide),
             demoted && matches!(calls, (Some(a), Some(b)) if a.invoke != b.invoke),

@@ -54,4 +54,4 @@ pub use inst::{ExtraData, FloatPredicate, Inst, IntPredicate, LandingPadClause, 
 pub use module::Module;
 pub use types::{TyId, Type, TypeStore};
 pub use value::{BlockId, FuncId, InstId, Value};
-pub use verifier::{ensure_valid, verify_function, verify_module, VerifyError};
+pub use verifier::{verify_function, verify_module, VerifyError};

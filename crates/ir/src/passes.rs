@@ -1,64 +1,13 @@
 //! Utility transformation passes.
 //!
-//! The FMSA paper assumes "the input functions have all their φ-functions
-//! demoted to memory operations" (§III) — [`demote_phis`] is that pass
-//! (LLVM's `reg2mem`). Merge codegen cleans every merged body with
-//! [`thread_trivial_blocks`] and [`remove_unreachable_blocks`], and the
-//! merge pass's optional canonicalization runs
-//! [`canonicalize_block_order`]; only tests call [`demote_phis`] and
-//! [`dce`].
+//! Merge codegen cleans every merged body with [`thread_trivial_blocks`]
+//! and [`remove_unreachable_blocks`], and the merge pass's optional
+//! canonicalization runs [`canonicalize_block_order`].
 
 use crate::cfg;
 use crate::function::Function;
-use crate::inst::{ExtraData, Inst, Opcode};
-use crate::module::Module;
-use crate::value::{FuncId, InstId, Value};
-
-/// Demotes every φ-node of `func` to `alloca`/`store`/`load`.
-///
-/// For each φ, an `alloca` is placed in the entry block, a `store` of the
-/// incoming value is inserted before the terminator of each predecessor,
-/// and the φ is replaced by a `load` at its original position.
-///
-/// Returns the number of φ-nodes demoted.
-pub fn demote_phis(module: &mut Module, func: FuncId) -> usize {
-    let ts_void = module.types.void();
-    let phis: Vec<InstId> = {
-        let f = module.func(func);
-        f.inst_ids().into_iter().filter(|&i| f.inst(i).opcode == Opcode::Phi).collect()
-    };
-    if phis.is_empty() {
-        return 0;
-    }
-    let entry = module.func(func).entry();
-    for phi in &phis {
-        let (ty, incoming_vals, incoming_blocks) = {
-            let inst = module.func(func).inst(*phi);
-            let ExtraData::Phi { incoming } = &inst.extra else {
-                unreachable!("phi has Phi extra")
-            };
-            (inst.ty, inst.operands.clone(), incoming.clone())
-        };
-        let ptr_ty = module.types.ptr(ty);
-        let f = module.func_mut(func);
-        // Alloca at the top of the entry block.
-        let slot = f.insert_inst(
-            entry,
-            0,
-            Inst::with_extra(Opcode::Alloca, ptr_ty, vec![], ExtraData::Alloca { allocated: ty }),
-        );
-        // Store incoming value before each predecessor's terminator.
-        for (val, pred) in incoming_vals.iter().zip(incoming_blocks.iter()) {
-            let term = f.terminator(*pred).expect("predecessor has a terminator");
-            f.insert_before(term, Inst::new(Opcode::Store, ts_void, vec![*val, Value::Inst(slot)]));
-        }
-        // Replace the phi itself by a load at its position.
-        let load = f.insert_before(*phi, Inst::new(Opcode::Load, ty, vec![Value::Inst(slot)]));
-        f.replace_all_uses(Value::Inst(*phi), Value::Inst(load));
-        f.remove_inst(*phi);
-    }
-    phis.len()
-}
+use crate::inst::{ExtraData, Opcode};
+use crate::value::{InstId, Value};
 
 /// Removes blocks unreachable from the entry. Returns how many were
 /// removed.
@@ -94,36 +43,6 @@ pub fn remove_unreachable_blocks(func: &mut Function) -> usize {
         func.remove_block(b);
     }
     n
-}
-
-/// Dead-code elimination: removes side-effect-free instructions whose
-/// results are never used, iterating to a fixed point. Returns how many
-/// instructions were removed.
-pub fn dce(func: &mut Function) -> usize {
-    let mut removed = 0;
-    loop {
-        let mut used: std::collections::HashSet<InstId> = std::collections::HashSet::new();
-        let ids = func.inst_ids();
-        for &i in &ids {
-            for op in &func.inst(i).operands {
-                if let Value::Inst(dep) = op {
-                    used.insert(*dep);
-                }
-            }
-        }
-        let mut changed = false;
-        for i in ids {
-            let inst = func.inst(i);
-            if !inst.opcode.has_side_effects() && !used.contains(&i) {
-                func.remove_inst(i);
-                removed += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return removed;
-        }
-    }
 }
 
 /// Threads trivial forwarding blocks: a block whose entire body is a single
@@ -283,16 +202,13 @@ pub fn canonicalize_block_order(func: &mut Function) -> usize {
     changed
 }
 
-/// Runs [`canonicalize_block_order`] on every function of the module.
-pub fn canonicalize_module(module: &mut Module) -> usize {
-    module.func_ids().into_iter().map(|f| canonicalize_block_order(module.func_mut(f))).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
     use crate::inst::IntPredicate;
+    use crate::module::Module;
+    use crate::value::FuncId;
     use crate::verifier::verify_module;
 
     /// Builds `f(n) = n > 0 ? n : -n` using an explicit phi at the join.
@@ -315,63 +231,6 @@ mod tests {
         let phi = b.phi(i32t, vec![(Value::Param(0), entry), (negated, neg)]);
         b.ret(Some(phi));
         (m, f)
-    }
-
-    #[test]
-    fn demote_phis_produces_valid_ir_without_phis() {
-        let (mut m, f) = phi_module();
-        let n = demote_phis(&mut m, f);
-        assert_eq!(n, 1);
-        let errs = verify_module(&m);
-        assert!(errs.is_empty(), "{errs:?}");
-        let func = m.func(f);
-        assert!(func.inst_ids().iter().all(|&i| func.inst(i).opcode != Opcode::Phi));
-        // alloca + 2 stores + 1 load replaced 1 phi.
-        let count =
-            |op: Opcode| func.inst_ids().iter().filter(|&&i| func.inst(i).opcode == op).count();
-        assert_eq!(count(Opcode::Alloca), 1);
-        assert_eq!(count(Opcode::Store), 2);
-        assert_eq!(count(Opcode::Load), 1);
-    }
-
-    #[test]
-    fn demote_phis_is_idempotent() {
-        let (mut m, f) = phi_module();
-        demote_phis(&mut m, f);
-        assert_eq!(demote_phis(&mut m, f), 0);
-    }
-
-    #[test]
-    fn dce_removes_unused_chain() {
-        let mut m = Module::new("m");
-        let i32t = m.types.i32();
-        let fn_ty = m.types.func(i32t, vec![i32t]);
-        let f = m.create_function("f", fn_ty);
-        let mut b = FuncBuilder::new(&mut m, f);
-        let entry = b.block("entry");
-        b.switch_to(entry);
-        let a = b.add(Value::Param(0), b.const_i32(1));
-        let _unused = b.mul(a, b.const_i32(2)); // dead, and makes `a` dead too
-        b.ret(Some(Value::Param(0)));
-        let removed = dce(m.func_mut(f));
-        assert_eq!(removed, 2);
-        assert_eq!(m.func(f).inst_count(), 1);
-    }
-
-    #[test]
-    fn dce_keeps_side_effects() {
-        let mut m = Module::new("m");
-        let i32t = m.types.i32();
-        let fn_ty = m.types.func(m.types.void(), vec![]);
-        let f = m.create_function("f", fn_ty);
-        let mut b = FuncBuilder::new(&mut m, f);
-        let entry = b.block("entry");
-        b.switch_to(entry);
-        let slot = b.alloca(i32t);
-        b.store(b.const_i32(1), slot);
-        b.ret(None);
-        let removed = dce(m.func_mut(f));
-        assert_eq!(removed, 0, "store keeps alloca alive");
     }
 
     #[test]
@@ -459,6 +318,7 @@ mod tests {
 mod reorder_tests {
     use super::*;
     use crate::builder::FuncBuilder;
+    use crate::module::Module;
     use crate::value::Value;
     use crate::verifier::verify_module;
 
@@ -490,10 +350,10 @@ mod reorder_tests {
         };
         let mut m1 = build(false);
         let mut m2 = build(true);
-        canonicalize_module(&mut m1);
-        canonicalize_module(&mut m2);
         let f1 = m1.func_ids()[0];
         let f2 = m2.func_ids()[0];
+        canonicalize_block_order(m1.func_mut(f1));
+        canonicalize_block_order(m2.func_mut(f2));
         let ops1: Vec<_> =
             m1.func(f1).inst_ids().iter().map(|&i| m1.func(f1).inst(i).opcode).collect();
         let ops2: Vec<_> =

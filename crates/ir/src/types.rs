@@ -170,6 +170,26 @@ impl TypeStore {
         self.types.len()
     }
 
+    /// Drops every type interned after the first `len`, interner entries
+    /// included, so the store is again what it was at that length: a
+    /// mutation that is undone leaves no types behind, and the next type
+    /// interned gets id `len`. A `len` at or past [`TypeStore::len`]
+    /// changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` would drop a pre-interned primitive.
+    pub fn truncate(&mut self, len: usize) {
+        // `new` interns the primitives first, `double` last.
+        let primitives = self.double.index() + 1;
+        assert!(len >= primitives, "truncating to {len} types would drop pre-interned primitives");
+        if len < self.types.len() {
+            for ty in self.types.drain(len..) {
+                self.interner.remove(&ty);
+            }
+        }
+    }
+
     /// Whether `id` refers to a type interned in *this* store. Ids from a
     /// different store with a larger type table are out of range here;
     /// [`TypeStore::get`] would panic on them. The verifier uses this to
@@ -617,6 +637,33 @@ mod tests {
         assert_eq!(ts.lookup(&Type::Ptr { pointee: ts.i8() }), Some(q));
         assert_eq!(ts.lookup(&Type::Int(999)), None);
         assert_eq!(ts.len(), TypeStore::new().len() + 1, "lookup never interns");
+    }
+
+    #[test]
+    fn truncate_drops_later_types_and_their_interner_entries() {
+        let mut ts = TypeStore::new();
+        let p8 = ts.ptr(ts.i8());
+        let len = ts.len();
+        let s = ts.struct_(vec![ts.i32(), p8]);
+        ts.func(s, vec![p8]);
+        let dropped = ts.get(s).clone();
+        ts.truncate(len);
+        assert_eq!(ts.len(), len);
+        assert_eq!(ts.lookup(&dropped), None, "a dropped type is not found");
+        assert_eq!(ts.lookup(&Type::Ptr { pointee: ts.i8() }), Some(p8), "earlier types stay");
+        // Re-interning a dropped type gives it the id at the new length.
+        assert_eq!(ts.intern(dropped), TyId::from_index(len));
+        assert_eq!(ts.len(), len + 1);
+        // Truncating past the end changes nothing.
+        ts.truncate(len + 5);
+        assert_eq!(ts.len(), len + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pre-interned primitives")]
+    fn truncating_into_the_primitives_panics() {
+        let mut ts = TypeStore::new();
+        ts.truncate(TypeStore::new().len() - 1);
     }
 
     #[test]

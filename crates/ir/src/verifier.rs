@@ -60,18 +60,6 @@ pub fn verify_function(module: &Module, id: FuncId) -> Vec<VerifyError> {
     v.errs
 }
 
-/// Convenience wrapper returning `Err` with the first violation.
-///
-/// # Errors
-///
-/// Returns the first [`VerifyError`] if the module is malformed.
-pub fn ensure_valid(module: &Module) -> Result<(), VerifyError> {
-    match verify_module(module).into_iter().next() {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
 struct Verifier<'a> {
     module: &'a Module,
     f: &'a Function,
@@ -532,7 +520,6 @@ mod tests {
     fn valid_module_passes() {
         let m = ok_module();
         assert!(verify_module(&m).is_empty(), "{:?}", verify_module(&m));
-        assert!(ensure_valid(&m).is_ok());
     }
 
     #[test]

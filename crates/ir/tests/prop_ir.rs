@@ -103,14 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn dce_preserves_validity(seed in 0u64..100_000) {
-        let mut m = random_module(seed);
-        let f = m.func_ids()[0];
-        passes::dce(m.func_mut(f));
-        prop_assert!(verify_module(&m).is_empty());
-    }
-
-    #[test]
     fn threading_preserves_validity_and_reachability(seed in 0u64..100_000) {
         let mut m = random_module(seed);
         let f = m.func_ids()[0];

@@ -1,17 +1,19 @@
 //! The pre-codegen Δ gate on whole inputs: every attempt the pipeline
 //! makes on a 1000-function LSH swarm, the suite modules, a lowered wasm
-//! corpus and the benchmark's 96-function daemon uploads is audited
-//! against a real build (`pipeline::run_audited`):
+//! corpus and the benchmark's 96-function daemon uploads, at one and two
+//! threads, is audited against a real build (`pipeline::run_audited`):
 //!
 //! * soundness — no attempt's real Δ exceeds its bound, including the
 //!   gate-skipped ones, which the audit builds and discards in place;
-//! * type replay — each skip leaves the type store exactly as that build
-//!   and discard did: same length, same `Type` at every id;
+//! * the store — every attempt that keeps nothing (a skip's audit build,
+//!   an unprofitable or failed build) leaves the type store exactly as
+//!   it found it: same length, same `Type` at every id;
 //! * recall — at most 1 % of the attempts that turn out unprofitable
 //!   were built anyway (`gate_missed`).
 //!
 //! Plus bit-identity with the paper's ungated loop
-//! (`support/paper_loop.rs`) at 1/2/4/8 threads on a swarm where skipped
+//! (`support/paper_loop.rs`), which builds every attempt and discards
+//! what it does not keep, at 1/2/4/8 threads on a swarm where skipped
 //! builds would have interned new signatures.
 
 #[path = "support/paper_loop.rs"]
@@ -42,7 +44,7 @@ fn audit(base: &Module, cfg: &Config) -> (FmsaStats, GateAudit) {
 /// for the audit (checked too, unless that build failed), and the gate
 /// skipped all but at most 1 % of the unprofitable attempts.
 fn assert_clean(label: &str, stats: &FmsaStats, audit: &GateAudit) {
-    assert!(audit.is_clean(), "{label}: {:?} / {:?}", audit.violations, audit.replay_mismatches);
+    assert!(audit.is_clean(), "{label}: {:?} / {:?}", audit.violations, audit.store_mismatches);
     let p = stats.pipeline.expect("pipeline stats");
     assert_eq!(audit.skipped, p.gate_skipped, "{label}: every skip is audited");
     assert!(
@@ -65,14 +67,16 @@ fn assert_clean(label: &str, stats: &FmsaStats, audit: &GateAudit) {
 #[test]
 fn gate_bound_and_replay_hold_on_lsh_swarm() {
     let base = clone_swarm_module(&SwarmConfig::with_functions(1000));
-    let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh).parallel(1);
-    let (stats, audit) = audit(&base, &cfg);
-    assert_clean("swarm", &stats, &audit);
-    // The gate must carry its weight here, and its skips must include
-    // builds that would have interned new types.
-    assert!(audit.skipped * 2 > stats.attempted, "{audit:?} of {} attempts", stats.attempted);
-    assert!(audit.replays_interning > 0, "{audit:?}");
-    assert!(stats.merges > 0);
+    for threads in [1usize, 2] {
+        let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh).parallel(threads);
+        let (stats, audit) = audit(&base, &cfg);
+        assert_clean(&format!("swarm, t={threads}"), &stats, &audit);
+        // The gate must carry its weight here, and its skips must include
+        // builds whose discards dropped new types.
+        assert!(audit.skipped * 2 > stats.attempted, "{audit:?} of {} attempts", stats.attempted);
+        assert!(audit.discards_dropping_types > 0, "{audit:?}");
+        assert!(stats.merges > 0);
+    }
 }
 
 #[test]
@@ -80,11 +84,13 @@ fn gate_bound_and_replay_hold_on_suite_modules() {
     let (mut skipped, mut checked) = (0, 0);
     for d in spec_suite().into_iter().filter(|d| d.paper_fns <= 300) {
         let base = d.build();
-        let cfg = Config::new().threshold(5).parallel(1);
-        let (stats, audit) = audit(&base, &cfg);
-        assert_clean(d.name, &stats, &audit);
-        skipped += audit.skipped;
-        checked += audit.checked;
+        for threads in [1usize, 2] {
+            let cfg = Config::new().threshold(5).parallel(threads);
+            let (stats, audit) = audit(&base, &cfg);
+            assert_clean(&format!("{}, t={threads}", d.name), &stats, &audit);
+            skipped += audit.skipped;
+            checked += audit.checked;
+        }
     }
     assert!(skipped > 0 && checked > skipped, "skipped {skipped}, checked {checked}");
 }
@@ -120,16 +126,20 @@ fn gate_bound_and_replay_hold_on_serve_corpora() {
 }
 
 /// Bit-identity with the paper's ungated loop at 1/2/4/8 threads on a
-/// swarm where the gate fires and its skips replay new signatures — the
-/// case a skip that interned nothing would get wrong.
+/// swarm where the gate fires on builds that intern new signatures —
+/// the case a discard that kept its types would get wrong.
 #[test]
 fn gated_pipeline_is_bit_identical_where_skips_intern_types() {
     let base =
         clone_swarm_module(&SwarmConfig { functions: 300, seed: 7, ..SwarmConfig::default() });
     let cfg = Config::new().threshold(5).search(SearchStrategy::Lsh);
-    let (stats, audit) = audit(&base, &cfg.clone().parallel(1));
-    assert_clean("swarm-300", &stats, &audit);
-    assert!(audit.replays_interning > 0, "skips must replay new types here: {audit:?}");
+    let mut skipped = 0;
+    for threads in [1usize, 2] {
+        let (stats, audit) = audit(&base, &cfg.clone().parallel(threads));
+        assert_clean(&format!("swarm-300, t={threads}"), &stats, &audit);
+        assert!(audit.discards_dropping_types > 0, "skipped builds must intern types: {audit:?}");
+        skipped = audit.skipped;
+    }
     let mut m_seq = base.clone();
     let seq = paper_loop::paper_loop(&mut m_seq, &cfg);
     let seq_text = print_module(&m_seq);
@@ -140,6 +150,6 @@ fn gated_pipeline_is_bit_identical_where_skips_intern_types() {
         assert_eq!(seq_text, print_module(&m), "module text at {threads} threads");
         assert_eq!((seq.merges, seq.attempted), (par.merges, par.attempted));
         let p = par.pipeline.expect("pipeline stats");
-        assert_eq!(p.gate_skipped, audit.skipped, "gate decisions at {threads} threads");
+        assert_eq!(p.gate_skipped, skipped, "gate decisions at {threads} threads");
     }
 }

@@ -1,14 +1,16 @@
 //! The paper's FMSA driver (§IV, Fig. 7) as one plain worklist loop: the
 //! reference the merge pipeline is compared against. Greedy mode commits
 //! the first profitable candidate of each subject; oracle mode builds
-//! every candidate and commits the one with the largest Δ. No timers,
-//! spans, decision log, fault handling or caches — only the public API.
+//! every candidate and commits the one with the largest Δ; a build it
+//! does not keep is discarded with its types (`merge::discard`). No
+//! timers, spans, decision log, fault handling or caches — only the
+//! public API.
 //! It shares the candidate index type and the eligibility rule
 //! (`pipeline::eligible`) with the pipeline, nothing else.
 
 use fmsa::core::fingerprint::Fingerprint;
 use fmsa::core::linearize;
-use fmsa::core::merge::{align, merge_pair_aligned, MergeInfo};
+use fmsa::core::merge::{align, discard, merge_pair_aligned, MergeInfo};
 use fmsa::core::pipeline::eligible;
 use fmsa::core::profitability::evaluate;
 use fmsa::core::thunks::commit_merge;
@@ -72,17 +74,21 @@ pub fn paper_loop(module: &mut Module, cfg: &Config) -> PaperStats {
             let delta = evaluate(module, &cm, &info).delta;
             if delta > 0 && best.as_ref().is_none_or(|b| delta > b.2) {
                 if let Some((_, old, _)) = best.replace((pos + 1, info, delta)) {
+                    // The new best may use types the old one interned.
                     module.remove_function(old.merged);
                 }
                 if !cfg.oracle {
                     break; // greedy: the first profitable candidate wins
                 }
             } else {
-                module.remove_function(info.merged);
+                // A discarded build leaves no types behind.
+                discard(module, &info);
             }
         }
         let Some((rank, info, _)) = best else { continue };
         let Ok(commit) = commit_merge(module, &info) else {
+            // The failed commit may have rewritten callers with new cast
+            // types, so the merge's types stay.
             module.remove_function(info.merged);
             continue;
         };
